@@ -25,9 +25,6 @@ from .hydromodel import (
     derive_params,
     kirchhoff_closed_form,
     kirchhoff_quadrature_oracle,
-    make_parametrization,
-    tau_formulation,
-    u_formulation,
 )
 from .mesh import (
     Mesh,
@@ -49,14 +46,11 @@ from .newton import (
     newton_solve,
 )
 from .scheme import (
+    Assembly,
     InitialField,
-    State,
-    StepProblem,
     discretize_boundary,
     discretize_initial,
-    edge_flux,
-    jacobian,
-    residual,
+    evaluate,
 )
 
 __version__ = "0.1.0"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -76,6 +77,22 @@ def _coerce(key: str, val: str):
     return key, val
 
 
+def _preset(case, beta: float, eps: float) -> RunConfig:
+    """The built-in configuration of case test1 or test2."""
+    if case == "test1":
+        return preset_test1(beta=beta, eps=eps)
+    if case == "test2":
+        return preset_test2(eps=eps)
+    raise ConfigError(f"no preset for case {case!r}; presets are test1 and test2")
+
+
+def _override(cfg: RunConfig, values: dict) -> RunConfig:
+    unknown = [k for k in values if k not in RunConfig.__dataclass_fields__]
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    return replace(cfg, **values)
+
+
 def _resolve_run_config(args) -> RunConfig:
     file_vals: dict = {}
     if args.config:
@@ -83,11 +100,7 @@ def _resolve_run_config(args) -> RunConfig:
             k, v = _coerce(k, v)
             file_vals[k] = v
     case = args.case or file_vals.get("case")
-    if case == "test1":
-        cfg = preset_test1(beta=file_vals.get("beta", 4.0), eps=file_vals.get("eps", 1e-6))
-    elif case == "test2":
-        cfg = preset_test2(eps=file_vals.get("eps", 1e-6))
-    elif case in (None, "custom"):
+    if case in (None, "custom"):
         required = ("beta", "dt", "t_end", "eps")
         missing = [k for k in required if k not in file_vals]
         if missing:
@@ -98,14 +111,13 @@ def _resolve_run_config(args) -> RunConfig:
             t_end=file_vals["t_end"], eps=file_vals["eps"],
         )
     else:
-        raise ConfigError(f"unknown case {case!r}")
+        cfg = _preset(case, file_vals.get("beta", 4.0), file_vals.get("eps", 1e-6))
 
     overrides = dict(file_vals)
     overrides.pop("case", None)
     for flag in ("formulation", "beta", "eps", "mesh", "dt", "eta_mode", "out"):
         v = getattr(args, flag, None)
         if v is not None:
-            k, _ = _coerce(flag, "0")
             overrides[_ALIASES.get(flag, flag)] = v
     if args.pb is not None:
         overrides["p_b"] = args.pb
@@ -113,14 +125,7 @@ def _resolve_run_config(args) -> RunConfig:
         overrides["t_end"] = args.tend
     if args.adaptive_dt:
         overrides["adaptive_dt"] = True
-
-    valid = set(RunConfig.__dataclass_fields__)
-    unknown = [k for k in overrides if k not in valid]
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    from dataclasses import replace
-
-    return replace(cfg, **overrides)
+    return _override(cfg, overrides)
 
 
 def cmd_run(args) -> int:
@@ -147,19 +152,7 @@ def cmd_sweep(args) -> int:
     formulations = vals.pop("formulations", ["tau", "u"])
     eps_ref = vals.pop("eps_ref", EPS_REF_TEST1 if case == "test1" else EPS_REF_TEST2)
     out_dir = vals.pop("out_dir", ".")
-    if case == "test1":
-        base = preset_test1(beta=betas[0], eps=epss[0])
-    elif case == "test2":
-        base = preset_test2(eps=epss[0])
-    else:
-        raise ConfigError(f"sweep needs case test1 or test2, got {case!r}")
-    from dataclasses import replace
-
-    valid = set(RunConfig.__dataclass_fields__)
-    unknown = [k for k in vals if k not in valid]
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    base = replace(base, **vals)
+    base = _override(_preset(case, betas[0], epss[0]), vals)
     results = sweep(base, betas, epss, formulations, eps_ref=eps_ref)
     write_outputs(results, base, out_dir)
     failures = sum(not r.converged for r in results)

@@ -22,10 +22,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .diagnostics import Trajectory, linf_l1_error, mass_error
-from .hydromodel import BrooksCoreyModel, make_parametrization
+from .hydromodel import BrooksCoreyModel, Parametrization
 from .mesh import DIRICHLET, Mesh, build_rect_mesh, load_mesh
 from .newton import NewtonConfig, newton_solve
-from .scheme import InitialField, StepProblem, discretize_boundary, discretize_initial
+from .scheme import Assembly, InitialField, discretize_boundary, discretize_initial
 from .vtkio import write_vtk
 
 __all__ = [
@@ -185,45 +185,42 @@ def build_mesh(config: RunConfig) -> Mesh:
 def run(config: RunConfig, mesh: Mesh | None = None, callback=None) -> RunResult:
     """March the implicit scheme over [0, t_end].
 
-    In reproduction mode a non-converged Newton step aborts with the
-    partial trajectory; with adaptive_dt the step is retried at dt/2
-    (the time step doubles back after 5 consecutive converged steps,
-    never above the configured dt).  The optional callback is forwarded
-    to every Newton solve.
+    In reproduction mode a non-converged Newton step (a singular Jacobian
+    included) aborts with the partial trajectory; with adaptive_dt the
+    step is retried at dt/2 (the time step doubles back after 5
+    consecutive converged steps, never above the configured dt).  The
+    optional callback is forwarded to every Newton solve.
     """
     t0 = time.perf_counter()
     if mesh is None:
         mesh = build_mesh(config)
     model = BrooksCoreyModel(beta=config.beta, p_b=config.p_b, eta_mode=config.eta_mode)
-    param = make_parametrization(config.formulation, model)
+    param = Parametrization(kind=config.formulation, model=model)
     s0 = InitialField(default=config.s0_default, boxes=list(config.s0_boxes))
-    state = discretize_initial(s0, mesh, param)
+    tau = discretize_initial(s0, mesh, param)
     boundary_tau = (
         discretize_boundary(config.p_dirichlet, mesh, param)
         if config.p_dirichlet is not None
         else {}
     )
     gravity = np.asarray(config.gravity, dtype=float)[: mesh.dim]
+    system = Assembly(mesh, param, gravity, boundary_tau)
     ncfg = NewtonConfig(eps=config.eps)
 
     times = [0.0]
-    taus = [state.tau.copy()]
+    taus = [tau.copy()]
     reports = []
     iters = []
     converged, failed_step = True, None
 
-    t, tau = 0.0, state.tau
+    t = 0.0
     dt = config.dt
     easy_streak = 0
     step = 0
     while t < config.t_end - 1e-9 * config.dt:
         dt = min(dt, config.t_end - t)
-        problem = StepProblem(
-            mesh=mesh, param=param, gravity=gravity, dt=dt,
-            s_prev=np.asarray(param.eval(tau)[0], dtype=float),
-            boundary_tau=boundary_tau,
-        )
-        tau_new, report = newton_solve(problem, tau, ncfg, callback=callback)
+        s_prev = np.asarray(param.eval(tau)[0], dtype=float)
+        tau_new, report = newton_solve(system, dt, s_prev, tau, ncfg, callback=callback)
         if not report.converged:
             if config.adaptive_dt and dt > 1e-12 * config.dt:
                 dt *= 0.5

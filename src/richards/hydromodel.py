@@ -13,11 +13,10 @@ the internally consistent one, which is the default.
 
 Two parametrizations tau -> (s(tau), u(tau)) of the graph are provided:
 
-* ``u_formulation``: u(tau) = tau, s = S~(tau).  Degenerate: s' blows up
-  at the dry limit u -> 0+.
-* ``tau_formulation``: the parametrization normalized by
-  max(s'(tau), u'(tau)) = 1 with s(0) = 0.  Non-degenerate with
-  alpha_low = alpha_high = 1.
+* kind "u": u(tau) = tau, s = S~(tau).  Degenerate: s' blows up at the
+  dry limit u -> 0+.
+* kind "tau": the parametrization normalized by max(s'(tau), u'(tau)) = 1
+  with s(0) = 0.  Non-degenerate with alpha_low = alpha_high = 1.
 
 Both are extended below tau = 0 by s = 0, u(tau) = tau so that u' = 1
 holds for transient negative Newton iterates.
@@ -29,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "BrooksCoreyModel",
@@ -40,9 +38,6 @@ __all__ = [
     "mobility",
     "mobility_derivative",
     "sat_of_kirchhoff",
-    "tau_formulation",
-    "u_formulation",
-    "make_parametrization",
     "kirchhoff_quadrature_oracle",
     "kirchhoff_closed_form",
     "check_nondegeneracy",
@@ -168,9 +163,6 @@ class Parametrization:
     kind: str
     model: BrooksCoreyModel
     params: DerivedParams = field(init=False)
-    # estimated non-degeneracy constants, refreshed by check_nondegeneracy
-    alpha_low_estimate: float = field(init=False, default=math.nan)
-    alpha_high_estimate: float = field(init=False, default=math.nan)
 
     def __post_init__(self):
         if self.kind not in ("tau", "u"):
@@ -204,18 +196,6 @@ class Parametrization:
         sp = np.where(low, 1.0, 0.0)
         sp = np.where(up_b, _sat_of_kirchhoff_prime(p, np.where(up_b, u, -1.0)), sp)
         return s, u, sp, upr
-
-    def s(self, tau):
-        return self.eval(tau)[0]
-
-    def u(self, tau):
-        return self.eval(tau)[1]
-
-    def s_prime(self, tau):
-        return self.eval(tau)[2]
-
-    def u_prime(self, tau):
-        return self.eval(tau)[3]
 
     # -- inverses -----------------------------------------------------------
 
@@ -301,18 +281,6 @@ class Parametrization:
         return out if out.ndim else float(out)
 
 
-def tau_formulation(model: BrooksCoreyModel) -> Parametrization:
-    return Parametrization(kind="tau", model=model)
-
-
-def u_formulation(model: BrooksCoreyModel) -> Parametrization:
-    return Parametrization(kind="u", model=model)
-
-
-def make_parametrization(kind: str, model: BrooksCoreyModel) -> Parametrization:
-    return Parametrization(kind=kind, model=model)
-
-
 # -- oracle ------------------------------------------------------------------
 
 
@@ -332,6 +300,9 @@ def kirchhoff_quadrature_oracle(model: BrooksCoreyModel, p: float) -> float:
     Independent of the closed forms; used to validate them and to select
     the internally consistent eta_mode.  Relative accuracy ~1e-12.
     """
+    # imported here: scipy.integrate takes most of the package import time
+    from scipy.integrate import quad
+
     lam_exp = 3.0 + 2.0 / model.beta
     p_b = model.p_b
 
@@ -367,7 +338,4 @@ def check_nondegeneracy(param: Parametrization, tau_grid) -> tuple[float, float]
     tau_grid = np.asarray(tau_grid, dtype=float)
     _, _, sp, up = param.eval(tau_grid)
     m = np.maximum(sp, up)
-    lo, hi = float(np.min(m)), float(np.max(m))
-    object.__setattr__(param, "alpha_low_estimate", lo)
-    object.__setattr__(param, "alpha_high_estimate", hi)
-    return lo, hi
+    return float(np.min(m)), float(np.max(m))

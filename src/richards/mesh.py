@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "Cell",
-    "Edge",
     "Mesh",
     "ValidationReport",
     "MeshError",
@@ -43,30 +41,6 @@ TILE_TOL = 1e-12  # relative tolerance for the tiling and closure identities
 
 class MeshError(ValueError):
     """Raised on malformed mesh files or admissibility violations."""
-
-
-@dataclass(frozen=True)
-class Cell:
-    id: int
-    volume: float
-    center: np.ndarray
-    edge_ids: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Edge:
-    id: int
-    measure: float
-    tag: int  # INTERIOR | DIRICHLET | NOFLUX
-    cells: tuple[int, ...]  # (K, L) interior, (K,) boundary
-    d: tuple[float, ...]  # (d_K, d_L) interior, (d_K,) boundary
-    A: float
-    normal: np.ndarray  # unit normal outward w.r.t. cells[0]
-    x_sigma: np.ndarray | None  # boundary only
-
-    @property
-    def is_boundary(self) -> bool:
-        return self.tag != INTERIOR
 
 
 @dataclass
@@ -128,35 +102,6 @@ class Mesh:
     @property
     def domain_measure(self) -> float:
         return float(np.prod(self.bbox[:, 1] - self.bbox[:, 0]))
-
-    def cell(self, i: int) -> Cell:
-        return Cell(
-            id=i,
-            volume=float(self.cell_volumes[i]),
-            center=self.cell_centers[i].copy(),
-            edge_ids=tuple(self.cell_edge_ids[i]),
-        )
-
-    def edge(self, e: int) -> Edge:
-        interior = self.edge_tag[e] == INTERIOR
-        return Edge(
-            id=e,
-            measure=float(self.edge_measure[e]),
-            tag=int(self.edge_tag[e]),
-            cells=tuple(int(c) for c in self.edge_cells[e] if c >= 0),
-            d=tuple(float(x) for x in self.edge_d[e][: 2 if interior else 1]),
-            A=float(self.edge_A[e]),
-            normal=self.edge_normal[e].copy(),
-            x_sigma=None if interior else self.edge_x[e].copy(),
-        )
-
-    @property
-    def cells(self) -> list[Cell]:
-        return [self.cell(i) for i in range(self.n_cells)]
-
-    @property
-    def edges(self) -> list[Edge]:
-        return [self.edge(e) for e in range(self.n_edges)]
 
     def normal_wrt(self, e: int, k: int) -> np.ndarray:
         """Unit normal of edge e outward w.r.t. cell k."""

@@ -18,7 +18,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .mesh import Mesh
-from .scheme import StepProblem, jacobian, residual
+from .scheme import Assembly, evaluate
 
 __all__ = [
     "NewtonConfig",
@@ -34,11 +34,7 @@ __all__ = [
 
 
 class SingularJacobianError(RuntimeError):
-    """Raised when the direct factorization fails; carries the state."""
-
-    def __init__(self, message, tau=None):
-        super().__init__(message)
-        self.tau = None if tau is None else np.array(tau)
+    """Raised when the direct factorization fails."""
 
 
 @dataclass
@@ -70,17 +66,21 @@ def linear_solve(A, b) -> np.ndarray:
         raise SingularJacobianError(f"sparse LU factorization failed: {exc}") from exc
 
 
-def newton_solve(problem: StepProblem, tau_init, config: NewtonConfig, callback=None):
+def newton_solve(system: Assembly, dt: float, s_prev, tau_init, config: NewtonConfig,
+                 callback=None):
     """Plain Newton on the step residual; returns (tau, NewtonReport).
 
-    tau_init is the previous time-step solution.  The optional callback is
-    invoked as callback(k, tau, res_norm, J) at every iterate where the
-    Jacobian is assembled.  A non-converged step is reported, not raised;
-    a singular linear solve raises SingularJacobianError with the state.
+    dt and s_prev = s(tau^{n-1}) are the step's data; tau_init is the
+    previous time-step solution.  The optional callback is invoked as
+    callback(k, tau, res_norm, J) at every iterate where the Jacobian is
+    used.  A non-converged step, a singular Jacobian included, is
+    reported, not raised.
     """
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
     tau = np.array(tau_init, dtype=float)
-    tol = config.eps * problem.dt
-    f = residual(problem, tau)
+    tol = config.eps * dt
+    f, J = evaluate(system, dt, s_prev, tau)
     res = float(np.sum(np.abs(f)))  # raw 1-norm, no volume weights
     history = [res]
     for k in range(config.max_iter):
@@ -88,15 +88,14 @@ def newton_solve(problem: StepProblem, tau_init, config: NewtonConfig, callback=
             break
         if not np.isfinite(res):
             break
-        J = jacobian(problem, tau)
         if callback is not None:
             callback(k, tau, res, J)
         try:
             delta = linear_solve(J, f)
-        except SingularJacobianError as exc:
-            raise SingularJacobianError(str(exc), tau=tau) from exc
+        except SingularJacobianError:
+            break
         tau -= delta
-        f = residual(problem, tau)
+        f, J = evaluate(system, dt, s_prev, tau)
         res = float(np.sum(np.abs(f)))
         history.append(res)
     converged = bool(np.isfinite(res) and res <= tol)
@@ -172,18 +171,16 @@ def mmatrix_analyze(A, delta: float, Delta: float, atol_scale: float = 1e-9) -> 
         # reverse BFS from I_delta along arcs i -> j with A[j, i] < -delta:
         # predecessors of j are columns i with A[j, i] < -delta, i.e. the
         # strictly sub-(-delta) entries of row j.
-        At = A.tocsc()  # column i of A = row i of A^T
         dist = np.full(n, -1, dtype=int)
         parent = np.full(n, -1, dtype=int)
         dist[strong] = 0
         queue = deque(int(j) for j in strong)
-        # adjacency: for node j, predecessors i with A[j, i] < -delta
-        Arows = A.tocsr()
+        indptr, indices, data = A.indptr.tolist(), A.indices.tolist(), A.data.tolist()
         while queue:
             j = queue.popleft()
-            row = Arows.getrow(j)
-            for i, val in zip(row.indices, row.data):
-                if i != j and val < -(delta - atol) and dist[i] < 0:
+            for p in range(indptr[j], indptr[j + 1]):
+                i = indices[p]
+                if i != j and data[p] < -(delta - atol) and dist[i] < 0:
                     dist[i] = dist[j] + 1
                     parent[i] = j
                     queue.append(int(i))
@@ -227,19 +224,20 @@ def jacobian_bounds(mesh: Mesh, dt: float, alpha_low: float, alpha_high: float,
     if not alpha_low > 0:
         raise ValueError("alpha_low must be positive")
     g = np.zeros(mesh.dim) if gravity is None else np.asarray(gravity, dtype=float)
-    min_ratio = np.inf
-    max_load = 0.0
-    for k in range(mesh.n_cells):
-        eids = mesh.cell_edge_ids[k]
-        a_min = min(mesh.edge_A[e] for e in eids)
-        min_ratio = min(min_ratio, a_min / mesh.cell_volumes[k])
-        load = 0.0
-        for e in eids:
-            gp = max(float(mesh.normal_wrt(e, k) @ g), 0.0)
-            load += mesh.edge_measure[e] * gp * lam_prime_max + mesh.edge_A[e]
-        max_load = max(max_load, 1.0 + dt / mesh.cell_volumes[k] * load)
-    delta = alpha_low * min(1.0, dt * min_ratio)
-    Delta = alpha_high * max_load
+    # one (cell, edge) incidence per entry of edge_cells, in edge order, so
+    # each cell's sum runs over its edges in the order of cell_edge_ids
+    cells = mesh.edge_cells.ravel()
+    keep = cells >= 0
+    cells = cells[keep]
+    e = np.repeat(np.arange(mesh.n_edges), 2)[keep]
+    gn = (np.repeat(mesh.edge_normal @ g, 2) * np.tile([1.0, -1.0], mesh.n_edges))[keep]
+    a_min = np.full(mesh.n_cells, np.inf)
+    np.minimum.at(a_min, cells, mesh.edge_A[e])
+    load = np.zeros(mesh.n_cells)
+    np.add.at(load, cells,
+              mesh.edge_measure[e] * np.maximum(gn, 0.0) * lam_prime_max + mesh.edge_A[e])
+    delta = alpha_low * min(1.0, dt * float(np.min(a_min / mesh.cell_volumes)))
+    Delta = alpha_high * float(np.max(1.0 + dt / mesh.cell_volumes * load))
     return delta, Delta
 
 

@@ -26,24 +26,12 @@ from .hydromodel import SPRIME_CAP, Parametrization, mobility, mobility_derivati
 from .mesh import DIRICHLET, Mesh
 
 __all__ = [
-    "State",
-    "StepProblem",
+    "Assembly",
     "InitialField",
     "discretize_initial",
     "discretize_boundary",
-    "edge_flux",
-    "residual",
-    "jacobian",
+    "evaluate",
 ]
-
-
-@dataclass
-class State:
-    """Per-cell tau vector at one time level plus Dirichlet boundary values."""
-
-    tau: np.ndarray
-    boundary_tau: dict  # edge id -> tau_D
-    time_index: int = 0
 
 
 @dataclass
@@ -78,7 +66,7 @@ class InitialField:
         return acc / vol
 
 
-def discretize_initial(s0: InitialField | float, mesh: Mesh, param: Parametrization) -> State:
+def discretize_initial(s0: InitialField | float, mesh: Mesh, param: Parametrization) -> np.ndarray:
     """Cell-average s0 exactly over axis-aligned regions, then tau0 = s^{-1}(s0)."""
     if not isinstance(s0, InitialField):
         s0 = InitialField(default=float(s0))
@@ -86,8 +74,7 @@ def discretize_initial(s0: InitialField | float, mesh: Mesh, param: Parametrizat
     if np.any(s_cells < -1e-12) or np.any(s_cells > 1.0 + 1e-12):
         raise ValueError("initial saturation outside [0, 1]")
     s_cells = np.clip(s_cells, 0.0, 1.0)  # absorb intersection-area roundoff
-    tau0 = np.asarray(param.sat_inverse(s_cells), dtype=float)
-    return State(tau=tau0, boundary_tau={}, time_index=0)
+    return np.asarray(param.sat_inverse(s_cells), dtype=float)
 
 
 def discretize_boundary(p_D: float, mesh: Mesh, param: Parametrization, t: float = 0.0) -> dict:
@@ -99,136 +86,90 @@ def discretize_boundary(p_D: float, mesh: Mesh, param: Parametrization, t: float
     return {int(e): tau_d for e in mesh.dirichlet_edges}
 
 
-@dataclass
-class StepProblem:
-    """Frozen data for one implicit step: mesh, laws, gravity, dt, history."""
+class Assembly:
+    """Fixed data of the step residual on one mesh, built once per run.
 
-    mesh: Mesh
-    param: Parametrization
-    gravity: np.ndarray
-    dt: float
-    s_prev: np.ndarray  # s(tau^{n-1}) per cell
-    boundary_tau: dict  # Dirichlet edge id -> tau_D
+    Holds the edge arrays of the flux sum (interior edges first, then the
+    Dirichlet edges, whose outer cell is the boundary value), the boundary
+    values (u, lam) and the CSC sparsity pattern of the Jacobian with
+    the map from each assembled term to its CSC position.  Nothing here
+    depends on dt, the history or the iterate.
+    """
 
-    def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        self.gravity = np.asarray(self.gravity, dtype=float)
-        mesh = self.mesh
-        ie = mesh.interior_edges
-        self._iK = mesh.edge_cells[ie, 0]
-        self._iL = mesh.edge_cells[ie, 1]
-        self._iA = mesh.edge_A[ie]
-        self._im = mesh.edge_measure[ie]
-        gK = mesh.edge_normal[ie] @ self.gravity  # g . n_{K,sigma}
-        self._igp = np.clip(gK, 0.0, None)
-        self._ign = np.clip(-gK, 0.0, None)
-
-        de = np.array(sorted(self.boundary_tau), dtype=int)
+    def __init__(self, mesh: Mesh, param: Parametrization, gravity, boundary_tau: dict):
+        self.mesh = mesh
+        self.param = param
+        gravity = np.asarray(gravity, dtype=float)
+        de = np.array(sorted(boundary_tau), dtype=int)
         if de.size and not np.all(mesh.edge_tag[de] == DIRICHLET):
             raise ValueError("boundary_tau keys must be Dirichlet edges")
-        self._dK = mesh.edge_cells[de, 0] if de.size else np.zeros(0, dtype=int)
-        self._dA = mesh.edge_A[de] if de.size else np.zeros(0)
-        self._dm = mesh.edge_measure[de] if de.size else np.zeros(0)
-        gD = mesh.edge_normal[de] @ self.gravity if de.size else np.zeros(0)
-        self._dgp = np.clip(gD, 0.0, None)
-        self._dgn = np.clip(-gD, 0.0, None)
-        tauD = np.array([self.boundary_tau[int(e)] for e in de])
-        sD, uD, _, _ = self.param.eval(tauD) if de.size else (tauD,) * 4
-        self._dtau = tauD
-        self._ds = np.asarray(sD, dtype=float)
-        self._du = np.asarray(uD, dtype=float)
-        self._dlam = np.asarray(mobility(self.param.model, self._ds), dtype=float)
+        ie = mesh.interior_edges
+        edges = np.concatenate([ie, de])
+        self.n_interior = ni = ie.size
+        self.K = mesh.edge_cells[edges, 0]
+        self.L = mesh.edge_cells[ie, 1]
+        self.m = mesh.edge_measure[edges]
+        self.A = mesh.edge_A[edges]
+        gn = mesh.edge_normal[edges] @ gravity  # g . n_{K,sigma}
+        self.gp = np.clip(gn, 0.0, None)
+        self.gn = np.clip(-gn, 0.0, None)
+        self.mgp = self.m * self.gp
+        self.mgn = self.m[:ni] * self.gn[:ni]
+        sD, uD, _, _ = param.eval(np.array([boundary_tau[int(e)] for e in de], dtype=float))
+        self.u_D = np.asarray(uD, dtype=float)
+        self.lam_D = np.asarray(mobility(param.model, sD), dtype=float)
 
-    def _cell_fields(self, tau):
-        s, u, s_p, u_p = self.param.eval(np.asarray(tau, dtype=float))
-        s_p = np.where(np.isfinite(s_p), np.minimum(s_p, SPRIME_CAP), SPRIME_CAP)
-        lam = mobility(self.param.model, s)
-        lamp = mobility_derivative(self.param.model, s)
-        return s, u, s_p, u_p, lam, lamp
-
-
-def edge_flux(problem: StepProblem, tau_K: float, tau_Ksig: float, edge_id: int, from_cell: int) -> float:
-    """Flux F_{K,sigma} through one edge, outward w.r.t. from_cell."""
-    mesh = problem.mesh
-    n = mesh.normal_wrt(edge_id, from_cell)
-    g = float(n @ problem.gravity)
-    m = mesh.edge_measure[edge_id]
-    A = mesh.edge_A[edge_id]
-    model = problem.param.model
-    sK, uK, _, _ = problem.param.eval(tau_K)
-    sN, uN, _, _ = problem.param.eval(tau_Ksig)
-    return float(
-        m * (mobility(model, sK) * max(g, 0.0) - mobility(model, sN) * max(-g, 0.0))
-        + A * (uK - uN)
-    )
+        # Jacobian terms in the order evaluate() lists them: s' on the
+        # diagonal, the diagonal flux terms (interior K, interior L,
+        # Dirichlet K), then the off-diagonal pairs (K, L) and (L, K).
+        n = mesh.n_cells
+        K, L = self.K[:ni], self.L
+        diag = np.arange(n)
+        rows = np.concatenate([diag, K, L, self.K[ni:], K, L])
+        cols = np.concatenate([diag, K, L, self.K[ni:], L, K])
+        keys, self.slots = np.unique(cols * n + rows, return_inverse=True)
+        self.indices = (keys % n).astype(np.int32)
+        self.indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(keys // n, minlength=n))]
+        ).astype(np.int32)
+        self.flux_cells = np.concatenate([K, L, self.K[ni:]])
 
 
-def residual(problem: StepProblem, tau) -> np.ndarray:
-    """Per-cell residual vector f(tau)."""
-    tau = np.asarray(tau, dtype=float)
-    mesh = problem.mesh
-    s, u, _, _, lam, _ = problem._cell_fields(tau)
-    flux = np.zeros(mesh.n_cells)
+def evaluate(system: Assembly, dt: float, s_prev, tau):
+    """Residual f(tau) and its exact Jacobian J (CSC) for one implicit step.
 
-    iK, iL = problem._iK, problem._iL
-    F = problem._im * (lam[iK] * problem._igp - lam[iL] * problem._ign) + problem._iA * (
-        u[iK] - u[iL]
-    )
-    np.add.at(flux, iK, F)
-    np.add.at(flux, iL, -F)
-
-    dK = problem._dK
-    if dK.size:
-        Fd = problem._dm * (lam[dK] * problem._dgp - problem._dlam * problem._dgn) + problem._dA * (
-            u[dK] - problem._du
-        )
-        np.add.at(flux, dK, Fd)
-
-    return (s - problem.s_prev) + problem.dt / mesh.cell_volumes * flux
-
-
-def jacobian(problem: StepProblem, tau) -> sp.csr_matrix:
-    """Exact sparse Jacobian of the residual (CSR layout).
-
-    Diagonal: s'(tau_K) + (dt/m_K) sum_sigma (m_sigma g+ lam'(s_K) s'(s_K)
-    + A_sigma u'(tau_K)); off-diagonal (row L, column K, sigma = K|L):
-    -(dt/m_L)(m_sigma g+_{K,sigma} lam'(s_K) s'(tau_K) + A_sigma u'(tau_K)).
-    Dirichlet edges contribute only to the diagonal.
+    Diagonal of J: s'(tau_K) + (dt/m_K) sum_sigma (m_sigma g+ lam'(s_K)
+    s'(tau_K) + A_sigma u'(tau_K)); off-diagonal (row L, column K,
+    sigma = K|L): -(dt/m_L)(m_sigma g+_{K,sigma} lam'(s_K) s'(tau_K)
+    + A_sigma u'(tau_K)).  Dirichlet edges contribute only to the diagonal.
+    Sums over edges run in edge order, so each call with the same inputs
+    gives the same bits.
     """
-    tau = np.asarray(tau, dtype=float)
-    mesh = problem.mesh
-    n = mesh.n_cells
-    _, _, s_p, u_p, _, lamp = problem._cell_fields(tau)
-    w = lamp * s_p  # d lam(s(tau))/d tau
+    param, ni = system.param, system.n_interior
+    n = system.mesh.n_cells
+    s, u, s_p, u_p = param.eval(np.asarray(tau, dtype=float))
+    s_p = np.where(np.isfinite(s_p), np.minimum(s_p, SPRIME_CAP), SPRIME_CAP)
+    lam = mobility(param.model, s)
+    w = mobility_derivative(param.model, s) * s_p  # d lam(s(tau))/d tau
+    K, L = system.K, system.L
+    r = dt / system.mesh.cell_volumes
 
-    diag = s_p.copy()
-    rows, cols, vals = [], [], []
-
-    iK, iL = problem._iK, problem._iL
-    # derivative of F_{K,sigma} w.r.t. tau_K (upwind g+ side) and tau_L
-    dFK = problem._im * problem._igp * w[iK] + problem._iA * u_p[iK]
-    dFL = problem._im * problem._ign * w[iL] + problem._iA * u_p[iL]
-    invK = problem.dt / mesh.cell_volumes[iK]
-    invL = problem.dt / mesh.cell_volumes[iL]
-    np.add.at(diag, iK, invK * dFK)
-    np.add.at(diag, iL, invL * dFL)
-    rows.append(iK)
-    cols.append(iL)
-    vals.append(-invK * dFL)
-    rows.append(iL)
-    cols.append(iK)
-    vals.append(-invL * dFK)
-
-    dKc = problem._dK
-    if dKc.size:
-        dFd = problem._dm * problem._dgp * w[dKc] + problem._dA * u_p[dKc]
-        np.add.at(diag, dKc, problem.dt / mesh.cell_volumes[dKc] * dFd)
-
-    rows.append(np.arange(n))
-    cols.append(np.arange(n))
-    vals.append(diag)
-    J = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    lam_out = np.concatenate([lam[L], system.lam_D])
+    u_out = np.concatenate([u[L], system.u_D])
+    F = system.m * (lam[K] * system.gp - lam_out * system.gn) + system.A * (u[K] - u_out)
+    flux = np.bincount(
+        system.flux_cells, weights=np.concatenate([F[:ni], -F[:ni], F[ni:]]), minlength=n
     )
-    return J.tocsr()
+    f = (s - s_prev) + r * flux
+
+    # derivative of F_{K,sigma} w.r.t. tau_K (upwind g+ side) and tau_L
+    dFK = system.mgp * w[K] + system.A * u_p[K]
+    dFL = system.mgn * w[L] + system.A[:ni] * u_p[L]
+    rK, rL = r[K], r[L]
+    terms = np.concatenate([
+        s_p, rK[:ni] * dFK[:ni], rL * dFL, rK[ni:] * dFK[ni:],
+        -rK[:ni] * dFL, -rL * dFK[:ni],
+    ])
+    data = np.bincount(system.slots, weights=terms, minlength=system.indices.size)
+    J = sp.csc_matrix((data, system.indices, system.indptr), shape=(n, n))
+    return f, J

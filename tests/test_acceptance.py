@@ -33,14 +33,12 @@ from richards.harness import (
 )
 from richards.hydromodel import (
     BrooksCoreyModel,
+    Parametrization,
     check_nondegeneracy,
     derive_params,
     kirchhoff_closed_form,
     kirchhoff_quadrature_oracle,
-    make_parametrization,
     select_eta_mode,
-    tau_formulation,
-    u_formulation,
 )
 from richards.mesh import DIRICHLET, build_rect_mesh
 from richards.newton import (
@@ -49,12 +47,11 @@ from richards.newton import (
     mmatrix_analyze,
 )
 from richards.scheme import (
+    Assembly,
     InitialField,
-    StepProblem,
     discretize_boundary,
     discretize_initial,
-    jacobian,
-    residual,
+    evaluate,
 )
 
 BETAS = [1.0, 4.0, 16.0]
@@ -133,11 +130,11 @@ def test_criterion_2_nondegeneracy():
     for beta in [1.0, 2.0, 4.0, 8.0, 16.0]:
         m = BrooksCoreyModel(beta=beta, p_b=-1e-2)
         grid = np.linspace(-1.0, 3.0, 10_000)
-        lo, hi = check_nondegeneracy(tau_formulation(m), grid)
+        lo, hi = check_nondegeneracy(Parametrization(kind="tau", model=m), grid)
         ok &= abs(lo - 1.0) <= 1e-12 and abs(hi - 1.0) <= 1e-12
     m = BrooksCoreyModel(beta=4.0, p_b=-1e-2)
     u_grid = np.concatenate([[1e-12, 1e-10], np.linspace(1e-8, 2.0, 100)])
-    _, hi_u = check_nondegeneracy(u_formulation(m), u_grid)
+    _, hi_u = check_nondegeneracy(Parametrization(kind="u", model=m), u_grid)
     ok &= hi_u > 1e6
     elapsed = time.perf_counter() - t0
     report(
@@ -159,17 +156,15 @@ def test_criterion_3_jacobian_vs_finite_differences():
     kink_pts = np.array([0.0, kinks.tau_star, kinks.tau_sat, kinks.u_b])
     worst = 0.0
     for kind in ("tau", "u"):
-        param = make_parametrization(kind, m)
-        state = discretize_initial(InitialField(default=1e-6), mesh, param)
+        param = Parametrization(kind=kind, model=m)
+        tau0 = discretize_initial(InitialField(default=1e-6), mesh, param)
         bt = discretize_boundary(1.0, mesh, param)
-        prob = StepProblem(
-            mesh=mesh,
-            param=param,
-            gravity=np.array([0.0, -1.0]),
-            dt=0.01,
-            s_prev=np.asarray(param.eval(state.tau)[0], dtype=float),
-            boundary_tau=bt,
-        )
+        system = Assembly(mesh, param, np.array([0.0, -1.0]), bt)
+        s_prev = np.asarray(param.eval(tau0)[0], dtype=float)
+
+        def residual(tau):
+            return evaluate(system, 0.01, s_prev, tau)[0]
+
         rng = np.random.default_rng(1)
         for _ in range(20):
             tau = rng.uniform(0.05, 2.2, 9)
@@ -186,8 +181,8 @@ def test_criterion_3_jacobian_vs_finite_differences():
                 tp, tm = tau.copy(), tau.copy()
                 tp[j] += h
                 tm[j] -= h
-                fd[:, j] = (residual(prob, tp) - residual(prob, tm)) / (2 * h)
-            J_dense = jacobian(prob, tau).toarray()
+                fd[:, j] = (residual(tp) - residual(tm)) / (2 * h)
+            J_dense = evaluate(system, 0.01, s_prev, tau)[1].toarray()
             scale = np.maximum(np.abs(J_dense), np.abs(fd))
             mask = scale > 1e-9
             worst = max(worst, (np.abs(J_dense - fd)[mask] / scale[mask]).max())
@@ -226,22 +221,15 @@ def test_criterion_4_mmatrix_suite():
         lambda x: x[1] >= 1.0 - 1e-12 and x[0] <= 0.3 + 1e-12, DIRICHLET
     )
     m = BrooksCoreyModel(beta=4.0, p_b=-1e-2)
-    param = tau_formulation(m)
+    param = Parametrization(kind="tau", model=m)
     bt = discretize_boundary(1.0, mesh5, param)
-    prob = StepProblem(
-        mesh=mesh5,
-        param=param,
-        gravity=gravity,
-        dt=0.01,
-        s_prev=np.full(25, 1e-6),
-        boundary_tau=bt,
-    )
+    system = Assembly(mesh5, param, gravity, bt)
     d5, D5 = jacobian_bounds(mesh5, 0.01, 1.0, 1.0, lam_prime_max, gravity)
     rng = np.random.default_rng(0)
     min_entry, worst_ratio = np.inf, 0.0
     for _ in range(10):
         tau = rng.uniform(-0.1, 2.2, 25)
-        J = jacobian(prob, tau).toarray()
+        J = evaluate(system, 0.01, np.full(25, 1e-6), tau)[1].toarray()
         rep = mmatrix_analyze(J, d5, D5)
         ok &= rep.is_column_wise
         J_inv = np.linalg.inv(J)

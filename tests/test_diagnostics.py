@@ -14,7 +14,7 @@ from richards.diagnostics import (
     quadratic_tail,
     xi_seminorm,
 )
-from richards.hydromodel import BrooksCoreyModel, tau_formulation, u_formulation
+from richards.hydromodel import BrooksCoreyModel, Parametrization
 from richards.mesh import DIRICHLET, build_interval_mesh, build_rect_mesh
 
 MODEL = BrooksCoreyModel(beta=4.0, p_b=-0.01)
@@ -35,7 +35,7 @@ def make_traj(mesh, param, taus, boundary_tau=None):
 
 def test_error_of_identical_trajectories_is_zero():
     mesh = build_rect_mesh(3, 3)
-    param = tau_formulation(MODEL)
+    param = Parametrization(kind="tau", model=MODEL)
     taus = [np.linspace(0.1, 0.9, 9), np.linspace(0.2, 0.95, 9)]
     t = make_traj(mesh, param, taus)
     assert linf_l1_error(t, t, "saturation") == 0.0
@@ -46,7 +46,7 @@ def test_constant_saturation_offset():
     # reference plus offset c on one step: numerator = c * m_Omega,
     # denominator = max_n ||s_ref||_{L1}
     mesh = build_rect_mesh(4, 4)
-    param = tau_formulation(MODEL)
+    param = Parametrization(kind="tau", model=MODEL)
     base = np.full(16, 0.4)  # lower branch: s = tau
     ref = make_traj(mesh, param, [base, base])
     c = 0.05
@@ -58,7 +58,7 @@ def test_constant_saturation_offset():
 def test_u_form_fields_follow_its_own_maps():
     # for u-formulation trajectories the Kirchhoff field is tau itself
     mesh = build_rect_mesh(2, 2)
-    param = u_formulation(MODEL)
+    param = Parametrization(kind="u", model=MODEL)
     base = np.full(4, 0.3)
     ref = make_traj(mesh, param, [base])
     run = make_traj(mesh, param, [base + 0.1])
@@ -67,7 +67,7 @@ def test_u_form_fields_follow_its_own_maps():
 
 def test_grid_mismatch_rejected():
     mesh = build_rect_mesh(2, 2)
-    param = tau_formulation(MODEL)
+    param = Parametrization(kind="tau", model=MODEL)
     a = make_traj(mesh, param, [np.zeros(4), np.zeros(4)])
     b = make_traj(mesh, param, [np.zeros(4)])
     with pytest.raises(ValueError):
@@ -78,7 +78,7 @@ def test_grid_mismatch_rejected():
 
 def test_prefix_restriction():
     mesh = build_rect_mesh(2, 2)
-    param = tau_formulation(MODEL)
+    param = Parametrization(kind="tau", model=MODEL)
     base = np.full(4, 0.5)
     ref = make_traj(mesh, param, [base] * 3)
     run = make_traj(mesh, param, [base, base, base + 0.2])
@@ -92,14 +92,14 @@ def test_prefix_restriction():
 def test_mass_error_refused_with_dirichlet_edges():
     mesh = build_rect_mesh(2, 2)
     mesh.retag_boundary(lambda x: x[1] >= 1.0 - 1e-12, DIRICHLET)
-    t = make_traj(mesh, tau_formulation(MODEL), [np.full(4, 0.5)])
+    t = make_traj(mesh, Parametrization(kind="tau", model=MODEL), [np.full(4, 0.5)])
     with pytest.raises(ValueError):
         mass_error(t)
 
 
 def test_mass_error_zero_for_mass_preserving_states():
     mesh = build_rect_mesh(2, 2)
-    param = tau_formulation(MODEL)
+    param = Parametrization(kind="tau", model=MODEL)
     a = np.array([0.2, 0.4, 0.4, 0.2])
     b = np.array([0.3, 0.3, 0.3, 0.3])  # same total on equal cells
     t = make_traj(mesh, param, [a, b])
@@ -111,7 +111,7 @@ def test_mass_error_zero_for_mass_preserving_states():
 
 def test_energy_zero_at_reference():
     mesh = build_rect_mesh(3, 3)
-    param = tau_formulation(MODEL)
+    param = Parametrization(kind="tau", model=MODEL)
     tau = np.linspace(0.0, 2.0, 9)
     assert free_energy(tau, mesh, param, tau) == 0.0
 
@@ -120,7 +120,7 @@ def test_energy_linear_branch_closed_form():
     # single unit cell, s' = 1 on the lower branch:
     # int_0^0.5 a da = 0.125
     mesh = build_rect_mesh(1, 1)
-    param = tau_formulation(MODEL)
+    param = Parametrization(kind="tau", model=MODEL)
     assert free_energy([0.5], mesh, param, 0.0) == pytest.approx(0.125, rel=1e-12)
 
 
@@ -133,7 +133,7 @@ def test_energy_linear_branch_closed_form():
 def test_energy_nonnegative(taus, ref, kind):
     mesh = build_rect_mesh(2, 2)
     m = BrooksCoreyModel(beta=4.0, p_b=-0.01)
-    param = tau_formulation(m) if kind == "tau" else u_formulation(m)
+    param = Parametrization(kind=kind, model=m)
     assert free_energy(np.array(taus), mesh, param, ref) >= -1e-13
 
 
@@ -141,11 +141,11 @@ def test_energy_agrees_with_quadrature():
     from scipy.integrate import quad
 
     mesh = build_rect_mesh(1, 1)
-    param = tau_formulation(MODEL)
+    param = Parametrization(kind="tau", model=MODEL)
     for tau, ref in [(0.5, 0.0), (1.7, 0.2), (2.4, 1.1), (-0.3, 0.4)]:
         exact = free_energy([tau], mesh, param, ref)
         num, _ = quad(
-            lambda a: (a - ref) * float(param.s_prime(a)), ref, tau, limit=200
+            lambda a: (a - ref) * float(param.eval(a)[2]), ref, tau, limit=200
         )
         assert exact == pytest.approx(num, rel=1e-8, abs=1e-12)
 
@@ -156,7 +156,7 @@ def test_energy_agrees_with_quadrature():
 def test_xi_constant_field_vanishes():
     mesh = build_rect_mesh(3, 3)
     mesh.retag_boundary(lambda x: x[0] <= 1e-12, DIRICHLET)
-    param = tau_formulation(MODEL)
+    param = Parametrization(kind="tau", model=MODEL)
     tau = np.full(9, 0.8)
     bnd = {int(e): 0.8 for e in mesh.dirichlet_edges}
     assert xi_seminorm(tau, mesh, param, bnd) == pytest.approx(0.0, abs=1e-14)
@@ -168,7 +168,7 @@ def test_xi_affine_on_upper_branch():
     from richards.mesh import discrete_h1_inner
 
     mesh = build_rect_mesh(4, 4)
-    param = tau_formulation(MODEL)
+    param = Parametrization(kind="tau", model=MODEL)
     t_st = param.params.tau_star
     rng = np.random.default_rng(0)
     tau = t_st + rng.uniform(0.1, 1.0, 16)
@@ -181,8 +181,8 @@ def test_xi_affine_on_upper_branch():
 @settings(max_examples=100)
 def test_xi_cauchy_schwarz_inequality(a, b, kind):
     m = BrooksCoreyModel(beta=4.0, p_b=-0.01)
-    param = tau_formulation(m) if kind == "tau" else u_formulation(m)
-    lhs = (a - b) * (float(param.u(a)) - float(param.u(b)))
+    param = Parametrization(kind=kind, model=m)
+    lhs = (a - b) * (float(param.eval(a)[1]) - float(param.eval(b)[1]))
     rhs = (float(param.xi(a)) - float(param.xi(b))) ** 2
     assert lhs >= rhs - 1e-12 * max(1.0, abs(lhs))
 
@@ -192,7 +192,7 @@ def test_xi_cauchy_schwarz_inequality(a, b, kind):
 
 def test_contraction_identical_runs():
     mesh = build_rect_mesh(2, 2)
-    param = tau_formulation(MODEL)
+    param = Parametrization(kind="tau", model=MODEL)
     taus = [np.full(4, 0.3), np.full(4, 0.4)]
     t = make_traj(mesh, param, taus)
     np.testing.assert_allclose(contraction_check(t, t), 0.0, atol=1e-15)
@@ -200,7 +200,7 @@ def test_contraction_identical_runs():
 
 def test_contraction_config_mismatch():
     mesh = build_rect_mesh(2, 2)
-    param = tau_formulation(MODEL)
+    param = Parametrization(kind="tau", model=MODEL)
     a = make_traj(mesh, param, [np.zeros(4)] * 2)
     b = make_traj(mesh, param, [np.zeros(4)] * 3)
     with pytest.raises(ValueError):

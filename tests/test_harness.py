@@ -19,7 +19,7 @@ from richards.harness import (
     sweep,
     write_outputs,
 )
-from richards.hydromodel import BrooksCoreyModel, tau_formulation
+from richards.hydromodel import BrooksCoreyModel, Parametrization
 from richards.scheme import InitialField, discretize_initial
 
 
@@ -36,7 +36,7 @@ def test_preset_test1_config():
     mesh = build_mesh(cfg)
     assert mesh.dirichlet_edges.size == 6
     # boundary tau value for the tau-formulation
-    param = tau_formulation(BrooksCoreyModel(beta=4.0, p_b=-1e-2))
+    param = Parametrization(kind="tau", model=BrooksCoreyModel(beta=4.0, p_b=-1e-2))
     assert param.tau_of_pressure(1.0) == pytest.approx(2.01, rel=1e-14)
 
 
@@ -47,10 +47,10 @@ def test_preset_test2_config():
     assert cfg.gravity == (0.0, 0.0)
     assert cfg.dirichlet_box is None
     mesh = build_mesh(cfg)
-    param = tau_formulation(BrooksCoreyModel(beta=4.0, p_b=-1e-2))
+    param = Parametrization(kind="tau", model=BrooksCoreyModel(beta=4.0, p_b=-1e-2))
     field = InitialField(default=cfg.s0_default, boxes=list(cfg.s0_boxes))
-    state = discretize_initial(field, mesh, param)
-    s = np.asarray(param.s(state.tau))
+    tau = discretize_initial(field, mesh, param)
+    s = np.asarray(param.eval(tau)[0])
     assert int(np.sum(np.isclose(s, 0.5))) == 100
     M = float(np.sum(mesh.cell_volumes * s))
     assert M == pytest.approx(0.25 * 0.5 + 0.75 * 1e-6, rel=1e-12)
@@ -94,8 +94,8 @@ def test_adaptive_dt_recovers_from_failure(monkeypatch):
 
     real = H.newton_solve
 
-    def flaky(problem, tau_init, config, callback=None):
-        if problem.dt > 0.006:
+    def flaky(system, dt, s_prev, tau_init, config, callback=None):
+        if dt > 0.006:
             from richards.newton import NewtonReport
 
             return np.array(tau_init), NewtonReport(
@@ -104,7 +104,7 @@ def test_adaptive_dt_recovers_from_failure(monkeypatch):
                 converged=False,
                 final_residual=1.0,
             )
-        return real(problem, tau_init, config, callback)
+        return real(system, dt, s_prev, tau_init, config, callback)
 
     monkeypatch.setattr(H, "newton_solve", flaky)
     cfg = replace(
@@ -228,6 +228,35 @@ def test_cli_run_and_exit_codes(tmp_path):
         "--mesh", "5x5", "--tend", "0.05", "--out", str(tmp_path / "f"),
     )
     assert fail.returncode == 3
+
+
+def test_cli_singular_jacobian_exits_newton_failure(tmp_path, monkeypatch, capsys):
+    # SuperLU's message for a singular pivot; the solve ends unconverged
+    # instead of raising, so the CLI reports a Newton failure
+    import scipy.sparse.linalg
+
+    from richards.cli import main
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+    code = main([
+        "run", "--case", "test1", "--beta", "4", "--eps", "1e-6", "--tend", "0.01",
+        "--out", str(tmp_path),
+    ])
+    assert code == 3
+    assert "failed to converge at step 1" in capsys.readouterr().err
+
+
+def test_import_leaves_out_scipy_integrate():
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, richards; print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_cli_config_file_with_overrides(tmp_path):

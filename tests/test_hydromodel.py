@@ -9,18 +9,16 @@ from hypothesis import strategies as st
 
 from richards.hydromodel import (
     BrooksCoreyModel,
+    Parametrization,
     check_nondegeneracy,
     derive_params,
     kirchhoff_closed_form,
     kirchhoff_quadrature_oracle,
-    make_parametrization,
     mobility,
     mobility_derivative,
     sat_of_kirchhoff,
     saturation_of_pressure,
     select_eta_mode,
-    tau_formulation,
-    u_formulation,
 )
 
 BETAS = [1.0, 2.0, 4.0, 8.0, 16.0]
@@ -65,7 +63,7 @@ def test_derive_params_derived_mode():
 def test_u_continuous_at_branch_switch(m, mode):
     m = BrooksCoreyModel(beta=m.beta, p_b=m.p_b, eta_mode=mode)
     p = derive_params(m)
-    param = tau_formulation(m)
+    param = Parametrization(kind="tau", model=m)
     _, u_left, _, _ = param.eval(p.tau_star * (1.0 - 1e-13))
     _, u_right, _, _ = param.eval(p.tau_star)
     assert abs(float(u_left) - float(u_right)) <= 1e-12 * max(1.0, abs(float(u_right)))
@@ -117,7 +115,7 @@ def test_sat_of_kirchhoff_values():
 def test_tau_form_lower_branch_legacy_values():
     m = BrooksCoreyModel(beta=4.0, p_b=-0.01, eta_mode="legacy")
     p = derive_params(m)
-    s, u, sp, up = tau_formulation(m).eval(0.5)
+    s, u, sp, up = Parametrization(kind="tau", model=m).eval(0.5)
     assert float(s) == 0.5
     assert float(u) == pytest.approx(p.u_b * 0.5**7.25, rel=1e-14)
     assert float(sp) == 1.0
@@ -128,7 +126,7 @@ def test_tau_form_lower_branch_legacy_values():
 def test_tau_form_upper_branch_dirichlet_value(mode):
     m = BrooksCoreyModel(beta=4.0, p_b=-0.01, eta_mode=mode)
     p = derive_params(m)
-    s, u, _, up = tau_formulation(m).eval(2.01)
+    s, u, _, up = Parametrization(kind="tau", model=m).eval(2.01)
     assert float(s) == 1.0
     assert float(u) == pytest.approx(2.01 - 1.0 + p.u_b, rel=1e-14)
     # p(2.01) = p_b + u - u_b = 1 exactly, the Dirichlet pressure of the
@@ -139,7 +137,7 @@ def test_tau_form_upper_branch_dirichlet_value(mode):
 
 def test_u_form_singularity_at_zero():
     m = BrooksCoreyModel(beta=4.0, p_b=-0.01)
-    s, u, sp, up = u_formulation(m).eval(0.0)
+    s, u, sp, up = Parametrization(kind="u", model=m).eval(0.0)
     assert float(s) == 0.0
     assert float(u) == 0.0
     assert math.isinf(float(sp))
@@ -148,7 +146,7 @@ def test_u_form_singularity_at_zero():
 
 def test_extension_below_zero():
     m = BrooksCoreyModel(beta=4.0, p_b=-0.01)
-    for param in (tau_formulation(m), u_formulation(m)):
+    for param in (Parametrization(kind="tau", model=m), Parametrization(kind="u", model=m)):
         s, u, sp, up = param.eval(-0.7)
         assert float(s) == 0.0
         assert float(sp) == 0.0
@@ -159,10 +157,10 @@ def test_extension_below_zero():
 def test_sat_inverse_examples():
     m = BrooksCoreyModel(beta=4.0, p_b=-0.01, eta_mode="legacy")
     p = derive_params(m)
-    tau_p = tau_formulation(m)
+    tau_p = Parametrization(kind="tau", model=m)
     assert tau_p.sat_inverse(0.0) == 0.0
     assert tau_p.sat_inverse(1e-6) == pytest.approx(1e-6, rel=1e-14)
-    u_p = u_formulation(m)
+    u_p = Parametrization(kind="u", model=m)
     assert u_p.sat_inverse(1e-6) == pytest.approx(p.u_b * (1e-6) ** p.eta, rel=1e-12)
     with pytest.raises(ValueError):
         tau_p.sat_inverse(1.5)
@@ -172,18 +170,19 @@ def test_sat_inverse_examples():
 def test_tau_of_pressure_examples(mode):
     m = BrooksCoreyModel(beta=4.0, p_b=-0.01, eta_mode=mode)
     p = derive_params(m)
-    tau_p = tau_formulation(m)
+    tau_p = Parametrization(kind="tau", model=m)
     assert tau_p.tau_of_pressure(m.p_b) == pytest.approx(p.tau_sat, rel=1e-14)
     # tau_D for the injection pressure is 2.01 in either eta mode: the u_b
     # dependence cancels on the affine saturated branch
     assert tau_p.tau_of_pressure(1.0) == pytest.approx(2.01, rel=1e-14)
-    u_p = u_formulation(m)
+    u_p = Parametrization(kind="u", model=m)
     assert u_p.tau_of_pressure(1.0) == pytest.approx(p.u_b + 1.0 - m.p_b, rel=1e-14)
 
 
 def test_u_form_dirichlet_value_legacy_mode():
     m = BrooksCoreyModel(beta=4.0, p_b=-0.01, eta_mode="legacy")
-    assert u_formulation(m).tau_of_pressure(1.0) == pytest.approx(1.0103448, rel=1e-6)
+    u_p = Parametrization(kind="u", model=m)
+    assert u_p.tau_of_pressure(1.0) == pytest.approx(1.0103448, rel=1e-6)
 
 
 # -- quadrature oracle and eta resolution -------------------------------------
@@ -233,7 +232,7 @@ def test_tau_form_nondegenerate():
     grid = np.linspace(-1.0, 3.0, 4001)
     for beta in BETAS:
         m = BrooksCoreyModel(beta=beta, p_b=-0.01)
-        lo, hi = check_nondegeneracy(tau_formulation(m), grid)
+        lo, hi = check_nondegeneracy(Parametrization(kind="tau", model=m), grid)
         assert abs(lo - 1.0) <= 1e-12
         assert abs(hi - 1.0) <= 1e-12
 
@@ -241,14 +240,14 @@ def test_tau_form_nondegenerate():
 def test_u_form_degenerate_near_zero():
     m = BrooksCoreyModel(beta=4.0, p_b=-0.01)
     grid = np.concatenate([[1e-12], np.linspace(1e-6, 2.0, 100)])
-    _, hi = check_nondegeneracy(u_formulation(m), grid)
+    _, hi = check_nondegeneracy(Parametrization(kind="u", model=m), grid)
     assert hi > 1e6
 
 
 def test_extension_region_slope_is_one():
     m = BrooksCoreyModel(beta=4.0, p_b=-0.01)
     grid = np.linspace(-2.0, -1e-9, 50)
-    for param in (tau_formulation(m), u_formulation(m)):
+    for param in (Parametrization(kind="tau", model=m), Parametrization(kind="u", model=m)):
         lo, hi = check_nondegeneracy(param, grid)
         assert lo == 1.0 and hi == 1.0
 
@@ -259,7 +258,7 @@ def test_extension_region_slope_is_one():
 @given(model_strategy, st.sampled_from(["tau", "u"]))
 @settings(max_examples=50)
 def test_maps_monotone_and_bounded(m, kind):
-    param = make_parametrization(kind, m)
+    param = Parametrization(kind=kind, model=m)
     grid = np.linspace(-0.5, 3.0, 400)
     s, u, _, _ = param.eval(grid)
     assert np.all(np.diff(s) >= -1e-14)
@@ -272,7 +271,7 @@ def test_maps_monotone_and_bounded(m, kind):
 @given(model_strategy, st.sampled_from(["tau", "u"]), st.floats(0.0, 3.0))
 @settings(max_examples=100)
 def test_composition_identity(m, kind, tau):
-    param = make_parametrization(kind, m)
+    param = Parametrization(kind=kind, model=m)
     s, u, _, _ = param.eval(tau)
     assert abs(float(s) - float(sat_of_kirchhoff(m, u))) <= 1e-12
 
@@ -285,7 +284,7 @@ def test_composition_identity(m, kind, tau):
 @settings(max_examples=100)
 def test_derivatives_match_finite_differences(beta, kind, tau):
     m = BrooksCoreyModel(beta=beta, p_b=-0.01)
-    param = make_parametrization(kind, m)
+    param = Parametrization(kind=kind, model=m)
     p = param.params
     # stay away from branch points, where only one-sided slopes exist
     for kink in (0.0, p.tau_star, p.tau_sat, p.u_b):
@@ -293,8 +292,8 @@ def test_derivatives_match_finite_differences(beta, kind, tau):
             tau += 2e-3
     h = 1e-7 * (1.0 + abs(tau))
     s_p, u_p = param.eval(tau)[2], param.eval(tau)[3]
-    s_fd = (param.s(tau + h) - param.s(tau - h)) / (2 * h)
-    u_fd = (param.u(tau + h) - param.u(tau - h)) / (2 * h)
+    s_fd = (param.eval(tau + h)[0] - param.eval(tau - h)[0]) / (2 * h)
+    u_fd = (param.eval(tau + h)[1] - param.eval(tau - h)[1]) / (2 * h)
     assert float(s_fd) == pytest.approx(float(s_p), rel=2e-6, abs=1e-12)
     assert float(u_fd) == pytest.approx(float(u_p), rel=2e-6, abs=1e-12)
 
@@ -303,7 +302,7 @@ def test_derivatives_match_finite_differences(beta, kind, tau):
 @settings(max_examples=100)
 def test_sat_inverse_roundtrip(m, s):
     for kind in ("tau", "u"):
-        param = make_parametrization(kind, m)
+        param = Parametrization(kind=kind, model=m)
         tau = param.sat_inverse(s)
         assert tau >= 0.0
-        assert abs(float(param.s(tau)) - s) <= 1e-12
+        assert abs(float(param.eval(tau)[0]) - s) <= 1e-12

@@ -216,18 +216,6 @@ def test_malformed_file_rejected(tmp_path):
         load_mesh(path)
 
 
-def test_cell_and_edge_views():
-    mesh = build_rect_mesh(2, 1)
-    c = mesh.cell(0)
-    assert c.volume == 0.5
-    assert len(c.edge_ids) == 4
-    e = mesh.edge(int(mesh.interior_edges[0]))
-    assert e.cells == (0, 1)
-    assert not e.is_boundary
-    b = mesh.edge(int(mesh.boundary_edges[0]))
-    assert b.is_boundary and b.x_sigma is not None
-
-
 def test_retag_boundary_counts():
     mesh = build_rect_mesh(20, 20)
     n = mesh.retag_boundary(

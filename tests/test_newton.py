@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from richards.hydromodel import BrooksCoreyModel, tau_formulation
-from richards.mesh import build_interval_mesh, build_rect_mesh
+from richards.hydromodel import BrooksCoreyModel, Parametrization
+from richards.mesh import DIRICHLET, build_interval_mesh, build_rect_mesh
 from richards.newton import (
     NewtonConfig,
     inverse_norm_bound,
@@ -14,22 +14,17 @@ from richards.newton import (
     mmatrix_analyze,
     newton_solve,
 )
-from richards.scheme import StepProblem, jacobian
+from richards.scheme import Assembly, evaluate
 
 MODEL = BrooksCoreyModel(beta=4.0, p_b=-0.01)
+TAU = Parametrization(kind="tau", model=MODEL)
 
 
 def diffusion_problem(tau_prev, dt=0.01):
+    """(system, dt, s_prev): the leading arguments of newton_solve."""
     mesh = build_interval_mesh(len(tau_prev))
-    param = tau_formulation(MODEL)
-    return StepProblem(
-        mesh=mesh,
-        param=param,
-        gravity=np.zeros(1),
-        dt=dt,
-        s_prev=np.asarray(param.eval(np.asarray(tau_prev))[0], dtype=float),
-        boundary_tau={},
-    )
+    s_prev = np.asarray(TAU.eval(np.asarray(tau_prev))[0], dtype=float)
+    return Assembly(mesh, TAU, np.zeros(1), {}), dt, s_prev
 
 
 # -- newton_solve --------------------------------------------------------------
@@ -37,7 +32,7 @@ def diffusion_problem(tau_prev, dt=0.01):
 
 def test_zero_iterations_when_already_converged():
     prob = diffusion_problem([0.3, 0.3])
-    tau, report = newton_solve(prob, np.array([0.3, 0.3]), NewtonConfig(eps=1e-8))
+    tau, report = newton_solve(*prob, np.array([0.3, 0.3]), NewtonConfig(eps=1e-8))
     assert report.iterations == 0
     assert report.converged
     assert len(report.residual_history) == 1
@@ -47,7 +42,7 @@ def test_one_iteration_on_affine_branch():
     # a single closed cell: f(tau) = s(tau) - c, affine on the lower branch
     # (s(tau) = tau), so Newton lands exactly in one step
     prob = diffusion_problem([0.25])
-    tau, report = newton_solve(prob, np.array([0.6]), NewtonConfig(eps=1e-13))
+    tau, report = newton_solve(*prob, np.array([0.6]), NewtonConfig(eps=1e-13))
     assert report.iterations == 1
     assert report.converged
     assert tau[0] == pytest.approx(0.25, abs=1e-15)
@@ -57,7 +52,7 @@ def test_quadratic_rate_on_two_cell_diffusion():
     # tau* from a run to residual 1e-14; the last ratios
     # ||tau^{k+1} - tau*|| / ||tau^k - tau*||^2 stay bounded
     prob = diffusion_problem([0.9, 0.1], dt=10.0)
-    tau_star, ref = newton_solve(prob, np.array([0.9, 0.1]), NewtonConfig(eps=1e-12))
+    tau_star, ref = newton_solve(*prob, np.array([0.9, 0.1]), NewtonConfig(eps=1e-12))
     assert ref.converged
 
     errs = []
@@ -65,7 +60,7 @@ def test_quadratic_rate_on_two_cell_diffusion():
     def record(k, tau, res, J):
         errs.append(float(np.linalg.norm(tau - tau_star)))
 
-    newton_solve(prob, np.array([0.9, 0.1]), NewtonConfig(eps=1e-12), callback=record)
+    newton_solve(*prob, np.array([0.9, 0.1]), NewtonConfig(eps=1e-12), callback=record)
     meaningful = [e for e in errs if e > 1e-13]
     ratios = [
         b / a**2 for a, b in zip(meaningful[:-1], meaningful[1:]) if a < 1e-2
@@ -77,19 +72,39 @@ def test_quadratic_rate_on_two_cell_diffusion():
 def test_report_invariants():
     prob = diffusion_problem([0.9, 0.1], dt=10.0)
     config = NewtonConfig(eps=1e-10)
-    tau, report = newton_solve(prob, np.array([0.1, 0.9]), config)
+    tau, report = newton_solve(*prob, np.array([0.1, 0.9]), config)
     assert len(report.residual_history) == report.iterations + 1
     if report.converged:
-        assert report.final_residual <= config.eps * prob.dt
+        assert report.final_residual <= config.eps * 10.0
 
 
 def test_nonconvergence_is_reported_not_raised():
     prob = diffusion_problem([0.9, 0.1], dt=10.0)
     tau, report = newton_solve(
-        prob, np.array([0.1, 0.9]), NewtonConfig(eps=1e-10, max_iter=1)
+        *prob, np.array([0.1, 0.9]), NewtonConfig(eps=1e-10, max_iter=1)
     )
     assert not report.converged
     assert report.iterations == 1
+
+
+def test_callback_jacobians_are_independent():
+    # every iterate gets its own J: a J kept by the callback still holds its
+    # own values after later iterates are assembled on the same pattern
+    prob = diffusion_problem([0.9, 0.1, 0.5, 0.2], dt=10.0)
+    kept = []
+
+    def keep(k, tau, res, J):
+        kept.append((J, J.toarray()))
+
+    tau, report = newton_solve(*prob, np.array([0.1, 0.9, 0.3, 0.6]),
+                               NewtonConfig(eps=1e-12), callback=keep)
+    assert report.converged and len(kept) >= 3
+    for n, (J, values) in enumerate(kept):
+        np.testing.assert_array_equal(J.toarray(), values)
+        for J_other, _ in kept[n + 1:]:
+            assert J is not J_other
+            assert not np.shares_memory(J.data, J_other.data)
+    assert not np.array_equal(kept[0][1], kept[-1][1])
 
 
 def test_config_validation():
@@ -183,24 +198,48 @@ def test_violations_detected():
 
 def test_assembled_jacobian_is_column_wise_mmatrix():
     mesh = build_rect_mesh(5, 5)
-    param = tau_formulation(MODEL)
-    prob = StepProblem(
-        mesh=mesh,
-        param=param,
-        gravity=np.array([0.0, -1.0]),
-        dt=0.01,
-        s_prev=np.full(25, 1e-6),
-        boundary_tau={},
-    )
+    system = Assembly(mesh, TAU, np.array([0.0, -1.0]), {})
     delta, Delta = jacobian_bounds(mesh, 0.01, 1.0, 1.0, 3.5, gravity=(0.0, -1.0))
     rng = np.random.default_rng(2)
     for _ in range(5):
         tau = rng.uniform(-0.1, 2.2, 25)
-        rep = mmatrix_analyze(jacobian(prob, tau), delta, Delta)
+        rep = mmatrix_analyze(evaluate(system, 0.01, np.full(25, 1e-6), tau)[1], delta, Delta)
         assert rep.is_column_wise, rep.violations
 
 
 # -- bounds --------------------------------------------------------------------
+
+
+def jacobian_bounds_loop(mesh, dt, alpha_low, alpha_high, lam_prime_max, gravity=None):
+    """Cell-by-cell reference for jacobian_bounds."""
+    g = np.zeros(mesh.dim) if gravity is None else np.asarray(gravity, dtype=float)
+    min_ratio = np.inf
+    max_load = 0.0
+    for k in range(mesh.n_cells):
+        eids = mesh.cell_edge_ids[k]
+        a_min = min(mesh.edge_A[e] for e in eids)
+        min_ratio = min(min_ratio, a_min / mesh.cell_volumes[k])
+        load = 0.0
+        for e in eids:
+            gp = max(float(mesh.normal_wrt(e, k) @ g), 0.0)
+            load += mesh.edge_measure[e] * gp * lam_prime_max + mesh.edge_A[e]
+        max_load = max(max_load, 1.0 + dt / mesh.cell_volumes[k] * load)
+    return alpha_low * min(1.0, dt * min_ratio), alpha_high * max_load
+
+
+def test_jacobian_bounds_matches_loop_oracle():
+    top = build_rect_mesh(20, 20)
+    top.retag_boundary(lambda x: x[1] >= 1.0 - 1e-12 and x[0] <= 0.3 + 1e-12, DIRICHLET)
+    cases = [
+        (top, (0.0, -1.0)),
+        (build_rect_mesh(7, 3, domain=((0.0, 2.0), (0.0, 0.3))), (0.3, -1.0)),
+        (build_interval_mesh(9), (-1.0,)),
+        (build_rect_mesh(4, 4), None),
+    ]
+    for mesh, gravity in cases:
+        for dt in (1e-6, 0.01, 1e3):
+            args = (mesh, dt, 0.8, 1.3, 3.5, gravity)
+            assert jacobian_bounds(*args) == jacobian_bounds_loop(*args)
 
 
 def test_jacobian_bounds_single_cell():

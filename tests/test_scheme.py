@@ -5,31 +5,41 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from richards.hydromodel import BrooksCoreyModel, tau_formulation, u_formulation
-from richards.mesh import DIRICHLET, build_rect_mesh
+from richards.hydromodel import BrooksCoreyModel, Parametrization, mobility
+from richards.mesh import DIRICHLET, build_interval_mesh, build_rect_mesh
 from richards.scheme import (
+    Assembly,
     InitialField,
-    StepProblem,
     discretize_boundary,
     discretize_initial,
-    edge_flux,
-    jacobian,
-    residual,
+    evaluate,
 )
 
 MODEL = BrooksCoreyModel(beta=4.0, p_b=-0.01)
+TAU = Parametrization(kind="tau", model=MODEL)
+U = Parametrization(kind="u", model=MODEL)
 
 
-def make_problem(mesh, param, gravity=(0.0, 0.0), dt=0.01, tau_prev=None, boundary_tau=None):
+def make_step(mesh, param, gravity=(0.0, 0.0), dt=0.01, tau_prev=None, boundary_tau=None):
+    """tau -> (f, J) of one implicit step."""
     if tau_prev is None:
         tau_prev = np.full(mesh.n_cells, 1e-6)
-    return StepProblem(
-        mesh=mesh,
-        param=param,
-        gravity=np.asarray(gravity, dtype=float),
-        dt=dt,
-        s_prev=np.asarray(param.eval(tau_prev)[0], dtype=float),
-        boundary_tau=boundary_tau or {},
+    system = Assembly(mesh, param, np.asarray(gravity, dtype=float), boundary_tau or {})
+    s_prev = np.asarray(param.eval(tau_prev)[0], dtype=float)
+    return lambda tau: evaluate(system, dt, s_prev, tau)
+
+
+def edge_flux(mesh, param, gravity, tau_K, tau_Ksig, edge_id, from_cell):
+    """Flux F_{K,sigma} through one edge, outward w.r.t. from_cell (scalar oracle)."""
+    n = mesh.normal_wrt(edge_id, from_cell)
+    g = float(n @ np.asarray(gravity, dtype=float))
+    m = mesh.edge_measure[edge_id]
+    A = mesh.edge_A[edge_id]
+    sK, uK, _, _ = param.eval(tau_K)
+    sN, uN, _, _ = param.eval(tau_Ksig)
+    return float(
+        m * (mobility(param.model, sK) * max(g, 0.0) - mobility(param.model, sN) * max(-g, 0.0))
+        + A * (uK - uN)
     )
 
 
@@ -38,17 +48,15 @@ def make_problem(mesh, param, gravity=(0.0, 0.0), dt=0.01, tau_prev=None, bounda
 
 def test_uniform_initial_field():
     mesh = build_rect_mesh(5, 5)
-    param = tau_formulation(MODEL)
-    state = discretize_initial(1e-6, mesh, param)
-    np.testing.assert_allclose(param.s(state.tau), 1e-6, rtol=1e-14)
+    tau = discretize_initial(1e-6, mesh, TAU)
+    np.testing.assert_allclose(TAU.eval(tau)[0], 1e-6, rtol=1e-14)
 
 
 def test_quadrant_initial_field_cell_count():
     mesh = build_rect_mesh(20, 20)
-    param = tau_formulation(MODEL)
     field = InitialField(default=1e-6, boxes=[([(0.0, 0.5), (0.5, 1.0)], 0.5)])
-    state = discretize_initial(field, mesh, param)
-    s = np.asarray(param.s(state.tau))
+    tau = discretize_initial(field, mesh, TAU)
+    s = np.asarray(TAU.eval(tau)[0])
     assert int(np.sum(np.isclose(s, 0.5))) == 100
     assert int(np.sum(np.isclose(s, 1e-6))) == 300
 
@@ -57,9 +65,8 @@ def test_straddling_cell_gets_area_weighted_average():
     # on a 5x5 grid the box edge x1 = 0.5 cuts the middle cell column in half
     mesh = build_rect_mesh(5, 5)
     field = InitialField(default=0.0, boxes=[([(0.0, 0.5), (0.0, 1.0)], 1.0)])
-    param = tau_formulation(MODEL)
-    state = discretize_initial(field, mesh, param)
-    s = np.asarray(param.s(state.tau))
+    tau = discretize_initial(field, mesh, TAU)
+    s = np.asarray(TAU.eval(tau)[0])
     middle = [2 + 5 * j for j in range(5)]
     np.testing.assert_allclose(s[middle], 0.5, rtol=1e-12)
 
@@ -67,7 +74,7 @@ def test_straddling_cell_gets_area_weighted_average():
 def test_initial_field_out_of_range():
     mesh = build_rect_mesh(2, 2)
     with pytest.raises(ValueError):
-        discretize_initial(1.5, mesh, tau_formulation(MODEL))
+        discretize_initial(1.5, mesh, TAU)
 
 
 @pytest.mark.parametrize(
@@ -82,7 +89,7 @@ def test_boundary_discretization_values(mode, kind, expected):
     mesh = build_rect_mesh(20, 20)
     mesh.retag_boundary(lambda x: x[1] >= 1.0 - 1e-12 and x[0] <= 0.3 + 1e-12, DIRICHLET)
     model = BrooksCoreyModel(beta=4.0, p_b=-0.01, eta_mode=mode)
-    param = tau_formulation(model) if kind == "tau" else u_formulation(model)
+    param = Parametrization(kind=kind, model=model)
     bt = discretize_boundary(1.0, mesh, param)
     assert len(bt) == 6
     for v in bt.values():
@@ -91,7 +98,7 @@ def test_boundary_discretization_values(mode, kind, expected):
 
 def test_no_dirichlet_edges_gives_empty_boundary():
     mesh = build_rect_mesh(4, 4)
-    assert discretize_boundary(1.0, mesh, tau_formulation(MODEL)) == {}
+    assert discretize_boundary(1.0, mesh, TAU) == {}
 
 
 # -- fluxes --------------------------------------------------------------------
@@ -99,19 +106,18 @@ def test_no_dirichlet_edges_gives_empty_boundary():
 
 def test_flux_equilibrium_zero():
     mesh = build_rect_mesh(2, 1)
-    prob = make_problem(mesh, tau_formulation(MODEL))
     e = int(mesh.interior_edges[0])
-    assert edge_flux(prob, 0.4, 0.4, e, 0) == 0.0
+    assert edge_flux(mesh, TAU, (0.0, 0.0), 0.4, 0.4, e, 0) == 0.0
 
 
 @given(st.floats(-0.2, 2.2), st.floats(-0.2, 2.2))
 @settings(max_examples=50)
 def test_flux_antisymmetry(tau_k, tau_l):
     mesh = build_rect_mesh(2, 1)
-    prob = make_problem(mesh, tau_formulation(MODEL), gravity=(0.3, -1.0))
+    g = (0.3, -1.0)
     e = int(mesh.interior_edges[0])
-    f_kl = edge_flux(prob, tau_k, tau_l, e, 0)
-    f_lk = edge_flux(prob, tau_l, tau_k, e, 1)
+    f_kl = edge_flux(mesh, TAU, g, tau_k, tau_l, e, 0)
+    f_lk = edge_flux(mesh, TAU, g, tau_l, tau_k, e, 1)
     scale = max(abs(f_kl), abs(f_lk), 1.0)
     assert abs(f_kl + f_lk) <= 1e-14 * scale
 
@@ -119,12 +125,10 @@ def test_flux_antisymmetry(tau_k, tau_l):
 def test_gravity_vanishes_on_vertical_edge():
     # vertical edge normal is horizontal, so g = (0,-1) contributes nothing
     mesh = build_rect_mesh(2, 1)
-    param = tau_formulation(MODEL)
-    prob = make_problem(mesh, param, gravity=(0.0, -1.0))
     e = int(mesh.interior_edges[0])
-    u_k, u_l = float(param.u(0.9)), float(param.u(0.2))
+    u_k, u_l = float(TAU.eval(0.9)[1]), float(TAU.eval(0.2)[1])
     expected = mesh.edge_A[e] * (u_k - u_l)
-    assert edge_flux(prob, 0.9, 0.2, e, 0) == pytest.approx(expected, rel=1e-14)
+    assert edge_flux(mesh, TAU, (0.0, -1.0), 0.9, 0.2, e, 0) == pytest.approx(expected, rel=1e-14)
 
 
 # -- residual ------------------------------------------------------------------
@@ -132,41 +136,65 @@ def test_gravity_vanishes_on_vertical_edge():
 
 def test_uniform_equilibrium_residual_zero():
     mesh = build_rect_mesh(3, 3)
-    param = tau_formulation(MODEL)
     tau = np.full(9, 0.37)
-    prob = make_problem(mesh, param, tau_prev=tau)
-    np.testing.assert_allclose(residual(prob, tau), 0.0, atol=1e-15)
+    step = make_step(mesh, TAU, tau_prev=tau)
+    np.testing.assert_allclose(step(tau)[0], 0.0, atol=1e-15)
 
 
 @given(st.data())
 @settings(max_examples=30, deadline=None)
 def test_mass_identity_telescopes(data):
     mesh = build_rect_mesh(4, 3)
-    param = tau_formulation(MODEL)
     tau = np.array(
         data.draw(st.lists(st.floats(-0.2, 2.2), min_size=12, max_size=12))
     )
-    prob = make_problem(mesh, param, gravity=(0.2, -1.0))
-    f = residual(prob, tau)
+    step = make_step(mesh, TAU, gravity=(0.2, -1.0))
+    f = step(tau)[0]
+    s_prev = np.asarray(TAU.eval(np.full(12, 1e-6))[0])
     lhs = float(np.sum(mesh.cell_volumes * f))
     rhs = float(
-        np.sum(mesh.cell_volumes * (np.asarray(param.s(tau)) - prob.s_prev))
+        np.sum(mesh.cell_volumes * (np.asarray(TAU.eval(tau)[0]) - s_prev))
     )
     assert lhs == pytest.approx(rhs, abs=1e-13)
 
 
+def test_residual_matches_edge_flux_oracle():
+    # f_K = s_K - s_K^{n-1} + (dt/m_K) sum_sigma F_{K,sigma}, summed edge by
+    # edge with the scalar oracle, under oblique gravity and Dirichlet data
+    mesh = build_rect_mesh(4, 3)
+    mesh.retag_boundary(lambda x: x[1] >= 1.0 - 1e-12 and x[0] <= 0.5, DIRICHLET)
+    g, dt = (0.2, -1.0), 0.01
+    rng = np.random.default_rng(4)
+    for param in (TAU, U):
+        bt = discretize_boundary(1.0, mesh, param)
+        tau_prev = rng.uniform(0.0, 2.2, 12)
+        step = make_step(mesh, param, gravity=g, dt=dt, tau_prev=tau_prev, boundary_tau=bt)
+        tau = rng.uniform(-0.2, 2.2, 12)
+        flux = np.zeros(12)
+        for e in range(mesh.n_edges):
+            k, l = mesh.edge_cells[e]
+            if l >= 0:
+                flux[k] += edge_flux(mesh, param, g, tau[k], tau[l], e, k)
+                flux[l] += edge_flux(mesh, param, g, tau[l], tau[k], e, l)
+            elif e in bt:
+                flux[k] += edge_flux(mesh, param, g, tau[k], bt[e], e, k)
+        expected = (
+            np.asarray(param.eval(tau)[0]) - np.asarray(param.eval(tau_prev)[0])
+            + dt / mesh.cell_volumes * flux
+        )
+        np.testing.assert_allclose(step(tau)[0], expected, rtol=1e-12, atol=1e-15)
+
+
 def test_two_cell_hand_assembly():
     mesh = build_rect_mesh(2, 1)
-    param = tau_formulation(MODEL)
     tau = np.array([0.8, 0.3])
     tau_prev = np.array([0.5, 0.5])
     dt = 0.01
-    prob = make_problem(mesh, param, dt=dt, tau_prev=tau_prev)
+    step = make_step(mesh, TAU, dt=dt, tau_prev=tau_prev)
     e = int(mesh.interior_edges[0])
     A = mesh.edge_A[e]
-    s = np.asarray(param.s(tau))
-    u = np.asarray(param.u(tau))
-    s_prev = np.asarray(param.s(tau_prev))
+    s, u, _, _ = (np.asarray(x) for x in TAU.eval(tau))
+    s_prev = np.asarray(TAU.eval(tau_prev)[0])
     flux = A * (u[0] - u[1])
     expected = np.array(
         [
@@ -174,20 +202,19 @@ def test_two_cell_hand_assembly():
             s[1] - s_prev[1] - dt / 0.5 * flux,
         ]
     )
-    np.testing.assert_allclose(residual(prob, tau), expected, atol=1e-14)
+    np.testing.assert_allclose(step(tau)[0], expected, atol=1e-14)
 
 
 def test_dirichlet_edge_enters_residual():
     mesh = build_rect_mesh(1, 1)
     mesh.retag_boundary(lambda x: x[1] >= 1.0 - 1e-12, DIRICHLET)
-    param = tau_formulation(MODEL)
-    tau_d = param.tau_of_pressure(1.0)
+    tau_d = TAU.tau_of_pressure(1.0)
     bt = {int(e): tau_d for e in mesh.dirichlet_edges}
-    prob = make_problem(mesh, param, dt=0.01, boundary_tau=bt)
+    step = make_step(mesh, TAU, dt=0.01, boundary_tau=bt)
     tau = np.array([1e-6])
-    f = residual(prob, tau)
+    f = step(tau)[0]
     e = int(mesh.dirichlet_edges[0])
-    expected = 0.01 * mesh.edge_A[e] * (float(param.u(1e-6)) - float(param.u(tau_d)))
+    expected = 0.01 * mesh.edge_A[e] * (float(TAU.eval(1e-6)[1]) - float(TAU.eval(tau_d)[1]))
     assert f[0] == pytest.approx(expected, rel=1e-12)
 
 
@@ -200,18 +227,22 @@ def rand_states(rng, n, count):
 
 
 def test_jacobian_matches_directional_finite_differences():
-    mesh = build_rect_mesh(3, 3)
-    mesh.retag_boundary(lambda x: x[1] >= 1.0 - 1e-12 and x[0] <= 0.3 + 1e-12, DIRICHLET)
-    param = tau_formulation(MODEL)
-    bt = discretize_boundary(1.0, mesh, param)
-    prob = make_problem(mesh, param, gravity=(0.0, -1.0), boundary_tau=bt)
-    rng = np.random.default_rng(7)
-    for tau in rand_states(rng, 9, 5):
-        J = jacobian(prob, tau)
-        d = rng.standard_normal(9)
-        h = 1e-7
-        fd = (residual(prob, tau + h * d) - residual(prob, tau - h * d)) / (2 * h)
-        np.testing.assert_allclose(J @ d, fd, rtol=1e-5, atol=1e-9)
+    rect = build_rect_mesh(3, 3)
+    rect.retag_boundary(lambda x: x[1] >= 1.0 - 1e-12 and x[0] <= 0.3 + 1e-12, DIRICHLET)
+    interval_d = build_interval_mesh(7)
+    interval_d.retag_boundary(lambda x: x[0] >= 1.0 - 1e-12, DIRICHLET)
+    cases = [(rect, (0.0, -1.0)), (build_interval_mesh(7), (-1.0,)), (interval_d, (0.5,))]
+    for mesh, gravity in cases:
+        n = mesh.n_cells
+        bt = discretize_boundary(1.0, mesh, TAU)
+        step = make_step(mesh, TAU, gravity=gravity, boundary_tau=bt)
+        rng = np.random.default_rng(7)
+        for tau in rand_states(rng, n, 5):
+            J = step(tau)[1]
+            d = rng.standard_normal(n)
+            h = 1e-7
+            fd = (step(tau + h * d)[0] - step(tau - h * d)[0]) / (2 * h)
+            np.testing.assert_allclose(J @ d, fd, rtol=1e-5, atol=1e-9)
 
 
 def test_jacobian_symmetric_without_gravity():
@@ -222,15 +253,12 @@ def test_jacobian_symmetric_without_gravity():
     rng = np.random.default_rng(3)
     tau = rng.uniform(0.05, 2.0, 6)
 
-    prob_u = make_problem(mesh, u_formulation(MODEL), tau_prev=tau)
-    J = jacobian(prob_u, tau).toarray()
+    J = make_step(mesh, U, tau_prev=tau)(tau)[1].toarray()
     scaled = mesh.cell_volumes[:, None] * J
     np.testing.assert_allclose(scaled, scaled.T, rtol=1e-13, atol=1e-16)
 
-    param = tau_formulation(MODEL)
-    prob_t = make_problem(mesh, param, tau_prev=tau)
-    J = jacobian(prob_t, tau).toarray()
-    u_p = np.asarray(param.u_prime(tau))
+    J = make_step(mesh, TAU, tau_prev=tau)(tau)[1].toarray()
+    u_p = np.asarray(TAU.eval(tau)[3])
     scaled = mesh.cell_volumes[:, None] * J / u_p[None, :]
     np.testing.assert_allclose(scaled, scaled.T, rtol=1e-12, atol=1e-15)
 
@@ -238,13 +266,12 @@ def test_jacobian_symmetric_without_gravity():
 def test_offdiagonal_signs_and_column_sums():
     mesh = build_rect_mesh(4, 4)
     mesh.retag_boundary(lambda x: x[1] >= 1.0 - 1e-12, DIRICHLET)
-    param = tau_formulation(MODEL)
-    bt = discretize_boundary(1.0, mesh, param)
-    prob = make_problem(mesh, param, gravity=(0.0, -1.0), boundary_tau=bt)
+    bt = discretize_boundary(1.0, mesh, TAU)
+    step = make_step(mesh, TAU, gravity=(0.0, -1.0), boundary_tau=bt)
     rng = np.random.default_rng(11)
     dirichlet_cells = set(int(mesh.edge_cells[e, 0]) for e in mesh.dirichlet_edges)
     for tau in rand_states(rng, 16, 5):
-        J = jacobian(prob, tau).toarray()
+        J = step(tau)[1].toarray()
         off = J - np.diag(np.diag(J))
         assert np.all(off <= 1e-15)
         colsum = J.sum(axis=0)
@@ -255,9 +282,8 @@ def test_offdiagonal_signs_and_column_sums():
 
 def test_u_form_prime_cap_keeps_jacobian_finite():
     mesh = build_rect_mesh(2, 2)
-    param = u_formulation(MODEL)
-    prob = make_problem(mesh, param)
+    step = make_step(mesh, U)
     tau = np.array([0.0, 1e-30, 1e-6, 0.5])
-    J = jacobian(prob, tau).toarray()
+    J = step(tau)[1].toarray()
     assert np.all(np.isfinite(J))
     assert J.max() >= 1e15  # the capped singular slope is visible
