@@ -15,7 +15,6 @@ the rectangular desk meshes replace the original Voronoi meshes.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field, replace
 

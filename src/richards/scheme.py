@@ -77,7 +77,7 @@ def discretize_initial(s0: InitialField | float, mesh: Mesh, param: Parametrizat
     return np.asarray(param.sat_inverse(s_cells), dtype=float)
 
 
-def discretize_boundary(p_D: float, mesh: Mesh, param: Parametrization, t: float = 0.0) -> dict:
+def discretize_boundary(p_D: float, mesh: Mesh, param: Parametrization) -> dict:
     """Dirichlet boundary values tau_{D,sigma} = p^{-1}(p_D) per Dirichlet edge.
 
     p_D is constant in the test cases, so the values are time-independent.
@@ -171,5 +171,7 @@ def evaluate(system: Assembly, dt: float, s_prev, tau):
         -rK[:ni] * dFL, -rL * dFK[:ni],
     ])
     data = np.bincount(system.slots, weights=terms, minlength=system.indices.size)
-    J = sp.csc_matrix((data, system.indices, system.indptr), shape=(n, n))
+    # own copies of the pattern: an in-place scipy call on a kept J (such as
+    # eliminate_zeros) must not rewrite the pattern of later Jacobians
+    J = sp.csc_matrix((data, system.indices.copy(), system.indptr.copy()), shape=(n, n))
     return f, J

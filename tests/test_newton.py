@@ -89,21 +89,36 @@ def test_nonconvergence_is_reported_not_raised():
 
 def test_callback_jacobians_are_independent():
     # every iterate gets its own J: a J kept by the callback still holds its
-    # own values after later iterates are assembled on the same pattern
+    # own values after later iterates are assembled on the same pattern, and
+    # an in-place change of a used J's pattern reaches no later J
     prob = diffusion_problem([0.9, 0.1, 0.5, 0.2], dt=10.0)
+    system = prob[0]
+    pattern = (system.indices.copy(), system.indptr.copy())
+    tau0, config = np.array([0.1, 0.9, 0.3, 0.6]), NewtonConfig(eps=1e-12)
     kept = []
 
     def keep(k, tau, res, J):
-        kept.append((J, J.toarray()))
+        if kept:
+            kept[-1][0].indices[:] = 0
+            kept[-1][0].indptr[:] = 0
+        kept.append((J, J.data.copy()))
 
-    tau, report = newton_solve(*prob, np.array([0.1, 0.9, 0.3, 0.6]),
-                               NewtonConfig(eps=1e-12), callback=keep)
+    tau, report = newton_solve(*prob, tau0, config, callback=keep)
     assert report.converged and len(kept) >= 3
+    tau_clean, report_clean = newton_solve(*prob, tau0, config)
+    assert report.residual_history == report_clean.residual_history
+    np.testing.assert_array_equal(tau, tau_clean)
+    np.testing.assert_array_equal(system.indices, pattern[0])
+    np.testing.assert_array_equal(system.indptr, pattern[1])
+    arrays = lambda J: (J.data, J.indices, J.indptr)
     for n, (J, values) in enumerate(kept):
-        np.testing.assert_array_equal(J.toarray(), values)
+        np.testing.assert_array_equal(J.data, values)
+        for a, b in zip(arrays(J)[1:], (system.indices, system.indptr)):
+            assert not np.shares_memory(a, b)
         for J_other, _ in kept[n + 1:]:
             assert J is not J_other
-            assert not np.shares_memory(J.data, J_other.data)
+            for a, b in zip(arrays(J), arrays(J_other)):
+                assert not np.shares_memory(a, b)
     assert not np.array_equal(kept[0][1], kept[-1][1])
 
 
