@@ -1,4 +1,4 @@
-"""Brooks-Corey constitutive laws and the two graph parametrizations.
+"""Brooks-Corey constitutive laws and the graph parametrizations.
 
 The saturation/pressure relation is the Brooks-Corey family
 
@@ -8,15 +8,18 @@ The saturation/pressure relation is the Brooks-Corey family
 with entry pressure p_b < 0 and exponent beta > 0.  Integrating
 lam(S(p)) in pressure gives the Kirchhoff variable u with a closed-form
 power law u = u_b * s^eta.  Two sets of constants for (eta, u_b) are
-supported (see ``EtaMode``); the quadrature oracle in this module picks
+supported (see ``derive_params``); the quadrature oracle in this module picks
 the internally consistent one, which is the default.
 
-Two parametrizations tau -> (s(tau), u(tau)) of the graph are provided:
+A parametrization tau -> (s(tau), u(tau)) of the graph follows s up to a
+switch point tau_star (s = tau, u = u_b tau^eta) and is affine in u after
+it (u' = 1, s = S~(u)).  The two kinds differ only in tau_star:
 
-* kind "u": u(tau) = tau, s = S~(tau).  Degenerate: s' blows up at the
-  dry limit u -> 0+.
-* kind "tau": the parametrization normalized by max(s'(tau), u'(tau)) = 1
-  with s(0) = 0.  Non-degenerate with alpha_low = alpha_high = 1.
+* kind "tau": tau_star = min((eta u_b)^(1/(1-eta)), 1), so that
+  max(s'(tau), u'(tau)) = 1 with s(0) = 0.  Non-degenerate with
+  alpha_low = alpha_high = 1.
+* kind "u": tau_star = 0, which gives u(tau) = tau and s = S~(tau).
+  Degenerate: s' blows up at the dry limit u -> 0+.
 
 Both are extended below tau = 0 by s = 0, u(tau) = tau so that u' = 1
 holds for transient negative Newton iterates.
@@ -25,7 +28,8 @@ holds for transient negative Newton iterates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -72,8 +76,9 @@ class DerivedParams:
 
     eta      -- exponent of the Kirchhoff power law u = u_b * s^eta
     u_b      -- Kirchhoff value at saturation onset (p = p_b)
-    tau_star -- branch-switch point of the tau-formulation
-    tau_sat  -- tau at which the tau-formulation reaches s = 1
+    tau_star -- branch-switch point of the tau-formulation (0 for the
+                u-formulation, see ``Parametrization.params``)
+    tau_sat  -- tau at which the parametrization reaches s = 1
     """
 
     eta: float
@@ -103,7 +108,6 @@ def derive_params(model: BrooksCoreyModel) -> DerivedParams:
 def saturation_of_pressure(model: BrooksCoreyModel, p):
     """S(p): (p/p_b)^(-beta) below the entry pressure, 1 above."""
     p = np.asarray(p, dtype=float)
-    out = np.ones_like(p)
     dry = p < model.p_b
     out = np.where(dry, np.where(dry, p, model.p_b) / model.p_b, 1.0) ** np.where(
         dry, -model.beta, 0.0
@@ -153,7 +157,8 @@ def _sat_of_kirchhoff_prime(params: DerivedParams, u):
 class Parametrization:
     """A pair of monotone maps tau -> (s(tau), u(tau)) covering the graph of S.
 
-    kind is "tau" (non-degenerate, max(s', u') = 1) or "u" (u(tau) = tau).
+    kind is "tau" (non-degenerate, max(s', u') = 1) or "u" (u(tau) = tau,
+    the same graph with tau_star = 0).
     The dry-limit constants of the continuous framework are documented
     here but unused: p at the graph endpoint is -inf for Brooks-Corey and
     the Kirchhoff value there is 0 (the s(0) = 0 normalization is used
@@ -162,12 +167,17 @@ class Parametrization:
 
     kind: str
     model: BrooksCoreyModel
-    params: DerivedParams = field(init=False)
 
     def __post_init__(self):
+        self.params  # rejects an unknown kind at construction
+
+    @cached_property
+    def params(self) -> DerivedParams:
+        """The model's constants, with tau_star = 0 and tau_sat = u_b for kind "u"."""
         if self.kind not in ("tau", "u"):
             raise ValueError(f"unknown parametrization kind {self.kind!r}")
-        object.__setattr__(self, "params", derive_params(self.model))
+        p = derive_params(self.model)
+        return p if self.kind == "tau" else replace(p, tau_star=0.0, tau_sat=p.u_b)
 
     # -- maps ---------------------------------------------------------------
 
@@ -175,21 +185,13 @@ class Parametrization:
         """Return (s, u, s', u') arrays; right derivatives at branch points."""
         tau = np.asarray(tau, dtype=float)
         p = self.params
-        if self.kind == "u":
-            u = tau.copy()
-            up = np.ones_like(tau)
-            s = np.where(tau >= 0.0, sat_of_kirchhoff(self.model, tau, p), 0.0)
-            sp = np.where(tau >= 0.0, _sat_of_kirchhoff_prime(p, np.maximum(tau, 0.0)), 0.0)
-            return s, u, sp, up
         eta, u_b, t_st = p.eta, p.u_b, p.tau_star
-        neg = tau < 0.0
         low = (tau >= 0.0) & (tau < t_st)
         up_b = tau >= t_st
         t_low = np.where(low, tau, 0.0)
-        u = np.where(neg, tau, 0.0)
-        u = np.where(low, u_b * t_low**eta, u)
         u_up = tau - t_st + u_b * t_st**eta
-        u = np.where(up_b, u_up, u)
+        # u = tau below 0; a NaN iterate stays NaN, so its residual is non-finite
+        u = np.where(low, u_b * t_low**eta, np.where(up_b, u_up, tau))
         upr = np.where(low, eta * u_b * t_low ** (eta - 1.0), 1.0)
         s = np.where(low, tau, 0.0)
         s = np.where(up_b, sat_of_kirchhoff(self.model, np.where(up_b, u, 0.0), p), s)
@@ -199,42 +201,26 @@ class Parametrization:
 
     # -- inverses -----------------------------------------------------------
 
+    def _tau_of_graph(self, s, u):
+        """tau of the graph point (s, u): s below tau_star, affine in u above."""
+        p = self.params
+        out = np.where(s >= p.tau_star, u - p.u_b * p.tau_star**p.eta + p.tau_star, s)
+        return out if out.ndim else float(out)
+
     def sat_inverse(self, s):
         """Smallest tau >= 0 with s(tau) = s."""
         s_arr = np.asarray(s, dtype=float)
         if np.any(s_arr < 0.0) or np.any(s_arr > 1.0):
             raise ValueError("saturation outside [0, 1]")
         p = self.params
-        u = p.u_b * s_arr**p.eta
-        if self.kind == "u":
-            out = u
-        else:
-            upper = s_arr >= p.tau_star
-            out = np.where(upper, u - p.u_b * p.tau_star**p.eta + p.tau_star, s_arr)
-        return out if out.ndim else float(out)
+        return self._tau_of_graph(s_arr, p.u_b * s_arr**p.eta)
 
     def tau_of_pressure(self, pressure):
         """tau with p(tau) = pressure; the saturated branch is affine in u."""
-        pr = np.asarray(pressure, dtype=float)
-        p = self.params
-        model = self.model
-        sat = pr >= model.p_b
-        u = np.where(
-            sat,
-            p.u_b + (pr - model.p_b),
-            p.u_b * np.where(sat, 1.0, pr / model.p_b) ** (-model.beta * p.eta),
+        return self._tau_of_graph(
+            saturation_of_pressure(self.model, pressure),
+            kirchhoff_closed_form(self.model, pressure),
         )
-        if self.kind == "u":
-            out = u
-        else:
-            # unsaturated values fall back through sat_inverse of S(p)
-            s_val = saturation_of_pressure(model, pr)
-            out = np.where(
-                np.asarray(s_val) >= p.tau_star,
-                u - p.u_b * p.tau_star**p.eta + p.tau_star,
-                s_val,
-            )
-        return out if out.ndim else float(out)
 
     # -- closed-form integrals used by the diagnostics ----------------------
 
@@ -242,35 +228,25 @@ class Parametrization:
         """int_0^tau s(a) da, exact per branch."""
         tau = np.asarray(tau, dtype=float)
         p = self.params
-        eta, u_b = p.eta, p.u_b
+        eta, u_b, t_st, t_sat = p.eta, p.u_b, p.tau_star, p.tau_sat
 
         def g_int(u):
             # int (x/u_b)^(1/eta) dx from 0 to u, for 0 <= u <= u_b
             return (eta / (eta + 1.0)) * u_b * np.clip(u / u_b, 0.0, None) ** ((eta + 1.0) / eta)
 
-        if self.kind == "u":
-            t = np.clip(tau, 0.0, None)
-            out = np.where(t < u_b, g_int(np.minimum(t, u_b)), g_int(u_b) + (t - u_b))
-        else:
-            t_st, t_sat = p.tau_star, p.tau_sat
-            t = np.clip(tau, 0.0, None)
-            low = np.minimum(t, t_st)
-            out = 0.5 * low**2
-            u_at = np.clip(t - t_st, 0.0, None) + u_b * t_st**eta
-            mid = t > t_st
-            out = out + np.where(
-                mid, g_int(np.minimum(u_at, u_b)) - g_int(u_b * t_st**eta), 0.0
-            )
-            out = out + np.clip(t - t_sat, 0.0, None)
+        t = np.clip(tau, 0.0, None)
+        low = np.minimum(t, t_st)
+        out = 0.5 * low**2
+        u_at = np.clip(t - t_st, 0.0, None) + u_b * t_st**eta
+        mid = t > t_st
+        out = out + np.where(mid, g_int(np.minimum(u_at, u_b)) - g_int(u_b * t_st**eta), 0.0)
+        out = out + np.clip(t - t_sat, 0.0, None)
         return out if out.ndim else float(out)
 
     def xi(self, tau):
         """xi(tau) = int_0^tau sqrt(u'(a)) da, exact per branch."""
         tau = np.asarray(tau, dtype=float)
         p = self.params
-        if self.kind == "u":
-            out = tau.astype(float)
-            return out if out.ndim else float(out)
         eta, u_b, t_st = p.eta, p.u_b, p.tau_star
         # lower branch: sqrt(u') = sqrt(eta u_b) a^((eta-1)/2)
         c = math.sqrt(eta * u_b) * 2.0 / (eta + 1.0)

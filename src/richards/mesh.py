@@ -5,10 +5,11 @@ orthogonal to their shared edge, so that the two-point flux approximation
 is consistent.  Transmissibilities are A_sigma = m_sigma / d_sigma for
 interior edges and m_sigma / d_{K,sigma} for boundary edges.
 
-Structured rectangular (and 1D interval) meshes are built in; general
-orthogonal meshes (e.g. Voronoi) are loaded from a line-oriented text
-format, see :func:`load_mesh`.  Meshes are immutable after construction
-apart from boundary retagging, which must happen before any assembly.
+Uniform box meshes (rectangles in 2D, intervals in 1D) come from one
+tensor-product builder; general orthogonal meshes (e.g. Voronoi) are loaded
+from a line-oriented text format, see :func:`load_mesh`.  Meshes are
+immutable after construction apart from boundary retagging, which must
+happen before any assembly.
 """
 
 from __future__ import annotations
@@ -129,125 +130,82 @@ class Mesh:
 
 
 def build_rect_mesh(nx: int, ny: int, domain=((0.0, 1.0), (0.0, 1.0))) -> Mesh:
-    """Uniform rectangular mesh of an axis-aligned box; boundary tagged NoFlux.
-
-    Rectangles satisfy the orthogonality condition exactly, with centers at
-    the centroids.
-    """
-    if nx < 1 or ny < 1:
-        raise MeshError(f"nx and ny must be >= 1, got {nx}, {ny}")
-    (x0, x1), (y0, y1) = domain
-    if not (x1 > x0 and y1 > y0):
-        raise MeshError(f"degenerate domain {domain}")
-    hx, hy = (x1 - x0) / nx, (y1 - y0) / ny
-
-    def cid(i, j):
-        return j * nx + i
-
-    n = nx * ny
-    vol = np.full(n, hx * hy)
-    centers = np.empty((n, 2))
-    boxes = np.empty((n, 2, 2))
-    for j in range(ny):
-        for i in range(nx):
-            c = cid(i, j)
-            centers[c] = (x0 + (i + 0.5) * hx, y0 + (j + 0.5) * hy)
-            boxes[c, 0] = (x0 + i * hx, x0 + (i + 1) * hx)
-            boxes[c, 1] = (y0 + j * hy, y0 + (j + 1) * hy)
-
-    measure, cells, dists, normals, xs, tags = [], [], [], [], [], []
-
-    def add_interior(k, l, m, d_half, normal):
-        measure.append(m)
-        cells.append((k, l))
-        dists.append((d_half, d_half))
-        normals.append(normal)
-        xs.append((np.nan, np.nan))
-        tags.append(INTERIOR)
-
-    def add_boundary(k, m, dk, x_sigma, normal):
-        measure.append(m)
-        cells.append((k, -1))
-        dists.append((dk, np.nan))
-        normals.append(normal)
-        xs.append(x_sigma)
-        tags.append(NOFLUX)
-
-    for j in range(ny):  # vertical interior edges (normal +x)
-        for i in range(nx - 1):
-            add_interior(cid(i, j), cid(i + 1, j), hy, hx / 2, (1.0, 0.0))
-    for j in range(ny - 1):  # horizontal interior edges (normal +y)
-        for i in range(nx):
-            add_interior(cid(i, j), cid(i, j + 1), hx, hy / 2, (0.0, 1.0))
-    for j in range(ny):  # left/right boundary
-        yc = y0 + (j + 0.5) * hy
-        add_boundary(cid(0, j), hy, hx / 2, (x0, yc), (-1.0, 0.0))
-        add_boundary(cid(nx - 1, j), hy, hx / 2, (x1, yc), (1.0, 0.0))
-    for i in range(nx):  # bottom/top boundary
-        xc = x0 + (i + 0.5) * hx
-        add_boundary(cid(i, 0), hx, hy / 2, (xc, y0), (0.0, -1.0))
-        add_boundary(cid(i, ny - 1), hx, hy / 2, (xc, y1), (0.0, 1.0))
-
-    dists = np.asarray(dists)
-    A = np.asarray(measure) / np.where(np.isnan(dists[:, 1]), dists[:, 0], dists.sum(axis=1))
-    return Mesh(
-        dim=2,
-        cell_volumes=vol,
-        cell_centers=centers,
-        edge_measure=np.asarray(measure, dtype=float),
-        edge_cells=np.asarray(cells, dtype=int),
-        edge_d=dists,
-        edge_A=A,
-        edge_normal=np.asarray(normals, dtype=float),
-        edge_x=np.asarray(xs, dtype=float),
-        edge_tag=np.asarray(tags, dtype=int),
-        bbox=np.array([[x0, x1], [y0, y1]]),
-        cell_boxes=boxes,
-    )
+    """Uniform rectangular mesh of an axis-aligned box; boundary tagged NoFlux."""
+    return _build_box_mesh((nx, ny), domain)
 
 
 def build_interval_mesh(nx: int, domain=(0.0, 1.0)) -> Mesh:
     """Uniform 1D mesh; edges are points with measure 1."""
-    if nx < 1:
-        raise MeshError(f"nx must be >= 1, got {nx}")
-    x0, x1 = domain
-    if not x1 > x0:
+    return _build_box_mesh((nx,), (domain,))
+
+
+def _transmissibility(measure, dists) -> np.ndarray:
+    """A_sigma = m_sigma / (d_K + d_L), or m_sigma / d_K where d_L is nan."""
+    return measure / np.where(np.isnan(dists[:, 1]), dists[:, 0], dists.sum(axis=1))
+
+
+def _build_box_mesh(shape: tuple, domain) -> Mesh:
+    """Uniform tensor-product mesh of a box in d = len(shape) dimensions.
+
+    Boxes satisfy the orthogonality condition exactly, with centers at the
+    centroids.  Cells are numbered with axis 0 fastest.  Interior edges come
+    axis by axis, each axis in the order of its lower cells; boundary edges
+    come axis by axis as a (low, high) pair per cell row.  The assembly sums
+    in edge order, so this order fixes its results to the last bit.
+    """
+    if min(shape) < 1:
+        raise MeshError(f"cell counts must be >= 1, got {shape}")
+    bbox = np.asarray(domain, dtype=float)  # (d, 2)
+    lo, hi = bbox[:, 0], bbox[:, 1]
+    if not np.all(hi > lo):
         raise MeshError(f"degenerate domain {domain}")
-    h = (x1 - x0) / nx
-    centers = (x0 + (np.arange(nx) + 0.5) * h)[:, None]
-    boxes = np.stack([centers[:, 0] - h / 2, centers[:, 0] + h / 2], axis=-1)[:, None, :]
+    dim = len(shape)
+    h = (hi - lo) / shape
+    idx = np.indices(shape[::-1]).reshape(dim, -1)[::-1].T  # (n, d), axis 0 fastest
+    cell = np.arange(len(idx))
+    stride = np.cumprod((1,) + shape[:-1])
 
-    measure, cells, dists, normals, xs, tags = [], [], [], [], [], []
-    for i in range(nx - 1):
-        measure.append(1.0)
-        cells.append((i, i + 1))
-        dists.append((h / 2, h / 2))
-        normals.append((1.0,))
-        xs.append((np.nan,))
-        tags.append(INTERIOR)
-    for k, xsig, nrm in ((0, x0, -1.0), (nx - 1, x1, 1.0)):
-        measure.append(1.0)
-        cells.append((k, -1))
-        dists.append((h / 2, np.nan))
-        normals.append((nrm,))
-        xs.append((xsig,))
-        tags.append(NOFLUX)
+    # per edge: cell K, cell L (-1 on the boundary), normal axis, normal sign
+    ks, ls, axes, signs = [], [], [], []
+    for a in range(dim):
+        k = cell[idx[:, a] < shape[a] - 1]
+        ks.append(k)
+        ls.append(k + stride[a])
+        axes.append(np.full(len(k), a))
+        signs.append(np.ones(len(k)))
+    for a in range(dim):
+        k = np.stack([cell[idx[:, a] == 0], cell[idx[:, a] == shape[a] - 1]], axis=-1).ravel()
+        ks.append(k)
+        ls.append(np.full(len(k), -1))
+        axes.append(np.full(len(k), a))
+        signs.append(np.tile([-1.0, 1.0], len(k) // 2))
+    k, l, axis, sign = (np.concatenate(v) for v in (ks, ls, axes, signs))
 
-    dists = np.asarray(dists)
-    A = np.asarray(measure) / np.where(np.isnan(dists[:, 1]), dists[:, 0], dists.sum(axis=1))
+    edge = np.arange(len(k))
+    bnd = l < 0
+    face = np.array([np.prod(np.delete(h, a)) for a in range(dim)])
+    measure = face[axis]
+    half = h[axis] / 2
+    dists = np.stack([half, np.where(bnd, np.nan, half)], axis=-1)
+    normals = np.zeros((len(k), dim))
+    normals[edge, axis] = sign
+    centers = lo + (idx + 0.5) * h
+    xs = np.full((len(k), dim), np.nan)
+    xs[bnd] = centers[k[bnd]]
+    xs[edge[bnd], axis[bnd]] = np.where(sign > 0, hi[axis], lo[axis])[bnd]
     return Mesh(
-        dim=1,
-        cell_volumes=np.full(nx, h),
+        dim=dim,
+        cell_volumes=np.full(len(idx), np.prod(h)),
         cell_centers=centers,
-        edge_measure=np.asarray(measure, dtype=float),
-        edge_cells=np.asarray(cells, dtype=int),
+        edge_measure=measure,
+        edge_cells=np.stack([k, l], axis=-1),
         edge_d=dists,
-        edge_A=A,
-        edge_normal=np.asarray(normals, dtype=float),
-        edge_x=np.asarray(xs, dtype=float),
-        edge_tag=np.asarray(tags, dtype=int),
-        bbox=np.array([[x0, x1]]),
-        cell_boxes=boxes,
+        edge_A=_transmissibility(measure, dists),
+        edge_normal=normals,
+        edge_x=xs,
+        edge_tag=np.where(bnd, NOFLUX, INTERIOR),
+        bbox=bbox,
+        cell_boxes=np.stack([lo + idx * h, lo + (idx + 1) * h], axis=-1),
     )
 
 
@@ -480,7 +438,6 @@ def load_mesh(path) -> Mesh:
 
     pts = np.vstack([centers, xs[tags != INTERIOR]])
     bbox = np.stack([np.nanmin(pts, axis=0), np.nanmax(pts, axis=0)], axis=-1)
-    A = measure / np.where(np.isnan(dists[:, 1]), dists[:, 0], dists.sum(axis=1))
     mesh = Mesh(
         dim=dim,
         cell_volumes=volumes,
@@ -488,7 +445,7 @@ def load_mesh(path) -> Mesh:
         edge_measure=measure,
         edge_cells=cells,
         edge_d=dists,
-        edge_A=A,
+        edge_A=_transmissibility(measure, dists),
         edge_normal=normals,
         edge_x=xs,
         edge_tag=tags,

@@ -123,10 +123,6 @@ class MMatrixReport:
     max_path_length: int  # script-L over covered columns (0 when I_delta covers all)
     violations: list = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return self.is_column_wise
-
 
 def mmatrix_analyze(A, delta: float, Delta: float, atol_scale: float = 1e-9) -> MMatrixReport:
     """Check the column-wise (delta, Delta)-M-matrix conditions on A.

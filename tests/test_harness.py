@@ -280,6 +280,13 @@ def test_cli_validate_mesh(tmp_path):
     path.write_text("garbage\n")
     assert cli("validate-mesh", str(path)).returncode == 2
 
+    mesh = build_rect_mesh(3, 3)
+    mesh.cell_centers[0, 0] += 0.05  # well formed, but not orthogonal
+    save_mesh(mesh, path)
+    out = cli("validate-mesh", str(path))
+    assert out.returncode == 2
+    assert "not admissible" in out.stderr
+
 
 def test_cli_oracle_table():
     out = cli("oracle-kirchhoff", "--beta", "4", "--pb", "-0.01")

@@ -19,6 +19,7 @@ from richards.hydromodel import (
     sat_of_kirchhoff,
     saturation_of_pressure,
     select_eta_mode,
+    _sat_of_kirchhoff_prime,
 )
 
 BETAS = [1.0, 2.0, 4.0, 8.0, 16.0]
@@ -177,6 +178,68 @@ def test_tau_of_pressure_examples(mode):
     assert tau_p.tau_of_pressure(1.0) == pytest.approx(2.01, rel=1e-14)
     u_p = Parametrization(kind="u", model=m)
     assert u_p.tau_of_pressure(1.0) == pytest.approx(p.u_b + 1.0 - m.p_b, rel=1e-14)
+
+
+class UFormOracle:
+    """The u-formulation u(tau) = tau in closed form, written out branch by branch."""
+
+    def __init__(self, model):
+        self.model = model
+        self.p = derive_params(model)
+
+    def eval(self, tau):
+        tau = np.asarray(tau, dtype=float)
+        s = np.where(tau >= 0.0, sat_of_kirchhoff(self.model, tau, self.p), 0.0)
+        sp = np.where(tau >= 0.0, _sat_of_kirchhoff_prime(self.p, np.maximum(tau, 0.0)), 0.0)
+        return s, tau.copy(), sp, np.ones_like(tau)
+
+    def sat_inverse(self, s):
+        return self.p.u_b * np.asarray(s, dtype=float) ** self.p.eta
+
+    def tau_of_pressure(self, pressure):
+        return kirchhoff_closed_form(self.model, pressure)
+
+    def s_antiderivative(self, tau):
+        eta, u_b = self.p.eta, self.p.u_b
+
+        def g_int(u):
+            return (eta / (eta + 1.0)) * u_b * np.clip(u / u_b, 0.0, None) ** ((eta + 1.0) / eta)
+
+        t = np.clip(np.asarray(tau, dtype=float), 0.0, None)
+        return np.where(t < u_b, g_int(np.minimum(t, u_b)), g_int(u_b) + (t - u_b))
+
+    def xi(self, tau):
+        return np.asarray(tau, dtype=float)
+
+
+@pytest.mark.parametrize("mode", ["legacy", "derived"])
+@pytest.mark.parametrize("beta", [1.0, 4.0, 16.0])
+def test_u_form_is_tau_graph_with_zero_switch_point(mode, beta):
+    m = BrooksCoreyModel(beta=beta, p_b=-0.01, eta_mode=mode)
+    param, oracle = Parametrization(kind="u", model=m), UFormOracle(m)
+    u_b = oracle.p.u_b
+    assert param.params.tau_star == 0.0 and param.params.tau_sat == u_b
+    taus = np.concatenate([
+        [-2.0, -0.3, -1e-12, 0.0, 1e-300, 1e-12, u_b / 3, u_b * (1 - 1e-15), u_b,
+         u_b * (1 + 1e-15), 2 * u_b, 0.5, 1.0, 2.01, 50.0],
+        np.linspace(-1.0, 3.0, 97), np.logspace(-14, 1, 60) * u_b,
+    ])
+    sats = np.concatenate([[0.0, 1e-300, 1e-6, 0.5, 1.0 - 1e-16, 1.0], np.linspace(0, 1, 41)])
+    pressures = np.concatenate([-np.logspace(3, -6, 40), [m.p_b, 0.0, 1.0, 10.0]])
+    # arrays, then scalars
+    for tau in (taus, *taus[:15]):
+        for got, want in zip(param.eval(tau), oracle.eval(tau)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(param.s_antiderivative(tau), oracle.s_antiderivative(tau))
+        assert np.array_equal(param.xi(tau), oracle.xi(tau))
+    for s in (sats, *sats[:6]):
+        assert np.array_equal(param.sat_inverse(s), oracle.sat_inverse(s))
+    for pr in (pressures, *pressures[-4:], pressures[0]):
+        assert np.array_equal(param.tau_of_pressure(pr), oracle.tau_of_pressure(pr))
+    assert isinstance(param.sat_inverse(0.5), float)
+    assert isinstance(param.tau_of_pressure(1.0), float)
+    assert isinstance(param.xi(0.5), float)
+    assert isinstance(param.s_antiderivative(0.5), float)
 
 
 def test_u_form_dirichlet_value_legacy_mode():

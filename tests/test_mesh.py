@@ -67,11 +67,49 @@ def test_interval_mesh():
     assert mesh.edge_A[0] == pytest.approx(1.0 / 0.25)
 
 
+def _assert_layout(mesh, cells, normals, xs):
+    assert mesh.edge_cells.tolist() == cells
+    # bytes, so that a -0.0 in a normal counts as a difference
+    assert mesh.edge_normal.tobytes() == np.array(normals).tobytes()
+    np.testing.assert_array_equal(mesh.edge_x, np.array(xs))
+
+
+def test_rect_mesh_edge_layout():
+    """Cells axis 0 fastest; interior edges axis by axis in cell order; then a
+    (low, high) boundary pair per cell row, axis by axis.  The assembly sums in
+    this order, so it fixes the results' last bits."""
+    nan, x1, x3 = np.nan, 0.16666666666666666, 0.8333333333333333
+    _assert_layout(
+        build_rect_mesh(3, 2),
+        [[0, 1], [1, 2], [3, 4], [4, 5], [0, 3], [1, 4], [2, 5],
+         [0, -1], [2, -1], [3, -1], [5, -1], [0, -1], [3, -1], [1, -1], [4, -1], [2, -1], [5, -1]],
+        [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0],
+         [-1.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [1.0, 0.0],
+         [0.0, -1.0], [0.0, 1.0], [0.0, -1.0], [0.0, 1.0], [0.0, -1.0], [0.0, 1.0]],
+        [[nan, nan]] * 7
+        + [[0.0, 0.25], [1.0, 0.25], [0.0, 0.75], [1.0, 0.75],
+           [x1, 0.0], [x1, 1.0], [0.5, 0.0], [0.5, 1.0], [x3, 0.0], [x3, 1.0]],
+    )
+
+
+def test_interval_mesh_edge_layout():
+    _assert_layout(
+        build_interval_mesh(3),
+        [[0, 1], [1, 2], [0, -1], [2, -1]],
+        [[1.0], [1.0], [-1.0], [1.0]],
+        [[np.nan], [np.nan], [0.0], [1.0]],
+    )
+
+
 def test_invalid_dimensions_rejected():
     with pytest.raises(MeshError):
         build_rect_mesh(0, 3)
     with pytest.raises(MeshError):
         build_rect_mesh(2, 2, domain=((0, 0), (0, 1)))
+    with pytest.raises(MeshError):
+        build_interval_mesh(0)
+    with pytest.raises(MeshError):
+        build_interval_mesh(3, domain=(1.0, 0.0))
 
 
 def test_validation_catches_wrong_transmissibility():
