@@ -174,7 +174,7 @@ def build_mesh(config: RunConfig) -> Mesh:
         tol = 1e-12
 
         def inside(x):
-            return bool(np.all(x >= box[:, 0] - tol) and np.all(x <= box[:, 1] + tol))
+            return np.all((x >= box[:, 0] - tol) & (x <= box[:, 1] + tol), axis=1)
 
         if mesh.retag_boundary(inside, DIRICHLET) == 0:
             raise ConfigError("dirichlet_box selects no boundary edges")
@@ -216,10 +216,10 @@ def run(config: RunConfig, mesh: Mesh | None = None, callback=None) -> RunResult
     dt = config.dt
     easy_streak = 0
     step = 0
+    s_prev = np.asarray(param.eval(tau)[0], dtype=float)
     while t < config.t_end - 1e-9 * config.dt:
         dt = min(dt, config.t_end - t)
-        s_prev = np.asarray(param.eval(tau)[0], dtype=float)
-        tau_new, report = newton_solve(system, dt, s_prev, tau, ncfg, callback=callback)
+        tau_new, s_new, report = newton_solve(system, dt, s_prev, tau, ncfg, callback=callback)
         if not report.converged:
             if config.adaptive_dt and dt > 1e-12 * config.dt:
                 dt *= 0.5
@@ -229,7 +229,7 @@ def run(config: RunConfig, mesh: Mesh | None = None, callback=None) -> RunResult
             iters.append(report.iterations)
             converged, failed_step = False, step + 1
             break
-        tau = tau_new
+        tau, s_prev = tau_new, s_new
         t += dt
         step += 1
         times.append(t)

@@ -5,11 +5,15 @@ orthogonal to their shared edge, so that the two-point flux approximation
 is consistent.  Transmissibilities are A_sigma = m_sigma / d_sigma for
 interior edges and m_sigma / d_{K,sigma} for boundary edges.
 
-Uniform box meshes (rectangles in 2D, intervals in 1D) come from one
-tensor-product builder; general orthogonal meshes (e.g. Voronoi) are loaded
-from a line-oriented text format, see :func:`load_mesh`.  Meshes are
-immutable after construction apart from boundary retagging, which must
-happen before any assembly.
+The cell-edge incidence has one representation, the ``edge_cells`` array;
+:meth:`Mesh.incidence` unrolls it into one (cell, edge, sign) entry per
+side of each edge, in edge order, for per-cell sums over E_K with outward
+normals.  Uniform box meshes (rectangles in 2D, intervals in 1D) come from
+one tensor-product builder; general orthogonal meshes (e.g. Voronoi) are
+loaded from a line-oriented text format, see :func:`load_mesh`.  Set-up
+and validation are whole-array code.  Meshes are immutable after
+construction apart from boundary retagging, which must happen before any
+assembly.
 """
 
 from __future__ import annotations
@@ -66,17 +70,6 @@ class Mesh:
     edge_tag: np.ndarray  # (m,) int
     bbox: np.ndarray  # (d, 2)
     cell_boxes: np.ndarray | None = None  # (n, d, 2) for structured meshes
-    cell_edge_ids: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.cell_edge_ids:
-            n = len(self.cell_volumes)
-            adj = [[] for _ in range(n)]
-            for e in range(len(self.edge_measure)):
-                adj[self.edge_cells[e, 0]].append(e)
-                if self.edge_cells[e, 1] >= 0:
-                    adj[self.edge_cells[e, 1]].append(e)
-            self.cell_edge_ids = adj
 
     # -- basic queries -------------------------------------------------------
 
@@ -104,26 +97,31 @@ class Mesh:
     def domain_measure(self) -> float:
         return float(np.prod(self.bbox[:, 1] - self.bbox[:, 0]))
 
-    def normal_wrt(self, e: int, k: int) -> np.ndarray:
-        """Unit normal of edge e outward w.r.t. cell k."""
-        if self.edge_cells[e, 0] == k:
-            return self.edge_normal[e]
-        if self.edge_cells[e, 1] == k:
-            return -self.edge_normal[e]
-        raise ValueError(f"edge {e} is not incident to cell {k}")
+    def incidence(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(cell, edge, sign): one entry per side of each edge, in edge order.
+
+        Entry i says that edge[i] is in E_K of K = cell[i], with outward
+        normal sign[i] * edge_normal[edge[i]] (+1 on the K side, -1 on the
+        L side).  Boundary edges have only their K side.  A per-cell sum
+        over these entries runs over each cell's edges in edge order.
+        """
+        cells = self.edge_cells.ravel()
+        keep = cells >= 0
+        edge = np.repeat(np.arange(self.n_edges), 2)[keep]
+        sign = np.tile([1.0, -1.0], self.n_edges)[keep]
+        return cells[keep], edge, sign
 
     def retag_boundary(self, predicate, tag: int) -> int:
-        """Tag boundary edges whose x_sigma satisfies predicate.
+        """Tag the boundary edges whose x_sigma satisfy predicate.
 
-        Must be called before any assembly; returns the number of retagged
-        edges.
+        predicate maps the (b, d) array of boundary points x_sigma to a
+        length-b boolean mask.  Must be called before any assembly; returns
+        the number of retagged edges.
         """
-        count = 0
-        for e in self.boundary_edges:
-            if predicate(self.edge_x[e]):
-                self.edge_tag[e] = tag
-                count += 1
-        return count
+        be = self.boundary_edges
+        hit = be[np.asarray(predicate(self.edge_x[be]), dtype=bool)]
+        self.edge_tag[hit] = tag
+        return hit.size
 
 
 # -- constructors ------------------------------------------------------------
@@ -220,11 +218,13 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def add(self, msg: str):
-        self.violations.append(msg)
-
     def __str__(self):
         return "admissible" if self.ok else "\n".join(self.violations)
+
+
+def _rows(mask, *arrays):
+    """The entries of arrays where mask holds, as rows of Python scalars."""
+    return zip(*(arr[mask].tolist() for arr in arrays))
 
 
 def validate_admissibility(mesh: Mesh) -> ValidationReport:
@@ -234,77 +234,63 @@ def validate_admissibility(mesh: Mesh) -> ValidationReport:
     |x_K - x_L| = d_K + d_L and |x_K - x_sigma| = d_K (which fail when the
     center segment is not orthogonal to the edge) together with the
     per-cell closed-surface identity sum_sigma m_sigma n_{K,sigma} = 0.
+    An edge whose measure or distances are not positive reports only the
+    first of these; the geometric checks skip it.
     """
-    rep = ValidationReport()
-    for i, v in enumerate(mesh.cell_volumes):
-        if not v > 0:
-            rep.add(f"cell {i}: non-positive volume {v}")
-    total = float(mesh.cell_volumes.sum())
+    vol, cells = mesh.cell_volumes, np.arange(mesh.n_cells)
+    out = [f"cell {i}: non-positive volume {v}" for i, v in _rows(~(vol > 0), cells, vol)]
+    total = float(vol.sum())
     dom = mesh.domain_measure
     if abs(total - dom) > TILE_TOL * max(dom, 1.0):
-        rep.add(f"cells do not tile the domain: sum m_K = {total!r}, box measure = {dom!r}")
+        out.append(f"cells do not tile the domain: sum m_K = {total!r}, box measure = {dom!r}")
 
-    for e in range(mesh.n_edges):
-        m = mesh.edge_measure[e]
-        if not m > 0:
-            rep.add(f"edge {e}: non-positive measure {m}")
-            continue
-        k, l = mesh.edge_cells[e]
-        dk = mesh.edge_d[e, 0]
-        if not dk > 0:
-            rep.add(f"edge {e}: non-positive distance d_K = {dk}")
-            continue
-        if l >= 0:
-            dl = mesh.edge_d[e, 1]
-            if not dl > 0:
-                rep.add(f"edge {e}: non-positive distance d_L = {dl}")
-                continue
-            gap = np.linalg.norm(mesh.cell_centers[k] - mesh.cell_centers[l])
-            if abs(gap - (dk + dl)) > ORTHO_TOL * max(gap, 1.0):
-                rep.add(
-                    f"edge {e} = {k}|{l}: center distance {gap!r} != d_K + d_L = "
-                    f"{dk + dl!r} (non-orthogonal center pair)"
-                )
-            a_ref = m / (dk + dl)
-        else:
-            gap = np.linalg.norm(mesh.cell_centers[k] - mesh.edge_x[e])
-            if abs(gap - dk) > ORTHO_TOL * max(gap, 1.0):
-                rep.add(
-                    f"edge {e} (boundary of {k}): |x_K - x_sigma| = {gap!r} != d_K = {dk!r}"
-                )
-            a_ref = m / dk
-        if abs(mesh.edge_A[e] - a_ref) > 1e-12 * a_ref:
-            rep.add(
-                f"edge {e}: transmissibility {mesh.edge_A[e]!r} != m_sigma/d = {a_ref!r}"
-            )
-        nrm = np.linalg.norm(mesh.edge_normal[e])
-        if abs(nrm - 1.0) > 1e-12:
-            rep.add(f"edge {e}: normal not unit (|n| = {nrm!r})")
-        if l >= 0:
-            direction = mesh.cell_centers[l] - mesh.cell_centers[k]
-        else:
-            direction = mesh.edge_x[e] - mesh.cell_centers[k]
-        dn = np.linalg.norm(direction)
-        if dn > 0:
-            cross = np.linalg.norm(
-                direction / dn - mesh.edge_normal[e] / max(nrm, 1e-300)
-            )
-            if cross > ORTHO_TOL:
-                rep.add(f"edge {e}: normal not aligned with the center segment")
+    m, k, l = mesh.edge_measure, mesh.edge_cells[:, 0], mesh.edge_cells[:, 1]
+    dk, dl = mesh.edge_d[:, 0], mesh.edge_d[:, 1]
+    e = np.arange(mesh.n_edges)
+    found = []  # (edge, message); each edge's messages in check order
+    ok = np.ones(mesh.n_edges, dtype=bool)
+    for bad, what, value in (
+        (~(m > 0), "measure", m),
+        (~(dk > 0), "distance d_K =", dk),
+        ((l >= 0) & ~(dl > 0), "distance d_L =", dl),
+    ):
+        found += [(j, f"edge {j}: non-positive {what} {v}") for j, v in _rows(ok & bad, e, value)]
+        ok &= ~bad
+
+    e, k, l = e[ok], k[ok], l[ok]
+    # center segment x_K -> x_L, or x_K -> x_sigma on the boundary
+    seg = np.where((l >= 0)[:, None], mesh.cell_centers[l], mesh.edge_x[e]) - mesh.cell_centers[k]
+    gap = np.linalg.norm(seg, axis=1)
+    d = np.where(l >= 0, dk[e] + dl[e], dk[e])
+    off = np.abs(gap - d) > ORTHO_TOL * np.maximum(gap, 1.0)
+    found += [(j, f"edge {j} = {kk}|{ll}: center distance {g!r} != d_K + d_L = {dd!r} "
+                  "(non-orthogonal center pair)")
+              for j, kk, ll, g, dd in _rows(off & (l >= 0), e, k, l, gap, d)]
+    found += [(j, f"edge {j} (boundary of {kk}): |x_K - x_sigma| = {g!r} != d_K = {dd!r}")
+              for j, kk, g, dd in _rows(off & (l < 0), e, k, gap, d)]
+    a, a_ref = mesh.edge_A[e], m[e] / d
+    found += [(j, f"edge {j}: transmissibility {p!r} != m_sigma/d = {q!r}")
+              for j, p, q in _rows(np.abs(a - a_ref) > 1e-12 * a_ref, e, a, a_ref)]
+    nrm = np.linalg.norm(mesh.edge_normal[e], axis=1)
+    found += [(j, f"edge {j}: normal not unit (|n| = {q!r})")
+              for j, q in _rows(np.abs(nrm - 1.0) > 1e-12, e, nrm)]
+    unit = mesh.edge_normal[e] / np.maximum(nrm, 1e-300)[:, None]
+    cross = np.linalg.norm(seg / np.where(gap > 0, gap, 1.0)[:, None] - unit, axis=1)
+    found += [(j, f"edge {j}: normal not aligned with the center segment")
+              for (j,) in _rows((gap > 0) & (cross > ORTHO_TOL), e)]
+    found.sort(key=lambda t: t[0])  # stable: per edge, in check order
+    out += [msg for _, msg in found]
 
     # per-cell closed-surface identity (implies div-nulle for constant g)
-    for kk in range(mesh.n_cells):
-        acc = np.zeros(mesh.dim)
-        scale = 0.0
-        for e in mesh.cell_edge_ids[kk]:
-            acc += mesh.edge_measure[e] * mesh.normal_wrt(e, kk)
-            scale += mesh.edge_measure[e]
-        if np.linalg.norm(acc) > TILE_TOL * scale:
-            rep.add(
-                f"cell {kk}: surface closure violated, |sum m_sigma n| = "
-                f"{np.linalg.norm(acc)!r}"
-            )
-    return rep
+    cell, edge, sign = mesh.incidence()
+    w = mesh.edge_measure[edge]
+    acc = np.zeros((mesh.n_cells, mesh.dim))
+    np.add.at(acc, cell, (w * sign)[:, None] * mesh.edge_normal[edge])
+    closure = np.linalg.norm(acc, axis=1)
+    scale = np.bincount(cell, weights=w, minlength=mesh.n_cells)
+    out += [f"cell {i}: surface closure violated, |sum m_sigma n| = {c!r}"
+            for i, c in _rows(closure > TILE_TOL * scale, cells, closure)]
+    return ValidationReport(out)
 
 
 # -- discrete H1 inner product ----------------------------------------------
@@ -362,6 +348,14 @@ def save_mesh(mesh: Mesh, path):
         f.write("\n".join(lines) + "\n")
 
 
+def _index(token: str, n: int) -> int:
+    """An entity id of a mesh file, which must lie in [0, n)."""
+    i = int(token)
+    if not 0 <= i < n:
+        raise ValueError(f"id {i} outside [0, {n})")
+    return i
+
+
 def load_mesh(path) -> Mesh:
     """Load and validate a mesh from the ASCII text format.
 
@@ -369,6 +363,7 @@ def load_mesh(path) -> Mesh:
     ``cell <id> <volume> <center...>`` and one line per edge, either
     ``edge <id> <measure> interior <K> <L> <dK> <dL>`` or
     ``edge <id> <measure> boundary <K> <dK> <xsigma...> <dirichlet|noflux>``.
+    Cell ids lie in [0, ncells) and edge ids in [0, nedges).
 
     Normals are reconstructed from the center geometry (the orthogonality
     condition makes them collinear with the center segments).  The domain
@@ -399,18 +394,18 @@ def load_mesh(path) -> Mesh:
         tok = ln.split()
         try:
             if tok[0] == "cell":
-                i = int(tok[1])
+                i = _index(tok[1], ncells)
                 volumes[i] = float(tok[2])
                 centers[i] = [float(t) for t in tok[3 : 3 + dim]]
             elif tok[0] == "edge":
-                e = int(tok[1])
+                e = _index(tok[1], nedges)
                 measure[e] = float(tok[2])
                 if tok[3] == "interior":
-                    cells[e] = (int(tok[4]), int(tok[5]))
+                    cells[e] = (_index(tok[4], ncells), _index(tok[5], ncells))
                     dists[e] = (float(tok[6]), float(tok[7]))
                     tags[e] = INTERIOR
                 elif tok[3] == "boundary":
-                    cells[e] = (int(tok[4]), -1)
+                    cells[e] = (_index(tok[4], ncells), -1)
                     dists[e, 0] = float(tok[5])
                     xs[e] = [float(t) for t in tok[6 : 6 + dim]]
                     kind = tok[6 + dim]
@@ -422,19 +417,18 @@ def load_mesh(path) -> Mesh:
         except MeshError:
             raise
         except (IndexError, ValueError, KeyError) as exc:
-            raise MeshError(f"{path}: malformed line {ln!r}") from exc
+            raise MeshError(f"{path}: malformed line {ln!r} ({exc})") from exc
 
     if np.any(np.isnan(volumes)) or np.any(tags < 0):
         raise MeshError(f"{path}: missing cell or edge records")
 
-    normals = np.zeros((nedges, dim))
-    for e in range(nedges):
-        k, l = cells[e]
-        vec = (centers[l] if l >= 0 else xs[e]) - centers[k]
-        nrm = np.linalg.norm(vec)
-        if nrm == 0:
-            raise MeshError(f"{path}: edge {e} has coincident center geometry")
-        normals[e] = vec / nrm
+    k, l = cells[:, 0], cells[:, 1]
+    vec = np.where((l >= 0)[:, None], centers[l], xs) - centers[k]
+    nrm = np.linalg.norm(vec, axis=1, keepdims=True)
+    if np.any(nrm == 0):
+        e = int(np.flatnonzero(nrm == 0)[0])
+        raise MeshError(f"{path}: edge {e} has coincident center geometry")
+    normals = vec / nrm
 
     pts = np.vstack([centers, xs[tags != INTERIOR]])
     bbox = np.stack([np.nanmin(pts, axis=0), np.nanmax(pts, axis=0)], axis=-1)

@@ -68,19 +68,20 @@ def linear_solve(A, b) -> np.ndarray:
 
 def newton_solve(system: Assembly, dt: float, s_prev, tau_init, config: NewtonConfig,
                  callback=None):
-    """Plain Newton on the step residual; returns (tau, NewtonReport).
+    """Plain Newton on the step residual; returns (tau, s(tau), NewtonReport).
 
     dt and s_prev = s(tau^{n-1}) are the step's data; tau_init is the
-    previous time-step solution.  The optional callback is invoked as
-    callback(k, tau, res_norm, J) at every iterate where the Jacobian is
-    used.  A non-converged step, a singular Jacobian included, is
-    reported, not raised.
+    previous time-step solution.  s(tau) comes from the last evaluation, so
+    the next step takes it as its s_prev without evaluating s again.  The
+    optional callback is invoked as callback(k, tau, res_norm, J) at every
+    iterate where the Jacobian is used.  A non-converged step, a singular
+    Jacobian included, is reported, not raised.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     tau = np.array(tau_init, dtype=float)
     tol = config.eps * dt
-    f, J = evaluate(system, dt, s_prev, tau)
+    f, J, s = evaluate(system, dt, s_prev, tau)
     res = float(np.sum(np.abs(f)))  # raw 1-norm, no volume weights
     history = [res]
     for k in range(config.max_iter):
@@ -95,11 +96,11 @@ def newton_solve(system: Assembly, dt: float, s_prev, tau_init, config: NewtonCo
         except SingularJacobianError:
             break
         tau -= delta
-        f, J = evaluate(system, dt, s_prev, tau)
+        f, J, s = evaluate(system, dt, s_prev, tau)
         res = float(np.sum(np.abs(f)))
         history.append(res)
     converged = bool(np.isfinite(res) and res <= tol)
-    return tau, NewtonReport(
+    return tau, s, NewtonReport(
         iterations=len(history) - 1,
         residual_history=history,
         converged=converged,
@@ -220,13 +221,8 @@ def jacobian_bounds(mesh: Mesh, dt: float, alpha_low: float, alpha_high: float,
     if not alpha_low > 0:
         raise ValueError("alpha_low must be positive")
     g = np.zeros(mesh.dim) if gravity is None else np.asarray(gravity, dtype=float)
-    # one (cell, edge) incidence per entry of edge_cells, in edge order, so
-    # each cell's sum runs over its edges in the order of cell_edge_ids
-    cells = mesh.edge_cells.ravel()
-    keep = cells >= 0
-    cells = cells[keep]
-    e = np.repeat(np.arange(mesh.n_edges), 2)[keep]
-    gn = (np.repeat(mesh.edge_normal @ g, 2) * np.tile([1.0, -1.0], mesh.n_edges))[keep]
+    cells, e, sign = mesh.incidence()
+    gn = (mesh.edge_normal @ g)[e] * sign  # g . n_{K,sigma}
     a_min = np.full(mesh.n_cells, np.inf)
     np.minimum.at(a_min, cells, mesh.edge_A[e])
     load = np.zeros(mesh.n_cells)

@@ -45,32 +45,37 @@ class InitialField:
     default: float
     boxes: list = field(default_factory=list)
 
-    def cell_average(self, mesh: Mesh, k: int) -> float:
-        if mesh.cell_boxes is None:
-            # general meshes carry no polygon data; sample at the center
-            x = mesh.cell_centers[k]
-            for bounds, value in self.boxes:
-                b = np.asarray(bounds, dtype=float)
-                if np.all(x >= b[:, 0]) and np.all(x < b[:, 1]):
-                    return value
-            return self.default
-        cb = mesh.cell_boxes[k]
-        vol = mesh.cell_volumes[k]
-        acc = self.default * vol
-        for bounds, value in self.boxes:
+
+def _cell_means(s0: InitialField, mesh: Mesh) -> np.ndarray:
+    """Exact means of s0 over the cell boxes of structured meshes.
+
+    General meshes carry no polygon data, so there s0 is sampled at the
+    cell centers (the first box containing a center gives its value).
+    """
+    if mesh.cell_boxes is None:
+        x = mesh.cell_centers
+        s = np.full(mesh.n_cells, s0.default, dtype=float)
+        for bounds, value in reversed(s0.boxes):
             b = np.asarray(bounds, dtype=float)
-            overlap = np.prod(
-                np.clip(np.minimum(cb[:, 1], b[:, 1]) - np.maximum(cb[:, 0], b[:, 0]), 0.0, None)
-            )
-            acc += (value - self.default) * overlap
-        return acc / vol
+            s[np.all((x >= b[:, 0]) & (x < b[:, 1]), axis=1)] = value
+        return s
+    cb, vol = mesh.cell_boxes, mesh.cell_volumes
+    acc = s0.default * vol
+    for bounds, value in s0.boxes:
+        b = np.asarray(bounds, dtype=float)
+        overlap = np.prod(
+            np.clip(np.minimum(cb[..., 1], b[:, 1]) - np.maximum(cb[..., 0], b[:, 0]), 0.0, None),
+            axis=-1,
+        )
+        acc += (value - s0.default) * overlap
+    return acc / vol
 
 
 def discretize_initial(s0: InitialField | float, mesh: Mesh, param: Parametrization) -> np.ndarray:
     """Cell-average s0 exactly over axis-aligned regions, then tau0 = s^{-1}(s0)."""
     if not isinstance(s0, InitialField):
         s0 = InitialField(default=float(s0))
-    s_cells = np.array([s0.cell_average(mesh, k) for k in range(mesh.n_cells)])
+    s_cells = _cell_means(s0, mesh)
     if np.any(s_cells < -1e-12) or np.any(s_cells > 1.0 + 1e-12):
         raise ValueError("initial saturation outside [0, 1]")
     s_cells = np.clip(s_cells, 0.0, 1.0)  # absorb intersection-area roundoff
@@ -136,7 +141,7 @@ class Assembly:
 
 
 def evaluate(system: Assembly, dt: float, s_prev, tau):
-    """Residual f(tau) and its exact Jacobian J (CSC) for one implicit step.
+    """Residual f(tau), its exact Jacobian J (CSC) and s(tau) for one implicit step.
 
     Diagonal of J: s'(tau_K) + (dt/m_K) sum_sigma (m_sigma g+ lam'(s_K)
     s'(tau_K) + A_sigma u'(tau_K)); off-diagonal (row L, column K,
@@ -174,4 +179,4 @@ def evaluate(system: Assembly, dt: float, s_prev, tau):
     # own copies of the pattern: an in-place scipy call on a kept J (such as
     # eliminate_zeros) must not rewrite the pattern of later Jacobians
     J = sp.csc_matrix((data, system.indices.copy(), system.indptr.copy()), shape=(n, n))
-    return f, J
+    return f, J, s

@@ -149,7 +149,7 @@ def test_criterion_3_jacobian_vs_finite_differences():
     t0 = time.perf_counter()
     mesh = build_rect_mesh(3, 3)
     mesh.retag_boundary(
-        lambda x: x[1] >= 1.0 - 1e-12 and x[0] <= 0.3 + 1e-12, DIRICHLET
+        lambda x: (x[:, 1] >= 1.0 - 1e-12) & (x[:, 0] <= 0.3 + 1e-12), DIRICHLET
     )
     m = BrooksCoreyModel(beta=4.0, p_b=-1e-2)
     kinks = derive_params(m)
@@ -218,7 +218,7 @@ def test_criterion_4_mmatrix_suite():
     # dense inverse positivity and the 1-norm bound on a 5x5 mesh
     mesh5 = build_rect_mesh(5, 5)
     mesh5.retag_boundary(
-        lambda x: x[1] >= 1.0 - 1e-12 and x[0] <= 0.3 + 1e-12, DIRICHLET
+        lambda x: (x[:, 1] >= 1.0 - 1e-12) & (x[:, 0] <= 0.3 + 1e-12), DIRICHLET
     )
     m = BrooksCoreyModel(beta=4.0, p_b=-1e-2)
     param = Parametrization(kind="tau", model=m)

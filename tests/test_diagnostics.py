@@ -91,7 +91,7 @@ def test_prefix_restriction():
 
 def test_mass_error_refused_with_dirichlet_edges():
     mesh = build_rect_mesh(2, 2)
-    mesh.retag_boundary(lambda x: x[1] >= 1.0 - 1e-12, DIRICHLET)
+    mesh.retag_boundary(lambda x: x[:, 1] >= 1.0 - 1e-12, DIRICHLET)
     t = make_traj(mesh, Parametrization(kind="tau", model=MODEL), [np.full(4, 0.5)])
     with pytest.raises(ValueError):
         mass_error(t)
@@ -155,7 +155,7 @@ def test_energy_agrees_with_quadrature():
 
 def test_xi_constant_field_vanishes():
     mesh = build_rect_mesh(3, 3)
-    mesh.retag_boundary(lambda x: x[0] <= 1e-12, DIRICHLET)
+    mesh.retag_boundary(lambda x: x[:, 0] <= 1e-12, DIRICHLET)
     param = Parametrization(kind="tau", model=MODEL)
     tau = np.full(9, 0.8)
     bnd = {int(e): 0.8 for e in mesh.dirichlet_edges}

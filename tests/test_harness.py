@@ -98,7 +98,7 @@ def test_adaptive_dt_recovers_from_failure(monkeypatch):
         if dt > 0.006:
             from richards.newton import NewtonReport
 
-            return np.array(tau_init), NewtonReport(
+            return np.array(tau_init), s_prev, NewtonReport(
                 iterations=config.max_iter,
                 residual_history=[1.0] * (config.max_iter + 1),
                 converged=False,
@@ -286,6 +286,12 @@ def test_cli_validate_mesh(tmp_path):
     out = cli("validate-mesh", str(path))
     assert out.returncode == 2
     assert "not admissible" in out.stderr
+
+    save_mesh(build_rect_mesh(2, 2), path)  # 4 cells; edge 0 is 0|1
+    path.write_text(path.read_text().replace("interior 0 1 ", "interior 0 9 "))
+    out = cli("validate-mesh", str(path))
+    assert out.returncode == 2
+    assert "outside [0, 4)" in out.stderr and "Traceback" not in out.stderr
 
 
 def test_cli_oracle_table():

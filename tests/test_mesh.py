@@ -101,6 +101,17 @@ def test_interval_mesh_edge_layout():
     )
 
 
+def test_incidence_layout():
+    """One entry per side of each edge of build_rect_mesh(3, 2) (see
+    test_rect_mesh_edge_layout), in edge order: K with sign +1, then L with
+    sign -1; boundary edges have only K."""
+    cell, edge, sign = build_rect_mesh(3, 2).incidence()
+    assert cell.tolist() == [0, 1, 1, 2, 3, 4, 4, 5, 0, 3, 1, 4, 2, 5,
+                             0, 2, 3, 5, 0, 3, 1, 4, 2, 5]
+    assert edge.tolist() == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, *range(7, 17)]
+    assert sign.tolist() == [1.0, -1.0] * 7 + [1.0] * 10
+
+
 def test_invalid_dimensions_rejected():
     with pytest.raises(MeshError):
         build_rect_mesh(0, 3)
@@ -121,15 +132,67 @@ def test_validation_catches_wrong_transmissibility():
     assert any("transmissibility" in v and f"edge {e}" in v for v in report.violations)
 
 
+def _corrupt(field, index, op):
+    def apply(mesh):
+        arr = getattr(mesh, field)
+        arr[index] = op(arr[index])
+    return apply
+
+
+def _scale_edge_1(mesh):
+    # measure and transmissibility scaled together: only the closure breaks
+    mesh.edge_measure[1] *= 1.5
+    mesh.edge_A[1] *= 1.5
+
+
+# one invariant broken at a time on a 3x3 mesh: (corruption, message prefix,
+# message kind).  Edge 1 is 1|2, edge 2 is 3|4, edge 12 is the left boundary
+# edge of cell 0.
+VIOLATIONS = {
+    "volume": (_corrupt("cell_volumes", 4, lambda v: -v), "cell 4:", "non-positive volume"),
+    "tiling": (_corrupt("cell_volumes", 4, lambda v: 1.5 * v), "cells do not tile", "sum m_K"),
+    "measure": (_corrupt("edge_measure", 1, lambda m: 0.0), "edge 1:", "non-positive measure"),
+    "d_K": (_corrupt("edge_d", (1, 0), lambda d: -d), "edge 1:", "non-positive distance d_K"),
+    "d_L": (_corrupt("edge_d", (1, 1), lambda d: 0.0), "edge 1:", "non-positive distance d_L"),
+    "center gap": (_corrupt("cell_centers", (4, 0), lambda x: x + 0.05),
+                   "edge 2 = 3|4:", "non-orthogonal center pair"),
+    "boundary gap": (_corrupt("edge_x", (12, 0), lambda x: x - 0.05),
+                     "edge 12 (boundary of 0):", "|x_K - x_sigma|"),
+    "transmissibility": (_corrupt("edge_A", 1, lambda a: 1.01 * a), "edge 1:", "transmissibility"),
+    "normal length": (_corrupt("edge_normal", 1, lambda n: 1.1 * n), "edge 1:", "normal not unit"),
+    "normal direction": (_corrupt("edge_normal", 1, lambda n: [0.6, 0.8]),
+                         "edge 1:", "normal not aligned"),
+    "closure": (_scale_edge_1, "cell 1:", "surface closure violated"),
+}
+
+
+@pytest.mark.parametrize("source", ["built", "loaded"])
+@pytest.mark.parametrize("name", sorted(VIOLATIONS))
+def test_validation_reports_each_violation(name, source, tmp_path):
+    mesh = build_rect_mesh(3, 3)
+    if source == "loaded":
+        save_mesh(mesh, tmp_path / "m.mesh")
+        mesh = load_mesh(tmp_path / "m.mesh")
+    assert validate_admissibility(mesh).ok
+    corrupt, prefix, kind = VIOLATIONS[name]
+    corrupt(mesh)
+    report = validate_admissibility(mesh)
+    assert any(v.startswith(prefix) and kind in v for v in report.violations), str(report)
+    if "non-positive" in kind and prefix.startswith("edge"):
+        # the edge's first failure is its only report
+        assert sum(v.startswith(prefix) for v in report.violations) == 1, str(report)
+
+
 def test_closed_surface_identity_constant_gravity():
     mesh = build_rect_mesh(20, 20)
     g = np.array([0.0, -1.0])
-    for k in range(mesh.n_cells):
-        total = sum(
-            mesh.edge_measure[e] * float(mesh.normal_wrt(e, k) @ g)
-            for e in mesh.cell_edge_ids[k]
-        )
-        assert abs(total) <= 1e-12
+    total = np.zeros(mesh.n_cells)  # sum_sigma m_sigma g . n_{K,sigma} per cell
+    for e, (k, l) in enumerate(mesh.edge_cells):
+        flux = mesh.edge_measure[e] * float(mesh.edge_normal[e] @ g)
+        total[k] += flux
+        if l >= 0:
+            total[l] -= flux
+    assert np.all(np.abs(total) <= 1e-12)
 
 
 # -- discrete H1 bilinear form -------------------------------------------------
@@ -137,7 +200,7 @@ def test_closed_surface_identity_constant_gravity():
 
 def test_h1_constant_field_vanishes():
     mesh = build_rect_mesh(4, 4)
-    mesh.retag_boundary(lambda x: x[1] >= 1.0 - 1e-12, DIRICHLET)
+    mesh.retag_boundary(lambda x: x[:, 1] >= 1.0 - 1e-12, DIRICHLET)
     v = np.full(mesh.n_cells, 3.7)
     bnd = {int(e): 3.7 for e in mesh.dirichlet_edges}
     assert discrete_h1_inner(mesh, v, v, bnd, bnd) == 0.0
@@ -152,7 +215,7 @@ def test_h1_affine_field_exact():
     # for v = x2 the two-point difference quotient reconstructs the exact
     # unit gradient, so the seminorm equals the domain measure
     mesh = build_rect_mesh(20, 20)
-    mesh.retag_boundary(lambda x: True, DIRICHLET)
+    mesh.retag_boundary(lambda x: np.ones(len(x), dtype=bool), DIRICHLET)
     v = mesh.cell_centers[:, 1]
     bnd = {int(e): float(mesh.edge_x[e][1]) for e in mesh.dirichlet_edges}
     assert discrete_h1_inner(mesh, v, v, bnd, bnd) == pytest.approx(1.0, abs=1e-10)
@@ -162,7 +225,7 @@ def test_h1_size_and_key_mismatch():
     mesh = build_rect_mesh(2, 2)
     with pytest.raises(ValueError):
         discrete_h1_inner(mesh, [0.0, 1.0], [0.0, 1.0, 2.0, 3.0])
-    mesh.retag_boundary(lambda x: x[0] <= 1e-12, DIRICHLET)
+    mesh.retag_boundary(lambda x: x[:, 0] <= 1e-12, DIRICHLET)
     e = int(mesh.dirichlet_edges[0])
     with pytest.raises(ValueError):
         discrete_h1_inner(mesh, np.zeros(4), np.zeros(4), {e: 1.0}, {})
@@ -199,7 +262,7 @@ def test_roundtrip_single_cell(tmp_path):
 
 def test_roundtrip_preserves_dirichlet_tags(tmp_path):
     mesh = build_rect_mesh(3, 3)
-    mesh.retag_boundary(lambda x: x[1] >= 1.0 - 1e-12, DIRICHLET)
+    mesh.retag_boundary(lambda x: x[:, 1] >= 1.0 - 1e-12, DIRICHLET)
     path = tmp_path / "tagged.mesh"
     save_mesh(mesh, path)
     loaded = load_mesh(path)
@@ -254,10 +317,28 @@ def test_malformed_file_rejected(tmp_path):
         load_mesh(path)
 
 
+@pytest.mark.parametrize("line,replacement", [
+    ("edge 0 0.5 interior 0 1 ", "edge 0 0.5 interior 0 9 "),
+    ("edge 0 0.5 interior 0 1 ", "edge 0 0.5 interior -3 1 "),
+    ("edge 0 0.5 interior 0 1 ", "edge 0 0.5 interior 0 -1 "),
+    ("edge 4 0.5 boundary 0 ", "edge 4 0.5 boundary 4 "),
+    ("edge 4 0.5 boundary 0 ", "edge -8 0.5 boundary 0 "),
+    ("cell 3 ", "cell -1 "),
+])
+def test_out_of_range_ids_rejected(tmp_path, line, replacement):
+    path = tmp_path / "m.mesh"
+    save_mesh(build_rect_mesh(2, 2), path)
+    text = path.read_text()
+    assert line in text
+    path.write_text(text.replace(line, replacement))
+    with pytest.raises(MeshError, match="outside"):
+        load_mesh(path)
+
+
 def test_retag_boundary_counts():
     mesh = build_rect_mesh(20, 20)
     n = mesh.retag_boundary(
-        lambda x: x[1] >= 1.0 - 1e-12 and x[0] <= 0.3 + 1e-12, DIRICHLET
+        lambda x: (x[:, 1] >= 1.0 - 1e-12) & (x[:, 0] <= 0.3 + 1e-12), DIRICHLET
     )
     assert n == 6  # cells with center x1 < 0.3 on the top row
     assert mesh.dirichlet_edges.size == 6

@@ -32,7 +32,7 @@ def diffusion_problem(tau_prev, dt=0.01):
 
 def test_zero_iterations_when_already_converged():
     prob = diffusion_problem([0.3, 0.3])
-    tau, report = newton_solve(*prob, np.array([0.3, 0.3]), NewtonConfig(eps=1e-8))
+    tau, _, report = newton_solve(*prob, np.array([0.3, 0.3]), NewtonConfig(eps=1e-8))
     assert report.iterations == 0
     assert report.converged
     assert len(report.residual_history) == 1
@@ -42,7 +42,7 @@ def test_one_iteration_on_affine_branch():
     # a single closed cell: f(tau) = s(tau) - c, affine on the lower branch
     # (s(tau) = tau), so Newton lands exactly in one step
     prob = diffusion_problem([0.25])
-    tau, report = newton_solve(*prob, np.array([0.6]), NewtonConfig(eps=1e-13))
+    tau, _, report = newton_solve(*prob, np.array([0.6]), NewtonConfig(eps=1e-13))
     assert report.iterations == 1
     assert report.converged
     assert tau[0] == pytest.approx(0.25, abs=1e-15)
@@ -52,7 +52,7 @@ def test_quadratic_rate_on_two_cell_diffusion():
     # tau* from a run to residual 1e-14; the last ratios
     # ||tau^{k+1} - tau*|| / ||tau^k - tau*||^2 stay bounded
     prob = diffusion_problem([0.9, 0.1], dt=10.0)
-    tau_star, ref = newton_solve(*prob, np.array([0.9, 0.1]), NewtonConfig(eps=1e-12))
+    tau_star, _, ref = newton_solve(*prob, np.array([0.9, 0.1]), NewtonConfig(eps=1e-12))
     assert ref.converged
 
     errs = []
@@ -72,19 +72,21 @@ def test_quadratic_rate_on_two_cell_diffusion():
 def test_report_invariants():
     prob = diffusion_problem([0.9, 0.1], dt=10.0)
     config = NewtonConfig(eps=1e-10)
-    tau, report = newton_solve(*prob, np.array([0.1, 0.9]), config)
+    tau, s, report = newton_solve(*prob, np.array([0.1, 0.9]), config)
     assert len(report.residual_history) == report.iterations + 1
+    np.testing.assert_array_equal(s, TAU.eval(tau)[0])  # s of the returned tau
     if report.converged:
         assert report.final_residual <= config.eps * 10.0
 
 
 def test_nonconvergence_is_reported_not_raised():
     prob = diffusion_problem([0.9, 0.1], dt=10.0)
-    tau, report = newton_solve(
+    tau, s, report = newton_solve(
         *prob, np.array([0.1, 0.9]), NewtonConfig(eps=1e-10, max_iter=1)
     )
     assert not report.converged
     assert report.iterations == 1
+    np.testing.assert_array_equal(s, TAU.eval(tau)[0])
 
 
 def test_callback_jacobians_are_independent():
@@ -103,9 +105,9 @@ def test_callback_jacobians_are_independent():
             kept[-1][0].indptr[:] = 0
         kept.append((J, J.data.copy()))
 
-    tau, report = newton_solve(*prob, tau0, config, callback=keep)
+    tau, _, report = newton_solve(*prob, tau0, config, callback=keep)
     assert report.converged and len(kept) >= 3
-    tau_clean, report_clean = newton_solve(*prob, tau0, config)
+    tau_clean, _, report_clean = newton_solve(*prob, tau0, config)
     assert report.residual_history == report_clean.residual_history
     np.testing.assert_array_equal(tau, tau_clean)
     np.testing.assert_array_equal(system.indices, pattern[0])
@@ -225,18 +227,28 @@ def test_assembled_jacobian_is_column_wise_mmatrix():
 # -- bounds --------------------------------------------------------------------
 
 
+def cell_edges(mesh):
+    """Per cell, its (edge, outward normal) pairs in edge order, by a loop
+    over edge_cells."""
+    adj = [[] for _ in range(mesh.n_cells)]
+    for e, (k, l) in enumerate(mesh.edge_cells):
+        adj[k].append((e, mesh.edge_normal[e]))
+        if l >= 0:
+            adj[l].append((e, -mesh.edge_normal[e]))
+    return adj
+
+
 def jacobian_bounds_loop(mesh, dt, alpha_low, alpha_high, lam_prime_max, gravity=None):
     """Cell-by-cell reference for jacobian_bounds."""
     g = np.zeros(mesh.dim) if gravity is None else np.asarray(gravity, dtype=float)
     min_ratio = np.inf
     max_load = 0.0
-    for k in range(mesh.n_cells):
-        eids = mesh.cell_edge_ids[k]
-        a_min = min(mesh.edge_A[e] for e in eids)
+    for k, edges in enumerate(cell_edges(mesh)):
+        a_min = min(mesh.edge_A[e] for e, _ in edges)
         min_ratio = min(min_ratio, a_min / mesh.cell_volumes[k])
         load = 0.0
-        for e in eids:
-            gp = max(float(mesh.normal_wrt(e, k) @ g), 0.0)
+        for e, normal in edges:
+            gp = max(float(normal @ g), 0.0)
             load += mesh.edge_measure[e] * gp * lam_prime_max + mesh.edge_A[e]
         max_load = max(max_load, 1.0 + dt / mesh.cell_volumes[k] * load)
     return alpha_low * min(1.0, dt * min_ratio), alpha_high * max_load
@@ -244,7 +256,7 @@ def jacobian_bounds_loop(mesh, dt, alpha_low, alpha_high, lam_prime_max, gravity
 
 def test_jacobian_bounds_matches_loop_oracle():
     top = build_rect_mesh(20, 20)
-    top.retag_boundary(lambda x: x[1] >= 1.0 - 1e-12 and x[0] <= 0.3 + 1e-12, DIRICHLET)
+    top.retag_boundary(lambda x: (x[:, 1] >= 1.0 - 1e-12) & (x[:, 0] <= 0.3 + 1e-12), DIRICHLET)
     cases = [
         (top, (0.0, -1.0)),
         (build_rect_mesh(7, 3, domain=((0.0, 2.0), (0.0, 0.3))), (0.3, -1.0)),
@@ -271,8 +283,8 @@ def test_jacobian_bounds_small_dt_limits():
     dt = 1e-9
     delta, Delta = jacobian_bounds(mesh, dt, 1.0, 1.0, 3.5, gravity=(0.0, -1.0))
     min_ratio = min(
-        min(mesh.edge_A[e] for e in mesh.cell_edge_ids[k]) / mesh.cell_volumes[k]
-        for k in range(16)
+        min(mesh.edge_A[e] for e, _ in edges) / mesh.cell_volumes[k]
+        for k, edges in enumerate(cell_edges(mesh))
     )
     assert delta == pytest.approx(dt * min_ratio)
     assert Delta == pytest.approx(1.0, rel=1e-5)

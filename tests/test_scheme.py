@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from richards.hydromodel import BrooksCoreyModel, Parametrization, mobility
-from richards.mesh import DIRICHLET, build_interval_mesh, build_rect_mesh
+from richards.mesh import DIRICHLET, build_interval_mesh, build_rect_mesh, load_mesh, save_mesh
 from richards.scheme import (
     Assembly,
     InitialField,
@@ -21,7 +21,7 @@ U = Parametrization(kind="u", model=MODEL)
 
 
 def make_step(mesh, param, gravity=(0.0, 0.0), dt=0.01, tau_prev=None, boundary_tau=None):
-    """tau -> (f, J) of one implicit step."""
+    """tau -> (f, J, s) of one implicit step."""
     if tau_prev is None:
         tau_prev = np.full(mesh.n_cells, 1e-6)
     system = Assembly(mesh, param, np.asarray(gravity, dtype=float), boundary_tau or {})
@@ -31,7 +31,9 @@ def make_step(mesh, param, gravity=(0.0, 0.0), dt=0.01, tau_prev=None, boundary_
 
 def edge_flux(mesh, param, gravity, tau_K, tau_Ksig, edge_id, from_cell):
     """Flux F_{K,sigma} through one edge, outward w.r.t. from_cell (scalar oracle)."""
-    n = mesh.normal_wrt(edge_id, from_cell)
+    k, l = mesh.edge_cells[edge_id]
+    assert from_cell in (k, l)
+    n = mesh.edge_normal[edge_id] * (1.0 if from_cell == k else -1.0)
     g = float(n @ np.asarray(gravity, dtype=float))
     m = mesh.edge_measure[edge_id]
     A = mesh.edge_A[edge_id]
@@ -71,6 +73,54 @@ def test_straddling_cell_gets_area_weighted_average():
     np.testing.assert_allclose(s[middle], 0.5, rtol=1e-12)
 
 
+def cell_average(field, mesh, k):
+    """Average of field over cell k, one cell at a time (reference)."""
+    if mesh.cell_boxes is None:
+        # general meshes carry no polygon data; sample at the center
+        x = mesh.cell_centers[k]
+        for bounds, value in field.boxes:
+            b = np.asarray(bounds, dtype=float)
+            if np.all(x >= b[:, 0]) and np.all(x < b[:, 1]):
+                return value
+        return field.default
+    cb = mesh.cell_boxes[k]
+    vol = mesh.cell_volumes[k]
+    acc = field.default * vol
+    for bounds, value in field.boxes:
+        b = np.asarray(bounds, dtype=float)
+        overlap = np.prod(
+            np.clip(np.minimum(cb[:, 1], b[:, 1]) - np.maximum(cb[:, 0], b[:, 0]), 0.0, None)
+        )
+        acc += (value - field.default) * overlap
+    return acc / vol
+
+
+def _loaded(tmp_path, nx, ny):
+    save_mesh(build_rect_mesh(nx, ny), tmp_path / "m.mesh")
+    return load_mesh(tmp_path / "m.mesh")
+
+
+@pytest.mark.parametrize("case", ["cut", "two boxes", "interval", "loaded"])
+def test_initial_averages_match_cell_loop(case, tmp_path):
+    mesh, boxes = {
+        "cut": (build_rect_mesh(5, 5), [([(0.0, 0.5), (0.13, 0.77)], 0.5)]),
+        "two boxes": (
+            build_rect_mesh(7, 6, domain=((-0.3, 1.1), (0.2, 2.0))),
+            [([(0.1, 0.45), (0.2, 0.61)], 0.3), ([(0.55, 0.93), (0.7, 1.95)], 0.7)],
+        ),
+        "interval": (build_interval_mesh(11, domain=(-0.7, 2.3)), [([(0.05, 1.3)], 0.4)]),
+        # centers on box bounds, and overlapping boxes: the first one wins
+        "loaded": (_loaded(tmp_path, 6, 5),
+                   [([(0.25, 0.75), (0.1, 0.5)], 0.3), ([(0.5, 1.0), (0.3, 0.9)], 0.7)]),
+    }[case]
+    field = InitialField(default=1e-6, boxes=boxes)
+    expected = np.array([cell_average(field, mesh, k) for k in range(mesh.n_cells)])
+    assert len(np.unique(expected)) > 2
+    # tau_star = 1 for this model, so tau0 = s0 on [0, 1)
+    assert TAU.params.tau_star == 1.0 and expected.max() < 1.0
+    assert np.array_equal(discretize_initial(field, mesh, TAU), expected)
+
+
 def test_initial_field_out_of_range():
     mesh = build_rect_mesh(2, 2)
     with pytest.raises(ValueError):
@@ -87,7 +137,7 @@ def test_initial_field_out_of_range():
 )
 def test_boundary_discretization_values(mode, kind, expected):
     mesh = build_rect_mesh(20, 20)
-    mesh.retag_boundary(lambda x: x[1] >= 1.0 - 1e-12 and x[0] <= 0.3 + 1e-12, DIRICHLET)
+    mesh.retag_boundary(lambda x: (x[:, 1] >= 1.0 - 1e-12) & (x[:, 0] <= 0.3 + 1e-12), DIRICHLET)
     model = BrooksCoreyModel(beta=4.0, p_b=-0.01, eta_mode=mode)
     param = Parametrization(kind=kind, model=model)
     bt = discretize_boundary(1.0, mesh, param)
@@ -162,7 +212,7 @@ def test_residual_matches_edge_flux_oracle():
     # f_K = s_K - s_K^{n-1} + (dt/m_K) sum_sigma F_{K,sigma}, summed edge by
     # edge with the scalar oracle, under oblique gravity and Dirichlet data
     mesh = build_rect_mesh(4, 3)
-    mesh.retag_boundary(lambda x: x[1] >= 1.0 - 1e-12 and x[0] <= 0.5, DIRICHLET)
+    mesh.retag_boundary(lambda x: (x[:, 1] >= 1.0 - 1e-12) & (x[:, 0] <= 0.5), DIRICHLET)
     g, dt = (0.2, -1.0), 0.01
     rng = np.random.default_rng(4)
     for param in (TAU, U):
@@ -207,7 +257,7 @@ def test_two_cell_hand_assembly():
 
 def test_dirichlet_edge_enters_residual():
     mesh = build_rect_mesh(1, 1)
-    mesh.retag_boundary(lambda x: x[1] >= 1.0 - 1e-12, DIRICHLET)
+    mesh.retag_boundary(lambda x: x[:, 1] >= 1.0 - 1e-12, DIRICHLET)
     tau_d = TAU.tau_of_pressure(1.0)
     bt = {int(e): tau_d for e in mesh.dirichlet_edges}
     step = make_step(mesh, TAU, dt=0.01, boundary_tau=bt)
@@ -228,9 +278,9 @@ def rand_states(rng, n, count):
 
 def test_jacobian_matches_directional_finite_differences():
     rect = build_rect_mesh(3, 3)
-    rect.retag_boundary(lambda x: x[1] >= 1.0 - 1e-12 and x[0] <= 0.3 + 1e-12, DIRICHLET)
+    rect.retag_boundary(lambda x: (x[:, 1] >= 1.0 - 1e-12) & (x[:, 0] <= 0.3 + 1e-12), DIRICHLET)
     interval_d = build_interval_mesh(7)
-    interval_d.retag_boundary(lambda x: x[0] >= 1.0 - 1e-12, DIRICHLET)
+    interval_d.retag_boundary(lambda x: x[:, 0] >= 1.0 - 1e-12, DIRICHLET)
     cases = [(rect, (0.0, -1.0)), (build_interval_mesh(7), (-1.0,)), (interval_d, (0.5,))]
     for mesh, gravity in cases:
         n = mesh.n_cells
@@ -265,7 +315,7 @@ def test_jacobian_symmetric_without_gravity():
 
 def test_offdiagonal_signs_and_column_sums():
     mesh = build_rect_mesh(4, 4)
-    mesh.retag_boundary(lambda x: x[1] >= 1.0 - 1e-12, DIRICHLET)
+    mesh.retag_boundary(lambda x: x[:, 1] >= 1.0 - 1e-12, DIRICHLET)
     bt = discretize_boundary(1.0, mesh, TAU)
     step = make_step(mesh, TAU, gravity=(0.0, -1.0), boundary_tau=bt)
     rng = np.random.default_rng(11)
