@@ -48,7 +48,6 @@ from .newton import (
 from .scheme import (
     Assembly,
     InitialField,
-    discretize_boundary,
     discretize_initial,
     evaluate,
 )

@@ -37,7 +37,7 @@ class Trajectory:
     times: np.ndarray  # t^0 .. t^N
     taus: list  # N+1 per-cell vectors
     newton_reports: list = field(default_factory=list)  # N reports
-    boundary_tau: dict = field(default_factory=dict)
+    tau_D: float | None = None  # value on the mesh's Dirichlet edges
 
     def __post_init__(self):
         if len(self.taus) != len(self.times):
@@ -94,7 +94,7 @@ def mass_error(trajectory: Trajectory) -> float:
 
     Only meaningful on fully no-flux boundaries; refused otherwise.
     """
-    if trajectory.mesh.dirichlet_edges.size or trajectory.boundary_tau:
+    if trajectory.mesh.dirichlet_edges.size:
         raise ValueError("mass_error requires an all-no-flux boundary")
     m = trajectory.mesh.cell_volumes
     sats = trajectory.saturations()
@@ -124,17 +124,15 @@ def energy_series(trajectory: Trajectory, reference_tau=0.0) -> np.ndarray:
     )
 
 
-def xi_seminorm(tau, mesh: Mesh, param: Parametrization, boundary_tau=None) -> float:
+def xi_seminorm(tau, mesh: Mesh, param: Parametrization, tau_D=None) -> float:
     """Discrete H1 seminorm of xi(tau), xi(t) = int_0^t sqrt(u'(a)) da.
 
-    Dirichlet edges contribute boundary terms with xi(tau_D); with no
-    Dirichlet data the interior edge sum alone is returned.
+    With tau_D given, the mesh's Dirichlet edges contribute boundary terms
+    with xi(tau_D); without it the interior edge sum alone is returned.
     """
     xi = np.asarray(param.xi(np.asarray(tau, dtype=float)), dtype=float)
-    xi_bnd = None
-    if boundary_tau:
-        xi_bnd = {int(e): float(param.xi(v)) for e, v in boundary_tau.items()}
-    return discrete_h1_inner(mesh, xi, xi, xi_bnd, xi_bnd)
+    xi_D = None if tau_D is None else float(param.xi(tau_D))
+    return discrete_h1_inner(mesh, xi, xi, xi_D, xi_D)
 
 
 def contraction_check(run_a: Trajectory, run_b: Trajectory) -> np.ndarray:
@@ -150,7 +148,9 @@ def contraction_check(run_a: Trajectory, run_b: Trajectory) -> np.ndarray:
         run_a.times, run_b.times, rtol=0.0, atol=1e-12
     ):
         raise ValueError("time grids differ")
-    if run_a.boundary_tau != run_b.boundary_tau:
+    if run_a.tau_D != run_b.tau_D or not np.array_equal(
+        run_a.mesh.dirichlet_edges, run_b.mesh.dirichlet_edges
+    ):
         raise ValueError("boundary data differ")
     m = run_a.mesh.cell_volumes
     d = np.array(

@@ -24,7 +24,7 @@ from .diagnostics import Trajectory, linf_l1_error, mass_error
 from .hydromodel import BrooksCoreyModel, Parametrization
 from .mesh import DIRICHLET, Mesh, build_rect_mesh, load_mesh
 from .newton import NewtonConfig, newton_solve
-from .scheme import Assembly, InitialField, discretize_boundary, discretize_initial
+from .scheme import Assembly, InitialField, discretize_initial
 from .vtkio import write_vtk
 
 __all__ = [
@@ -197,13 +197,10 @@ def run(config: RunConfig, mesh: Mesh | None = None, callback=None) -> RunResult
     param = Parametrization(kind=config.formulation, model=model)
     s0 = InitialField(default=config.s0_default, boxes=list(config.s0_boxes))
     tau = discretize_initial(s0, mesh, param)
-    boundary_tau = (
-        discretize_boundary(config.p_dirichlet, mesh, param)
-        if config.p_dirichlet is not None
-        else {}
-    )
+    p_D = config.p_dirichlet
+    tau_D = None if p_D is None else float(param.tau_of_pressure(p_D))
     gravity = np.asarray(config.gravity, dtype=float)[: mesh.dim]
-    system = Assembly(mesh, param, gravity, boundary_tau)
+    system = Assembly(mesh, param, gravity, tau_D)
     ncfg = NewtonConfig(eps=config.eps)
 
     times = [0.0]
@@ -248,10 +245,10 @@ def run(config: RunConfig, mesh: Mesh | None = None, callback=None) -> RunResult
         mesh=mesh, param=param,
         times=np.asarray(times), taus=taus,
         newton_reports=reports[: len(taus) - 1],
-        boundary_tau=boundary_tau,
+        tau_D=tau_D,
     )
     m_err = None
-    if not boundary_tau and converged and len(taus) > 0:
+    if converged and not mesh.dirichlet_edges.size:
         m_err = mass_error(traj)
     wall_ms = (time.perf_counter() - t0) * 1e3
     return RunResult(

@@ -296,13 +296,14 @@ def validate_admissibility(mesh: Mesh) -> ValidationReport:
 # -- discrete H1 inner product ----------------------------------------------
 
 
-def discrete_h1_inner(mesh: Mesh, v, w, v_bnd=None, w_bnd=None) -> float:
+def discrete_h1_inner(mesh: Mesh, v, w, v_D=None, w_D=None) -> float:
     """Edge-sum bilinear form of the discrete gradient reconstruction.
 
     sum over interior sigma=K|L of A_sigma (v_K - v_L)(w_K - w_L), plus
-    A_sigma (v_K - v_sigma)(w_K - w_sigma) over boundary edges that carry a
-    boundary value.  v_bnd/w_bnd map edge id -> value; edges absent from
-    both contribute nothing (no-flux edges).
+    A_sigma (v_K - v_D)(w_K - w_D) over ``mesh.dirichlet_edges`` when the
+    boundary values are given.  v_D and w_D are each a scalar or an array
+    in the order of ``mesh.dirichlet_edges``; give both or neither.
+    Without them only interior edges contribute; no-flux edges never do.
     """
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -310,17 +311,17 @@ def discrete_h1_inner(mesh: Mesh, v, w, v_bnd=None, w_bnd=None) -> float:
         raise ValueError(
             f"expected cell vectors of length {mesh.n_cells}, got {v.shape} and {w.shape}"
         )
-    v_bnd = v_bnd or {}
-    w_bnd = w_bnd or {}
-    if set(v_bnd) != set(w_bnd):
-        raise ValueError("v and w must carry boundary values on the same edges")
+    if (v_D is None) != (w_D is None):
+        raise ValueError("give boundary values for both v and w, or for neither")
     ie = mesh.interior_edges
     kk, ll = mesh.edge_cells[ie, 0], mesh.edge_cells[ie, 1]
     total = float(np.sum(mesh.edge_A[ie] * (v[kk] - v[ll]) * (w[kk] - w[ll])))
-    for e, vb in v_bnd.items():
-        k = mesh.edge_cells[e, 0]
-        total += mesh.edge_A[e] * (v[k] - vb) * (w[k] - w_bnd[e])
-    return total
+    if v_D is None:
+        return total
+    de = mesh.dirichlet_edges
+    kk = mesh.edge_cells[de, 0]
+    v_D, w_D = (np.broadcast_to(np.asarray(x, dtype=float), de.shape) for x in (v_D, w_D))
+    return total + float(np.sum(mesh.edge_A[de] * (v[kk] - v_D) * (w[kk] - w_D)))
 
 
 # -- text format -------------------------------------------------------------
@@ -363,7 +364,8 @@ def load_mesh(path) -> Mesh:
     ``cell <id> <volume> <center...>`` and one line per edge, either
     ``edge <id> <measure> interior <K> <L> <dK> <dL>`` or
     ``edge <id> <measure> boundary <K> <dK> <xsigma...> <dirichlet|noflux>``.
-    Cell ids lie in [0, ncells) and edge ids in [0, nedges).
+    Cell ids lie in [0, ncells) and edge ids in [0, nedges), and each id
+    has exactly one record.
 
     Normals are reconstructed from the center geometry (the orthogonality
     condition makes them collinear with the center segments).  The domain
@@ -390,6 +392,7 @@ def load_mesh(path) -> Mesh:
     xs = np.full((nedges, dim), np.nan)
     tags = np.full(nedges, -1, dtype=int)
 
+    seen = set()  # (record kind, id)
     for ln in raw[1:]:
         tok = ln.split()
         try:
@@ -418,6 +421,10 @@ def load_mesh(path) -> Mesh:
             raise
         except (IndexError, ValueError, KeyError) as exc:
             raise MeshError(f"{path}: malformed line {ln!r} ({exc})") from exc
+        record = (tok[0], int(tok[1]))
+        if record in seen:
+            raise MeshError(f"{path}: duplicate {tok[0]} record {record[1]}")
+        seen.add(record)
 
     if np.any(np.isnan(volumes)) or np.any(tags < 0):
         raise MeshError(f"{path}: missing cell or edge records")

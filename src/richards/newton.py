@@ -51,10 +51,16 @@ class NewtonConfig:
 
 @dataclass
 class NewtonReport:
-    iterations: int
-    residual_history: list
+    residual_history: list  # ||F||_1 at tau_init and after each iteration
     converged: bool
-    final_residual: float
+
+    @property
+    def iterations(self) -> int:
+        return len(self.residual_history) - 1
+
+    @property
+    def final_residual(self) -> float:
+        return self.residual_history[-1]
 
 
 def linear_solve(A, b) -> np.ndarray:
@@ -100,12 +106,7 @@ def newton_solve(system: Assembly, dt: float, s_prev, tau_init, config: NewtonCo
         res = float(np.sum(np.abs(f)))
         history.append(res)
     converged = bool(np.isfinite(res) and res <= tol)
-    return tau, s, NewtonReport(
-        iterations=len(history) - 1,
-        residual_history=history,
-        converged=converged,
-        final_residual=res,
-    )
+    return tau, s, NewtonReport(residual_history=history, converged=converged)
 
 
 # -- M-matrix analysis ---------------------------------------------------------

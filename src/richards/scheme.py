@@ -12,7 +12,8 @@ with the two-point flux
 
 where g = gravity . n_{K,sigma} and g+/g- are its positive/negative
 parts (upwinded mobility).  No-flux boundary edges are simply omitted
-from the sum; Dirichlet edges use the boundary value tau_{D,sigma}.
+from the sum.  On the edges the mesh tags Dirichlet, one constant boundary
+value tau_D = p^{-1}(p_D) takes the place of the outer cell.
 """
 
 from __future__ import annotations
@@ -23,13 +24,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from .hydromodel import SPRIME_CAP, Parametrization, mobility, mobility_derivative
-from .mesh import DIRICHLET, Mesh
+from .mesh import Mesh
 
 __all__ = [
     "Assembly",
     "InitialField",
     "discretize_initial",
-    "discretize_boundary",
     "evaluate",
 ]
 
@@ -82,32 +82,24 @@ def discretize_initial(s0: InitialField | float, mesh: Mesh, param: Parametrizat
     return np.asarray(param.sat_inverse(s_cells), dtype=float)
 
 
-def discretize_boundary(p_D: float, mesh: Mesh, param: Parametrization) -> dict:
-    """Dirichlet boundary values tau_{D,sigma} = p^{-1}(p_D) per Dirichlet edge.
-
-    p_D is constant in the test cases, so the values are time-independent.
-    """
-    tau_d = float(param.tau_of_pressure(p_D))
-    return {int(e): tau_d for e in mesh.dirichlet_edges}
-
-
 class Assembly:
     """Fixed data of the step residual on one mesh, built once per run.
 
-    Holds the edge arrays of the flux sum (interior edges first, then the
-    Dirichlet edges, whose outer cell is the boundary value), the boundary
-    values (u, lam) and the CSC sparsity pattern of the Jacobian with
-    the map from each assembled term to its CSC position.  Nothing here
-    depends on dt, the history or the iterate.
+    Holds the edge arrays of the flux sum (interior edges first, then
+    ``mesh.dirichlet_edges``, whose outer cell is tau_D =
+    param.tau_of_pressure(p_D)), the boundary values (u, lam) of tau_D and
+    the CSC sparsity pattern of the Jacobian with the map from each
+    assembled term to its CSC position.  Nothing here depends on dt, the
+    history or the iterate.  A mesh with Dirichlet edges needs tau_D.
     """
 
-    def __init__(self, mesh: Mesh, param: Parametrization, gravity, boundary_tau: dict):
+    def __init__(self, mesh: Mesh, param: Parametrization, gravity, tau_D: float | None = None):
         self.mesh = mesh
         self.param = param
         gravity = np.asarray(gravity, dtype=float)
-        de = np.array(sorted(boundary_tau), dtype=int)
-        if de.size and not np.all(mesh.edge_tag[de] == DIRICHLET):
-            raise ValueError("boundary_tau keys must be Dirichlet edges")
+        de = mesh.dirichlet_edges
+        if de.size and tau_D is None:
+            raise ValueError(f"{de.size} Dirichlet edges {de.tolist()} have no boundary value")
         ie = mesh.interior_edges
         edges = np.concatenate([ie, de])
         self.n_interior = ni = ie.size
@@ -120,7 +112,7 @@ class Assembly:
         self.gn = np.clip(-gn, 0.0, None)
         self.mgp = self.m * self.gp
         self.mgn = self.m[:ni] * self.gn[:ni]
-        sD, uD, _, _ = param.eval(np.array([boundary_tau[int(e)] for e in de], dtype=float))
+        sD, uD, _, _ = param.eval(np.full(de.size, tau_D, dtype=float))
         self.u_D = np.asarray(uD, dtype=float)
         self.lam_D = np.asarray(mobility(param.model, sD), dtype=float)
 

@@ -49,7 +49,6 @@ from richards.newton import (
 from richards.scheme import (
     Assembly,
     InitialField,
-    discretize_boundary,
     discretize_initial,
     evaluate,
 )
@@ -158,8 +157,8 @@ def test_criterion_3_jacobian_vs_finite_differences():
     for kind in ("tau", "u"):
         param = Parametrization(kind=kind, model=m)
         tau0 = discretize_initial(InitialField(default=1e-6), mesh, param)
-        bt = discretize_boundary(1.0, mesh, param)
-        system = Assembly(mesh, param, np.array([0.0, -1.0]), bt)
+        tau_D = float(param.tau_of_pressure(1.0))
+        system = Assembly(mesh, param, np.array([0.0, -1.0]), tau_D)
         s_prev = np.asarray(param.eval(tau0)[0], dtype=float)
 
         def residual(tau):
@@ -222,8 +221,8 @@ def test_criterion_4_mmatrix_suite():
     )
     m = BrooksCoreyModel(beta=4.0, p_b=-1e-2)
     param = Parametrization(kind="tau", model=m)
-    bt = discretize_boundary(1.0, mesh5, param)
-    system = Assembly(mesh5, param, gravity, bt)
+    tau_D = float(param.tau_of_pressure(1.0))
+    system = Assembly(mesh5, param, gravity, tau_D)
     d5, D5 = jacobian_bounds(mesh5, 0.01, 1.0, 1.0, lam_prime_max, gravity)
     rng = np.random.default_rng(0)
     min_entry, worst_ratio = np.inf, 0.0

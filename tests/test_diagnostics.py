@@ -20,13 +20,13 @@ from richards.mesh import DIRICHLET, build_interval_mesh, build_rect_mesh
 MODEL = BrooksCoreyModel(beta=4.0, p_b=-0.01)
 
 
-def make_traj(mesh, param, taus, boundary_tau=None):
+def make_traj(mesh, param, taus, tau_D=None):
     return Trajectory(
         mesh=mesh,
         param=param,
         times=np.arange(len(taus), dtype=float),
         taus=[np.asarray(t, dtype=float) for t in taus],
-        boundary_tau=boundary_tau or {},
+        tau_D=tau_D,
     )
 
 
@@ -158,8 +158,7 @@ def test_xi_constant_field_vanishes():
     mesh.retag_boundary(lambda x: x[:, 0] <= 1e-12, DIRICHLET)
     param = Parametrization(kind="tau", model=MODEL)
     tau = np.full(9, 0.8)
-    bnd = {int(e): 0.8 for e in mesh.dirichlet_edges}
-    assert xi_seminorm(tau, mesh, param, bnd) == pytest.approx(0.0, abs=1e-14)
+    assert xi_seminorm(tau, mesh, param, 0.8) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_xi_affine_on_upper_branch():
@@ -205,6 +204,16 @@ def test_contraction_config_mismatch():
     b = make_traj(mesh, param, [np.zeros(4)] * 3)
     with pytest.raises(ValueError):
         contraction_check(a, b)
+    # same mesh size and times, but another boundary value or Dirichlet edge set
+    top, left = build_rect_mesh(2, 2), build_rect_mesh(2, 2)
+    top.retag_boundary(lambda x: x[:, 1] >= 1.0 - 1e-12, DIRICHLET)
+    left.retag_boundary(lambda x: x[:, 0] <= 1e-12, DIRICHLET)
+    taus = [np.zeros(4)] * 2
+    a = make_traj(top, param, taus, tau_D=2.0)
+    assert contraction_check(a, make_traj(top, param, taus, tau_D=2.0)).shape == (1,)
+    for b in (make_traj(top, param, taus, tau_D=1.5), make_traj(left, param, taus, tau_D=2.0)):
+        with pytest.raises(ValueError, match="boundary data differ"):
+            contraction_check(a, b)
 
 
 # -- quadratic tail ------------------------------------------------------------

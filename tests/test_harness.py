@@ -99,10 +99,7 @@ def test_adaptive_dt_recovers_from_failure(monkeypatch):
             from richards.newton import NewtonReport
 
             return np.array(tau_init), s_prev, NewtonReport(
-                iterations=config.max_iter,
-                residual_history=[1.0] * (config.max_iter + 1),
-                converged=False,
-                final_residual=1.0,
+                residual_history=[1.0] * (config.max_iter + 1), converged=False
             )
         return real(system, dt, s_prev, tau_init, config, callback)
 
@@ -293,12 +290,45 @@ def test_cli_validate_mesh(tmp_path):
     assert out.returncode == 2
     assert "outside [0, 4)" in out.stderr and "Traceback" not in out.stderr
 
+    save_mesh(build_rect_mesh(2, 2), path)  # edge 5 is a no-flux boundary edge
+    path.write_text(path.read_text() + "edge 5 0.5 boundary 1 0.25 1 0.25 dirichlet\n")
+    out = cli("validate-mesh", str(path))
+    assert out.returncode == 2
+    assert "duplicate edge record 5" in out.stderr and "Traceback" not in out.stderr
+
 
 def test_cli_oracle_table():
     out = cli("oracle-kirchhoff", "--beta", "4", "--pb", "-0.01")
     assert out.returncode == 0
     assert "eta_mode=derived" in out.stdout
     assert "eta_mode=legacy" in out.stdout
+
+
+def test_cli_refuses_dirichlet_edges_without_value(tmp_path, monkeypatch, capsys):
+    # a mesh file may tag Dirichlet edges itself; test2 sets no p_dirichlet,
+    # so the run has no boundary value for them and must stop before any step
+    import richards.harness as H
+    from richards.cli import main
+    from richards.mesh import DIRICHLET, build_rect_mesh, save_mesh
+
+    mesh = build_rect_mesh(4, 4)
+    assert mesh.retag_boundary(lambda x: x[:, 1] >= 1.0 - 1e-12, DIRICHLET) == 4
+    path = tmp_path / "m.mesh"
+    save_mesh(mesh, path)
+
+    def newton_solve(*args, **kwargs):
+        raise AssertionError("a Newton step was started")
+
+    monkeypatch.setattr(H, "newton_solve", newton_solve)
+    code = main([
+        "run", "--case", "test2", "--eps", "1e-6", "--tend", "2e3",
+        "--mesh", f"file:{path}", "--out", str(tmp_path / "out"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"4 Dirichlet edges {mesh.dirichlet_edges.tolist()}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "summary.csv").exists()
 
 
 def test_cli_mesh_file_run(tmp_path):

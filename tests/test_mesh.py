@@ -202,8 +202,7 @@ def test_h1_constant_field_vanishes():
     mesh = build_rect_mesh(4, 4)
     mesh.retag_boundary(lambda x: x[:, 1] >= 1.0 - 1e-12, DIRICHLET)
     v = np.full(mesh.n_cells, 3.7)
-    bnd = {int(e): 3.7 for e in mesh.dirichlet_edges}
-    assert discrete_h1_inner(mesh, v, v, bnd, bnd) == 0.0
+    assert discrete_h1_inner(mesh, v, v, 3.7, 3.7) == 0.0
 
 
 def test_h1_two_cell_single_edge():
@@ -217,8 +216,8 @@ def test_h1_affine_field_exact():
     mesh = build_rect_mesh(20, 20)
     mesh.retag_boundary(lambda x: np.ones(len(x), dtype=bool), DIRICHLET)
     v = mesh.cell_centers[:, 1]
-    bnd = {int(e): float(mesh.edge_x[e][1]) for e in mesh.dirichlet_edges}
-    assert discrete_h1_inner(mesh, v, v, bnd, bnd) == pytest.approx(1.0, abs=1e-10)
+    v_D = mesh.edge_x[mesh.dirichlet_edges, 1]
+    assert discrete_h1_inner(mesh, v, v, v_D, v_D) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_h1_size_and_key_mismatch():
@@ -226,9 +225,10 @@ def test_h1_size_and_key_mismatch():
     with pytest.raises(ValueError):
         discrete_h1_inner(mesh, [0.0, 1.0], [0.0, 1.0, 2.0, 3.0])
     mesh.retag_boundary(lambda x: x[:, 0] <= 1e-12, DIRICHLET)
-    e = int(mesh.dirichlet_edges[0])
     with pytest.raises(ValueError):
-        discrete_h1_inner(mesh, np.zeros(4), np.zeros(4), {e: 1.0}, {})
+        discrete_h1_inner(mesh, np.zeros(4), np.zeros(4), 1.0, None)
+    with pytest.raises(ValueError):  # two Dirichlet edges, three values
+        discrete_h1_inner(mesh, np.zeros(4), np.zeros(4), np.ones(3), np.ones(3))
 
 
 @given(st.integers(2, 6), st.integers(1, 5), st.data())
@@ -332,6 +332,20 @@ def test_out_of_range_ids_rejected(tmp_path, line, replacement):
     assert line in text
     path.write_text(text.replace(line, replacement))
     with pytest.raises(MeshError, match="outside"):
+        load_mesh(path)
+
+
+@pytest.mark.parametrize("kind,record", [
+    ("edge", "edge 5 0.5 boundary 1 0.25 1 0.25 dirichlet"),  # first given as noflux
+    ("cell", "cell 2 0.25 0.25 0.75"),
+])
+def test_duplicate_records_rejected(tmp_path, kind, record):
+    path = tmp_path / "m.mesh"
+    save_mesh(build_rect_mesh(2, 2), path)
+    text = path.read_text()
+    assert record.replace("dirichlet", "noflux") in text
+    path.write_text(text + record + "\n")
+    with pytest.raises(MeshError, match=f"duplicate {kind} record {record.split()[1]}$"):
         load_mesh(path)
 
 

@@ -10,7 +10,6 @@ from richards.mesh import DIRICHLET, build_interval_mesh, build_rect_mesh, load_
 from richards.scheme import (
     Assembly,
     InitialField,
-    discretize_boundary,
     discretize_initial,
     evaluate,
 )
@@ -20,11 +19,11 @@ TAU = Parametrization(kind="tau", model=MODEL)
 U = Parametrization(kind="u", model=MODEL)
 
 
-def make_step(mesh, param, gravity=(0.0, 0.0), dt=0.01, tau_prev=None, boundary_tau=None):
+def make_step(mesh, param, gravity=(0.0, 0.0), dt=0.01, tau_prev=None, tau_D=None):
     """tau -> (f, J, s) of one implicit step."""
     if tau_prev is None:
         tau_prev = np.full(mesh.n_cells, 1e-6)
-    system = Assembly(mesh, param, np.asarray(gravity, dtype=float), boundary_tau or {})
+    system = Assembly(mesh, param, np.asarray(gravity, dtype=float), tau_D)
     s_prev = np.asarray(param.eval(tau_prev)[0], dtype=float)
     return lambda tau: evaluate(system, dt, s_prev, tau)
 
@@ -140,15 +139,23 @@ def test_boundary_discretization_values(mode, kind, expected):
     mesh.retag_boundary(lambda x: (x[:, 1] >= 1.0 - 1e-12) & (x[:, 0] <= 0.3 + 1e-12), DIRICHLET)
     model = BrooksCoreyModel(beta=4.0, p_b=-0.01, eta_mode=mode)
     param = Parametrization(kind=kind, model=model)
-    bt = discretize_boundary(1.0, mesh, param)
-    assert len(bt) == 6
-    for v in bt.values():
-        assert v == pytest.approx(expected, rel=1e-6)
+    tau_D = float(param.tau_of_pressure(1.0))
+    assert tau_D == pytest.approx(expected, rel=1e-6)
+    system = Assembly(mesh, param, np.zeros(2), tau_D)
+    assert system.u_D.shape == (6,)
+    assert np.all(system.u_D == float(param.eval(tau_D)[1]))
 
 
 def test_no_dirichlet_edges_gives_empty_boundary():
+    system = Assembly(build_rect_mesh(4, 4), TAU, np.zeros(2))
+    assert system.u_D.size == 0 and system.lam_D.size == 0
+
+
+def test_dirichlet_edges_without_boundary_value_refused():
     mesh = build_rect_mesh(4, 4)
-    assert discretize_boundary(1.0, mesh, TAU) == {}
+    mesh.retag_boundary(lambda x: x[:, 1] >= 1.0 - 1e-12, DIRICHLET)
+    with pytest.raises(ValueError, match=r"4 Dirichlet edges \[\d+, \d+, \d+, \d+\]"):
+        Assembly(mesh, TAU, np.zeros(2), None)
 
 
 # -- fluxes --------------------------------------------------------------------
@@ -216,9 +223,9 @@ def test_residual_matches_edge_flux_oracle():
     g, dt = (0.2, -1.0), 0.01
     rng = np.random.default_rng(4)
     for param in (TAU, U):
-        bt = discretize_boundary(1.0, mesh, param)
+        tau_D = float(param.tau_of_pressure(1.0))
         tau_prev = rng.uniform(0.0, 2.2, 12)
-        step = make_step(mesh, param, gravity=g, dt=dt, tau_prev=tau_prev, boundary_tau=bt)
+        step = make_step(mesh, param, gravity=g, dt=dt, tau_prev=tau_prev, tau_D=tau_D)
         tau = rng.uniform(-0.2, 2.2, 12)
         flux = np.zeros(12)
         for e in range(mesh.n_edges):
@@ -226,8 +233,8 @@ def test_residual_matches_edge_flux_oracle():
             if l >= 0:
                 flux[k] += edge_flux(mesh, param, g, tau[k], tau[l], e, k)
                 flux[l] += edge_flux(mesh, param, g, tau[l], tau[k], e, l)
-            elif e in bt:
-                flux[k] += edge_flux(mesh, param, g, tau[k], bt[e], e, k)
+            elif mesh.edge_tag[e] == DIRICHLET:
+                flux[k] += edge_flux(mesh, param, g, tau[k], tau_D, e, k)
         expected = (
             np.asarray(param.eval(tau)[0]) - np.asarray(param.eval(tau_prev)[0])
             + dt / mesh.cell_volumes * flux
@@ -259,8 +266,7 @@ def test_dirichlet_edge_enters_residual():
     mesh = build_rect_mesh(1, 1)
     mesh.retag_boundary(lambda x: x[:, 1] >= 1.0 - 1e-12, DIRICHLET)
     tau_d = TAU.tau_of_pressure(1.0)
-    bt = {int(e): tau_d for e in mesh.dirichlet_edges}
-    step = make_step(mesh, TAU, dt=0.01, boundary_tau=bt)
+    step = make_step(mesh, TAU, dt=0.01, tau_D=tau_d)
     tau = np.array([1e-6])
     f = step(tau)[0]
     e = int(mesh.dirichlet_edges[0])
@@ -284,8 +290,7 @@ def test_jacobian_matches_directional_finite_differences():
     cases = [(rect, (0.0, -1.0)), (build_interval_mesh(7), (-1.0,)), (interval_d, (0.5,))]
     for mesh, gravity in cases:
         n = mesh.n_cells
-        bt = discretize_boundary(1.0, mesh, TAU)
-        step = make_step(mesh, TAU, gravity=gravity, boundary_tau=bt)
+        step = make_step(mesh, TAU, gravity=gravity, tau_D=float(TAU.tau_of_pressure(1.0)))
         rng = np.random.default_rng(7)
         for tau in rand_states(rng, n, 5):
             J = step(tau)[1]
@@ -316,8 +321,7 @@ def test_jacobian_symmetric_without_gravity():
 def test_offdiagonal_signs_and_column_sums():
     mesh = build_rect_mesh(4, 4)
     mesh.retag_boundary(lambda x: x[:, 1] >= 1.0 - 1e-12, DIRICHLET)
-    bt = discretize_boundary(1.0, mesh, TAU)
-    step = make_step(mesh, TAU, gravity=(0.0, -1.0), boundary_tau=bt)
+    step = make_step(mesh, TAU, gravity=(0.0, -1.0), tau_D=float(TAU.tau_of_pressure(1.0)))
     rng = np.random.default_rng(11)
     dirichlet_cells = set(int(mesh.edge_cells[e, 0]) for e in mesh.dirichlet_edges)
     for tau in rand_states(rng, 16, 5):
