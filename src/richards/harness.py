@@ -91,8 +91,6 @@ class RunConfig:
         ratio = self.t_end / self.dt
         if abs(ratio - round(ratio)) > 1e-9:
             raise ConfigError(f"t_end/dt = {ratio!r} is not integral")
-        if (self.dirichlet_box is None) != (self.p_dirichlet is None):
-            raise ConfigError("dirichlet_box and p_dirichlet must be given together")
 
     @property
     def n_steps(self) -> int:
@@ -304,6 +302,7 @@ def _config_echo(config: RunConfig) -> list:
     ]
     if config.p_dirichlet is not None:
         pairs.append(("p_dirichlet", fmt(config.p_dirichlet)))
+    if config.dirichlet_box is not None:
         box = np.asarray(config.dirichlet_box, dtype=float)
         pairs.append(("dirichlet_box", " ".join(fmt(v) for v in box.ravel())))
     return [f"# {k} = {v}" for k, v in pairs]

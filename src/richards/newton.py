@@ -10,7 +10,6 @@ conditions and compute the bound on concrete matrices.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,9 +130,9 @@ def mmatrix_analyze(A, delta: float, Delta: float, atol_scale: float = 1e-9) -> 
 
     Verifies sign pattern, diagonal bounds, nonnegative column sums, a
     nonempty strongly-dominant column set I_delta, and for every column
-    outside I_delta a delta-transmissive path to I_delta (breadth-first
-    search on the arcs i -> j with A[j, i] < -delta, i.e. paths in A^T).
-    Small roundoff slack atol = atol_scale * Delta is allowed.
+    outside I_delta a delta-transmissive path to I_delta (unweighted
+    shortest paths on the arcs i -> j with A[j, i] < -delta, i.e. paths in
+    A^T).  Small roundoff slack atol = atol_scale * Delta is allowed.
     """
     A = sp.csr_matrix(A)
     n = A.shape[0]
@@ -159,33 +158,23 @@ def mmatrix_analyze(A, delta: float, Delta: float, atol_scale: float = 1e-9) -> 
     if np.any(colsum < -atol):
         violations.append(f"negative column sum {float(colsum.min())!r}")
 
-    strong = np.flatnonzero(colsum >= delta - atol)
+    is_strong = colsum >= delta - atol
+    strong = np.flatnonzero(is_strong)
     path_lengths: dict = {}
     path_cover: dict = {}
     max_len = 0
     if strong.size == 0:
         violations.append("I_delta is empty")
     else:
-        # reverse BFS from I_delta along arcs i -> j with A[j, i] < -delta:
-        # predecessors of j are columns i with A[j, i] < -delta, i.e. the
-        # strictly sub-(-delta) entries of row j.
-        dist = np.full(n, -1, dtype=int)
-        parent = np.full(n, -1, dtype=int)
-        dist[strong] = 0
-        queue = deque(int(j) for j in strong)
-        indptr, indices, data = A.indptr.tolist(), A.indices.tolist(), A.data.tolist()
-        while queue:
-            j = queue.popleft()
-            for p in range(indptr[j], indptr[j + 1]):
-                i = indices[p]
-                if i != j and data[p] < -(delta - atol) and dist[i] < 0:
-                    dist[i] = dist[j] + 1
-                    parent[i] = j
-                    queue.append(int(i))
-        for i in range(n):
-            if colsum[i] >= delta - atol:
-                continue
-            if dist[i] < 0:
+        from scipy.sparse.csgraph import dijkstra  # deferred: the import costs ~5 ms
+
+        # shortest paths from I_delta along the arcs j -> i with A[j, i] < -delta
+        arc = off & (coo.data < -(delta - atol))
+        G = sp.csr_matrix((np.ones(arc.sum()), (coo.row[arc], coo.col[arc])), shape=(n, n))
+        dist, parent, _ = dijkstra(G, indices=strong, unweighted=True, min_only=True,
+                                   return_predecessors=True)
+        for i in np.flatnonzero(~is_strong).tolist():
+            if np.isinf(dist[i]):
                 path_lengths[i] = None
                 path_cover[i] = None
                 violations.append(f"column {i}: no delta-transmissive path to I_delta")

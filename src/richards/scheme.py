@@ -90,7 +90,8 @@ class Assembly:
     param.tau_of_pressure(p_D)), the boundary values (u, lam) of tau_D and
     the CSC sparsity pattern of the Jacobian with the map from each
     assembled term to its CSC position.  Nothing here depends on dt, the
-    history or the iterate.  A mesh with Dirichlet edges needs tau_D.
+    history or the iterate.  tau_D is given exactly when the mesh has
+    Dirichlet edges.
     """
 
     def __init__(self, mesh: Mesh, param: Parametrization, gravity, tau_D: float | None = None):
@@ -100,6 +101,9 @@ class Assembly:
         de = mesh.dirichlet_edges
         if de.size and tau_D is None:
             raise ValueError(f"{de.size} Dirichlet edges {de.tolist()} have no boundary value")
+        if not de.size and tau_D is not None:
+            raise ValueError(f"boundary value tau_D = {tau_D!r} given, but the mesh "
+                             "has no Dirichlet edges")
         ie = mesh.interior_edges
         edges = np.concatenate([ie, de])
         self.n_interior = ni = ie.size

@@ -249,7 +249,7 @@ def test_cli_singular_jacobian_exits_newton_failure(tmp_path, monkeypatch, capsy
 def test_import_leaves_out_scipy_integrate():
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, richards; print('scipy.integrate' in sys.modules)"],
+         "import sys, richards.cli; print('scipy.integrate' in sys.modules)"],
         capture_output=True, text=True,
     )
     assert out.returncode == 0, out.stderr
@@ -296,6 +296,21 @@ def test_cli_validate_mesh(tmp_path):
     assert out.returncode == 2
     assert "duplicate edge record 5" in out.stderr and "Traceback" not in out.stderr
 
+    # nan geometry fails every comparison; validation must report it
+    save_mesh(build_rect_mesh(2, 2), path)
+    text = path.read_text()
+    for record, bad, message in [
+        ("cell 0 0.25 0.25 0.25", "cell 0 0.25 nan 0.25", "edge 0 = 0|1: center distance nan"),
+        ("edge 5 0.5 boundary 1 0.25 1 0.25", "edge 5 0.5 boundary 1 0.25 nan 0.25",
+         "edge 5 (boundary of 1): |x_K - x_sigma| = nan"),
+        ("cell 0 0.25 0.25 0.25", "cell 0 nan 0.25 0.25", "cell 0: non-positive volume nan"),
+    ]:
+        assert record in text
+        path.write_text(text.replace(record, bad))
+        out = cli("validate-mesh", str(path))
+        assert out.returncode == 2, bad
+        assert message in out.stderr and "Traceback" not in out.stderr, out.stderr
+
 
 def test_cli_oracle_table():
     out = cli("oracle-kirchhoff", "--beta", "4", "--pb", "-0.01")
@@ -329,6 +344,29 @@ def test_cli_refuses_dirichlet_edges_without_value(tmp_path, monkeypatch, capsys
     assert f"4 Dirichlet edges {mesh.dirichlet_edges.tolist()}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out" / "summary.csv").exists()
+
+
+def test_cli_p_dirichlet_needs_dirichlet_edges(tmp_path, capsys):
+    # a mesh file that tags its own Dirichlet edges takes p_dirichlet alone;
+    # on a mesh without Dirichlet edges p_dirichlet is refused before any step
+    from richards.cli import main
+    from richards.mesh import DIRICHLET, build_rect_mesh, save_mesh
+
+    mesh = build_rect_mesh(4, 4)
+    assert mesh.retag_boundary(lambda x: x[:, 1] >= 1.0 - 1e-12, DIRICHLET) == 4
+    path = tmp_path / "m.mesh"
+    save_mesh(mesh, path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"case = test2\nmesh = file:{path}\np_dirichlet = 1\ntend = 2e3\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+    text = (tmp_path / "a" / "summary.csv").read_text()
+    assert "# p_dirichlet = 1\n" in text and "dirichlet_box" not in text
+
+    code = main(["run", "--config", str(cfg), "--mesh", "4x4", "--out", str(tmp_path / "b")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "no Dirichlet edges" in err and "Traceback" not in err
+    assert not (tmp_path / "b" / "summary.csv").exists()
 
 
 def test_cli_mesh_file_run(tmp_path):

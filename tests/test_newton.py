@@ -1,5 +1,7 @@
 """Newton iteration, linear solves, and the M-matrix analysis toolkit."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -24,7 +26,7 @@ def diffusion_problem(tau_prev, dt=0.01):
     """(system, dt, s_prev): the leading arguments of newton_solve."""
     mesh = build_interval_mesh(len(tau_prev))
     s_prev = np.asarray(TAU.eval(np.asarray(tau_prev))[0], dtype=float)
-    return Assembly(mesh, TAU, np.zeros(1), {}), dt, s_prev
+    return Assembly(mesh, TAU, np.zeros(1)), dt, s_prev
 
 
 # -- newton_solve --------------------------------------------------------------
@@ -202,6 +204,37 @@ def test_path_nodes_distinct_and_transmissive():
             assert A[j, i] < -rep.delta + 1e-9
 
 
+def test_path_lengths_match_breadth_first_search():
+    # grid Laplacian on 4x3 nodes with two anchored (strong) columns, so
+    # that the nearest strong column differs from column to column
+    nx, ny, delta = 4, 3, 1.0
+    n = nx * ny
+    L = np.zeros((n, n))
+    for a in range(n):
+        for b in (a + 1, a + nx):
+            if b < n and (b == a + nx or b % nx):
+                L[a, a] += 2.0
+                L[b, b] += 2.0
+                L[a, b] = L[b, a] = -2.0
+    strong = [0, 10]
+    L[strong, strong] += delta
+    rep = mmatrix_analyze(sp.csr_matrix(L), delta=delta, Delta=10.0)
+    assert rep.is_column_wise
+    assert rep.strong_columns.tolist() == strong
+
+    dist = dict.fromkeys(strong, 0)  # arcs j -> i where L[j, i] < -delta
+    queue = deque(strong)
+    while queue:
+        j = queue.popleft()
+        for i in range(n):
+            if i != j and L[j, i] < -delta and i not in dist:
+                dist[i] = dist[j] + 1
+                queue.append(i)
+    assert rep.path_lengths == {i: d for i, d in dist.items() if i not in strong}
+    assert sorted(set(rep.path_lengths.values())) == [1, 2, 3]
+    assert rep.max_path_length == 3
+
+
 def test_violations_detected():
     A = np.array([[2.0, 0.5], [-1.0, 2.0]])  # positive off-diagonal entry
     rep = mmatrix_analyze(sp.csr_matrix(A), delta=1.0, Delta=3.0)
@@ -215,7 +248,7 @@ def test_violations_detected():
 
 def test_assembled_jacobian_is_column_wise_mmatrix():
     mesh = build_rect_mesh(5, 5)
-    system = Assembly(mesh, TAU, np.array([0.0, -1.0]), {})
+    system = Assembly(mesh, TAU, np.array([0.0, -1.0]))
     delta, Delta = jacobian_bounds(mesh, 0.01, 1.0, 1.0, 3.5, gravity=(0.0, -1.0))
     rng = np.random.default_rng(2)
     for _ in range(5):

@@ -158,6 +158,11 @@ def test_dirichlet_edges_without_boundary_value_refused():
         Assembly(mesh, TAU, np.zeros(2), None)
 
 
+def test_boundary_value_without_dirichlet_edges_refused():
+    with pytest.raises(ValueError, match="no Dirichlet edges"):
+        Assembly(build_rect_mesh(4, 4), TAU, np.zeros(2), 2.01)
+
+
 # -- fluxes --------------------------------------------------------------------
 
 
@@ -290,7 +295,8 @@ def test_jacobian_matches_directional_finite_differences():
     cases = [(rect, (0.0, -1.0)), (build_interval_mesh(7), (-1.0,)), (interval_d, (0.5,))]
     for mesh, gravity in cases:
         n = mesh.n_cells
-        step = make_step(mesh, TAU, gravity=gravity, tau_D=float(TAU.tau_of_pressure(1.0)))
+        tau_D = float(TAU.tau_of_pressure(1.0)) if mesh.dirichlet_edges.size else None
+        step = make_step(mesh, TAU, gravity=gravity, tau_D=tau_D)
         rng = np.random.default_rng(7)
         for tau in rand_states(rng, n, 5):
             J = step(tau)[1]
