@@ -2,16 +2,16 @@
 
 Subcommands: ``run`` (single case), ``sweep`` (beta/eps/formulation cross
 product), ``validate-mesh``, and ``oracle-kirchhoff`` (quadrature vs
-closed-form table).  Config files are plain ``key = value`` text; command
-line flags override file values.  Exit codes: 0 success, 2 configuration
-error, 3 Newton failure in reproduction mode, 4 I/O error.
+closed-form table).  Config files are ``key = value`` text keyed by the
+RunConfig field names, and each ``run`` flag sets the field of its name, so
+flags override file values.  Exit codes: 0 success, 2 configuration error,
+3 Newton failure in reproduction mode, 4 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -20,8 +20,8 @@ from .harness import (
     EPS_REF_TEST2,
     ConfigError,
     RunConfig,
-    preset_test1,
-    preset_test2,
+    parse_config_file,
+    resolve_config,
     run,
     sweep,
     write_outputs,
@@ -36,99 +36,13 @@ from .mesh import MeshError, load_mesh
 EXIT_OK, EXIT_CONFIG, EXIT_NEWTON, EXIT_IO = 0, 2, 3, 4
 
 
-def parse_config_file(path) -> dict:
-    """Read ``key = value`` lines; '#' starts a comment, blank lines ignored."""
-    values = {}
-    with open(path) as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
-    return values
-
-
-_SCALARS = {"beta", "p_b", "eps", "dt", "t_end", "s0_default", "p_dirichlet", "eps_ref"}
-_ALIASES = {"pb": "p_b", "tend": "t_end", "out": "out_dir"}
-
-
-def _coerce(key: str, val: str):
-    key = _ALIASES.get(key, key)
-    if key in ("adaptive_dt",):
-        return key, val.lower() in ("1", "true", "yes", "on")
-    if key in _SCALARS:
-        return key, float(val)
-    if key in ("betas", "epss", "snapshot_times"):
-        return key, [float(t) for t in val.split()]
-    if key == "formulations":
-        return key, val.split()
-    if key == "gravity":
-        return key, tuple(float(t) for t in val.split())
-    if key == "dirichlet_box":
-        nums = [float(t) for t in val.split()]
-        return key, [tuple(nums[i : i + 2]) for i in range(0, len(nums), 2)]
-    return key, val
-
-
-def _preset(case, beta: float, eps: float) -> RunConfig:
-    """The built-in configuration of case test1 or test2."""
-    if case == "test1":
-        return preset_test1(beta=beta, eps=eps)
-    if case == "test2":
-        return preset_test2(eps=eps)
-    raise ConfigError(f"no preset for case {case!r}; presets are test1 and test2")
-
-
-def _override(cfg: RunConfig, values: dict) -> RunConfig:
-    unknown = [k for k in values if k not in RunConfig.__dataclass_fields__]
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    return replace(cfg, **values)
-
-
-def _resolve_run_config(args) -> RunConfig:
-    file_vals: dict = {}
-    if args.config:
-        for k, v in parse_config_file(args.config).items():
-            k, v = _coerce(k, v)
-            file_vals[k] = v
-    case = args.case or file_vals.get("case")
-    if case in (None, "custom"):
-        required = ("beta", "dt", "t_end", "eps")
-        missing = [k for k in required if k not in file_vals]
-        if missing:
-            raise ConfigError(f"custom run missing keys: {', '.join(missing)}")
-        cfg = RunConfig(
-            case="custom", formulation=file_vals.get("formulation", "tau"),
-            beta=file_vals["beta"], dt=file_vals["dt"],
-            t_end=file_vals["t_end"], eps=file_vals["eps"],
-        )
-    else:
-        cfg = _preset(case, file_vals.get("beta", 4.0), file_vals.get("eps", 1e-6))
-
-    overrides = dict(file_vals)
-    overrides.pop("case", None)
-    for flag in ("formulation", "beta", "eps", "mesh", "dt", "eta_mode", "out"):
-        v = getattr(args, flag, None)
-        if v is not None:
-            overrides[_ALIASES.get(flag, flag)] = v
-    if args.pb is not None:
-        overrides["p_b"] = args.pb
-    if args.tend is not None:
-        overrides["t_end"] = args.tend
-    if args.adaptive_dt:
-        overrides["adaptive_dt"] = True
-    return _override(cfg, overrides)
-
-
 def cmd_run(args) -> int:
-    cfg = _resolve_run_config(args)
+    values = parse_config_file(args.config) if args.config else {}
+    values.update((k, v) for k, v in vars(args).items()
+                  if k in RunConfig.__dataclass_fields__ and v is not None)
+    cfg = resolve_config(values)
     result = run(cfg)
-    out_dir = cfg.out_dir or "."
-    write_outputs(result, cfg, out_dir)
+    write_outputs(result, cfg, cfg.out_dir or ".")
     print(
         f"{cfg.case} {cfg.formulation} beta={cfg.beta:g} eps={cfg.eps:g}: "
         f"{len(result.iters_per_step)} steps, "
@@ -141,16 +55,15 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    vals = {k: v for k, v in (_coerce(*kv) for kv in parse_config_file(args.config).items())}
-    case = vals.pop("case", "test1")
-    betas = vals.pop("betas", [1.0, 4.0, 16.0])
-    epss = vals.pop("epss", [1e-2, 1e-4, 1e-6])
-    formulations = vals.pop("formulations", ["tau", "u"])
-    eps_ref = vals.pop("eps_ref", EPS_REF_TEST1 if case == "test1" else EPS_REF_TEST2)
-    out_dir = vals.pop("out_dir", ".")
-    base = _override(_preset(case, betas[0], epss[0]), vals)
+    values = parse_config_file(args.config)
+    case = values.setdefault("case", "test1")
+    betas = values.pop("betas", [1.0, 4.0, 16.0])
+    epss = values.pop("epss", [1e-2, 1e-4, 1e-6])
+    formulations = values.pop("formulations", ["tau", "u"])
+    eps_ref = values.pop("eps_ref", EPS_REF_TEST1 if case == "test1" else EPS_REF_TEST2)
+    base = resolve_config({"beta": betas[0], "eps": epss[0], **values})
     results = sweep(base, betas, epss, formulations, eps_ref=eps_ref)
-    write_outputs(results, base, out_dir)
+    write_outputs(results, base, base.out_dir or ".")
     failures = sum(not r.converged for r in results)
     print(f"sweep complete: {len(results)} runs, {failures} Newton failures")
     return EXIT_OK
@@ -187,13 +100,13 @@ def main(argv=None) -> int:
     p_run.add_argument("--case", choices=["test1", "test2", "custom"])
     p_run.add_argument("--formulation", choices=["tau", "u"])
     p_run.add_argument("--beta", type=float)
-    p_run.add_argument("--pb", type=float)
+    p_run.add_argument("--pb", type=float, dest="p_b")
     p_run.add_argument("--eps", type=float)
     p_run.add_argument("--mesh")
     p_run.add_argument("--dt", type=float)
-    p_run.add_argument("--tend", type=float)
-    p_run.add_argument("--out")
-    p_run.add_argument("--adaptive-dt", action="store_true", dest="adaptive_dt")
+    p_run.add_argument("--tend", type=float, dest="t_end")
+    p_run.add_argument("--out", dest="out_dir")
+    p_run.add_argument("--adaptive-dt", action="store_const", const=True, dest="adaptive_dt")
     p_run.add_argument("--eta-mode", choices=["legacy", "derived"], dest="eta_mode")
     p_run.set_defaults(func=cmd_run)
 

@@ -11,12 +11,16 @@ The two presets reproduce the benchmark set-ups at desk scale:
 
 Iteration-count comparisons against published figures are ordinal only:
 the rectangular desk meshes replace the original Voronoi meshes.
+
+A run's text form is keyed by the :class:`RunConfig` field names (all but
+``s0_boxes``).  Config files, :func:`resolve_config` and the summary.csv
+echo follow it, so the echo without its ``# `` prefixes reruns the run.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -36,6 +40,8 @@ __all__ = [
     "SUMMARY_HEADER",
     "preset_test1",
     "preset_test2",
+    "parse_config_file",
+    "resolve_config",
     "build_mesh",
     "run",
     "sweep",
@@ -154,6 +160,67 @@ def preset_test2(eps: float, formulation: str = "tau", mesh_size: str = "20x20")
     )
 
 
+def _floats(text: str) -> list:
+    return [float(t) for t in text.split()]
+
+
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+# config key -> parser: the RunConfig fields but s0_boxes, and the sweep grid keys
+_PARSERS = {
+    "case": str, "formulation": str, "beta": float, "dt": float, "t_end": float,
+    "eps": float, "p_b": float, "eta_mode": str, "mesh": str,
+    "gravity": lambda text: tuple(_floats(text)), "s0_default": float,
+    "dirichlet_box": lambda text: np.reshape(_floats(text), (-1, 2)).tolist(),
+    "p_dirichlet": float, "adaptive_dt": lambda text: _BOOLEANS[text.lower()],
+    "snapshot_times": _floats, "out_dir": str,
+    "betas": _floats, "epss": _floats, "formulations": str.split, "eps_ref": float,
+}
+_ALIASES = {"pb": "p_b", "tend": "t_end", "out": "out_dir"}
+
+
+def parse_config_file(path) -> dict:
+    """Parse ``key = value`` lines ('#' comments); errors name ``path:line``."""
+    values = {}
+    with open(path) as f:
+        for lineno, raw in enumerate(f, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            key, _, val = line.partition("=")
+            key = _ALIASES.get(key.strip(), key.strip())
+            if key not in _PARSERS:
+                why = "has no text form; set it from Python" if key == "s0_boxes" else "is unknown"
+                raise ConfigError(f"{path}:{lineno}: config key {key!r} {why}")
+            try:
+                values[key] = _PARSERS[key](val.strip())
+            except (ValueError, KeyError) as exc:
+                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
+    return values
+
+
+def resolve_config(values: dict) -> RunConfig:
+    """The preset of ``case`` (test1, test2), or for custom (the default) the
+    config of its required values, with every other value applied on top."""
+    unknown = [k for k in values if k not in RunConfig.__dataclass_fields__]
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    case = values.get("case", "custom")
+    if case == "custom":
+        missing = [k for k in ("beta", "dt", "t_end", "eps") if k not in values]
+        if missing:
+            raise ConfigError(f"custom run missing keys: {', '.join(missing)}")
+        return RunConfig(**{"case": case, "formulation": "tau", **values})
+    if case == "test1":
+        return replace(preset_test1(beta=4.0, eps=1e-6), **values)
+    if case == "test2":
+        return replace(preset_test2(eps=1e-6), **values)
+    raise ConfigError(f"no preset for case {case!r}; presets are test1 and test2")
+
+
 def build_mesh(config: RunConfig) -> Mesh:
     """Build or load the mesh and apply the Dirichlet boundary tagging."""
     spec = config.mesh
@@ -191,6 +258,8 @@ def run(config: RunConfig, mesh: Mesh | None = None, callback=None) -> RunResult
     t0 = time.perf_counter()
     if mesh is None:
         mesh = build_mesh(config)
+    if config.snapshot_times and mesh.cell_boxes is None:
+        raise ConfigError("snapshot_times: VTK export requires a structured mesh with cell boxes")
     model = BrooksCoreyModel(beta=config.beta, p_b=config.p_b, eta_mode=config.eta_mode)
     param = Parametrization(kind=config.formulation, model=model)
     s0 = InitialField(default=config.s0_default, boxes=list(config.s0_boxes))
@@ -290,32 +359,28 @@ def fmt(x) -> str:
     return f"{x:.17g}"
 
 
+def _text(value) -> str:
+    """A config value in the text form: str as is, bool as true/false, numbers by fmt."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, bool):
+        return str(value).lower()
+    return " ".join(fmt(v) for v in np.ravel(value))
+
+
 def _config_echo(config: RunConfig) -> list:
-    pairs = [
-        ("case", config.case), ("formulation", config.formulation),
-        ("beta", fmt(config.beta)), ("p_b", fmt(config.p_b)),
-        ("eta_mode", config.eta_mode), ("eps", fmt(config.eps)),
-        ("mesh", config.mesh), ("dt", fmt(config.dt)), ("t_end", fmt(config.t_end)),
-        ("gravity", " ".join(fmt(g) for g in config.gravity)),
-        ("s0_default", fmt(config.s0_default)),
-        ("adaptive_dt", str(config.adaptive_dt).lower()),
-    ]
-    if config.p_dirichlet is not None:
-        pairs.append(("p_dirichlet", fmt(config.p_dirichlet)))
-    if config.dirichlet_box is not None:
-        box = np.asarray(config.dirichlet_box, dtype=float)
-        pairs.append(("dirichlet_box", " ".join(fmt(v) for v in box.ravel())))
-    return [f"# {k} = {v}" for k, v in pairs]
+    """Every field with a text form and a value, in field order, as '# ' lines."""
+    return [f"# {f.name} = {_text(getattr(config, f.name))}".rstrip()
+            for f in fields(RunConfig)
+            if f.name in _PARSERS and getattr(config, f.name) is not None]
 
 
 def summary_row(result: RunResult) -> str:
-    c = result.config
+    # the first eight columns of SUMMARY_HEADER are RunConfig fields
     return ",".join([
-        c.case, c.formulation, fmt(c.beta), fmt(c.p_b), c.eta_mode, fmt(c.eps),
-        c.mesh, fmt(c.dt), str(len(result.iters_per_step)),
-        fmt(result.mean_iters), str(result.total_iters),
-        fmt(result.err_s), fmt(result.err_u), fmt(result.mass_err),
-        fmt(result.wall_ms),
+        *(_text(getattr(result.config, k)) for k in SUMMARY_HEADER.split(",")[:8]),
+        str(len(result.iters_per_step)), fmt(result.mean_iters), str(result.total_iters),
+        fmt(result.err_s), fmt(result.err_u), fmt(result.mass_err), fmt(result.wall_ms),
     ])
 
 

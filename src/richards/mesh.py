@@ -364,8 +364,8 @@ def load_mesh(path) -> Mesh:
     ``cell <id> <volume> <center...>`` and one line per edge, either
     ``edge <id> <measure> interior <K> <L> <dK> <dL>`` or
     ``edge <id> <measure> boundary <K> <dK> <xsigma...> <dirichlet|noflux>``.
-    Cell ids lie in [0, ncells) and edge ids in [0, nedges), and each id
-    has exactly one record.  The file holds the primary geometry only (see
+    Cell ids lie in [0, ncells) and edge ids in [0, nedges), each id has
+    exactly one record, and each record exactly the tokens shown.  The file holds the primary geometry only (see
     :class:`Mesh`); all admissibility invariants are validated on load.
     """
     with open(path) as f:
@@ -379,6 +379,10 @@ def load_mesh(path) -> Mesh:
         raise MeshError(f"{path}: malformed header {raw[0]!r}") from exc
     if dim not in (1, 2):
         raise MeshError(f"{path}: unsupported dimension {dim}")
+    if ncells < 1:
+        raise MeshError(f"{path}: mesh has no cells")
+    if nedges < 0:
+        raise MeshError(f"{path}: negative edge count {nedges}")
 
     centers = np.full((ncells, dim), np.nan)
     volumes = np.full(ncells, np.nan)
@@ -389,32 +393,31 @@ def load_mesh(path) -> Mesh:
     tags = np.full(nedges, -1, dtype=int)
 
     seen = set()  # (record kind, id)
+    n_tokens = {"cell": 3 + dim, "edge interior": 8, "edge boundary": 7 + dim}
     for ln in raw[1:]:
         tok = ln.split()
         try:
-            if tok[0] == "cell":
+            kind = f"edge {tok[3]}" if tok[0] == "edge" else tok[0]
+            if kind not in n_tokens:
+                raise ValueError(f"unknown record kind {kind!r}")
+            if len(tok) != n_tokens[kind]:
+                raise ValueError(f"expected {n_tokens[kind]} tokens, got {len(tok)}")
+            if kind == "cell":
                 i = _index(tok[1], ncells)
                 volumes[i] = float(tok[2])
-                centers[i] = [float(t) for t in tok[3 : 3 + dim]]
-            elif tok[0] == "edge":
+                centers[i] = [float(t) for t in tok[3:]]
+            else:
                 e = _index(tok[1], nedges)
                 measure[e] = float(tok[2])
-                if tok[3] == "interior":
+                if kind == "edge interior":
                     cells[e] = (_index(tok[4], ncells), _index(tok[5], ncells))
                     dists[e] = (float(tok[6]), float(tok[7]))
                     tags[e] = INTERIOR
-                elif tok[3] == "boundary":
+                else:
                     cells[e] = (_index(tok[4], ncells), -1)
                     dists[e, 0] = float(tok[5])
-                    xs[e] = [float(t) for t in tok[6 : 6 + dim]]
-                    kind = tok[6 + dim]
-                    tags[e] = {"dirichlet": DIRICHLET, "noflux": NOFLUX}[kind]
-                else:
-                    raise MeshError(f"{path}: unknown edge kind {tok[3]!r} in {ln!r}")
-            else:
-                raise MeshError(f"{path}: unknown record {tok[0]!r}")
-        except MeshError:
-            raise
+                    xs[e] = [float(t) for t in tok[6:-1]]
+                    tags[e] = {"dirichlet": DIRICHLET, "noflux": NOFLUX}[tok[-1]]
         except (IndexError, ValueError, KeyError) as exc:
             raise MeshError(f"{path}: malformed line {ln!r} ({exc})") from exc
         record = (tok[0], int(tok[1]))

@@ -14,47 +14,31 @@ from .mesh import Mesh
 
 __all__ = ["write_vtk"]
 
-_VTK_LINE, _VTK_QUAD = 3, 9
+# dim -> (VTK cell type, corners as a low (0) / high (1) bound per axis)
+_CELL_SHAPES = {1: (3, [(0,), (1,)]), 2: (9, [(0, 0), (1, 0), (1, 1), (0, 1)])}
 
 
 def write_vtk(mesh: Mesh, cell_data: dict, path, title: str = "fields"):
     """Write per-cell scalar fields; cell_data maps name -> (n_cells,) array."""
     if mesh.cell_boxes is None:
         raise ValueError("VTK export requires a structured mesh with cell boxes")
-    n = mesh.n_cells
+    vtk_type, corners = _CELL_SHAPES[mesh.dim]
+    n, c = mesh.n_cells, len(corners)
+    pts = np.zeros((n, c, 3))
+    pts[:, :, : mesh.dim] = mesh.cell_boxes[:, np.arange(mesh.dim), np.array(corners)]
     lines = [
         "# vtk DataFile Version 3.0",
         title,
         "ASCII",
         "DATASET UNSTRUCTURED_GRID",
+        f"POINTS {n * c} double",
+        *(f"{x:.17g} {y:.17g} {z:.17g}" for x, y, z in pts.reshape(-1, 3)),
+        f"CELLS {n} {(c + 1) * n}",
+        *(" ".join(map(str, [c, *range(c * k, c * k + c)])) for k in range(n)),
+        f"CELL_TYPES {n}",
+        *[str(vtk_type)] * n,
+        f"CELL_DATA {n}",
     ]
-    if mesh.dim == 2:
-        corners = np.array([(0, 0), (1, 0), (1, 1), (0, 1)])
-        pts = []
-        for k in range(n):
-            b = mesh.cell_boxes[k]
-            for cx, cy in corners:
-                pts.append((b[0, cx], b[1, cy], 0.0))
-        lines.append(f"POINTS {4 * n} double")
-        lines += [f"{x:.17g} {y:.17g} {z:.17g}" for x, y, z in pts]
-        lines.append(f"CELLS {n} {5 * n}")
-        lines += [f"4 {4 * k} {4 * k + 1} {4 * k + 2} {4 * k + 3}" for k in range(n)]
-        lines.append(f"CELL_TYPES {n}")
-        lines += [str(_VTK_QUAD)] * n
-    elif mesh.dim == 1:
-        lines.append(f"POINTS {2 * n} double")
-        for k in range(n):
-            b = mesh.cell_boxes[k]
-            lines.append(f"{b[0, 0]:.17g} 0 0")
-            lines.append(f"{b[0, 1]:.17g} 0 0")
-        lines.append(f"CELLS {n} {3 * n}")
-        lines += [f"2 {2 * k} {2 * k + 1}" for k in range(n)]
-        lines.append(f"CELL_TYPES {n}")
-        lines += [str(_VTK_LINE)] * n
-    else:
-        raise ValueError(f"unsupported dimension {mesh.dim}")
-
-    lines.append(f"CELL_DATA {n}")
     for name, values in cell_data.items():
         v = np.asarray(values, dtype=float)
         if v.shape != (n,):

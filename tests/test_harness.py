@@ -2,7 +2,7 @@
 
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -187,6 +187,72 @@ def test_vtk_snapshots(tmp_path):
     assert text.count("\n") > 25  # 25 cell values per field
 
 
+VTK_INTERVAL_2 = """\
+# vtk DataFile Version 3.0
+fields
+ASCII
+DATASET UNSTRUCTURED_GRID
+POINTS 4 double
+0 0 0
+0.5 0 0
+0.5 0 0
+1 0 0
+CELLS 2 6
+2 0 1
+2 2 3
+CELL_TYPES 2
+3
+3
+CELL_DATA 2
+SCALARS s double 1
+LOOKUP_TABLE default
+0.25
+0.5
+"""
+
+VTK_RECT_2X1 = """\
+# vtk DataFile Version 3.0
+fields
+ASCII
+DATASET UNSTRUCTURED_GRID
+POINTS 8 double
+0 0 0
+0.5 0 0
+0.5 1 0
+0 1 0
+0.5 0 0
+1 0 0
+1 1 0
+0.5 1 0
+CELLS 2 10
+4 0 1 2 3
+4 4 5 6 7
+CELL_TYPES 2
+9
+9
+CELL_DATA 2
+SCALARS s double 1
+LOOKUP_TABLE default
+0.25
+0.5
+SCALARS u double 1
+LOOKUP_TABLE default
+1
+-3
+"""
+
+
+def test_vtk_golden_1d_and_2d(tmp_path):
+    from richards.mesh import build_interval_mesh, build_rect_mesh
+    from richards.vtkio import write_vtk
+
+    s = np.array([0.25, 0.5])
+    write_vtk(build_interval_mesh(2), {"s": s}, tmp_path / "line.vtk")
+    write_vtk(build_rect_mesh(2, 1), {"s": s, "u": np.array([1.0, -3.0])}, tmp_path / "quad.vtk")
+    assert (tmp_path / "line.vtk").read_text() == VTK_INTERVAL_2
+    assert (tmp_path / "quad.vtk").read_text() == VTK_RECT_2X1
+
+
 def test_residuals_csv_schema(tmp_path):
     cfg = replace(preset_test2(eps=1e-6), t_end=2e3)
     res = run(cfg)
@@ -290,6 +356,22 @@ def test_cli_validate_mesh(tmp_path):
     assert out.returncode == 2
     assert "outside [0, 4)" in out.stderr and "Traceback" not in out.stderr
 
+    # a record must hold exactly its tokens: 3 + d for a cell, 8 for an
+    # interior edge, 7 + d for a boundary edge
+    save_mesh(build_rect_mesh(2, 2), path)
+    text = path.read_text()
+    for record, bad, counts in [
+        ("cell 0 0.25 0.25 0.25", "cell 0 0.25 0.25 0.25 7.0 junk", "expected 5 tokens, got 7"),
+        ("edge 4 0.5 boundary 0 0.25 0 0.25 noflux",
+         "edge 4 0.5 boundary 0 0.25 0 0.25 noflux extra", "expected 9 tokens, got 10"),
+    ]:
+        assert record + "\n" in text
+        path.write_text(text.replace(record + "\n", bad + "\n"))
+        out = cli("validate-mesh", str(path))
+        assert out.returncode == 2
+        assert f"malformed line '{bad}' ({counts})" in out.stderr
+        assert "Traceback" not in out.stderr
+
     save_mesh(build_rect_mesh(2, 2), path)  # edge 5 is a no-flux boundary edge
     path.write_text(path.read_text() + "edge 5 0.5 boundary 1 0.25 1 0.25 dirichlet\n")
     out = cli("validate-mesh", str(path))
@@ -379,3 +461,107 @@ def test_cli_mesh_file_run(tmp_path):
         "--mesh", f"file:{path}", "--out", str(tmp_path),
     )
     assert out.returncode == 0, out.stderr
+
+
+@pytest.mark.parametrize("text, message", [
+    ("case = test2\nadaptive_dt = maybe\n", ":2: bad value for adaptive_dt: 'maybe'"),
+    ("case = test2\n\nbeta = four\n", ":3: bad value for beta: could not convert"),
+    ("case = test2\ntend 2e3\n", ":2: expected 'key = value'"),
+    ("case = test2\ndirichlet_box = 0 0.3 1\n", ":2: bad value for dirichlet_box"),
+    ("s0_boxes = 0 0.5 0.5 1 0.5\n", ":1: config key 's0_boxes' has no text form"),
+    ("case = test2\nsteps = 3\n", ":2: config key 'steps' is unknown"),
+])
+def test_cli_config_errors_name_file_and_line(tmp_path, capsys, text, message):
+    from richards.cli import main
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{cfg}{message}" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_custom_run_from_flags(tmp_path):
+    from richards.cli import main
+
+    code = main([
+        "run", "--case", "custom", "--beta", "4", "--eps", "1e-6", "--dt", "0.01",
+        "--tend", "0.02", "--mesh", "4x4", "--out", str(tmp_path),
+    ])
+    assert code == 0
+    assert "# case = custom\n" in (tmp_path / "summary.csv").read_text()
+
+
+def _run_and_rerun_echo(tmp_path, argv):
+    """Run argv, then rerun the summary.csv echo as a config file."""
+    from richards.cli import main
+
+    assert main([*argv, "--out", str(tmp_path / "a")]) == 0
+    text = (tmp_path / "a" / "summary.csv").read_text()
+    echo = [ln[2:] for ln in text.splitlines() if ln.startswith("# ")]
+    cfg = tmp_path / "echo.cfg"
+    cfg.write_text("\n".join(echo) + "\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
+    return echo, [(tmp_path / d) for d in ("a", "b")]
+
+
+@pytest.mark.parametrize("case", ["test1", "test2-file-mesh", "custom"])
+def test_summary_echo_reruns_the_run(tmp_path, case):
+    from richards.mesh import DIRICHLET, build_rect_mesh, save_mesh
+
+    cfg = tmp_path / "run.cfg"
+    if case == "test1":
+        argv = ["run", "--case", "test1", "--eps", "1e-4", "--mesh", "5x5", "--tend", "0.05"]
+    elif case == "test2-file-mesh":
+        mesh = build_rect_mesh(4, 4)
+        mesh.retag_boundary(lambda x: x[:, 1] >= 1.0 - 1e-12, DIRICHLET)
+        save_mesh(mesh, tmp_path / "m.mesh")
+        cfg.write_text(f"case = test2\nmesh = file:{tmp_path / 'm.mesh'}\np_dirichlet = 1\n")
+        argv = ["run", "--config", str(cfg), "--tend", "3e3"]
+    else:
+        cfg.write_text(
+            "case = custom\nbeta = 2\ndt = 0.01\ntend = 0.03\neps = 1e-6\nmesh = 4x3\n"
+            "gravity = 0 -1\ndirichlet_box = 0 0.5 1 1\np_dirichlet = 0.5\npb = -0.02\n"
+            "adaptive_dt = yes\neta_mode = legacy\n"
+        )
+        argv = ["run", "--config", str(cfg)]
+    echo, (a, b) = _run_and_rerun_echo(tmp_path, argv)
+
+    # every field with a text form and a value, in field order
+    unset = {"dirichlet_box"} if case == "test2-file-mesh" else set()
+    keys = [ln.split("=")[0].strip() for ln in echo]
+    assert keys == [f.name for f in fields(RunConfig) if f.name not in unset | {"s0_boxes"}]
+    assert f"out_dir = {a}" in echo
+
+    def rows(d):
+        lines = (d / "summary.csv").read_text().splitlines()
+        return [ln.rsplit(",", 1)[0] for ln in lines if not ln.startswith("#")]
+
+    assert rows(a) == rows(b) and len(rows(a)) == 2
+    assert (a / "residuals.csv").read_text() == (b / "residuals.csv").read_text()
+    assert len((a / "residuals.csv").read_text().splitlines()) > 2
+
+
+def test_cli_refuses_snapshots_on_mesh_without_cell_boxes(tmp_path, monkeypatch, capsys):
+    # loaded meshes have no cell boxes to export; the run must stop before any step
+    import richards.harness as H
+    from richards.cli import main
+    from richards.mesh import build_rect_mesh, save_mesh
+
+    path = tmp_path / "m.mesh"
+    save_mesh(build_rect_mesh(4, 4), path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"case = test1\ntend = 0.02\nsnapshot_times = 0.01\nmesh = file:{path}\n")
+
+    def newton_solve(*args, **kwargs):
+        raise AssertionError("a Newton step was started")
+
+    monkeypatch.setattr(H, "newton_solve", newton_solve)
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "VTK export requires a structured mesh with cell boxes" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "summary.csv").exists()

@@ -387,3 +387,15 @@ def test_retag_boundary_counts():
     )
     assert n == 6  # cells with center x1 < 0.3 on the top row
     assert mesh.dirichlet_edges.size == 6
+
+
+@pytest.mark.parametrize("header, message", [
+    ("mesh d=2 ncells=0 nedges=0", "mesh has no cells"),
+    ("mesh d=1 ncells=-1 nedges=0", "mesh has no cells"),
+    ("mesh d=1 ncells=1 nedges=-2", "negative edge count -2"),
+])
+def test_empty_mesh_file_rejected(tmp_path, header, message):
+    path = tmp_path / "empty.mesh"
+    path.write_text(header + "\n")
+    with pytest.raises(MeshError, match=f"^{path}: {message}$"):
+        load_mesh(path)
