@@ -63,7 +63,8 @@ def cmd_sweep(args) -> int:
     eps_ref = values.pop("eps_ref", EPS_REF_TEST1 if case == "test1" else EPS_REF_TEST2)
     base = resolve_config({"beta": betas[0], "eps": epss[0], **values})
     results = sweep(base, betas, epss, formulations, eps_ref=eps_ref)
-    write_outputs(results, base, base.out_dir or ".")
+    grid = {"betas": betas, "epss": epss, "formulations": formulations, "eps_ref": eps_ref}
+    write_outputs(results, base, base.out_dir or ".", grid)
     failures = sum(not r.converged for r in results)
     print(f"sweep complete: {len(results)} runs, {failures} Newton failures")
     return EXIT_OK

@@ -13,8 +13,9 @@ Iteration-count comparisons against published figures are ordinal only:
 the rectangular desk meshes replace the original Voronoi meshes.
 
 A run's text form is keyed by the :class:`RunConfig` field names (all but
-``s0_boxes``).  Config files, :func:`resolve_config` and the summary.csv
-echo follow it, so the echo without its ``# `` prefixes reruns the run.
+``s0_boxes``), and a sweep adds its grid keys.  Config files,
+:func:`resolve_config` and the summary.csv echo follow it, so the echo
+without its ``# `` prefixes reruns the run or the sweep.
 """
 
 from __future__ import annotations
@@ -260,6 +261,10 @@ def run(config: RunConfig, mesh: Mesh | None = None, callback=None) -> RunResult
         mesh = build_mesh(config)
     if config.snapshot_times and mesh.cell_boxes is None:
         raise ConfigError("snapshot_times: VTK export requires a structured mesh with cell boxes")
+    outside = [t for t in config.snapshot_times if not 0.0 <= t <= config.t_end]
+    if outside:
+        raise ConfigError(f"snapshot_times {' '.join(f'{t:g}' for t in outside)} lie "
+                          f"outside [0, t_end = {config.t_end:g}]")
     model = BrooksCoreyModel(beta=config.beta, p_b=config.p_b, eta_mode=config.eta_mode)
     param = Parametrization(kind=config.formulation, model=model)
     s0 = InitialField(default=config.s0_default, boxes=list(config.s0_boxes))
@@ -360,19 +365,21 @@ def fmt(x) -> str:
 
 
 def _text(value) -> str:
-    """A config value in the text form: str as is, bool as true/false, numbers by fmt."""
+    """A config value in the text form: str as is, bool as true/false, and a
+    number or sequence as its items (numbers by fmt) joined by spaces."""
     if isinstance(value, str):
         return value
     if isinstance(value, bool):
         return str(value).lower()
-    return " ".join(fmt(v) for v in np.ravel(value))
+    return " ".join(v if isinstance(v, str) else fmt(v) for v in np.ravel(value))
 
 
-def _config_echo(config: RunConfig) -> list:
-    """Every field with a text form and a value, in field order, as '# ' lines."""
-    return [f"# {f.name} = {_text(getattr(config, f.name))}".rstrip()
-            for f in fields(RunConfig)
-            if f.name in _PARSERS and getattr(config, f.name) is not None]
+def _config_echo(config: RunConfig, grid: dict) -> list:
+    """Every field with a text form and a value, in field order, then the
+    grid keys, as '# ' lines."""
+    items = [(f.name, getattr(config, f.name)) for f in fields(RunConfig)
+             if f.name in _PARSERS and getattr(config, f.name) is not None]
+    return [f"# {k} = {_text(v)}".rstrip() for k, v in items + list(grid.items())]
 
 
 def summary_row(result: RunResult) -> str:
@@ -384,12 +391,14 @@ def summary_row(result: RunResult) -> str:
     ])
 
 
-def write_outputs(results, config: RunConfig, out_dir) -> list:
+def write_outputs(results, config: RunConfig, out_dir, grid: dict | None = None) -> list:
     """Write summary.csv, residuals.csv, and optional VTK snapshots.
 
     results may be a single RunResult or a list (sweep); residuals and
     snapshots are written for the first result only in the sweep case.
-    Returns the list of created paths.
+    grid holds a sweep's grid keys (betas, epss, formulations, eps_ref),
+    which the summary.csv echo lists after the base config.  Returns the
+    list of created paths.
     """
     import os
 
@@ -400,7 +409,7 @@ def write_outputs(results, config: RunConfig, out_dir) -> list:
 
     path = os.path.join(out_dir, "summary.csv")
     with open(path, "w") as f:
-        for ln in _config_echo(config):
+        for ln in _config_echo(config, grid or {}):
             f.write(ln + "\n")
         f.write(SUMMARY_HEADER + "\n")
         for res in results:

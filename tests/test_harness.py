@@ -293,23 +293,45 @@ def test_cli_run_and_exit_codes(tmp_path):
     assert fail.returncode == 3
 
 
-def test_cli_singular_jacobian_exits_newton_failure(tmp_path, monkeypatch, capsys):
-    # SuperLU's message for a singular pivot; the solve ends unconverged
-    # instead of raising, so the CLI reports a Newton failure
-    import scipy.sparse.linalg
-
+def _singular_run(tmp_path, capsys, mesh):
+    """Exit code and stderr of a test1 run whose first factorization is singular."""
     from richards.cli import main
+
+    code = main([
+        "run", "--case", "test1", "--beta", "4", "--eps", "1e-6", "--tend", "0.01",
+        "--mesh", mesh, "--out", str(tmp_path),
+    ])
+    return code, capsys.readouterr().err
+
+
+def test_cli_singular_jacobian_exits_newton_failure(tmp_path, monkeypatch, capsys):
+    # 20x20 takes the band route; LAPACK reports an exactly zero pivot as
+    # info > 0.  The solve ends unconverged instead of raising, so the CLI
+    # reports a Newton failure
+    import richards.newton
+
+    def singular(kl, ku, ab, b, **kwargs):
+        return ab, np.zeros(len(b), dtype=np.int32), b, 1
+
+    monkeypatch.setattr(richards.newton, "dgbsv", singular)
+    code, err = _singular_run(tmp_path, capsys, "20x20")
+    assert code == 3
+    assert "failed to converge at step 1" in err
+    assert "Traceback" not in err
+
+
+def test_cli_singular_superlu_factor_exits_newton_failure(tmp_path, monkeypatch, capsys):
+    # 40x40 takes the SuperLU route; SuperLU's message for a singular pivot
+    import scipy.sparse.linalg
 
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
-    code = main([
-        "run", "--case", "test1", "--beta", "4", "--eps", "1e-6", "--tend", "0.01",
-        "--out", str(tmp_path),
-    ])
+    code, err = _singular_run(tmp_path, capsys, "40x40")
     assert code == 3
-    assert "failed to converge at step 1" in capsys.readouterr().err
+    assert "failed to converge at step 1" in err
+    assert "Traceback" not in err
 
 
 def test_import_leaves_out_scipy_integrate():
@@ -544,24 +566,66 @@ def test_summary_echo_reruns_the_run(tmp_path, case):
     assert len((a / "residuals.csv").read_text().splitlines()) > 2
 
 
-def test_cli_refuses_snapshots_on_mesh_without_cell_boxes(tmp_path, monkeypatch, capsys):
-    # loaded meshes have no cell boxes to export; the run must stop before any step
+def _refused_before_first_step(tmp_path, monkeypatch, capsys, text):
+    """Exit code and stderr of a run of config text that must stop before any step."""
     import richards.harness as H
     from richards.cli import main
-    from richards.mesh import build_rect_mesh, save_mesh
 
-    path = tmp_path / "m.mesh"
-    save_mesh(build_rect_mesh(4, 4), path)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"case = test1\ntend = 0.02\nsnapshot_times = 0.01\nmesh = file:{path}\n")
+    cfg.write_text(text)
 
     def newton_solve(*args, **kwargs):
         raise AssertionError("a Newton step was started")
 
     monkeypatch.setattr(H, "newton_solve", newton_solve)
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
-    err = capsys.readouterr().err
+    assert not (tmp_path / "out" / "summary.csv").exists()
+    return code, capsys.readouterr().err
+
+
+def test_cli_refuses_snapshots_on_mesh_without_cell_boxes(tmp_path, monkeypatch, capsys):
+    # loaded meshes have no cell boxes to export; the run must stop before any step
+    from richards.mesh import build_rect_mesh, save_mesh
+
+    path = tmp_path / "m.mesh"
+    save_mesh(build_rect_mesh(4, 4), path)
+    code, err = _refused_before_first_step(
+        tmp_path, monkeypatch, capsys,
+        f"case = test1\ntend = 0.02\nsnapshot_times = 0.01\nmesh = file:{path}\n")
     assert code == 2
     assert "VTK export requires a structured mesh with cell boxes" in err
     assert "Traceback" not in err
-    assert not (tmp_path / "out" / "summary.csv").exists()
+
+
+def test_cli_refuses_snapshot_times_outside_the_run(tmp_path, monkeypatch, capsys):
+    # a snapshot is named after its requested time, so a time with no state
+    # of its own must not borrow the nearest one
+    code, err = _refused_before_first_step(
+        tmp_path, monkeypatch, capsys,
+        "case = test1\nmesh = 5x5\ntend = 0.03\nsnapshot_times = 0 0.03 5 -1\n")
+    assert code == 2
+    assert "snapshot_times 5 -1 lie outside [0, t_end = 0.03]" in err
+    assert "Traceback" not in err
+
+
+def test_sweep_echo_reruns_the_sweep(tmp_path):
+    from richards.cli import main
+
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"case = test1\nmesh = 5x5\ntend = 0.03\nbetas = 4 16\n"
+                   f"epss = 1e-4 1e-6\nout = {tmp_path / 'out'}\n")
+    summary = tmp_path / "out" / "summary.csv"
+
+    def echo_and_rows():
+        lines = summary.read_text().splitlines()
+        return ([ln[2:] for ln in lines if ln.startswith("# ")],
+                [ln.rsplit(",", 1)[0] for ln in lines if not ln.startswith("#")])
+
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    echo, rows = echo_and_rows()
+    assert echo[-4:] == ["betas = 4 16", "epss = 0.0001 9.9999999999999995e-07",
+                         "formulations = tau u", "eps_ref = 1e-10"]
+    cfg.write_text("\n".join(echo) + "\n")
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert echo_and_rows() == (echo, rows)
+    assert len(rows) == 1 + 2 + 2 * 2 * 2  # header, references, grid

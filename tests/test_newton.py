@@ -1,15 +1,20 @@
 """Newton iteration, linear solves, and the M-matrix analysis toolkit."""
 
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import richards.newton as N
+from richards.harness import preset_test1, preset_test2, run
 from richards.hydromodel import BrooksCoreyModel, Parametrization
 from richards.mesh import DIRICHLET, build_interval_mesh, build_rect_mesh
 from richards.newton import (
+    BAND_MAX,
     NewtonConfig,
+    SingularJacobianError,
     inverse_norm_bound,
     jacobian_bounds,
     linear_solve,
@@ -157,6 +162,77 @@ def test_matches_dense_reference():
     b = rng.standard_normal(n)
     x = linear_solve(sp.csr_matrix(A), b)
     np.testing.assert_allclose(x, np.linalg.solve(A, b), rtol=1e-10)
+
+
+def count_routes(monkeypatch) -> dict:
+    """Count the calls of the band and the SuperLU routine as newton binds them."""
+    calls = {"band": 0, "superlu": 0}
+    dgbsv, splu = N.dgbsv, N.spla.splu
+
+    def band(*args, **kwargs):
+        calls["band"] += 1
+        return dgbsv(*args, **kwargs)
+
+    def superlu(A, **kwargs):
+        assert kwargs == {"permc_spec": "MMD_AT_PLUS_A"}
+        calls["superlu"] += 1
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(N, "dgbsv", band)
+    monkeypatch.setattr(N.spla, "splu", superlu)
+    return calls
+
+
+def bandwidth(A) -> int:
+    coo = sp.coo_matrix(A)
+    return int(np.abs(coo.row - coo.col).max())
+
+
+def test_both_routes_solve_a_scheme_jacobian(monkeypatch):
+    # the first Jacobian of a test1 run on 20x20: bandwidth 20 in natural
+    # order; a random symmetric permutation spreads it past BAND_MAX
+    kept = []
+    run(replace(preset_test1(beta=4.0, eps=1e-6), t_end=0.01),
+        callback=lambda k, tau, res, J: kept.append(J))
+    J = kept[0]
+    rng = np.random.default_rng(3)
+    b = rng.standard_normal(J.shape[0])
+    perm = rng.permutation(J.shape[0])
+    Jp = sp.csc_matrix(J[perm][:, perm])
+    assert bandwidth(J) <= BAND_MAX < bandwidth(Jp)
+
+    calls = count_routes(monkeypatch)
+    for A, rhs, route in [(J, b, "band"), (Jp, b[perm], "superlu")]:
+        before = dict(calls)
+        x = linear_solve(A, rhs)
+        ref = np.linalg.solve(A.toarray(), rhs)
+        assert np.linalg.norm(x - ref, np.inf) <= 1e-12 * np.linalg.norm(ref, np.inf)
+        assert {k: calls[k] - before[k] for k in calls} == {
+            k: int(k == route) for k in calls}
+
+
+@pytest.mark.parametrize("route", ["band", "superlu"])
+def test_zero_column_raises_singular_on_each_route(monkeypatch, route):
+    n = 50
+    A = sp.diags([-np.ones(n - 1), 3.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1]).tolil()
+    if route == "superlu":
+        A[0, n - 1] = A[n - 1, 0] = -0.5  # bandwidth n - 1
+    A[:, 10] = 0.0
+    A = sp.csc_matrix(A)
+    A.eliminate_zeros()
+    calls = count_routes(monkeypatch)
+    with pytest.raises(SingularJacobianError):
+        linear_solve(A, np.ones(n))
+    assert calls[route] == 1 and sum(calls.values()) == 1
+
+
+def test_iteration_counts_pinned_on_both_routes():
+    # the same counts as with SuperLU (COLAMD) on every size; 20x20 takes
+    # the band route, 40x40 the SuperLU one
+    res = run(replace(preset_test1(beta=4.0, eps=1e-6, mesh_size="20x20"), t_end=0.2))
+    assert res.iters_per_step == [7, 5, 4, 5, 5, 5, 5, 5, 4, 5, 5, 4, 5, 5, 4, 4, 4, 5, 5, 5]
+    res = run(replace(preset_test2(eps=1e-6, mesh_size="40x40"), t_end=1e4))
+    assert res.iters_per_step == [18, 7, 6, 6, 5, 5, 4, 4, 4, 5]
 
 
 # -- mmatrix_analyze -----------------------------------------------------------
