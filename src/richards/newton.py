@@ -7,14 +7,18 @@ search, or trust region) with the residual-based stopping rule
 a uniform bound on ||J^{-1}||_1; the analysis utilities here verify the
 conditions and compute the bound on concrete matrices.
 
-Each Newton correction is one direct solve, routed by the Jacobian's
-bandwidth: a pattern within BAND_MAX of the diagonal (a box mesh of at
-most BAND_MAX columns, in natural order) goes to LAPACK's band LU
-``dgbsv``, any wider one to SuperLU with the minimum-degree ordering of
-A^T + A.  A column-wise M-matrix with nonnegative column sums is
-diagonally dominant by columns, so LU with partial pivoting makes no row
-swaps and is stable in any symmetric ordering; the routes differ only in
-fill and speed, not in accuracy.
+Each Newton correction is one direct solve, planned once per run from
+the Jacobian's fixed pattern (``scheme.SolvePlan``, held by the
+``Assembly``).  A pattern within BAND_MAX of the diagonal (a box mesh of
+at most BAND_MAX columns, in natural order) goes to LAPACK's band LU
+``dgbsv``, any wider one to SuperLU on the pattern pre-permuted by the
+minimum-degree ordering of A^T + A.  A column-wise M-matrix with
+nonnegative column sums is diagonally dominant by columns, so LU with
+partial pivoting makes no row swaps and is stable in any symmetric
+ordering; the routes differ only in fill and speed, not in accuracy.
+Per iteration only numeric work is left: the Jacobian's values are
+computed for an iterate whose correction is solved, scattered into the
+planned storage and factored.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgbsv
 
 from .mesh import Mesh
-from .scheme import Assembly, evaluate
+from .scheme import BAND_MAX, Assembly, SolvePlan, jacobian, residual
 
 __all__ = [
     "NewtonConfig",
@@ -73,43 +77,36 @@ class NewtonReport:
         return self.residual_history[-1]
 
 
-# Widest bandwidth max(kl, ku) solved by band LU.  On test1 Jacobians dgbsv
-# beats SuperLU up to bandwidth 28 and loses from 36 on.
-BAND_MAX = 32
+def linear_solve(plan: SolvePlan, data, b) -> np.ndarray:
+    """Direct LU solve of A x = b, A given by its CSC values data on plan's pattern.
 
-
-def linear_solve(A, b) -> np.ndarray:
-    """Direct LU solve of A x = b; deterministic for fixed input.
-
-    The route follows A's pattern: with lower and upper bandwidths kl, ku
-    and max(kl, ku) <= BAND_MAX, LAPACK ``dgbsv`` on band storage of shape
-    (2*kl + ku + 1, n); otherwise SuperLU with the MMD ordering of A^T + A.
+    Band route: data goes into LAPACK band storage and ``dgbsv`` solves.
+    SuperLU route: data goes into the pre-permuted pattern, which SuperLU
+    factors in its natural order with its default threshold pivoting.
     Partial pivoting costs nothing here: the scheme's Jacobian is a
-    column-wise M-matrix, diagonally dominant by columns, so each pivot
-    is already on the diagonal and no row swap occurs.  An exactly zero
-    pivot raises SingularJacobianError on either route.
+    column-wise M-matrix, diagonally dominant by columns, so each pivot is
+    already on the diagonal and no row swap occurs.  An exactly zero pivot
+    raises SingularJacobianError on either route.  Deterministic for fixed
+    input.
     """
-    A = sp.csc_matrix(A)
     b = np.asarray(b, dtype=float)
-    n = A.shape[0]
-    cols = np.repeat(np.arange(n), np.diff(A.indptr))
-    offset = A.indices - cols  # row - column
-    kl, ku = int(offset.max(initial=0)), int(-offset.min(initial=0))
-    if max(kl, ku) <= BAND_MAX:
-        # A[i, j] sits in row kl + ku + i - j of column j; bincount sums duplicates
-        ldab = 2 * kl + ku + 1
-        ab = np.bincount((kl + ku + offset) + ldab * cols, weights=A.data,
-                         minlength=ldab * n).reshape((ldab, n), order="F")
-        _, _, x, info = dgbsv(kl, ku, ab, b, overwrite_ab=True)
+    store = np.zeros(plan.size)
+    store[plan.pos] = data
+    if plan.band:
+        ab = store.reshape((plan.ldab, plan.n), order="F")
+        _, _, x, info = dgbsv(plan.kl, plan.ku, ab, b, overwrite_ab=True)
         if info > 0:
             raise SingularJacobianError(f"band LU factorization failed: U[{info - 1}, "
                                         f"{info - 1}] is exactly zero")
         return x
+    A = sp.csc_matrix((store, plan.indices, plan.indptr), shape=(plan.n, plan.n))
     try:
-        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
+        lu = spla.splu(A, permc_spec="NATURAL")
     except RuntimeError as exc:  # singular factorization
         raise SingularJacobianError(f"sparse LU factorization failed: {exc}") from exc
-    return lu.solve(b)
+    x = np.empty_like(b)
+    x[plan.perm] = lu.solve(b[plan.perm])
+    return x
 
 
 def newton_solve(system: Assembly, dt: float, s_prev, tau_init, config: NewtonConfig,
@@ -119,15 +116,17 @@ def newton_solve(system: Assembly, dt: float, s_prev, tau_init, config: NewtonCo
     dt and s_prev = s(tau^{n-1}) are the step's data; tau_init is the
     previous time-step solution.  s(tau) comes from the last evaluation, so
     the next step takes it as its s_prev without evaluating s again.  The
+    Jacobian's values are computed only at an iterate whose correction is
+    solved, so a step that converges at tau_init computes none.  The
     optional callback is invoked as callback(k, tau, res_norm, J) at every
-    iterate where the Jacobian is used.  A non-converged step, a singular
-    Jacobian included, is reported, not raised.
+    such iterate, with J a CSC matrix of its own.  A non-converged step, a
+    singular Jacobian included, is reported, not raised.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     tau = np.array(tau_init, dtype=float)
     tol = config.eps * dt
-    f, J, s = evaluate(system, dt, s_prev, tau)
+    f, s, derivatives = residual(system, dt, s_prev, tau)
     res = float(np.sum(np.abs(f)))  # raw 1-norm, no volume weights
     history = [res]
     for k in range(config.max_iter):
@@ -135,14 +134,15 @@ def newton_solve(system: Assembly, dt: float, s_prev, tau_init, config: NewtonCo
             break
         if not np.isfinite(res):
             break
+        data = jacobian(system, dt, s, derivatives)
         if callback is not None:
-            callback(k, tau, res, J)
+            callback(k, tau, res, system.matrix(data))
         try:
-            delta = linear_solve(J, f)
+            delta = linear_solve(system.plan, data, f)
         except SingularJacobianError:
             break
         tau -= delta
-        f, J, s = evaluate(system, dt, s_prev, tau)
+        f, s, derivatives = residual(system, dt, s_prev, tau)
         res = float(np.sum(np.abs(f)))
         history.append(res)
     converged = bool(np.isfinite(res) and res <= tol)

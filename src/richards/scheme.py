@@ -14,6 +14,15 @@ where g = gravity . n_{K,sigma} and g+/g- are its positive/negative
 parts (upwinded mobility).  No-flux boundary edges are simply omitted
 from the sum.  On the edges the mesh tags Dirichlet, one constant boundary
 value tau_D = p^{-1}(p_D) takes the place of the outer cell.
+
+The Jacobian's sparsity pattern is fixed by the mesh, so everything that
+depends on the pattern alone is worked out once per run by ``Assembly``:
+the CSC pattern, the map from each assembled term to its CSC slot, and the
+``SolvePlan`` that places each slot in the storage the direct solver
+factors.  Per Newton iterate, ``residual`` evaluates the parametrization
+once and gives f(tau), s(tau) and the derivatives; ``jacobian`` turns
+those derivatives into the Jacobian's values only for an iterate whose
+correction is solved.
 """
 
 from __future__ import annotations
@@ -22,16 +31,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .hydromodel import SPRIME_CAP, Parametrization, mobility, mobility_derivative
 from .mesh import Mesh
 
 __all__ = [
+    "BAND_MAX",
     "Assembly",
     "InitialField",
+    "SolvePlan",
     "discretize_initial",
-    "evaluate",
+    "jacobian",
+    "residual",
 ]
+
+# Widest bandwidth max(kl, ku) solved by band LU.  On test1 Jacobians dgbsv
+# beats SuperLU up to bandwidth 28 and loses from 36 on.
+BAND_MAX = 32
 
 
 @dataclass
@@ -82,16 +99,65 @@ def discretize_initial(s0: InitialField | float, mesh: Mesh, param: Parametrizat
     return np.asarray(param.sat_inverse(s_cells), dtype=float)
 
 
+def _csc_pattern(keys, n: int):
+    """(indices, indptr) of the n x n pattern with sorted entries keys = column * n + row."""
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
+    return (keys % n).astype(np.int32), indptr.astype(np.int32)
+
+
+class SolvePlan:
+    """Where each slot of a fixed n x n CSC pattern goes in the storage its LU factors.
+
+    Worked out once from the pattern (indices, indptr), which holds no
+    duplicate entries, alone, so that a
+    factorization of values ``data`` on it needs only ``store[pos] = data``
+    on a zeroed array of length ``size`` and the LU itself.  With lower and
+    upper bandwidths kl, ku and max(kl, ku) <= BAND_MAX the route is band LU
+    (``band`` is True) and ``store`` is LAPACK band storage of shape
+    (2*kl + ku + 1, n) in column-major order.  Otherwise the route is SuperLU
+    on the symmetrically permuted matrix A[perm][:, perm]: its CSC pattern
+    is (``indices``, ``indptr``) and ``store`` holds its values.  perm is
+    SuperLU's minimum-degree ordering of A^T + A followed by its elimination
+    tree postorder.  That ordering depends on the pattern alone, so it is
+    read from one factorization of a matrix on the pattern plus the
+    diagonal that is strictly diagonally dominant by columns, hence never
+    singular.
+    """
+
+    def __init__(self, indices, indptr):
+        self.n = n = indptr.size - 1
+        cols = np.repeat(np.arange(n), np.diff(indptr))
+        offset = indices - cols  # row - column
+        self.kl, self.ku = kl, ku = int(offset.max(initial=0)), int(-offset.min(initial=0))
+        self.band = max(kl, ku) <= BAND_MAX
+        if self.band:
+            # A[i, j] sits in row kl + ku + i - j of column j
+            self.ldab = 2 * kl + ku + 1
+            self.size = self.ldab * n
+            self.pos = (kl + ku + offset) + self.ldab * cols
+            self.perm = self.indices = self.indptr = None
+            return
+        dominant = (sp.csc_matrix((-np.ones(indices.size), indices, indptr), shape=(n, n))
+                    + sp.diags(np.diff(indptr) + 1.0))
+        where = spla.splu(dominant, permc_spec="MMD_AT_PLUS_A").perm_c.astype(np.intp)
+        self.perm = np.argsort(where)  # where[i]: position of row and column i
+        keys = where[cols] * n + where[indices]
+        order = np.argsort(keys)
+        self.size = indices.size
+        self.pos = np.argsort(order)
+        self.indices, self.indptr = _csc_pattern(keys[order], n)
+
+
 class Assembly:
     """Fixed data of the step residual on one mesh, built once per run.
 
     Holds the edge arrays of the flux sum (interior edges first, then
     ``mesh.dirichlet_edges``, whose outer cell is tau_D =
-    param.tau_of_pressure(p_D)), the boundary values (u, lam) of tau_D and
-    the CSC sparsity pattern of the Jacobian with the map from each
-    assembled term to its CSC position.  Nothing here depends on dt, the
-    history or the iterate.  tau_D is given exactly when the mesh has
-    Dirichlet edges.
+    param.tau_of_pressure(p_D)), the boundary values (u, lam) of tau_D, the
+    CSC sparsity pattern of the Jacobian with the map from each assembled
+    term to its CSC slot, and the ``SolvePlan`` of that pattern.  Nothing
+    here depends on dt, the history or the iterate.  tau_D is given exactly
+    when the mesh has Dirichlet edges.
     """
 
     def __init__(self, mesh: Mesh, param: Parametrization, gravity, tau_D: float | None = None):
@@ -120,7 +186,7 @@ class Assembly:
         self.u_D = np.asarray(uD, dtype=float)
         self.lam_D = np.asarray(mobility(param.model, sD), dtype=float)
 
-        # Jacobian terms in the order evaluate() lists them: s' on the
+        # Jacobian terms in the order jacobian() lists them: s' on the
         # diagonal, the diagonal flux terms (interior K, interior L,
         # Dirichlet K), then the off-diagonal pairs (K, L) and (L, K).
         n = mesh.n_cells
@@ -129,40 +195,57 @@ class Assembly:
         rows = np.concatenate([diag, K, L, self.K[ni:], K, L])
         cols = np.concatenate([diag, K, L, self.K[ni:], L, K])
         keys, self.slots = np.unique(cols * n + rows, return_inverse=True)
-        self.indices = (keys % n).astype(np.int32)
-        self.indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(keys // n, minlength=n))]
-        ).astype(np.int32)
+        self.indices, self.indptr = _csc_pattern(keys, n)
         self.flux_cells = np.concatenate([K, L, self.K[ni:]])
+        self.plan = SolvePlan(self.indices, self.indptr)
+
+    def matrix(self, data) -> sp.csc_matrix:
+        """The CSC matrix with values data on the Jacobian's pattern.
+
+        It gets its own copies of the values and the pattern: an in-place
+        scipy call on a kept matrix (such as eliminate_zeros) must rewrite
+        neither the values that are solved nor the pattern of later ones.
+        """
+        n = self.mesh.n_cells
+        return sp.csc_matrix((data.copy(), self.indices.copy(), self.indptr.copy()),
+                             shape=(n, n))
 
 
-def evaluate(system: Assembly, dt: float, s_prev, tau):
-    """Residual f(tau), its exact Jacobian J (CSC) and s(tau) for one implicit step.
+def residual(system: Assembly, dt: float, s_prev, tau):
+    """Residual f(tau) of one implicit step, s(tau) and the derivatives (s', u') at tau.
 
-    Diagonal of J: s'(tau_K) + (dt/m_K) sum_sigma (m_sigma g+ lam'(s_K)
-    s'(tau_K) + A_sigma u'(tau_K)); off-diagonal (row L, column K,
-    sigma = K|L): -(dt/m_L)(m_sigma g+_{K,sigma} lam'(s_K) s'(tau_K)
-    + A_sigma u'(tau_K)).  Dirichlet edges contribute only to the diagonal.
-    Sums over edges run in edge order, so each call with the same inputs
-    gives the same bits.
+    The parametrization is evaluated once; jacobian() takes s(tau) and the
+    derivatives from here, so an iterate whose correction is solved costs
+    no second evaluation.  Sums over edges run in edge order, so each call
+    with the same inputs gives the same bits.
     """
     param, ni = system.param, system.n_interior
-    n = system.mesh.n_cells
     s, u, s_p, u_p = param.eval(np.asarray(tau, dtype=float))
-    s_p = np.where(np.isfinite(s_p), np.minimum(s_p, SPRIME_CAP), SPRIME_CAP)
     lam = mobility(param.model, s)
-    w = mobility_derivative(param.model, s) * s_p  # d lam(s(tau))/d tau
     K, L = system.K, system.L
-    r = dt / system.mesh.cell_volumes
-
     lam_out = np.concatenate([lam[L], system.lam_D])
     u_out = np.concatenate([u[L], system.u_D])
     F = system.m * (lam[K] * system.gp - lam_out * system.gn) + system.A * (u[K] - u_out)
-    flux = np.bincount(
-        system.flux_cells, weights=np.concatenate([F[:ni], -F[:ni], F[ni:]]), minlength=n
-    )
-    f = (s - s_prev) + r * flux
+    flux = np.bincount(system.flux_cells, weights=np.concatenate([F[:ni], -F[:ni], F[ni:]]),
+                       minlength=system.mesh.n_cells)
+    f = (s - s_prev) + dt / system.mesh.cell_volumes * flux
+    return f, s, (s_p, u_p)
 
+
+def jacobian(system: Assembly, dt: float, s, derivatives) -> np.ndarray:
+    """Values of the exact Jacobian of residual() in the CSC slot order of the Assembly.
+
+    s and derivatives = (s', u') are what residual() returned at the
+    iterate.  Diagonal of J: s'(tau_K) + (dt/m_K) sum_sigma (m_sigma g+
+    lam'(s_K) s'(tau_K) + A_sigma u'(tau_K)); off-diagonal (row L, column K,
+    sigma = K|L): -(dt/m_L)(m_sigma g+_{K,sigma} lam'(s_K) s'(tau_K)
+    + A_sigma u'(tau_K)).  Dirichlet edges contribute only to the diagonal.
+    """
+    s_p, u_p = derivatives
+    s_p = np.where(np.isfinite(s_p), np.minimum(s_p, SPRIME_CAP), SPRIME_CAP)
+    w = mobility_derivative(system.param.model, s) * s_p  # d lam(s(tau))/d tau
+    ni, K, L = system.n_interior, system.K, system.L
+    r = dt / system.mesh.cell_volumes
     # derivative of F_{K,sigma} w.r.t. tau_K (upwind g+ side) and tau_L
     dFK = system.mgp * w[K] + system.A * u_p[K]
     dFL = system.mgn * w[L] + system.A[:ni] * u_p[L]
@@ -171,8 +254,4 @@ def evaluate(system: Assembly, dt: float, s_prev, tau):
         s_p, rK[:ni] * dFK[:ni], rL * dFL, rK[ni:] * dFK[ni:],
         -rK[:ni] * dFL, -rL * dFK[:ni],
     ])
-    data = np.bincount(system.slots, weights=terms, minlength=system.indices.size)
-    # own copies of the pattern: an in-place scipy call on a kept J (such as
-    # eliminate_zeros) must not rewrite the pattern of later Jacobians
-    J = sp.csc_matrix((data, system.indices.copy(), system.indptr.copy()), shape=(n, n))
-    return f, J, s
+    return np.bincount(system.slots, weights=terms, minlength=system.indices.size)

@@ -1,6 +1,18 @@
-"""Echo the acceptance-criterion verdict lines after the test summary."""
+"""Echo the acceptance-criterion verdict lines after the test summary, and
+give the tests one implicit step's residual and Jacobian at any iterate."""
+
+from richards.scheme import jacobian, residual
 
 CRITERION_LINES: list[str] = []
+
+
+def evaluate(system, dt, s_prev, tau):
+    """(f, J, s) of one implicit step at tau, as newton_solve computes them.
+
+    J is the CSC matrix that a Newton callback receives.
+    """
+    f, s, derivatives = residual(system, dt, s_prev, tau)
+    return f, system.matrix(jacobian(system, dt, s, derivatives)), s
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -15,6 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import evaluate
 from richards.diagnostics import (
     contraction_check,
     energy_series,
@@ -50,7 +51,6 @@ from richards.scheme import (
     Assembly,
     InitialField,
     discretize_initial,
-    evaluate,
 )
 
 BETAS = [1.0, 4.0, 16.0]

@@ -12,8 +12,8 @@ from richards import harness, hydromodel, newton
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
-# targets the fused assembly removed; the tracer retarget is still pending
-RETIRED = {"richards.harness.StepProblem", "richards.newton.residual", "richards.newton.jacobian"}
+# the target the fused assembly removed; the tracer retarget is still pending
+RETIRED = {"richards.harness.StepProblem"}
 
 
 def _load_tracing():

@@ -321,11 +321,17 @@ def test_cli_singular_jacobian_exits_newton_failure(tmp_path, monkeypatch, capsy
 
 
 def test_cli_singular_superlu_factor_exits_newton_failure(tmp_path, monkeypatch, capsys):
-    # 40x40 takes the SuperLU route; SuperLU's message for a singular pivot
+    # 40x40 takes the SuperLU route; SuperLU's message for a singular pivot.
+    # Only the per-iteration factorization fails: the ordering analysis,
+    # made once per run, runs as it is
     import scipy.sparse.linalg
 
-    def singular(*args, **kwargs):
-        raise RuntimeError("Factor is exactly singular")
+    splu = scipy.sparse.linalg.splu
+
+    def singular(A, permc_spec):
+        if permc_spec == "NATURAL":
+            raise RuntimeError("Factor is exactly singular")
+        return splu(A, permc_spec=permc_spec)
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
     code, err = _singular_run(tmp_path, capsys, "40x40")

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import richards.harness as H
 import richards.newton as N
+from conftest import evaluate
 from richards.harness import preset_test1, preset_test2, run
 from richards.hydromodel import BrooksCoreyModel, Parametrization
 from richards.mesh import DIRICHLET, build_interval_mesh, build_rect_mesh
@@ -21,7 +23,7 @@ from richards.newton import (
     mmatrix_analyze,
     newton_solve,
 )
-from richards.scheme import Assembly, evaluate
+from richards.scheme import Assembly, SolvePlan
 
 MODEL = BrooksCoreyModel(beta=4.0, p_b=-0.01)
 TAU = Parametrization(kind="tau", model=MODEL)
@@ -141,15 +143,21 @@ def test_config_validation():
 # -- linear_solve --------------------------------------------------------------
 
 
+def solve(A, b):
+    """x = A^{-1} b through a plan of A's own pattern."""
+    A = sp.csc_matrix(A)
+    return linear_solve(SolvePlan(A.indices, A.indptr), A.data, b)
+
+
 def test_identity_system():
     b = np.array([1.0, -2.0, 3.0])
-    x = linear_solve(sp.eye(3, format="csr"), b)
+    x = solve(sp.eye(3, format="csr"), b)
     np.testing.assert_allclose(x, b, rtol=1e-14)
 
 
 def test_hand_solved_2x2():
     A = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
-    x = linear_solve(A, np.array([1.0, 1.0]))
+    x = solve(A, np.array([1.0, 1.0]))
     np.testing.assert_allclose(x, [1.0, 1.0], rtol=1e-14)
 
 
@@ -160,13 +168,16 @@ def test_matches_dense_reference():
     np.fill_diagonal(offdiag, 0.0)
     A = offdiag + np.diag(1.0 - offdiag.sum(axis=1))  # strictly dominant M-matrix
     b = rng.standard_normal(n)
-    x = linear_solve(sp.csr_matrix(A), b)
+    x = solve(sp.csr_matrix(A), b)
     np.testing.assert_allclose(x, np.linalg.solve(A, b), rtol=1e-10)
 
 
-def count_routes(monkeypatch) -> dict:
-    """Count the calls of the band and the SuperLU routine as newton binds them."""
-    calls = {"band": 0, "superlu": 0}
+def count_lu(monkeypatch) -> dict:
+    """Count band LU calls and SuperLU factorizations by column ordering.
+
+    SuperLU must be called with its default pivoting, relax and panel size.
+    """
+    calls = {"band": 0, "MMD_AT_PLUS_A": 0, "NATURAL": 0}
     dgbsv, splu = N.dgbsv, N.spla.splu
 
     def band(*args, **kwargs):
@@ -174,8 +185,8 @@ def count_routes(monkeypatch) -> dict:
         return dgbsv(*args, **kwargs)
 
     def superlu(A, **kwargs):
-        assert kwargs == {"permc_spec": "MMD_AT_PLUS_A"}
-        calls["superlu"] += 1
+        assert set(kwargs) == {"permc_spec"}
+        calls[kwargs["permc_spec"]] += 1
         return splu(A, **kwargs)
 
     monkeypatch.setattr(N, "dgbsv", band)
@@ -188,27 +199,50 @@ def bandwidth(A) -> int:
     return int(np.abs(coo.row - coo.col).max())
 
 
+def first_jacobian(config):
+    kept = []
+    run(replace(config, t_end=config.dt), callback=lambda k, tau, res, J: kept.append(J))
+    return kept[0]
+
+
 def test_both_routes_solve_a_scheme_jacobian(monkeypatch):
     # the first Jacobian of a test1 run on 20x20: bandwidth 20 in natural
     # order; a random symmetric permutation spreads it past BAND_MAX
-    kept = []
-    run(replace(preset_test1(beta=4.0, eps=1e-6), t_end=0.01),
-        callback=lambda k, tau, res, J: kept.append(J))
-    J = kept[0]
+    J = first_jacobian(preset_test1(beta=4.0, eps=1e-6))
     rng = np.random.default_rng(3)
     b = rng.standard_normal(J.shape[0])
     perm = rng.permutation(J.shape[0])
     Jp = sp.csc_matrix(J[perm][:, perm])
     assert bandwidth(J) <= BAND_MAX < bandwidth(Jp)
 
-    calls = count_routes(monkeypatch)
+    calls = count_lu(monkeypatch)
     for A, rhs, route in [(J, b, "band"), (Jp, b[perm], "superlu")]:
         before = dict(calls)
-        x = linear_solve(A, rhs)
+        plan = SolvePlan(A.indices, A.indptr)
+        assert plan.band == (route == "band")
+        x = linear_solve(plan, A.data, rhs)
         ref = np.linalg.solve(A.toarray(), rhs)
         assert np.linalg.norm(x - ref, np.inf) <= 1e-12 * np.linalg.norm(ref, np.inf)
+        superlu = route == "superlu"
         assert {k: calls[k] - before[k] for k in calls} == {
-            k: int(k == route) for k in calls}
+            "band": int(not superlu), "MMD_AT_PLUS_A": int(superlu), "NATURAL": int(superlu)}
+
+
+def test_plan_ordering_is_the_jacobians_own():
+    # SuperLU's MMD ordering of a real Jacobian, and its fill, equal those
+    # the plan read off the pattern alone
+    import scipy.sparse.linalg as spla
+
+    J = first_jacobian(preset_test2(eps=1e-6, mesh_size="34x8"))
+    plan = SolvePlan(J.indices, J.indptr)
+    assert not plan.band
+    lu = spla.splu(J, permc_spec="MMD_AT_PLUS_A")
+    np.testing.assert_array_equal(plan.perm, np.argsort(lu.perm_c))
+    store = np.zeros(plan.size)
+    store[plan.pos] = J.data
+    Jp = sp.csc_matrix((store, plan.indices, plan.indptr), shape=J.shape)
+    assert (Jp != J[plan.perm][:, plan.perm]).nnz == 0
+    assert spla.splu(Jp, permc_spec="NATURAL").nnz == lu.nnz
 
 
 @pytest.mark.parametrize("route", ["band", "superlu"])
@@ -220,10 +254,12 @@ def test_zero_column_raises_singular_on_each_route(monkeypatch, route):
     A[:, 10] = 0.0
     A = sp.csc_matrix(A)
     A.eliminate_zeros()
-    calls = count_routes(monkeypatch)
+    calls = count_lu(monkeypatch)
     with pytest.raises(SingularJacobianError):
-        linear_solve(A, np.ones(n))
-    assert calls[route] == 1 and sum(calls.values()) == 1
+        solve(A, np.ones(n))
+    superlu = route == "superlu"
+    assert calls == {"band": int(not superlu), "MMD_AT_PLUS_A": int(superlu),
+                     "NATURAL": int(superlu)}
 
 
 def test_iteration_counts_pinned_on_both_routes():
@@ -233,6 +269,68 @@ def test_iteration_counts_pinned_on_both_routes():
     assert res.iters_per_step == [7, 5, 4, 5, 5, 5, 5, 5, 4, 5, 5, 4, 5, 5, 4, 4, 4, 5, 5, 5]
     res = run(replace(preset_test2(eps=1e-6, mesh_size="40x40"), t_end=1e4))
     assert res.iters_per_step == [18, 7, 6, 6, 5, 5, 4, 4, 4, 5]
+
+
+def test_jacobian_computed_only_where_a_correction_uses_it(monkeypatch):
+    calls = {"jacobian": 0, "eval": 0}
+    jacobian, param_eval = N.jacobian, Parametrization.eval
+
+    def counted_jacobian(*args):
+        calls["jacobian"] += 1
+        return jacobian(*args)
+
+    def counted_eval(self, tau):
+        calls["eval"] += 1
+        return param_eval(self, tau)
+
+    monkeypatch.setattr(N, "jacobian", counted_jacobian)
+    monkeypatch.setattr(Parametrization, "eval", counted_eval)
+    res = run(replace(preset_test2(eps=1e-6, mesh_size="40x40"), t_end=1e4))
+    assert res.iters_per_step == [18, 7, 6, 6, 5, 5, 4, 4, 4, 5]
+    assert calls["jacobian"] == sum(res.iters_per_step)
+    # one per iterate (64 + 10), plus the boundary values, the initial s and
+    # the 11 states of the mass error: as many as with a Jacobian per iterate
+    assert calls["eval"] == 87
+
+    # per step as many Jacobians as iterations; none where tau_init converged
+    per_step = []
+
+    def counted_solve(*args, **kwargs):
+        before = calls["jacobian"]
+        out = newton_solve(*args, **kwargs)
+        per_step.append((calls["jacobian"] - before, out[2].iterations))
+        return out
+
+    monkeypatch.setattr(H, "newton_solve", counted_solve)
+    res = run(replace(preset_test2(eps=1e-2, mesh_size="40x40"), t_end=3e4))
+    assert 0 in res.iters_per_step
+    assert per_step == [(n, n) for n in res.iters_per_step]
+
+
+def test_superlu_route_counts_one_ordering_per_assembly(monkeypatch):
+    # 34 cells across: bandwidth 34 > BAND_MAX in natural order
+    calls = count_lu(monkeypatch)
+    iters = 0
+    for form in ("tau", "u"):
+        res = run(replace(preset_test2(eps=1e-6, formulation=form, mesh_size="34x8"), t_end=5e3))
+        assert res.converged
+        iters += sum(res.iters_per_step)
+    assert calls == {"band": 0, "MMD_AT_PLUS_A": 2, "NATURAL": iters}
+
+
+def test_superlu_route_keeps_the_method_properties():
+    # the properties the redistribution benchmark checks, on a mesh wider
+    # than BAND_MAX: s in [0, 1], tau conserves mass to rounding, u does not
+    mass = {}
+    for form in ("tau", "u"):
+        res = run(replace(preset_test2(eps=1e-6, formulation=form, mesh_size="34x8"), t_end=2e4))
+        assert res.converged and len(res.iters_per_step) == 20
+        sats = res.trajectory.saturations()
+        assert min(float(s.min()) for s in sats) >= 0.0
+        assert max(float(s.max()) for s in sats) <= 1.0
+        mass[form] = res.mass_err
+    assert mass["tau"] <= 1e-10
+    assert mass["u"] >= 1e6 * max(mass["tau"], np.finfo(float).eps)
 
 
 # -- mmatrix_analyze -----------------------------------------------------------

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import evaluate
 from richards.hydromodel import BrooksCoreyModel, Parametrization, mobility
 from richards.mesh import DIRICHLET, build_interval_mesh, build_rect_mesh, load_mesh, save_mesh
 from richards.scheme import (
     Assembly,
     InitialField,
     discretize_initial,
-    evaluate,
 )
 
 MODEL = BrooksCoreyModel(beta=4.0, p_b=-0.01)
