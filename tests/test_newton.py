@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import richards.harness as H
 import richards.newton as N
@@ -231,8 +232,6 @@ def test_both_routes_solve_a_scheme_jacobian(monkeypatch):
 def test_plan_ordering_is_the_jacobians_own():
     # SuperLU's MMD ordering of a real Jacobian, and its fill, equal those
     # the plan read off the pattern alone
-    import scipy.sparse.linalg as spla
-
     J = first_jacobian(preset_test2(eps=1e-6, mesh_size="34x8"))
     plan = SolvePlan(J.indices, J.indptr)
     assert not plan.band
