@@ -25,6 +25,7 @@ assembly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -349,12 +350,27 @@ def save_mesh(mesh: Mesh, path):
         f.write("\n".join(lines) + "\n")
 
 
-def _index(token: str, n: int) -> int:
-    """An entity id of a mesh file, which must lie in [0, n)."""
-    i = int(token)
-    if not 0 <= i < n:
-        raise ValueError(f"id {i} outside [0, {n})")
-    return i
+def _convert(table, rows, cols, errors, bound=None):
+    """A table of tokens (an object array) as floats, or as ids below bound[j] in column j.
+
+    Row r of table is record rows[r] and column j its token cols[j].  A token
+    that does not parse, or an id out of range, goes to errors as (record,
+    token, message) and reads as 0.
+    """
+    kind = float if bound is None else int
+    try:
+        values = table.astype(kind)
+    except (ValueError, OverflowError):
+        values = np.zeros(table.shape, dtype=kind)
+        for (r, j), token in np.ndenumerate(table):
+            try:
+                values[r, j] = kind(token)
+            except (ValueError, OverflowError) as exc:
+                errors.append((rows[r], cols[j], str(exc)))
+    if bound is not None:
+        errors += [(rows[r], cols[j], f"id {values[r, j]} outside [0, {bound[j]})")
+                   for r, j in np.argwhere((values < 0) | (values >= bound)).tolist()]
+    return values
 
 
 def load_mesh(path) -> Mesh:
@@ -365,18 +381,27 @@ def load_mesh(path) -> Mesh:
     ``edge <id> <measure> interior <K> <L> <dK> <dL>`` or
     ``edge <id> <measure> boundary <K> <dK> <xsigma...> <dirichlet|noflux>``.
     Cell ids lie in [0, ncells) and edge ids in [0, nedges), each id has
-    exactly one record, and each record exactly the tokens shown.  The file holds the primary geometry only (see
-    :class:`Mesh`); all admissibility invariants are validated on load.
+    exactly one record, and each record exactly the tokens shown.  The file
+    holds the primary geometry only (see :class:`Mesh`); all admissibility
+    invariants are validated on load.  The text is tokenized once; the ids
+    and the floats of each record kind are converted as one table each.  Of
+    the malformed or repeated records, the first in the file is reported as
+    ``path:line``.
     """
     with open(path) as f:
-        raw = [ln.strip() for ln in f if ln.strip()]
-    if not raw or not raw[0].startswith("mesh "):
+        lines = f.read().splitlines()
+    tokens = list(map(str.split, lines))
+    n_tok = np.fromiter(map(len, tokens), dtype=int, count=len(tokens))
+    flat = np.array(list(chain.from_iterable(tokens)), dtype=object)  # in file order
+    first = np.cumsum(n_tok) - n_tok  # each line's first token
+    used = np.flatnonzero(n_tok)
+    if not used.size or flat[0] != "mesh" or n_tok[used[0]] < 2:
         raise MeshError(f"{path}: missing 'mesh' header line")
     try:
-        header = dict(tok.split("=") for tok in raw[0].split()[1:])
+        header = dict(tok.split("=") for tok in tokens[used[0]][1:])
         dim, ncells, nedges = int(header["d"]), int(header["ncells"]), int(header["nedges"])
     except (KeyError, ValueError) as exc:
-        raise MeshError(f"{path}: malformed header {raw[0]!r}") from exc
+        raise MeshError(f"{path}: malformed header {lines[used[0]].strip()!r}") from exc
     if dim not in (1, 2):
         raise MeshError(f"{path}: unsupported dimension {dim}")
     if ncells < 1:
@@ -384,49 +409,70 @@ def load_mesh(path) -> Mesh:
     if nedges < 0:
         raise MeshError(f"{path}: negative edge count {nedges}")
 
-    centers = np.full((ncells, dim), np.nan)
+    line = used[1:]  # one record per line
+    n, first = n_tok[line], first[line]
+    head = flat[first].astype(str)
+    edge = (head == "edge") & (n > 3)
+    kind = head.astype(object)
+    kind[edge] = "edge " + flat[first[edge] + 3]
+    # per record kind: its token count, its id tokens with their bounds and
+    # its float tokens; the other tokens are keywords and the tag
+    records = {
+        "cell": (3 + dim, {1: ncells}, [2, *range(3, 3 + dim)]),
+        "edge interior": (8, {1: nedges, 4: ncells, 5: ncells}, [2, 6, 7]),
+        "edge boundary": (7 + dim, {1: nedges, 4: ncells}, [2, 5, *range(6, 6 + dim)]),
+    }
+    errors = [(i, -1, f"unknown record kind {kind[i]!r}")
+              for i in np.flatnonzero(~np.isin(kind, list(records))).tolist()]
+    rows, ids, floats = {}, {}, {}
+    for name, (count, bounds, cols) in records.items():
+        errors += [(i, -1, f"expected {count} tokens, got {n[i]}")
+                   for i in np.flatnonzero((kind == name) & (n != count)).tolist()]
+        rows[name] = r = np.flatnonzero((kind == name) & (n == count))
+        at = first[r][:, None]
+        ids[name] = _convert(flat[at + list(bounds)], r, list(bounds), errors,
+                             np.array(list(bounds.values())))
+        floats[name] = _convert(flat[at + cols], r, cols, errors)
+    r, count = rows["edge boundary"], 7 + dim
+    tag = flat[first[r] + count - 1]
+    errors += [(r[j], count - 1, f"unknown tag {tag[j]!r}")
+               for j in np.flatnonzero(~np.isin(tag, ["dirichlet", "noflux"])).tolist()]
+    errors = [(i, col, f"malformed line {lines[line[i]].strip()!r} ({msg})")
+              for i, col, msg in errors]
+
+    # each cell and edge id once: a repeat is reported on its own line
+    record = np.concatenate(list(rows.values()))
+    key = np.concatenate([ids["cell"][:, 0], ncells + ids["edge interior"][:, 0],
+                          ncells + ids["edge boundary"][:, 0]])
+    order = np.argsort(record)
+    record, key = record[order], key[order]
+    _, once = np.unique(key, return_index=True)
+    repeat = np.ones(key.size, dtype=bool)
+    repeat[once] = False
+    errors += [(i, np.inf, f"duplicate {head[i]} record {k - ncells if head[i] == 'edge' else k}")
+               for i, k in zip(record[repeat].tolist(), key[repeat].tolist())]
+    if errors:
+        i, _, message = min(errors)
+        raise MeshError(f"{path}:{line[i] + 1}: {message}")
+    if once.size != ncells + nedges:
+        raise MeshError(f"{path}: missing cell or edge records")
+
     volumes = np.full(ncells, np.nan)
+    centers = np.full((ncells, dim), np.nan)
+    c, v = ids["cell"][:, 0], floats["cell"]
+    volumes[c], centers[c] = v[:, 0], v[:, 1:]
     measure = np.full(nedges, np.nan)
     cells = np.full((nedges, 2), -1, dtype=int)
     dists = np.full((nedges, 2), np.nan)
     xs = np.full((nedges, dim), np.nan)
     tags = np.full(nedges, -1, dtype=int)
-
-    seen = set()  # (record kind, id)
-    n_tokens = {"cell": 3 + dim, "edge interior": 8, "edge boundary": 7 + dim}
-    for ln in raw[1:]:
-        tok = ln.split()
-        try:
-            kind = f"edge {tok[3]}" if tok[0] == "edge" else tok[0]
-            if kind not in n_tokens:
-                raise ValueError(f"unknown record kind {kind!r}")
-            if len(tok) != n_tokens[kind]:
-                raise ValueError(f"expected {n_tokens[kind]} tokens, got {len(tok)}")
-            if kind == "cell":
-                i = _index(tok[1], ncells)
-                volumes[i] = float(tok[2])
-                centers[i] = [float(t) for t in tok[3:]]
-            else:
-                e = _index(tok[1], nedges)
-                measure[e] = float(tok[2])
-                if kind == "edge interior":
-                    cells[e] = (_index(tok[4], ncells), _index(tok[5], ncells))
-                    dists[e] = (float(tok[6]), float(tok[7]))
-                    tags[e] = INTERIOR
-                else:
-                    cells[e] = (_index(tok[4], ncells), -1)
-                    dists[e, 0] = float(tok[5])
-                    xs[e] = [float(t) for t in tok[6:-1]]
-                    tags[e] = {"dirichlet": DIRICHLET, "noflux": NOFLUX}[tok[-1]]
-        except (IndexError, ValueError, KeyError) as exc:
-            raise MeshError(f"{path}: malformed line {ln!r} ({exc})") from exc
-        record = (tok[0], int(tok[1]))
-        if record in seen:
-            raise MeshError(f"{path}: duplicate {tok[0]} record {record[1]}")
-        seen.add(record)
-
-    if len(seen) != ncells + nedges:
-        raise MeshError(f"{path}: missing cell or edge records")
+    e, v = ids["edge interior"], floats["edge interior"]
+    measure[e[:, 0]], cells[e[:, 0]], dists[e[:, 0]] = v[:, 0], e[:, 1:], v[:, 1:]
+    tags[e[:, 0]] = INTERIOR
+    e, v = ids["edge boundary"], floats["edge boundary"]
+    measure[e[:, 0]], cells[e[:, 0], 0], dists[e[:, 0], 0] = v[:, 0], e[:, 1], v[:, 1]
+    xs[e[:, 0]] = v[:, 2:]
+    tags[e[:, 0]] = np.where(tag == "dirichlet", DIRICHLET, NOFLUX)
     mesh = Mesh(
         cell_volumes=volumes,
         cell_centers=centers,

@@ -19,6 +19,26 @@ ordering; the routes differ only in fill and speed, not in accuracy.
 Per iteration only numeric work is left: the Jacobian's values are
 computed for an iterate whose correction is solved, scattered into the
 planned storage and factored.
+
+Only the wet set is factored.  Column K of J holds the couplings
+-(dt/m_L)(m_sigma g+ lam'(s_K) s'(tau_K) + A_sigma u'(tau_K)), which depend
+on cell K's state alone; in a dry zone (s near 1e-6 in the infiltration
+test) u'(tau_K) is near 1e-16, so they sit near 1e-16 of the diagonal and
+their fill products in an LU underflow to subnormals.  Column K is dry
+when every off-diagonal entry is at most DROP = 1e-14 times J_KK, and the
+other columns form the wet set W.  Taking the dry couplings as zero
+makes J block lower triangular in the order [W, dry]: the W x W block is
+factored through the plan's route, restricted to W in the plan's order,
+and each dry cell then costs one division.  This is an inexact Newton
+step (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982).  A
+dry column K has one coupling per edge, each at most DROP x J_KK, so the
+mass the dropped matrix E takes from it is at most (number of edges of
+K) x DROP x J_KK, and the correction s solves J s = -F up to
+||E s||_1 <= (edges per cell) x DROP x ||diag(J) s||_1.  That forcing
+term, near 1e-13 relative, lies far below any stopping tolerance, so the
+local quadratic convergence is kept.  With
+every column wet, W is all cells and the solve is the full LU, bit for
+bit; with none, no LU runs.  A callback's J keeps the undropped values.
 """
 
 from __future__ import annotations
@@ -34,6 +54,7 @@ from .mesh import Mesh
 from .scheme import BAND_MAX, Assembly, SolvePlan, jacobian, residual
 
 __all__ = [
+    "DROP",
     "NewtonConfig",
     "NewtonReport",
     "MMatrixReport",
@@ -45,6 +66,11 @@ __all__ = [
     "jacobian_bounds",
     "inverse_norm_bound",
 ]
+
+
+# A column whose couplings are all at most DROP times its diagonal is dry:
+# the solve takes those couplings as zero (see the module docstring).
+DROP = 1e-14
 
 
 class SingularJacobianError(RuntimeError):
@@ -78,34 +104,71 @@ class NewtonReport:
 
 
 def linear_solve(plan: SolvePlan, data, b) -> np.ndarray:
-    """Direct LU solve of A x = b, A given by its CSC values data on plan's pattern.
+    """Direct solve of A x = b, A given by its CSC values data on plan's pattern.
 
-    Band route: data goes into LAPACK band storage and ``dgbsv`` solves.
-    SuperLU route: data goes into the pre-permuted pattern, which SuperLU
-    factors in its natural order with its default threshold pivoting.
-    Partial pivoting costs nothing here: the scheme's Jacobian is a
+    Column K of A is dry when every off-diagonal entry is at most DROP
+    times the diagonal A_KK, and wet otherwise (a non-finite entry makes it
+    wet); the wet set is W.  With the dry columns' couplings taken as zero,
+    A is block lower triangular in the order [W, dry], so only the W x W
+    block is factored.  Band route: the dry couplings are zeroed in LAPACK
+    band storage and ``dgbsv`` solves the columns from the first wet cell
+    to the last.  SuperLU route: the pre-permuted pattern restricted to W,
+    in the plan's order (the whole pattern when every column is wet), is
+    factored in that order with SuperLU's default threshold pivoting.  Each
+    dry cell then gets x_K = (b_K - sum_L A_KL x_L) / A_KK, the sum over the
+    wet L.  Partial pivoting costs nothing here: the scheme's Jacobian is a
     column-wise M-matrix, diagonally dominant by columns, so each pivot is
-    already on the diagonal and no row swap occurs.  An exactly zero pivot
-    raises SingularJacobianError on either route.  Deterministic for fixed
-    input.
+    already on the diagonal and no row swap occurs.  With every column wet
+    this is a plain LU solve of A; with none, no LU runs.  An exactly zero
+    pivot in the factored block, or an exactly zero diagonal of a dry cell,
+    raises SingularJacobianError.  data is not modified.  Deterministic for
+    fixed input.
     """
     b = np.asarray(b, dtype=float)
-    store = np.zeros(plan.size)
-    store[plan.pos] = data
-    if plan.band:
-        ab = store.reshape((plan.ldab, plan.n), order="F")
-        _, _, x, info = dgbsv(plan.kl, plan.ku, ab, b, overwrite_ab=True)
-        if info > 0:
-            raise SingularJacobianError(f"band LU factorization failed: U[{info - 1}, "
-                                        f"{info - 1}] is exactly zero")
-        return x
-    A = sp.csc_matrix((store, plan.indices, plan.indptr), shape=(plan.n, plan.n))
-    try:
-        lu = spla.splu(A, permc_spec="NATURAL")
-    except RuntimeError as exc:  # singular factorization
-        raise SingularJacobianError(f"sparse LU factorization failed: {exc}") from exc
-    x = np.empty_like(b)
-    x[plan.perm] = lu.solve(b[plan.perm])
+    n, off_cols = plan.n, plan.off_cols
+    values = np.append(data, 0.0)  # the zero stands for a diagonal absent from the pattern
+    diag, coupling = values[plan.diag], values[plan.off]
+    wet = ~np.isfinite(diag)
+    wet[off_cols[~(np.abs(coupling) <= (DROP * diag)[off_cols])]] = True  # nan is wet
+    w = np.flatnonzero(wet)
+    x = np.zeros(n)
+    if w.size:
+        store = np.zeros(plan.size)
+        store[plan.pos] = data
+        if plan.band:
+            lo, hi = w[0], w[-1] + 1
+            store[plan.pos[plan.off[~wet[off_cols]]]] = 0.0
+            ab = store.reshape((plan.ldab, n), order="F")[:, lo:hi]
+            _, _, x[lo:hi], info = dgbsv(plan.kl, plan.ku, ab, b[lo:hi], overwrite_ab=True)
+            if info > 0:
+                raise SingularJacobianError(f"band LU factorization failed: U[{lo + info - 1}, "
+                                            f"{lo + info - 1}] is exactly zero")
+        else:
+            if w.size == n:  # the pattern restricted to all cells is the pattern
+                order = plan.perm
+                A = sp.csc_matrix((store, plan.indices, plan.indptr), shape=(n, n))
+            else:
+                wet_p = wet[plan.perm]  # W in the plan's order
+                order = plan.perm[wet_p]
+                keep = wet_p[plan.indices] & wet_p[plan.perm_cols]
+                rank = np.cumsum(wet_p, dtype=np.int32) - np.int32(1)
+                kept = np.concatenate(([0], np.cumsum(keep, dtype=np.int32)))[plan.indptr]
+                A = sp.csc_matrix((store[keep], rank[plan.indices[keep]],
+                                   np.concatenate((kept[:1], kept[1:][wet_p]))),
+                                  shape=(w.size, w.size))
+            try:
+                lu = spla.splu(A, permc_spec="NATURAL")
+            except RuntimeError as exc:  # singular factorization
+                raise SingularJacobianError(f"sparse LU factorization failed: {exc}") from exc
+            x[order] = lu.solve(b[order])
+    dry = np.flatnonzero(~wet)
+    if dry.size:  # x_K = (b_K - sum_L A_KL x_L) / A_KK over the wet L
+        if np.any(diag[dry] == 0.0):
+            raise SingularJacobianError(f"dry column {dry[diag[dry] == 0.0][0]} has a zero "
+                                        "diagonal")
+        x[dry] = 0.0
+        below = np.bincount(plan.off_rows, weights=coupling * x[off_cols], minlength=n)
+        x[dry] = (b[dry] - below[dry]) / diag[dry]
     return x
 
 

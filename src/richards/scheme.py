@@ -46,8 +46,16 @@ __all__ = [
     "residual",
 ]
 
-# Widest bandwidth max(kl, ku) solved by band LU.  On test1 Jacobians dgbsv
-# beats SuperLU up to bandwidth 28 and loses from 36 on.
+# Widest bandwidth max(kl, ku) solved by band LU.  With couplings below DROP
+# dropped (newton.linear_solve), band LU beats SuperLU on n x n box meshes
+# (bandwidth n) at every size timed.  Median ms per solve over the second
+# half of a run's Jacobians, band / SuperLU, on a 2-CPU x86 machine:
+#   n       32           36           40           48           56
+#   test1   0.39 / 1.27  0.83 / 1.47  1.28 / 1.51  2.00 / 2.84  2.76 / 3.84
+#   test2   0.84 / 2.97  1.18 / 3.24  1.57 / 3.96  1.94 / 4.55  4.03 / 7.32
+# (test1: beta 4, to t = 0.2, about a third of the columns wet; test2: to
+# t = 1e4, all wet.)  It is kept at 32, the bound the routes were benchmarked
+# with; a larger one would move 40x40 runs to band LU.
 BAND_MAX = 32
 
 
@@ -109,25 +117,36 @@ class SolvePlan:
     """Where each slot of a fixed n x n CSC pattern goes in the storage its LU factors.
 
     Worked out once from the pattern (indices, indptr), which holds no
-    duplicate entries, alone, so that a
-    factorization of values ``data`` on it needs only ``store[pos] = data``
-    on a zeroed array of length ``size`` and the LU itself.  With lower and
-    upper bandwidths kl, ku and max(kl, ku) <= BAND_MAX the route is band LU
+    duplicate entries, alone, so that a factorization of values ``data`` on
+    it needs only ``store[pos] = data`` on a zeroed array of length ``size``
+    and the LU itself.  For the per-iteration split into wet and dry
+    columns (``newton.linear_solve``) the plan keeps each column's diagonal
+    slot (``diag``) and the off-diagonal slots (``off``) with their rows and
+    columns (``off_rows``, ``off_cols``).  With lower and upper
+    bandwidths kl, ku and max(kl, ku) <= BAND_MAX the route is band LU
     (``band`` is True) and ``store`` is LAPACK band storage of shape
     (2*kl + ku + 1, n) in column-major order.  Otherwise the route is SuperLU
     on the symmetrically permuted matrix A[perm][:, perm]: its CSC pattern
-    is (``indices``, ``indptr``) and ``store`` holds its values.  perm is
-    SuperLU's minimum-degree ordering of A^T + A followed by its elimination
-    tree postorder.  That ordering depends on the pattern alone, so it is
-    read from one factorization of a matrix on the pattern plus the
-    diagonal that is strictly diagonally dominant by columns, hence never
-    singular.
+    is (``indices``, ``indptr``), ``store`` holds its values and
+    ``perm_cols`` is the column of each of its slots.  perm is SuperLU's
+    minimum-degree ordering of A^T + A followed by its elimination tree
+    postorder.  That ordering depends on the pattern alone, so it is read
+    from one factorization of a matrix on the pattern plus the diagonal
+    that is strictly diagonally dominant by columns, hence never singular.
     """
 
     def __init__(self, indices, indptr):
         self.n = n = indptr.size - 1
+        rows = indices.astype(np.intp)
         cols = np.repeat(np.arange(n), np.diff(indptr))
-        offset = indices - cols  # row - column
+        on = rows == cols
+        # each column's diagonal slot, or slot indices.size (a zero appended
+        # to the values) where the pattern has none
+        self.diag = np.full(n, indices.size)
+        self.diag[cols[on]] = np.flatnonzero(on)
+        self.off = np.flatnonzero(~on)
+        self.off_rows, self.off_cols = rows[~on], cols[~on]
+        offset = rows - cols
         self.kl, self.ku = kl, ku = int(offset.max(initial=0)), int(-offset.min(initial=0))
         self.band = max(kl, ku) <= BAND_MAX
         if self.band:
@@ -135,17 +154,18 @@ class SolvePlan:
             self.ldab = 2 * kl + ku + 1
             self.size = self.ldab * n
             self.pos = (kl + ku + offset) + self.ldab * cols
-            self.perm = self.indices = self.indptr = None
+            self.perm = self.indices = self.indptr = self.perm_cols = None
             return
         dominant = (sp.csc_matrix((-np.ones(indices.size), indices, indptr), shape=(n, n))
                     + sp.diags(np.diff(indptr) + 1.0))
         where = spla.splu(dominant, permc_spec="MMD_AT_PLUS_A").perm_c.astype(np.intp)
         self.perm = np.argsort(where)  # where[i]: position of row and column i
-        keys = where[cols] * n + where[indices]
+        keys = where[cols] * n + where[rows]
         order = np.argsort(keys)
         self.size = indices.size
         self.pos = np.argsort(order)
         self.indices, self.indptr = _csc_pattern(keys[order], n)
+        self.perm_cols = keys[order] // n
 
 
 class Assembly:

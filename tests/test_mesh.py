@@ -380,6 +380,48 @@ def test_duplicate_records_rejected(tmp_path, kind, record):
         load_mesh(path)
 
 
+# edits of the saved 2x2 mesh (header on line 1, cells on lines 2-5,
+# interior edges on 6-9, boundary edges on 10-17) and the message of the
+# first faulty record in the file
+MALFORMED = [
+    ({"cell 2 0.25 0.25 0.75": "cel 2 0.25 0.25 0.75"}, 4,
+     "malformed line 'cel 2 0.25 0.25 0.75' (unknown record kind 'cel')"),
+    ({"edge 1 0.5 interior": "edge 1 0.5 inner"}, 7,
+     "malformed line 'edge 1 0.5 inner 2 3 0.25 0.25' (unknown record kind 'edge inner')"),
+    ({"edge 3 0.5 interior 1 3 0.25 0.25": "edge 3 0.5 interior 1 3 0.25 x"}, 9,
+     "malformed line 'edge 3 0.5 interior 1 3 0.25 x' (could not convert string to float: 'x')"),
+    ({"edge 3 0.5 interior 1 3": "edge 3 0.5 interior one 3"}, 9,
+     "malformed line 'edge 3 0.5 interior one 3 0.25 0.25' "
+     "(invalid literal for int() with base 10: 'one')"),
+    ({"edge 10 0.5 boundary 1 0.25 0.75 0 noflux": "edge 10 0.5 boundary 1 0.25 0.75 0 wet"}, 16,
+     "malformed line 'edge 10 0.5 boundary 1 0.25 0.75 0 wet' (unknown tag 'wet')"),
+    # two faults: the earlier line is reported, whatever its kind of fault
+    ({"cell 1 0.25 0.75 0.25": "cell 1 0.25 0.75", "edge 0 0.5 interior 0 1": "edge 0 0.5 interior 0 7"},
+     3, "malformed line 'cell 1 0.25 0.75' (expected 5 tokens, got 4)"),
+    ({"edge 2 0.5 interior 0 2 0.25 0.25": "edge 1 0.5 interior 0 2 0.25 0.25",
+      "edge 9 0.5 boundary 2 0.25 0.25 1 noflux": "edge 9 0.5 boundary 2 0.25 0.25 1"}, 8,
+     "duplicate edge record 1"),
+    # an id that does not parse reads as no id, so it repeats none
+    ({"cell 2 0.25 0.25 0.75": "cell two 0.25 0.25 0.75"}, 4,
+     "malformed line 'cell two 0.25 0.25 0.75' (invalid literal for int() with base 10: 'two')"),
+]
+
+
+@pytest.mark.parametrize("blank", [0, 2])
+@pytest.mark.parametrize("edits,line,message", MALFORMED)
+def test_first_faulty_record_named_by_path_and_line(tmp_path, edits, line, message, blank):
+    path = tmp_path / "m.mesh"
+    save_mesh(build_rect_mesh(2, 2), path)
+    text = path.read_text()
+    for old, new in edits.items():
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    path.write_text("\n" * blank + text)
+    with pytest.raises(MeshError) as exc:
+        load_mesh(path)
+    assert str(exc.value) == f"{path}:{line + blank}: {message}"
+
+
 def test_retag_boundary_counts():
     mesh = build_rect_mesh(20, 20)
     n = mesh.retag_boundary(

@@ -200,16 +200,33 @@ def bandwidth(A) -> int:
     return int(np.abs(coo.row - coo.col).max())
 
 
-def first_jacobian(config):
+def jacobians(config):
+    """Every Jacobian a Newton callback receives in a run of config."""
     kept = []
-    run(replace(config, t_end=config.dt), callback=lambda k, tau, res, J: kept.append(J))
-    return kept[0]
+    run(config, callback=lambda k, tau, res, J: kept.append(J))
+    return kept
+
+
+def first_jacobian(config):
+    return jacobians(replace(config, t_end=config.dt))[0]
+
+
+def wet_columns(J):
+    """Columns with an off-diagonal entry above DROP times the diagonal, or a
+    non-finite entry."""
+    coo = sp.coo_matrix(J)
+    d = sp.csc_matrix(J).diagonal()
+    off = coo.row != coo.col
+    big = ~(np.abs(coo.data[off]) <= N.DROP * d[coo.col[off]])
+    return (np.bincount(coo.col[off][big], minlength=J.shape[0]) > 0) | ~np.isfinite(d)
 
 
 def test_both_routes_solve_a_scheme_jacobian(monkeypatch):
-    # the first Jacobian of a test1 run on 20x20: bandwidth 20 in natural
-    # order; a random symmetric permutation spreads it past BAND_MAX
-    J = first_jacobian(preset_test1(beta=4.0, eps=1e-6))
+    # the seventh Jacobian of a test1 run on 20x20, with 37 of its 400
+    # columns wet: bandwidth 20 in natural order; a random symmetric
+    # permutation spreads it past BAND_MAX
+    J = jacobians(replace(preset_test1(beta=4.0, eps=1e-6), t_end=0.03))[6]
+    assert wet_columns(J).sum() == 37
     rng = np.random.default_rng(3)
     b = rng.standard_normal(J.shape[0])
     perm = rng.permutation(J.shape[0])
@@ -227,6 +244,88 @@ def test_both_routes_solve_a_scheme_jacobian(monkeypatch):
         superlu = route == "superlu"
         assert {k: calls[k] - before[k] for k in calls} == {
             "band": int(not superlu), "MMD_AT_PLUS_A": int(superlu), "NATURAL": int(superlu)}
+
+
+@pytest.mark.parametrize("mesh_size,t_end,band", [
+    ("20x20", 0.03, True), ("34x8", 0.03, False), ("80x80", 0.01, False)])
+def test_wet_set_solve_matches_the_full_solve(mesh_size, t_end, band):
+    # every Jacobian of a short test1 run, from all dry to a growing wet set;
+    # the reference solves the full matrix, couplings below DROP included
+    # (dense LAPACK, or at 80x80 SuperLU, as the dense matrix takes 330 MB)
+    Js = jacobians(replace(preset_test1(beta=4.0, eps=1e-6, mesh_size=mesh_size), t_end=t_end))
+    n = Js[0].shape[0]
+    wet = [int(wet_columns(J).sum()) for J in Js]
+    assert wet[0] == 0 and 0 < wet[-1] < n
+    plan = SolvePlan(Js[0].indices, Js[0].indptr)
+    assert plan.band == band
+    b = np.random.default_rng(4).standard_normal(n)
+    for J in Js:
+        x = linear_solve(plan, J.data, b)
+        ref = np.linalg.solve(J.toarray(), b) if n < 1000 else spla.spsolve(J, b)
+        assert np.linalg.norm(x - ref, np.inf) <= 1e-12 * np.linalg.norm(ref, np.inf)
+
+
+@pytest.mark.parametrize("route", ["band", "superlu"])
+def test_all_dry_jacobian_is_solved_without_lu(monkeypatch, route):
+    # the first Jacobian of test1 on 20x20: every column couples at about
+    # 1e-16 of its diagonal, so x = b / diag(J) and no LU runs
+    J = first_jacobian(preset_test1(beta=4.0, eps=1e-6))
+    assert not wet_columns(J).any()
+    if route == "superlu":
+        perm = np.random.default_rng(3).permutation(J.shape[0])
+        J = sp.csc_matrix(J[perm][:, perm])
+    b = np.random.default_rng(5).standard_normal(J.shape[0])
+    plan = SolvePlan(J.indices, J.indptr)
+    assert plan.band == (route == "band")
+    calls = count_lu(monkeypatch)
+    x = linear_solve(plan, J.data, b)
+    assert calls == {"band": 0, "MMD_AT_PLUS_A": 0, "NATURAL": 0}
+    np.testing.assert_array_equal(x, b / J.diagonal())
+
+
+@pytest.mark.parametrize("route", ["band", "superlu"])
+def test_zero_pivot_in_the_wet_set_raises_singular(monkeypatch, route):
+    # cells 10 and 11 form a block [[1, 1], [-1, -1]] of two wet columns,
+    # uncoupled from the rest: its second pivot is exactly zero in either order
+    n = 50
+    A = sp.diags([-np.ones(n - 1), 3.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1]).tolil()
+    if route == "superlu":
+        A[0, n - 1] = A[n - 1, 0] = -0.5  # bandwidth n - 1
+    A[9, 10] = A[10, 9] = A[11, 12] = A[12, 11] = 0.0
+    A[10, 10] = A[10, 11] = 1.0
+    A[11, 10] = A[11, 11] = -1.0
+    A = sp.csc_matrix(A)
+    A.eliminate_zeros()
+    assert wet_columns(A)[[10, 11]].all()
+    calls = count_lu(monkeypatch)
+    with pytest.raises(SingularJacobianError):
+        solve(A, np.ones(n))
+    superlu = route == "superlu"
+    assert calls == {"band": int(not superlu), "MMD_AT_PLUS_A": int(superlu),
+                     "NATURAL": int(superlu)}
+
+
+def full_solve(plan, data, b):
+    """Solve of the SuperLU route that factors all n cells."""
+    store = np.zeros(plan.size)
+    store[plan.pos] = data
+    A = sp.csc_matrix((store, plan.indices, plan.indptr), shape=(plan.n, plan.n))
+    x = np.empty_like(b)
+    x[plan.perm] = spla.splu(A, permc_spec="NATURAL").solve(b[plan.perm])
+    return x
+
+
+def test_all_wet_run_is_byte_identical_to_the_full_solve(monkeypatch):
+    # test2 couples every cell (dt = 1e3), so the wet set is all of them
+    config = replace(preset_test2(eps=1e-6, mesh_size="40x40"), t_end=1e4)
+    wet = []
+    res = run(config, callback=lambda k, tau, r, J: wet.append(wet_columns(J).all()))
+    assert all(wet) and len(wet) == 64
+    monkeypatch.setattr(N, "linear_solve", full_solve)
+    ref = run(config)
+    assert res.iters_per_step == ref.iters_per_step
+    for a, b in zip(res.trajectory.taus, ref.trajectory.taus, strict=True):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_plan_ordering_is_the_jacobians_own():
@@ -268,6 +367,12 @@ def test_iteration_counts_pinned_on_both_routes():
     assert res.iters_per_step == [7, 5, 4, 5, 5, 5, 5, 5, 4, 5, 5, 4, 5, 5, 4, 4, 4, 5, 5, 5]
     res = run(replace(preset_test2(eps=1e-6, mesh_size="40x40"), t_end=1e4))
     assert res.iters_per_step == [18, 7, 6, 6, 5, 5, 4, 4, 4, 5]
+
+
+def test_iteration_counts_pinned_on_the_fine_run():
+    # the benchmark's infiltration-fine run: SuperLU on the wet set at 80x80
+    res = run(replace(preset_test1(beta=4.0, eps=1e-6, mesh_size="80x80"), t_end=0.05))
+    assert res.iters_per_step == [17, 10, 10, 9, 8]
 
 
 def test_jacobian_computed_only_where_a_correction_uses_it(monkeypatch):
