@@ -36,9 +36,9 @@ mass the dropped matrix E takes from it is at most (number of edges of
 K) x DROP x J_KK, and the correction s solves J s = -F up to
 ||E s||_1 <= (edges per cell) x DROP x ||diag(J) s||_1.  That forcing
 term, near 1e-13 relative, lies far below any stopping tolerance, so the
-local quadratic convergence is kept.  With
-every column wet, W is all cells and the solve is the full LU, bit for
-bit; with none, no LU runs.  A callback's J keeps the undropped values.
+local quadratic convergence is kept.  With every column wet, W is all
+cells and the solve is the full LU, bit for bit; with none, no LU runs.
+A callback's J keeps the undropped values.
 """
 
 from __future__ import annotations
