@@ -165,6 +165,13 @@ def _floats(text: str) -> list:
     return [float(t) for t in text.split()]
 
 
+def _grid(text: str, kind=float) -> list:
+    """A sweep grid list: one or more values."""
+    if not text.split():
+        raise ValueError("a sweep grid needs at least one value")
+    return [kind(t) for t in text.split()]
+
+
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
 
@@ -176,7 +183,8 @@ _PARSERS = {
     "dirichlet_box": lambda text: np.reshape(_floats(text), (-1, 2)).tolist(),
     "p_dirichlet": float, "adaptive_dt": lambda text: _BOOLEANS[text.lower()],
     "snapshot_times": _floats, "out_dir": str,
-    "betas": _floats, "epss": _floats, "formulations": str.split, "eps_ref": float,
+    "betas": _grid, "epss": _grid, "formulations": lambda text: _grid(text, str),
+    "eps_ref": float,
 }
 _ALIASES = {"pb": "p_b", "tend": "t_end", "out": "out_dir"}
 

@@ -7,18 +7,16 @@ search, or trust region) with the residual-based stopping rule
 a uniform bound on ||J^{-1}||_1; the analysis utilities here verify the
 conditions and compute the bound on concrete matrices.
 
-Each Newton correction is one direct solve, planned once per run from
-the Jacobian's fixed pattern (``scheme.SolvePlan``, held by the
-``Assembly``).  A pattern within BAND_MAX of the diagonal (a box mesh of
-at most BAND_MAX columns, in natural order) goes to LAPACK's band LU
-``dgbsv``, any wider one to SuperLU on the pattern pre-permuted by the
-minimum-degree ordering of A^T + A.  A column-wise M-matrix with
-nonnegative column sums is diagonally dominant by columns, so LU with
-partial pivoting makes no row swaps and is stable in any symmetric
-ordering; the routes differ only in fill and speed, not in accuracy.
-Per iteration only numeric work is left: the Jacobian's values are
-computed for an iterate whose correction is solved, scattered into the
-planned storage and factored.
+Each Newton correction is one band LU solve (LAPACK ``dgbsv``) in the
+reverse Cuthill-McKee order of the Jacobian's fixed pattern, worked out
+once per run (``scheme.SolvePlan``, held by the ``Assembly``), so a box
+mesh in any numbering has a band about as wide as its narrower side.  A
+column-wise M-matrix with nonnegative column sums is diagonally dominant
+by columns, so LU with partial pivoting makes no row swaps and is stable
+in any symmetric ordering; the ordering decides fill and speed, not
+accuracy.  Per iteration only numeric work is left: the Jacobian's values
+are computed for an iterate whose correction is solved, placed in band
+storage and factored.
 
 Only the wet set is factored.  Column K of J holds the couplings
 -(dt/m_L)(m_sigma g+ lam'(s_K) s'(tau_K) + A_sigma u'(tau_K)), which depend
@@ -28,17 +26,16 @@ their fill products in an LU underflow to subnormals.  Column K is dry
 when every off-diagonal entry is at most DROP = 1e-14 times J_KK, and the
 other columns form the wet set W.  Taking the dry couplings as zero
 makes J block lower triangular in the order [W, dry]: the W x W block is
-factored through the plan's route, restricted to W in the plan's order,
-and each dry cell then costs one division.  This is an inexact Newton
-step (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982).  A
-dry column K has one coupling per edge, each at most DROP x J_KK, so the
-mass the dropped matrix E takes from it is at most (number of edges of
-K) x DROP x J_KK, and the correction s solves J s = -F up to
-||E s||_1 <= (edges per cell) x DROP x ||diag(J) s||_1.  That forcing
-term, near 1e-13 relative, lies far below any stopping tolerance, so the
-local quadratic convergence is kept.  With every column wet, W is all
-cells and the solve is the full LU, bit for bit; with none, no LU runs.
-A callback's J keeps the undropped values.
+factored alone, W in the plan's order, and each dry cell then costs one
+division.  This is an inexact Newton step (Dembo, Eisenstat & Steihaug,
+SIAM J. Numer. Anal. 19, 1982).  A dry column K has one coupling per
+edge, each at most DROP x J_KK, so the mass the dropped matrix E takes
+from it is at most (number of edges of K) x DROP x J_KK, and the
+correction s solves J s = -F up to ||E s||_1 <= (edges per cell) x DROP x
+||diag(J) s||_1.  That forcing term, near 1e-13 relative, lies far below
+any stopping tolerance, so the local quadratic convergence is kept.  With
+every column wet, W is all cells and the solve is the full LU; with none,
+no LU runs.  A callback's J keeps the undropped values.
 """
 
 from __future__ import annotations
@@ -47,11 +44,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgbsv
+from scipy.sparse.csgraph import dijkstra
 
 from .mesh import Mesh
-from .scheme import BAND_MAX, Assembly, SolvePlan, jacobian, residual
+from .scheme import Assembly, SolvePlan, jacobian, residual
 
 __all__ = [
     "DROP",
@@ -59,7 +56,6 @@ __all__ = [
     "NewtonReport",
     "MMatrixReport",
     "SingularJacobianError",
-    "BAND_MAX",
     "newton_solve",
     "linear_solve",
     "mmatrix_analyze",
@@ -109,20 +105,15 @@ def linear_solve(plan: SolvePlan, data, b) -> np.ndarray:
     Column K of A is dry when every off-diagonal entry is at most DROP
     times the diagonal A_KK, and wet otherwise (a non-finite entry makes it
     wet); the wet set is W.  With the dry columns' couplings taken as zero,
-    A is block lower triangular in the order [W, dry], so only the W x W
-    block is factored.  Band route: the dry couplings are zeroed in LAPACK
-    band storage and ``dgbsv`` solves the columns from the first wet cell
-    to the last.  SuperLU route: the pre-permuted pattern restricted to W,
-    in the plan's order (the whole pattern when every column is wet), is
-    factored in that order with SuperLU's default threshold pivoting.  Each
-    dry cell then gets x_K = (b_K - sum_L A_KL x_L) / A_KK, the sum over the
-    wet L.  Partial pivoting costs nothing here: the scheme's Jacobian is a
-    column-wise M-matrix, diagonally dominant by columns, so each pivot is
-    already on the diagonal and no row swap occurs.  With every column wet
-    this is a plain LU solve of A; with none, no LU runs.  An exactly zero
-    pivot in the factored block, or an exactly zero diagonal of a dry cell,
-    raises SingularJacobianError.  data is not modified.  Deterministic for
-    fixed input.
+    A is block lower triangular in the order [W, dry].  So the W x W block,
+    W in the plan's order, goes to LAPACK band storage of |W| columns with
+    its own bandwidths kl and ku, and ``dgbsv`` solves it; then each dry
+    cell gets x_K = (b_K - sum_L A_KL x_L) / A_KK, the sum over the wet L.
+    Partial pivoting makes no row swap: the scheme's Jacobian is diagonally
+    dominant by columns.  With every column wet this is a plain LU solve of
+    A; with none, no LU runs.  An exactly zero pivot in the factored block,
+    or an exactly zero diagonal of a dry cell, raises SingularJacobianError
+    naming the cell.  data is not modified.  Deterministic for fixed input.
     """
     b = np.asarray(b, dtype=float)
     n, off_cols = plan.n, plan.off_cols
@@ -130,43 +121,27 @@ def linear_solve(plan: SolvePlan, data, b) -> np.ndarray:
     diag, coupling = values[plan.diag], values[plan.off]
     wet = ~np.isfinite(diag)
     wet[off_cols[~(np.abs(coupling) <= (DROP * diag)[off_cols])]] = True  # nan is wet
-    w = np.flatnonzero(wet)
     x = np.zeros(n)
+    wet_p = wet[plan.order]  # W in the plan's order
+    w = plan.order[wet_p]
     if w.size:
-        store = np.zeros(plan.size)
-        store[plan.pos] = data
-        if plan.band:
-            lo, hi = w[0], w[-1] + 1
-            store[plan.pos[plan.off[~wet[off_cols]]]] = 0.0
-            ab = store.reshape((plan.ldab, n), order="F")[:, lo:hi]
-            _, _, x[lo:hi], info = dgbsv(plan.kl, plan.ku, ab, b[lo:hi], overwrite_ab=True)
-            if info > 0:
-                raise SingularJacobianError(f"band LU factorization failed: U[{lo + info - 1}, "
-                                            f"{lo + info - 1}] is exactly zero")
-        else:
-            if w.size == n:  # the pattern restricted to all cells is the pattern
-                order = plan.perm
-                A = sp.csc_matrix((store, plan.indices, plan.indptr), shape=(n, n))
-            else:
-                wet_p = wet[plan.perm]  # W in the plan's order
-                order = plan.perm[wet_p]
-                keep = wet_p[plan.indices] & wet_p[plan.perm_cols]
-                rank = np.cumsum(wet_p, dtype=np.int32) - np.int32(1)
-                kept = np.concatenate(([0], np.cumsum(keep, dtype=np.int32)))[plan.indptr]
-                A = sp.csc_matrix((store[keep], rank[plan.indices[keep]],
-                                   np.concatenate((kept[:1], kept[1:][wet_p]))),
-                                  shape=(w.size, w.size))
-            try:
-                lu = spla.splu(A, permc_spec="NATURAL")
-            except RuntimeError as exc:  # singular factorization
-                raise SingularJacobianError(f"sparse LU factorization failed: {exc}") from exc
-            x[order] = lu.solve(b[order])
+        rank = np.cumsum(wet_p) - 1  # position in W of each wet plan position
+        keep = np.flatnonzero(wet_p[plan.rows] & wet_p[plan.cols])
+        i, j = rank[plan.rows[keep]], rank[plan.cols[keep]]
+        kl, ku = int((i - j).max(initial=0)), int((j - i).max(initial=0))
+        ldab = 2 * kl + ku + 1
+        ab = np.zeros(ldab * w.size)
+        ab[kl + ku + i - j + ldab * j] = data[keep]  # A[i, j] in row kl + ku + i - j of column j
+        _, _, x[w], info = dgbsv(kl, ku, ab.reshape((ldab, w.size), order="F"), b[w],
+                                 overwrite_ab=True)
+        if info > 0:
+            raise SingularJacobianError(f"band LU factorization failed: the pivot of cell "
+                                        f"{w[info - 1]} is exactly zero")
     dry = np.flatnonzero(~wet)
     if dry.size:  # x_K = (b_K - sum_L A_KL x_L) / A_KK over the wet L
         if np.any(diag[dry] == 0.0):
             raise SingularJacobianError(f"dry column {dry[diag[dry] == 0.0][0]} has a zero "
                                         "diagonal")
-        x[dry] = 0.0
         below = np.bincount(plan.off_rows, weights=coupling * x[off_cols], minlength=n)
         x[dry] = (b[dry] - below[dry]) / diag[dry]
     return x
@@ -270,8 +245,6 @@ def mmatrix_analyze(A, delta: float, Delta: float, atol_scale: float = 1e-9) -> 
     if strong.size == 0:
         violations.append("I_delta is empty")
     else:
-        from scipy.sparse.csgraph import dijkstra  # deferred: the import costs ~5 ms
-
         # shortest paths from I_delta along the arcs j -> i with A[j, i] < -delta
         arc = off & (coo.data < -(delta - atol))
         G = sp.csr_matrix((np.ones(arc.sum()), (coo.row[arc], coo.col[arc])), shape=(n, n))

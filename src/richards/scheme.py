@@ -18,11 +18,10 @@ value tau_D = p^{-1}(p_D) takes the place of the outer cell.
 The Jacobian's sparsity pattern is fixed by the mesh, so everything that
 depends on the pattern alone is worked out once per run by ``Assembly``:
 the CSC pattern, the map from each assembled term to its CSC slot, and the
-``SolvePlan`` that places each slot in the storage the direct solver
-factors.  Per Newton iterate, ``residual`` evaluates the parametrization
-once and gives f(tau), s(tau) and the derivatives; ``jacobian`` turns
-those derivatives into the Jacobian's values only for an iterate whose
-correction is solved.
+``SolvePlan``, the cell ordering the direct solver factors in.  Per Newton
+iterate, ``residual`` evaluates the parametrization once and gives
+f(tau), s(tau) and the derivatives; ``jacobian`` turns those derivatives
+into the Jacobian's values only for an iterate whose correction is solved.
 """
 
 from __future__ import annotations
@@ -31,13 +30,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .hydromodel import SPRIME_CAP, Parametrization, mobility, mobility_derivative
 from .mesh import Mesh
 
 __all__ = [
-    "BAND_MAX",
     "Assembly",
     "InitialField",
     "SolvePlan",
@@ -45,19 +43,6 @@ __all__ = [
     "jacobian",
     "residual",
 ]
-
-# Widest bandwidth max(kl, ku) solved by band LU.  With couplings below DROP
-# dropped (newton.linear_solve), band LU beats SuperLU on n x n box meshes
-# (bandwidth n) at every size timed.  Median ms per solve over the second
-# half of a run's Jacobians, band / SuperLU, on a 2-CPU x86 machine:
-#   n       32           36           40           48           56
-#   test1   0.39 / 1.27  0.83 / 1.47  1.28 / 1.51  2.00 / 2.84  2.76 / 3.84
-#   test2   0.84 / 2.97  1.18 / 3.24  1.57 / 3.96  1.94 / 4.55  4.03 / 7.32
-# (test1: beta 4, to t = 0.2, about a third of the columns wet; test2: to
-# t = 1e4, all wet.)  It is kept at 32, the bound the routes were benchmarked
-# with; a larger one would move 40x40 runs to band LU.
-BAND_MAX = 32
-
 
 @dataclass
 class InitialField:
@@ -114,25 +99,20 @@ def _csc_pattern(keys, n: int):
 
 
 class SolvePlan:
-    """Where each slot of a fixed n x n CSC pattern goes in the storage its LU factors.
+    """The cell order in which the LU of a fixed n x n CSC pattern is factored.
 
-    Worked out once from the pattern (indices, indptr), which holds no
-    duplicate entries, alone, so that a factorization of values ``data`` on
-    it needs only ``store[pos] = data`` on a zeroed array of length ``size``
-    and the LU itself.  For the per-iteration split into wet and dry
-    columns (``newton.linear_solve``) the plan keeps each column's diagonal
-    slot (``diag``) and the off-diagonal slots (``off``) with their rows and
-    columns (``off_rows``, ``off_cols``).  With lower and upper
-    bandwidths kl, ku and max(kl, ku) <= BAND_MAX the route is band LU
-    (``band`` is True) and ``store`` is LAPACK band storage of shape
-    (2*kl + ku + 1, n) in column-major order.  Otherwise the route is SuperLU
-    on the symmetrically permuted matrix A[perm][:, perm]: its CSC pattern
-    is (``indices``, ``indptr``), ``store`` holds its values and
-    ``perm_cols`` is the column of each of its slots.  perm is SuperLU's
-    minimum-degree ordering of A^T + A followed by its elimination tree
-    postorder.  That ordering depends on the pattern alone, so it is read
-    from one factorization of a matrix on the pattern plus the diagonal
-    that is strictly diagonally dominant by columns, hence never singular.
+    Worked out once from the pattern (indices, indptr) alone; it holds no
+    duplicate entries.  ``order`` lists the cells in reverse Cuthill-McKee
+    order (Cuthill & McKee 1969; George & Liu, Computer Solution of Large
+    Sparse Positive Definite Systems, 1981): level by level of a
+    breadth-first search, so each coupling joins cells of one level or of
+    neighbouring ones.  On a box mesh, in any numbering, the bandwidth is
+    then about the cell count of the narrower side (40 on 40x40, 10 on
+    160x10).  ``rows`` and ``cols`` give each slot's row and column as
+    positions in that order.  For the split into wet and dry columns
+    (``newton.linear_solve``) the plan keeps each column's diagonal slot
+    (``diag``) and the off-diagonal slots (``off``) with their rows and
+    columns in the cells' own numbering (``off_rows``, ``off_cols``).
     """
 
     def __init__(self, indices, indptr):
@@ -146,26 +126,11 @@ class SolvePlan:
         self.diag[cols[on]] = np.flatnonzero(on)
         self.off = np.flatnonzero(~on)
         self.off_rows, self.off_cols = rows[~on], cols[~on]
-        offset = rows - cols
-        self.kl, self.ku = kl, ku = int(offset.max(initial=0)), int(-offset.min(initial=0))
-        self.band = max(kl, ku) <= BAND_MAX
-        if self.band:
-            # A[i, j] sits in row kl + ku + i - j of column j
-            self.ldab = 2 * kl + ku + 1
-            self.size = self.ldab * n
-            self.pos = (kl + ku + offset) + self.ldab * cols
-            self.perm = self.indices = self.indptr = self.perm_cols = None
-            return
-        dominant = (sp.csc_matrix((-np.ones(indices.size), indices, indptr), shape=(n, n))
-                    + sp.diags(np.diff(indptr) + 1.0))
-        where = spla.splu(dominant, permc_spec="MMD_AT_PLUS_A").perm_c.astype(np.intp)
-        self.perm = np.argsort(where)  # where[i]: position of row and column i
-        keys = where[cols] * n + where[rows]
-        order = np.argsort(keys)
-        self.size = indices.size
-        self.pos = np.argsort(order)
-        self.indices, self.indptr = _csc_pattern(keys[order], n)
-        self.perm_cols = keys[order] // n
+        pattern = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
+        self.order = reverse_cuthill_mckee(pattern, symmetric_mode=True).astype(np.intp)
+        where = np.empty(n, dtype=np.intp)
+        where[self.order] = np.arange(n)
+        self.rows, self.cols = where[rows], where[cols]
 
 
 class Assembly:

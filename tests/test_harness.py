@@ -293,48 +293,19 @@ def test_cli_run_and_exit_codes(tmp_path):
     assert fail.returncode == 3
 
 
-def _singular_run(tmp_path, capsys, mesh):
-    """Exit code and stderr of a test1 run whose first factorization is singular."""
-    from richards.cli import main
-
-    code = main([
-        "run", "--case", "test1", "--beta", "4", "--eps", "1e-6", "--tend", "0.01",
-        "--mesh", mesh, "--out", str(tmp_path),
-    ])
-    return code, capsys.readouterr().err
-
-
 def test_cli_singular_jacobian_exits_newton_failure(tmp_path, monkeypatch, capsys):
-    # 20x20 takes the band route; LAPACK reports an exactly zero pivot as
-    # info > 0.  The solve ends unconverged instead of raising, so the CLI
-    # reports a Newton failure
+    # LAPACK reports an exactly zero pivot as info > 0.  The solve ends
+    # unconverged instead of raising, so the CLI reports a Newton failure
     import richards.newton
+    from richards.cli import main
 
     def singular(kl, ku, ab, b, **kwargs):
         return ab, np.zeros(len(b), dtype=np.int32), b, 1
 
     monkeypatch.setattr(richards.newton, "dgbsv", singular)
-    code, err = _singular_run(tmp_path, capsys, "20x20")
-    assert code == 3
-    assert "failed to converge at step 1" in err
-    assert "Traceback" not in err
-
-
-def test_cli_singular_superlu_factor_exits_newton_failure(tmp_path, monkeypatch, capsys):
-    # 40x40 takes the SuperLU route; SuperLU's message for a singular pivot.
-    # Only the per-iteration factorization fails: the ordering analysis,
-    # made once per run, runs as it is
-    import scipy.sparse.linalg
-
-    splu = scipy.sparse.linalg.splu
-
-    def singular(A, permc_spec):
-        if permc_spec == "NATURAL":
-            raise RuntimeError("Factor is exactly singular")
-        return splu(A, permc_spec=permc_spec)
-
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
-    code, err = _singular_run(tmp_path, capsys, "40x40")
+    code = main(["run", "--case", "test1", "--beta", "4", "--eps", "1e-6", "--tend", "0.01",
+                 "--out", str(tmp_path)])
+    err = capsys.readouterr().err
     assert code == 3
     assert "failed to converge at step 1" in err
     assert "Traceback" not in err
@@ -509,6 +480,16 @@ def test_cli_config_errors_name_file_and_line(tmp_path, capsys, text, message):
     assert code == 2
     assert f"{cfg}{message}" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["betas", "epss", "formulations"])
+def test_cli_sweep_refuses_an_empty_grid_list(tmp_path, key):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"case = test1\nmesh = 5x5\n{key} =\n")
+    out = cli("sweep", "--config", str(cfg))
+    assert out.returncode == 2
+    assert f"{cfg}:3: bad value for {key}: a sweep grid needs at least one value" in out.stderr
+    assert "Traceback" not in out.stderr
 
 
 def test_cli_custom_run_from_flags(tmp_path):

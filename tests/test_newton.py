@@ -13,9 +13,15 @@ import richards.newton as N
 from conftest import evaluate
 from richards.harness import preset_test1, preset_test2, run
 from richards.hydromodel import BrooksCoreyModel, Parametrization
-from richards.mesh import DIRICHLET, build_interval_mesh, build_rect_mesh
+from richards.mesh import (
+    DIRICHLET,
+    Mesh,
+    build_interval_mesh,
+    build_rect_mesh,
+    load_mesh,
+    save_mesh,
+)
 from richards.newton import (
-    BAND_MAX,
     NewtonConfig,
     SingularJacobianError,
     inverse_norm_bound,
@@ -174,30 +180,45 @@ def test_matches_dense_reference():
 
 
 def count_lu(monkeypatch) -> dict:
-    """Count band LU calls and SuperLU factorizations by column ordering.
+    """Count the band LU calls of linear_solve."""
+    calls = {"dgbsv": 0}
+    dgbsv = N.dgbsv
 
-    SuperLU must be called with its default pivoting, relax and panel size.
-    """
-    calls = {"band": 0, "MMD_AT_PLUS_A": 0, "NATURAL": 0}
-    dgbsv, splu = N.dgbsv, N.spla.splu
-
-    def band(*args, **kwargs):
-        calls["band"] += 1
+    def counted(*args, **kwargs):
+        calls["dgbsv"] += 1
         return dgbsv(*args, **kwargs)
 
-    def superlu(A, **kwargs):
-        assert set(kwargs) == {"permc_spec"}
-        calls[kwargs["permc_spec"]] += 1
-        return splu(A, **kwargs)
-
-    monkeypatch.setattr(N, "dgbsv", band)
-    monkeypatch.setattr(N.spla, "splu", superlu)
+    monkeypatch.setattr(N, "dgbsv", counted)
     return calls
 
 
 def bandwidth(A) -> int:
     coo = sp.coo_matrix(A)
     return int(np.abs(coo.row - coo.col).max())
+
+
+def plan_bandwidths(plan) -> tuple:
+    """Bandwidth of the plan's pattern in the cells' own numbering and in
+    the plan's order."""
+    return (int(np.abs(plan.off_rows - plan.off_cols).max()),
+            int(np.abs(plan.rows - plan.cols).max()))
+
+
+NUMBERINGS = ["natural", "shuffled"]
+
+
+def numbering(kind, n, keep=()):
+    """perm with cell i of A[perm][:, perm] being cell perm[i] of A: the natural
+    numbering, or a random one that leaves the cells in keep where they are."""
+    perm = np.arange(n)
+    if kind == "shuffled":
+        rest = np.delete(perm, keep)
+        perm[rest] = np.random.default_rng(3).permutation(rest)
+    return perm
+
+
+def renumber(A, perm):
+    return sp.csc_matrix(sp.csc_matrix(A)[perm][:, perm])
 
 
 def jacobians(config):
@@ -221,43 +242,48 @@ def wet_columns(J):
     return (np.bincount(coo.col[off][big], minlength=J.shape[0]) > 0) | ~np.isfinite(d)
 
 
-def test_both_routes_solve_a_scheme_jacobian(monkeypatch):
+@pytest.mark.parametrize("kind", NUMBERINGS)
+def test_scheme_jacobian_is_solved_in_either_numbering(monkeypatch, kind):
     # the seventh Jacobian of a test1 run on 20x20, with 37 of its 400
-    # columns wet: bandwidth 20 in natural order; a random symmetric
-    # permutation spreads it past BAND_MAX
+    # columns wet: bandwidth 20 in natural order, far more in a random one,
+    # and 20 in the plan's order for both
     J = jacobians(replace(preset_test1(beta=4.0, eps=1e-6), t_end=0.03))[6]
     assert wet_columns(J).sum() == 37
-    rng = np.random.default_rng(3)
-    b = rng.standard_normal(J.shape[0])
-    perm = rng.permutation(J.shape[0])
-    Jp = sp.csc_matrix(J[perm][:, perm])
-    assert bandwidth(J) <= BAND_MAX < bandwidth(Jp)
-
+    J = renumber(J, numbering(kind, J.shape[0]))
+    b = np.random.default_rng(4).standard_normal(J.shape[0])
+    plan = SolvePlan(J.indices, J.indptr)
+    width, planned = plan_bandwidths(plan)
+    assert (width == 20) == (kind == "natural") and planned == 20
     calls = count_lu(monkeypatch)
-    for A, rhs, route in [(J, b, "band"), (Jp, b[perm], "superlu")]:
-        before = dict(calls)
-        plan = SolvePlan(A.indices, A.indptr)
-        assert plan.band == (route == "band")
-        x = linear_solve(plan, A.data, rhs)
-        ref = np.linalg.solve(A.toarray(), rhs)
-        assert np.linalg.norm(x - ref, np.inf) <= 1e-12 * np.linalg.norm(ref, np.inf)
-        superlu = route == "superlu"
-        assert {k: calls[k] - before[k] for k in calls} == {
-            "band": int(not superlu), "MMD_AT_PLUS_A": int(superlu), "NATURAL": int(superlu)}
+    x = linear_solve(plan, J.data, b)
+    ref = np.linalg.solve(J.toarray(), b)
+    assert np.linalg.norm(x - ref, np.inf) <= 1e-12 * np.linalg.norm(ref, np.inf)
+    assert calls == {"dgbsv": 1}
 
 
-@pytest.mark.parametrize("mesh_size,t_end,band", [
-    ("20x20", 0.03, True), ("34x8", 0.03, False), ("80x80", 0.01, False)])
-def test_wet_set_solve_matches_the_full_solve(mesh_size, t_end, band):
-    # every Jacobian of a short test1 run, from all dry to a growing wet set;
-    # the reference solves the full matrix, couplings below DROP included
-    # (dense LAPACK, or at 80x80 SuperLU, as the dense matrix takes 330 MB)
-    Js = jacobians(replace(preset_test1(beta=4.0, eps=1e-6, mesh_size=mesh_size), t_end=t_end))
+def short_test1(mesh_size, t_end):
+    return replace(preset_test1(beta=4.0, eps=1e-6, mesh_size=mesh_size), t_end=t_end)
+
+
+@pytest.mark.parametrize("config,kind,all_wet", [
+    (short_test1("20x20", 0.03), "natural", False),
+    (short_test1("20x20", 0.03), "shuffled", False),
+    (short_test1("34x8", 0.03), "natural", False),
+    (short_test1("80x80", 0.01), "natural", False),
+    (replace(preset_test2(eps=1e-6, mesh_size="40x40"), t_end=1e4), "natural", True),
+], ids=["test1-20x20", "test1-20x20-shuffled", "test1-34x8", "test1-80x80", "test2-40x40"])
+def test_wet_set_solve_matches_the_full_solve(config, kind, all_wet):
+    # every Jacobian of a short run: test1 from all dry to a growing wet
+    # set, test2 all wet; the reference solves the full matrix, couplings
+    # below DROP included (dense LAPACK, or from 1000 cells on SuperLU, as
+    # the dense 80x80 matrix takes 330 MB)
+    Js = jacobians(config)
     n = Js[0].shape[0]
+    perm = numbering(kind, n)
+    Js = [renumber(J, perm) for J in Js]
     wet = [int(wet_columns(J).sum()) for J in Js]
-    assert wet[0] == 0 and 0 < wet[-1] < n
+    assert min(wet) == n if all_wet else wet[0] == 0 and 0 < wet[-1] < n
     plan = SolvePlan(Js[0].indices, Js[0].indptr)
-    assert plan.band == band
     b = np.random.default_rng(4).standard_normal(n)
     for J in Js:
         x = linear_solve(plan, J.data, b)
@@ -265,113 +291,72 @@ def test_wet_set_solve_matches_the_full_solve(mesh_size, t_end, band):
         assert np.linalg.norm(x - ref, np.inf) <= 1e-12 * np.linalg.norm(ref, np.inf)
 
 
-@pytest.mark.parametrize("route", ["band", "superlu"])
-def test_all_dry_jacobian_is_solved_without_lu(monkeypatch, route):
+@pytest.mark.parametrize("kind", NUMBERINGS)
+def test_all_dry_jacobian_is_solved_without_lu(monkeypatch, kind):
     # the first Jacobian of test1 on 20x20: every column couples at about
     # 1e-16 of its diagonal, so x = b / diag(J) and no LU runs
     J = first_jacobian(preset_test1(beta=4.0, eps=1e-6))
     assert not wet_columns(J).any()
-    if route == "superlu":
-        perm = np.random.default_rng(3).permutation(J.shape[0])
-        J = sp.csc_matrix(J[perm][:, perm])
+    J = renumber(J, numbering(kind, J.shape[0]))
     b = np.random.default_rng(5).standard_normal(J.shape[0])
     plan = SolvePlan(J.indices, J.indptr)
-    assert plan.band == (route == "band")
     calls = count_lu(monkeypatch)
     x = linear_solve(plan, J.data, b)
-    assert calls == {"band": 0, "MMD_AT_PLUS_A": 0, "NATURAL": 0}
+    assert calls == {"dgbsv": 0}
     np.testing.assert_array_equal(x, b / J.diagonal())
 
 
-@pytest.mark.parametrize("route", ["band", "superlu"])
-def test_zero_pivot_in_the_wet_set_raises_singular(monkeypatch, route):
+def chain(n):
+    """tridiag(-1, 3, -1) of order n, every column wet."""
+    return sp.diags([-np.ones(n - 1), 3.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1]).tolil()
+
+
+@pytest.mark.parametrize("kind", NUMBERINGS)
+def test_zero_pivot_in_the_wet_set_raises_singular(monkeypatch, kind):
     # cells 10 and 11 form a block [[1, 1], [-1, -1]] of two wet columns,
-    # uncoupled from the rest: its second pivot is exactly zero in either order
+    # uncoupled from the rest: its second pivot is exactly zero in either
+    # order, and the message names that cell, not its position in the plan
     n = 50
-    A = sp.diags([-np.ones(n - 1), 3.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1]).tolil()
-    if route == "superlu":
-        A[0, n - 1] = A[n - 1, 0] = -0.5  # bandwidth n - 1
+    A = chain(n)
     A[9, 10] = A[10, 9] = A[11, 12] = A[12, 11] = 0.0
     A[10, 10] = A[10, 11] = 1.0
     A[11, 10] = A[11, 11] = -1.0
     A = sp.csc_matrix(A)
     A.eliminate_zeros()
+    A = renumber(A, numbering(kind, n, keep=[10, 11]))
     assert wet_columns(A)[[10, 11]].all()
     calls = count_lu(monkeypatch)
-    with pytest.raises(SingularJacobianError):
+    with pytest.raises(SingularJacobianError, match=r"the pivot of cell 1[01] is exactly zero"):
         solve(A, np.ones(n))
-    superlu = route == "superlu"
-    assert calls == {"band": int(not superlu), "MMD_AT_PLUS_A": int(superlu),
-                     "NATURAL": int(superlu)}
+    assert calls == {"dgbsv": 1}
 
 
-def full_solve(plan, data, b):
-    """Solve of the SuperLU route that factors all n cells."""
-    store = np.zeros(plan.size)
-    store[plan.pos] = data
-    A = sp.csc_matrix((store, plan.indices, plan.indptr), shape=(plan.n, plan.n))
-    x = np.empty_like(b)
-    x[plan.perm] = spla.splu(A, permc_spec="NATURAL").solve(b[plan.perm])
-    return x
-
-
-def test_all_wet_run_is_byte_identical_to_the_full_solve(monkeypatch):
-    # test2 couples every cell (dt = 1e3), so the wet set is all of them
-    config = replace(preset_test2(eps=1e-6, mesh_size="40x40"), t_end=1e4)
-    wet = []
-    res = run(config, callback=lambda k, tau, r, J: wet.append(wet_columns(J).all()))
-    assert all(wet) and len(wet) == 64
-    monkeypatch.setattr(N, "linear_solve", full_solve)
-    ref = run(config)
-    assert res.iters_per_step == ref.iters_per_step
-    for a, b in zip(res.trajectory.taus, ref.trajectory.taus, strict=True):
-        assert a.tobytes() == b.tobytes()
-
-
-def test_plan_ordering_is_the_jacobians_own():
-    # SuperLU's MMD ordering of a real Jacobian, and its fill, equal those
-    # the plan read off the pattern alone
-    J = first_jacobian(preset_test2(eps=1e-6, mesh_size="34x8"))
-    plan = SolvePlan(J.indices, J.indptr)
-    assert not plan.band
-    lu = spla.splu(J, permc_spec="MMD_AT_PLUS_A")
-    np.testing.assert_array_equal(plan.perm, np.argsort(lu.perm_c))
-    store = np.zeros(plan.size)
-    store[plan.pos] = J.data
-    Jp = sp.csc_matrix((store, plan.indices, plan.indptr), shape=J.shape)
-    assert (Jp != J[plan.perm][:, plan.perm]).nnz == 0
-    assert spla.splu(Jp, permc_spec="NATURAL").nnz == lu.nnz
-
-
-@pytest.mark.parametrize("route", ["band", "superlu"])
-def test_zero_column_raises_singular_on_each_route(monkeypatch, route):
+@pytest.mark.parametrize("kind", NUMBERINGS)
+def test_zero_column_raises_singular(monkeypatch, kind):
     n = 50
-    A = sp.diags([-np.ones(n - 1), 3.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1]).tolil()
-    if route == "superlu":
-        A[0, n - 1] = A[n - 1, 0] = -0.5  # bandwidth n - 1
+    A = chain(n)
     A[:, 10] = 0.0
     A = sp.csc_matrix(A)
     A.eliminate_zeros()
+    A = renumber(A, numbering(kind, n, keep=[10]))
     calls = count_lu(monkeypatch)
-    with pytest.raises(SingularJacobianError):
+    with pytest.raises(SingularJacobianError, match=r"dry column 10 has a zero diagonal"):
         solve(A, np.ones(n))
-    superlu = route == "superlu"
-    assert calls == {"band": int(not superlu), "MMD_AT_PLUS_A": int(superlu),
-                     "NATURAL": int(superlu)}
+    assert calls == {"dgbsv": 1}
 
 
-def test_iteration_counts_pinned_on_both_routes():
-    # the same counts as with SuperLU (COLAMD) on every size; 20x20 takes
-    # the band route, 40x40 the SuperLU one
-    res = run(replace(preset_test1(beta=4.0, eps=1e-6, mesh_size="20x20"), t_end=0.2))
+def test_iteration_counts_pinned():
+    # the same counts as with every earlier LU ordering (SuperLU's COLAMD
+    # and MMD, the natural band) at 20x20 and 40x40
+    res = run(short_test1("20x20", 0.2))
     assert res.iters_per_step == [7, 5, 4, 5, 5, 5, 5, 5, 4, 5, 5, 4, 5, 5, 4, 4, 4, 5, 5, 5]
     res = run(replace(preset_test2(eps=1e-6, mesh_size="40x40"), t_end=1e4))
     assert res.iters_per_step == [18, 7, 6, 6, 5, 5, 4, 4, 4, 5]
 
 
 def test_iteration_counts_pinned_on_the_fine_run():
-    # the benchmark's infiltration-fine run: SuperLU on the wet set at 80x80
-    res = run(replace(preset_test1(beta=4.0, eps=1e-6, mesh_size="80x80"), t_end=0.05))
+    # the benchmark's infiltration-fine run: band LU of the wet set at 80x80
+    res = run(short_test1("80x80", 0.05))
     assert res.iters_per_step == [17, 10, 10, 9, 8]
 
 
@@ -411,23 +396,43 @@ def test_jacobian_computed_only_where_a_correction_uses_it(monkeypatch):
     assert per_step == [(n, n) for n in res.iters_per_step]
 
 
-def test_superlu_route_counts_one_ordering_per_assembly(monkeypatch):
-    # 34 cells across: bandwidth 34 > BAND_MAX in natural order
-    calls = count_lu(monkeypatch)
-    iters = 0
-    for form in ("tau", "u"):
-        res = run(replace(preset_test2(eps=1e-6, formulation=form, mesh_size="34x8"), t_end=5e3))
-        assert res.converged
-        iters += sum(res.iters_per_step)
-    assert calls == {"band": 0, "MMD_AT_PLUS_A": 2, "NATURAL": iters}
+def shuffled_box(nx, ny, seed=7) -> Mesh:
+    """build_rect_mesh(nx, ny) with its cells renumbered at random."""
+    box = build_rect_mesh(nx, ny)
+    perm = np.random.default_rng(seed).permutation(box.n_cells)  # new cell i is old perm[i]
+    new = np.argsort(perm)
+    return Mesh(cell_volumes=box.cell_volumes[perm], cell_centers=box.cell_centers[perm],
+                edge_measure=box.edge_measure,
+                edge_cells=np.where(box.edge_cells >= 0, new[box.edge_cells], -1),
+                edge_d=box.edge_d, edge_x=box.edge_x, edge_tag=box.edge_tag)
 
 
-def test_superlu_route_keeps_the_method_properties():
-    # the properties the redistribution benchmark checks, on a mesh wider
-    # than BAND_MAX: s in [0, 1], tau conserves mass to rounding, u does not
+@pytest.fixture(scope="module")
+def shuffled_40x40(tmp_path_factory):
+    """A mesh file of the 40x40 box with its cells renumbered at random."""
+    path = tmp_path_factory.mktemp("mesh") / "shuffled_40x40.mesh"
+    save_mesh(shuffled_box(40, 40), path)
+    return f"file:{path}"
+
+
+def test_one_ordering_serves_every_numbering(shuffled_40x40):
+    # a renumbered file mesh gives the box's own per-step counts; the plan's
+    # order takes its bandwidth from 1574 in file order down to 40, and that
+    # of a 160x10 box from 160 in natural order to 10
+    mesh = load_mesh(shuffled_40x40[len("file:"):])
+    assert plan_bandwidths(Assembly(mesh, TAU, np.zeros(2)).plan) == (1574, 40)
+    assert plan_bandwidths(Assembly(build_rect_mesh(160, 10), TAU, np.zeros(2)).plan) == (160, 10)
+    res = run(replace(preset_test2(eps=1e-6, mesh_size=shuffled_40x40), t_end=1e4))
+    assert res.iters_per_step == [18, 7, 6, 6, 5, 5, 4, 4, 4, 5]
+
+
+def test_shuffled_mesh_keeps_the_method_properties(shuffled_40x40):
+    # the properties the redistribution benchmark checks, on a renumbered
+    # file mesh: s in [0, 1], tau conserves mass to rounding, u does not
     mass = {}
     for form in ("tau", "u"):
-        res = run(replace(preset_test2(eps=1e-6, formulation=form, mesh_size="34x8"), t_end=2e4))
+        res = run(replace(preset_test2(eps=1e-6, formulation=form, mesh_size=shuffled_40x40),
+                          t_end=2e4))
         assert res.converged and len(res.iters_per_step) == 20
         sats = res.trajectory.saturations()
         assert min(float(s.min()) for s in sats) >= 0.0
