@@ -412,17 +412,17 @@ def shuffled_40x40(tmp_path_factory):
     """A mesh file of the 40x40 box with its cells renumbered at random."""
     path = tmp_path_factory.mktemp("mesh") / "shuffled_40x40.mesh"
     save_mesh(shuffled_box(40, 40), path)
-    return f"file:{path}"
+    return path
 
 
 def test_one_ordering_serves_every_numbering(shuffled_40x40):
     # a renumbered file mesh gives the box's own per-step counts; the plan's
     # order takes its bandwidth from 1574 in file order down to 40, and that
     # of a 160x10 box from 160 in natural order to 10
-    mesh = load_mesh(shuffled_40x40[len("file:"):])
+    mesh = load_mesh(shuffled_40x40)
     assert plan_bandwidths(Assembly(mesh, TAU, np.zeros(2)).plan) == (1574, 40)
     assert plan_bandwidths(Assembly(build_rect_mesh(160, 10), TAU, np.zeros(2)).plan) == (160, 10)
-    res = run(replace(preset_test2(eps=1e-6, mesh_size=shuffled_40x40), t_end=1e4))
+    res = run(replace(preset_test2(eps=1e-6, mesh_size=f"file:{shuffled_40x40}"), t_end=1e4))
     assert res.iters_per_step == [18, 7, 6, 6, 5, 5, 4, 4, 4, 5]
 
 
@@ -431,8 +431,8 @@ def test_shuffled_mesh_keeps_the_method_properties(shuffled_40x40):
     # file mesh: s in [0, 1], tau conserves mass to rounding, u does not
     mass = {}
     for form in ("tau", "u"):
-        res = run(replace(preset_test2(eps=1e-6, formulation=form, mesh_size=shuffled_40x40),
-                          t_end=2e4))
+        res = run(replace(preset_test2(eps=1e-6, formulation=form,
+                                       mesh_size=f"file:{shuffled_40x40}"), t_end=2e4))
         assert res.converged and len(res.iters_per_step) == 20
         sats = res.trajectory.saturations()
         assert min(float(s.min()) for s in sats) >= 0.0
