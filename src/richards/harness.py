@@ -60,7 +60,7 @@ EPS_REF_TEST2 = 1e-14
 
 SUMMARY_HEADER = (
     "case,formulation,beta,p_b,eta_mode,eps,mesh,dt,steps,mean_newton_iters,"
-    "total_newton_iters,err_s,err_u,mass_err,wall_ms"
+    "total_newton_iters,err_s,err_u,mass_err,rejected_newton_iters,wall_ms"
 )
 
 
@@ -111,6 +111,7 @@ class RunResult:
     iters_per_step: list
     converged: bool
     failed_step: int | None
+    rejected_iters: int  # Newton iterations of the attempts adaptive_dt retried at dt/2
     wall_ms: float
     mass_err: float | None = None
     err_s: float | None = None
@@ -261,8 +262,11 @@ def run(config: RunConfig, mesh: Mesh | None = None, callback=None) -> RunResult
     In reproduction mode a non-converged Newton step (a singular Jacobian
     included) aborts with the partial trajectory; with adaptive_dt the
     step is retried at dt/2 (the time step doubles back after 5
-    consecutive converged steps, never above the configured dt).  The
-    optional callback is forwarded to every Newton solve.
+    consecutive converged steps, never above the configured dt), and the
+    Newton iterations of the rejected attempt count in rejected_iters.  The
+    trajectory keeps the water volume of every accepted level, summed from
+    the s that newton_solve returned.  The optional callback is forwarded
+    to every Newton solve.
     """
     t0 = time.perf_counter()
     if mesh is None:
@@ -283,22 +287,25 @@ def run(config: RunConfig, mesh: Mesh | None = None, callback=None) -> RunResult
     system = Assembly(mesh, param, gravity, tau_D)
     ncfg = NewtonConfig(eps=config.eps)
 
+    s_prev = np.asarray(param.eval(tau)[0], dtype=float)
     times = [0.0]
     taus = [tau.copy()]
+    water = [float(np.sum(mesh.cell_volumes * s_prev))]
     reports = []
     iters = []
+    rejected = 0
     converged, failed_step = True, None
 
     t = 0.0
     dt = config.dt
     easy_streak = 0
     step = 0
-    s_prev = np.asarray(param.eval(tau)[0], dtype=float)
     while t < config.t_end - 1e-9 * config.dt:
         dt = min(dt, config.t_end - t)
         tau_new, s_new, report = newton_solve(system, dt, s_prev, tau, ncfg, callback=callback)
         if not report.converged:
             if config.adaptive_dt and dt > 1e-12 * config.dt:
+                rejected += report.iterations
                 dt *= 0.5
                 easy_streak = 0
                 continue
@@ -311,6 +318,7 @@ def run(config: RunConfig, mesh: Mesh | None = None, callback=None) -> RunResult
         step += 1
         times.append(t)
         taus.append(tau.copy())
+        water.append(float(np.sum(mesh.cell_volumes * s_prev)))
         reports.append(report)
         iters.append(report.iterations)
         if config.adaptive_dt:
@@ -323,7 +331,7 @@ def run(config: RunConfig, mesh: Mesh | None = None, callback=None) -> RunResult
     # of the (shorter) trajectory
     traj = Trajectory(
         mesh=mesh, param=param,
-        times=np.asarray(times), taus=taus,
+        times=np.asarray(times), taus=taus, water_volumes=water,
         newton_reports=reports[: len(taus) - 1],
         tau_D=tau_D,
     )
@@ -333,7 +341,7 @@ def run(config: RunConfig, mesh: Mesh | None = None, callback=None) -> RunResult
     wall_ms = (time.perf_counter() - t0) * 1e3
     return RunResult(
         config=config, trajectory=traj, iters_per_step=iters,
-        converged=converged, failed_step=failed_step,
+        converged=converged, failed_step=failed_step, rejected_iters=rejected,
         wall_ms=wall_ms, mass_err=m_err,
     )
 
@@ -395,7 +403,8 @@ def summary_row(result: RunResult) -> str:
     return ",".join([
         *(_text(getattr(result.config, k)) for k in SUMMARY_HEADER.split(",")[:8]),
         str(len(result.iters_per_step)), fmt(result.mean_iters), str(result.total_iters),
-        fmt(result.err_s), fmt(result.err_u), fmt(result.mass_err), fmt(result.wall_ms),
+        fmt(result.err_s), fmt(result.err_u), fmt(result.mass_err),
+        str(result.rejected_iters), fmt(result.wall_ms),
     ])
 
 

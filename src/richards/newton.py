@@ -7,16 +7,27 @@ search, or trust region) with the residual-based stopping rule
 a uniform bound on ||J^{-1}||_1; the analysis utilities here verify the
 conditions and compute the bound on concrete matrices.
 
-Each Newton correction is one band LU solve (LAPACK ``dgbsv``) in the
-reverse Cuthill-McKee order of the Jacobian's fixed pattern, worked out
-once per run (``scheme.SolvePlan``, held by the ``Assembly``), so a box
-mesh in any numbering has a band about as wide as its narrower side.  A
-column-wise M-matrix with nonnegative column sums is diagonally dominant
-by columns, so LU with partial pivoting makes no row swaps and is stable
-in any symmetric ordering; the ordering decides fill and speed, not
-accuracy.  Per iteration only numeric work is left: the Jacobian's values
-are computed for an iterate whose correction is solved, placed in band
-storage and factored.
+Each Newton correction is one band solve in the reverse Cuthill-McKee
+order of the Jacobian's fixed pattern, worked out once per run
+(``scheme.SolvePlan``, held by the ``Assembly``), so a box mesh in any
+numbering has a band about as wide as its narrower side.  Per iteration
+only numeric work is left: the Jacobian's values are computed for an
+iterate whose correction is solved, placed in band storage and factored.
+Which factorization runs is a property of the physics, fixed per run by
+the ``Assembly``:
+
+* With gravity, LAPACK band LU (``dgbsv``) of J.  A column-wise M-matrix
+  with nonnegative column sums is diagonally dominant by columns, so LU
+  with partial pivoting makes no row swaps and is stable in any symmetric
+  ordering; the ordering decides fill and speed, not accuracy.
+* Without a gravity term on any edge, J = diag(s') + diag(dt/m) Lambda
+  diag(u'), with Lambda the symmetric transmissibility matrix of the
+  A_sigma (Dirichlet edges on its diagonal).  So B = diag(m) J diag(u')^-1
+  = diag(m s'/u') + dt Lambda is symmetric, and positive definite where J
+  is nonsingular.  LAPACK band Cholesky (``dpbsv``; George & Liu 1981)
+  solves B y = m f with y = u' x, in kd + 1 band rows instead of LU's
+  2 kl + ku + 1 and with about half the flops.  This needs u' > 0 on the
+  factored cells, which the wet set below guarantees.
 
 Only the wet set is factored.  Column K of J holds the couplings
 -(dt/m_L)(m_sigma g+ lam'(s_K) s'(tau_K) + A_sigma u'(tau_K)), which depend
@@ -34,8 +45,8 @@ from it is at most (number of edges of K) x DROP x J_KK, and the
 correction s solves J s = -F up to ||E s||_1 <= (edges per cell) x DROP x
 ||diag(J) s||_1.  That forcing term, near 1e-13 relative, lies far below
 any stopping tolerance, so the local quadratic convergence is kept.  With
-every column wet, W is all cells and the solve is the full LU; with none,
-no LU runs.  A callback's J keeps the undropped values.
+every column wet, W is all cells and the whole Jacobian is factored; with
+none, nothing is.  A callback's J keeps the undropped values.
 """
 
 from __future__ import annotations
@@ -44,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgbsv
+from scipy.linalg.lapack import dgbsv, dpbsv
 from scipy.sparse.csgraph import dijkstra
 
 from .mesh import Mesh
@@ -99,21 +110,37 @@ class NewtonReport:
         return self.residual_history[-1]
 
 
-def linear_solve(plan: SolvePlan, data, b) -> np.ndarray:
+def linear_solve(plan: SolvePlan, data, b, m=None, u_p=None) -> np.ndarray:
     """Direct solve of A x = b, A given by its CSC values data on plan's pattern.
 
     Column K of A is dry when every off-diagonal entry is at most DROP
     times the diagonal A_KK, and wet otherwise (a non-finite entry makes it
     wet); the wet set is W.  With the dry columns' couplings taken as zero,
-    A is block lower triangular in the order [W, dry].  So the W x W block,
-    W in the plan's order, goes to LAPACK band storage of |W| columns with
-    its own bandwidths kl and ku, and ``dgbsv`` solves it; then each dry
-    cell gets x_K = (b_K - sum_L A_KL x_L) / A_KK, the sum over the wet L.
-    Partial pivoting makes no row swap: the scheme's Jacobian is diagonally
-    dominant by columns.  With every column wet this is a plain LU solve of
-    A; with none, no LU runs.  An exactly zero pivot in the factored block,
-    or an exactly zero diagonal of a dry cell, raises SingularJacobianError
-    naming the cell.  data is not modified.  Deterministic for fixed input.
+    A is block lower triangular in the order [W, dry].  So only the W x W
+    block is factored, W in the plan's order, in LAPACK band storage of |W|
+    columns with that block's own bandwidth; then each dry cell gets
+    x_K = (b_K - sum_L A_KL x_L) / A_KK, the sum over the wet L.  With every
+    column wet the block is A; with none, nothing is factored.
+
+    The plan says how the block is factored.  By default, ``dgbsv`` (band
+    LU) factors A's block; partial pivoting makes no row swap, since the
+    scheme's Jacobian is diagonally dominant by columns.  When
+    ``plan.symmetric``, A is a gravity-free Jacobian
+    diag(s') + diag(dt/m) Lambda diag(u'), with Lambda the symmetric
+    transmissibility matrix (Dirichlet edges on its diagonal), m the cell
+    volumes and u' = u'(tau) at the iterate, which must then be given.  So
+    B = diag(m) A diag(u')^-1 = diag(m s'/u') + dt Lambda is symmetric, and
+    ``dpbsv`` (band Cholesky) solves B y = m b on W from its lower
+    triangle; x_W = y / u'_W.  u' > 0 on W: a wet column K holds a coupling
+    (dt/m_L) A_sigma u'_K > DROP A_KK >= 0.  B's block is positive
+    semidefinite, as s' >= 0, and nonsingular when A's is, so positive
+    definite.  Its factor has kd + 1 band rows where LU's has 2 kl + ku + 1,
+    and it takes about half the flops.
+
+    An exactly zero LU pivot or a nonpositive Cholesky pivot in the
+    factored block, or an exactly zero diagonal of a dry cell, raises
+    SingularJacobianError naming the cell.  data is not modified.
+    Deterministic for fixed input.
     """
     b = np.asarray(b, dtype=float)
     n, off_cols = plan.n, plan.off_cols
@@ -128,15 +155,26 @@ def linear_solve(plan: SolvePlan, data, b) -> np.ndarray:
         rank = np.cumsum(wet_p) - 1  # position in W of each wet plan position
         keep = np.flatnonzero(wet_p[plan.rows] & wet_p[plan.cols])
         i, j = rank[plan.rows[keep]], rank[plan.cols[keep]]
-        kl, ku = int((i - j).max(initial=0)), int((j - i).max(initial=0))
-        ldab = 2 * kl + ku + 1
-        ab = np.zeros(ldab * w.size)
-        ab[kl + ku + i - j + ldab * j] = data[keep]  # A[i, j] in row kl + ku + i - j of column j
-        _, _, x[w], info = dgbsv(kl, ku, ab.reshape((ldab, w.size), order="F"), b[w],
-                                 overwrite_ab=True)
+        block = data[plan.slots[keep]]  # A[i, j] of the W x W block
+        if plan.symmetric:  # B y = m b with B = diag(m) A diag(u')^-1, y = u' x
+            m_w, u_w = m[w], u_p[w]
+            kd = int((i - j).max(initial=0))
+            ab = np.zeros((kd + 1) * w.size)
+            ab[i - j + (kd + 1) * j] = block * m_w[i] / u_w[j]  # B[i, j], i >= j
+            _, y, info = dpbsv(ab.reshape((kd + 1, w.size), order="F"), m_w * b[w],
+                               lower=1, overwrite_ab=True)
+            x[w] = y / u_w
+            failure = "band Cholesky factorization failed: the pivot of cell {} is not positive"
+        else:
+            kl, ku = int((i - j).max(initial=0)), int((j - i).max(initial=0))
+            ldab = 2 * kl + ku + 1
+            ab = np.zeros(ldab * w.size)
+            ab[kl + ku + i - j + ldab * j] = block  # A[i, j] in row kl + ku + i - j of column j
+            _, _, x[w], info = dgbsv(kl, ku, ab.reshape((ldab, w.size), order="F"), b[w],
+                                     overwrite_ab=True)
+            failure = "band LU factorization failed: the pivot of cell {} is exactly zero"
         if info > 0:
-            raise SingularJacobianError(f"band LU factorization failed: the pivot of cell "
-                                        f"{w[info - 1]} is exactly zero")
+            raise SingularJacobianError(failure.format(w[info - 1]))
     dry = np.flatnonzero(~wet)
     if dry.size:  # x_K = (b_K - sum_L A_KL x_L) / A_KK over the wet L
         if np.any(diag[dry] == 0.0):
@@ -176,7 +214,7 @@ def newton_solve(system: Assembly, dt: float, s_prev, tau_init, config: NewtonCo
         if callback is not None:
             callback(k, tau, res, system.matrix(data))
         try:
-            delta = linear_solve(system.plan, data, f)
+            delta = linear_solve(system.plan, data, f, system.mesh.cell_volumes, derivatives[1])
         except SingularJacobianError:
             break
         tau -= delta

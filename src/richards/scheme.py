@@ -16,12 +16,13 @@ from the sum.  On the edges the mesh tags Dirichlet, one constant boundary
 value tau_D = p^{-1}(p_D) takes the place of the outer cell.
 
 The Jacobian's sparsity pattern is fixed by the mesh, so everything that
-depends on the pattern alone is worked out once per run by ``Assembly``:
-the CSC pattern, the map from each assembled term to its CSC slot, and the
-``SolvePlan``, the cell ordering the direct solver factors in.  Per Newton
-iterate, ``residual`` evaluates the parametrization once and gives
-f(tau), s(tau) and the derivatives; ``jacobian`` turns those derivatives
-into the Jacobian's values only for an iterate whose correction is solved.
+depends on the pattern, or on whether gravity enters the fluxes, is worked
+out once per run by ``Assembly``: the CSC pattern, the map from each
+assembled term to its CSC slot, and the ``SolvePlan``, the cell ordering
+the direct solver factors in and its factorization.  Per Newton iterate,
+``residual`` evaluates the parametrization once and gives f(tau), s(tau)
+and the derivatives; ``jacobian`` turns those derivatives into the
+Jacobian's values only for an iterate whose correction is solved.
 """
 
 from __future__ import annotations
@@ -99,24 +100,30 @@ def _csc_pattern(keys, n: int):
 
 
 class SolvePlan:
-    """The cell order in which the LU of a fixed n x n CSC pattern is factored.
+    """The cell order in which a fixed n x n CSC pattern is factored, and how.
 
-    Worked out once from the pattern (indices, indptr) alone; it holds no
-    duplicate entries.  ``order`` lists the cells in reverse Cuthill-McKee
-    order (Cuthill & McKee 1969; George & Liu, Computer Solution of Large
-    Sparse Positive Definite Systems, 1981): level by level of a
-    breadth-first search, so each coupling joins cells of one level or of
-    neighbouring ones.  On a box mesh, in any numbering, the bandwidth is
-    then about the cell count of the narrower side (40 on 40x40, 10 on
-    160x10).  ``rows`` and ``cols`` give each slot's row and column as
-    positions in that order.  For the split into wet and dry columns
-    (``newton.linear_solve``) the plan keeps each column's diagonal slot
-    (``diag``) and the off-diagonal slots (``off``) with their rows and
-    columns in the cells' own numbering (``off_rows``, ``off_cols``).
+    Worked out once from the pattern (indices, indptr), which holds no
+    duplicate entries, and from ``symmetric``: whether the matrices solved
+    on it are gravity-free Jacobians, which a diagonal scaling makes
+    symmetric positive definite (``newton.linear_solve``).  ``order`` lists
+    the cells in reverse Cuthill-McKee order (Cuthill & McKee 1969; George
+    & Liu, Computer Solution of Large Sparse Positive Definite Systems,
+    1981): level by level of a breadth-first search, so each coupling joins
+    cells of one level or of neighbouring ones.  On a box mesh, in any
+    numbering, the bandwidth is then about the cell count of the narrower
+    side (40 on 40x40, 10 on 160x10).  ``slots`` are the slots the
+    factorization reads: all of them for LU, the lower triangle in that
+    order (rows at or after their column) for Cholesky; ``rows`` and
+    ``cols`` give their rows and columns as positions in that order.  For
+    the split into wet and dry columns the plan keeps each column's
+    diagonal slot (``diag``) and the off-diagonal slots (``off``) with
+    their rows and columns in the cells' own numbering (``off_rows``,
+    ``off_cols``).
     """
 
-    def __init__(self, indices, indptr):
+    def __init__(self, indices, indptr, symmetric: bool = False):
         self.n = n = indptr.size - 1
+        self.symmetric = symmetric
         rows = indices.astype(np.intp)
         cols = np.repeat(np.arange(n), np.diff(indptr))
         on = rows == cols
@@ -130,7 +137,9 @@ class SolvePlan:
         self.order = reverse_cuthill_mckee(pattern, symmetric_mode=True).astype(np.intp)
         where = np.empty(n, dtype=np.intp)
         where[self.order] = np.arange(n)
-        self.rows, self.cols = where[rows], where[cols]
+        rows, cols = where[rows], where[cols]
+        self.slots = np.flatnonzero(rows >= cols) if symmetric else np.arange(indices.size)
+        self.rows, self.cols = rows[self.slots], cols[self.slots]
 
 
 class Assembly:
@@ -140,9 +149,10 @@ class Assembly:
     ``mesh.dirichlet_edges``, whose outer cell is tau_D =
     param.tau_of_pressure(p_D)), the boundary values (u, lam) of tau_D, the
     CSC sparsity pattern of the Jacobian with the map from each assembled
-    term to its CSC slot, and the ``SolvePlan`` of that pattern.  Nothing
-    here depends on dt, the history or the iterate.  tau_D is given exactly
-    when the mesh has Dirichlet edges.
+    term to its CSC slot, and the ``SolvePlan`` of that pattern: band
+    Cholesky when no edge carries a gravity term, band LU otherwise.
+    Nothing here depends on dt, the history or the iterate.  tau_D is given
+    exactly when the mesh has Dirichlet edges.
     """
 
     def __init__(self, mesh: Mesh, param: Parametrization, gravity, tau_D: float | None = None):
@@ -182,7 +192,9 @@ class Assembly:
         keys, self.slots = np.unique(cols * n + rows, return_inverse=True)
         self.indices, self.indptr = _csc_pattern(keys, n)
         self.flux_cells = np.concatenate([K, L, self.K[ni:]])
-        self.plan = SolvePlan(self.indices, self.indptr)
+        # with no gravity term on any edge, diag(m) J diag(u')^-1 is symmetric
+        gravity_free = not (self.mgp.any() or self.mgn.any())
+        self.plan = SolvePlan(self.indices, self.indptr, symmetric=gravity_free)
 
     def matrix(self, data) -> sp.csc_matrix:
         """The CSC matrix with values data on the Jacobian's pattern.

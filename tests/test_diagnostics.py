@@ -21,11 +21,13 @@ MODEL = BrooksCoreyModel(beta=4.0, p_b=-0.01)
 
 
 def make_traj(mesh, param, taus, tau_D=None):
+    taus = [np.asarray(t, dtype=float) for t in taus]
     return Trajectory(
         mesh=mesh,
         param=param,
         times=np.arange(len(taus), dtype=float),
-        taus=[np.asarray(t, dtype=float) for t in taus],
+        taus=taus,
+        water_volumes=[float(np.sum(mesh.cell_volumes * param.eval(t)[0])) for t in taus],
         tau_D=tau_D,
     )
 

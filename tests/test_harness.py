@@ -116,6 +116,22 @@ def test_adaptive_dt_recovers_from_failure(monkeypatch):
     assert len(steps) > cfg.n_steps  # more, smaller steps than the fixed grid
 
 
+def test_adaptive_dt_counts_rejected_iterations():
+    # on 40x40 with eps = 1e-10 the step at t = 0.06 fails after 100
+    # iterations at dt = 0.01 and converges at dt = 0.005: the 100 count as
+    # rejected, next to the 57 of the accepted steps, in the result and in
+    # the summary row
+    cfg = replace(preset_test1(beta=4.0, eps=1e-10, mesh_size="40x40"), t_end=0.07,
+                  adaptive_dt=True)
+    jacobians = []
+    res = run(cfg, callback=lambda k, tau, r, J: jacobians.append(k))
+    assert res.converged
+    assert (res.total_iters, res.rejected_iters, len(jacobians)) == (57, 100, 157)
+    row = dict(zip(SUMMARY_HEADER.split(","), summary_row(res).split(",")))
+    assert (row["total_newton_iters"], row["rejected_newton_iters"]) == ("57", "100")
+    assert run(replace(cfg, t_end=0.05)).rejected_iters == 0
+
+
 def test_newton_failure_reports_partial_trajectory():
     cfg = replace(
         preset_test1(beta=1.0, eps=1e-6, formulation="u"), t_end=0.05, mesh="5x5"
@@ -145,7 +161,7 @@ def test_sweep_shape_and_errors():
 def test_summary_header_golden(tmp_path):
     assert SUMMARY_HEADER == (
         "case,formulation,beta,p_b,eta_mode,eps,mesh,dt,steps,mean_newton_iters,"
-        "total_newton_iters,err_s,err_u,mass_err,wall_ms"
+        "total_newton_iters,err_s,err_u,mass_err,rejected_newton_iters,wall_ms"
     )
     cfg = replace(preset_test2(eps=1e-6), t_end=0.0)
     res = run(cfg)
@@ -166,7 +182,8 @@ def test_summary_row_fields():
     assert row[0] == "test2"
     assert row[1] == "tau"
     assert row[8] == "2"  # steps
-    assert float(row[14]) > 0  # wall_ms
+    assert row[14] == "0"  # rejected_newton_iters
+    assert float(row[15]) > 0  # wall_ms
 
 
 def test_vtk_snapshots(tmp_path):
@@ -293,17 +310,25 @@ def test_cli_run_and_exit_codes(tmp_path):
     assert fail.returncode == 3
 
 
-def test_cli_singular_jacobian_exits_newton_failure(tmp_path, monkeypatch, capsys):
-    # LAPACK reports an exactly zero pivot as info > 0.  The solve ends
+# LAPACK's band solvers reporting a failed first pivot (info = 1)
+FAILED_PIVOT = {
+    "dgbsv": lambda kl, ku, ab, b, **kwargs: (ab, np.zeros(len(b), dtype=np.int32), b, 1),
+    "dpbsv": lambda ab, b, **kwargs: (ab, b, 1),
+}
+
+
+@pytest.mark.parametrize("case,lapack,t_end", [("test1", "dgbsv", "0.01"),
+                                              ("test2", "dpbsv", "1e3")])
+def test_cli_singular_jacobian_exits_newton_failure(tmp_path, monkeypatch, capsys, case,
+                                                    lapack, t_end):
+    # an exactly zero pivot of the band LU (test1), or a nonpositive one of
+    # the band Cholesky that solves the gravity-free test2, ends the solve
     # unconverged instead of raising, so the CLI reports a Newton failure
     import richards.newton
     from richards.cli import main
 
-    def singular(kl, ku, ab, b, **kwargs):
-        return ab, np.zeros(len(b), dtype=np.int32), b, 1
-
-    monkeypatch.setattr(richards.newton, "dgbsv", singular)
-    code = main(["run", "--case", "test1", "--beta", "4", "--eps", "1e-6", "--tend", "0.01",
+    monkeypatch.setattr(richards.newton, lapack, FAILED_PIVOT[lapack])
+    code = main(["run", "--case", case, "--beta", "4", "--eps", "1e-6", "--tend", t_end,
                  "--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 3

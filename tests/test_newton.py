@@ -11,7 +11,7 @@ import scipy.sparse.linalg as spla
 import richards.harness as H
 import richards.newton as N
 from conftest import evaluate
-from richards.harness import preset_test1, preset_test2, run
+from richards.harness import RunConfig, preset_test1, preset_test2, run
 from richards.hydromodel import BrooksCoreyModel, Parametrization
 from richards.mesh import (
     DIRICHLET,
@@ -150,10 +150,12 @@ def test_config_validation():
 # -- linear_solve --------------------------------------------------------------
 
 
-def solve(A, b):
-    """x = A^{-1} b through a plan of A's own pattern."""
+def solve(A, b, m=None, u_p=None):
+    """x = A^{-1} b through a plan of A's own pattern: by band Cholesky of
+    diag(m) A diag(u')^-1 when m and u' are given, by band LU otherwise."""
     A = sp.csc_matrix(A)
-    return linear_solve(SolvePlan(A.indices, A.indptr), A.data, b)
+    plan = SolvePlan(A.indices, A.indptr, symmetric=m is not None)
+    return linear_solve(plan, A.data, b, m, u_p)
 
 
 def test_identity_system():
@@ -180,15 +182,20 @@ def test_matches_dense_reference():
 
 
 def count_lu(monkeypatch) -> dict:
-    """Count the band LU calls of linear_solve."""
-    calls = {"dgbsv": 0}
-    dgbsv = N.dgbsv
+    """Count the band LU (dgbsv) and band Cholesky (dpbsv) calls of linear_solve."""
+    calls = {"dgbsv": 0, "dpbsv": 0}
 
-    def counted(*args, **kwargs):
-        calls["dgbsv"] += 1
-        return dgbsv(*args, **kwargs)
+    def counter(name):
+        lapack = getattr(N, name)
 
-    monkeypatch.setattr(N, "dgbsv", counted)
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return lapack(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(N, name, counter(name))
     return calls
 
 
@@ -221,11 +228,21 @@ def renumber(A, perm):
     return sp.csc_matrix(sp.csc_matrix(A)[perm][:, perm])
 
 
+def corrections(config):
+    """(m, [(J, u'), ...]) of a run of config: the cell volumes, and for
+    every Newton correction the Jacobian a callback receives with u'(tau)
+    at its iterate."""
+    mesh = H.build_mesh(config)
+    model = BrooksCoreyModel(beta=config.beta, p_b=config.p_b, eta_mode=config.eta_mode)
+    param = Parametrization(kind=config.formulation, model=model)
+    kept = []
+    run(config, mesh=mesh, callback=lambda k, tau, res, J: kept.append((J, param.eval(tau)[3])))
+    return mesh.cell_volumes, kept
+
+
 def jacobians(config):
     """Every Jacobian a Newton callback receives in a run of config."""
-    kept = []
-    run(config, callback=lambda k, tau, res, J: kept.append(J))
-    return kept
+    return [J for J, _ in corrections(config)[1]]
 
 
 def first_jacobian(config):
@@ -258,37 +275,65 @@ def test_scheme_jacobian_is_solved_in_either_numbering(monkeypatch, kind):
     x = linear_solve(plan, J.data, b)
     ref = np.linalg.solve(J.toarray(), b)
     assert np.linalg.norm(x - ref, np.inf) <= 1e-12 * np.linalg.norm(ref, np.inf)
-    assert calls == {"dgbsv": 1}
+    assert calls == {"dgbsv": 1, "dpbsv": 0}
 
 
 def short_test1(mesh_size, t_end):
     return replace(preset_test1(beta=4.0, eps=1e-6, mesh_size=mesh_size), t_end=t_end)
 
 
-@pytest.mark.parametrize("config,kind,all_wet", [
-    (short_test1("20x20", 0.03), "natural", False),
-    (short_test1("20x20", 0.03), "shuffled", False),
-    (short_test1("34x8", 0.03), "natural", False),
-    (short_test1("80x80", 0.01), "natural", False),
-    (replace(preset_test2(eps=1e-6, mesh_size="40x40"), t_end=1e4), "natural", True),
-], ids=["test1-20x20", "test1-20x20-shuffled", "test1-34x8", "test1-80x80", "test2-40x40"])
-def test_wet_set_solve_matches_the_full_solve(config, kind, all_wet):
-    # every Jacobian of a short run: test1 from all dry to a growing wet
-    # set, test2 all wet; the reference solves the full matrix, couplings
-    # below DROP included (dense LAPACK, or from 1000 cells on SuperLU, as
-    # the dense 80x80 matrix takes 330 MB)
-    Js = jacobians(config)
-    n = Js[0].shape[0]
+def short_test2(mesh_size="20x20", dt=1e3, t_end=1e4):
+    return replace(preset_test2(eps=1e-6, mesh_size=mesh_size), dt=dt, t_end=t_end)
+
+
+# gravity-free, with a Dirichlet strip on the top boundary, s0 = 1e-6
+DIRICHLET_NO_GRAVITY = RunConfig(case="custom", formulation="tau", beta=4.0, dt=0.01,
+                                 t_end=0.03, eps=1e-6, dirichlet_box=[(0.0, 0.3), (1.0, 1.0)],
+                                 p_dirichlet=1.0)
+
+
+@pytest.mark.parametrize("config,kind,wet_set", [
+    (short_test1("20x20", 0.03), "natural", "growing"),
+    (short_test1("20x20", 0.03), "shuffled", "growing"),
+    (short_test1("34x8", 0.03), "natural", "growing"),
+    (short_test1("80x80", 0.01), "natural", "growing"),
+    (short_test2("40x40"), "natural", "all"),
+    (short_test2(dt=0.01, t_end=0.03), "natural", "partial"),
+    (short_test2(), "shuffled", "all"),
+    (DIRICHLET_NO_GRAVITY, "natural", "growing"),
+], ids=["test1-20x20", "test1-20x20-shuffled", "test1-34x8", "test1-80x80", "test2-40x40",
+        "test2-20x20-small-dt", "test2-20x20-shuffled", "dirichlet-no-gravity"])
+def test_wet_set_solve_matches_the_full_solve(monkeypatch, config, kind, wet_set):
+    # every Jacobian of a short run: from all dry to a growing wet set, a
+    # part wet throughout, or all wet; the reference solves the full matrix,
+    # couplings below DROP included (dense LAPACK, or from 1000 cells on
+    # SuperLU, as the dense 80x80 matrix takes 330 MB).  Gravity-free runs
+    # take the band Cholesky, the others the band LU
+    calls = count_lu(monkeypatch)
+    m, kept = corrections(config)
+    n = m.size
     perm = numbering(kind, n)
-    Js = [renumber(J, perm) for J in Js]
-    wet = [int(wet_columns(J).sum()) for J in Js]
-    assert min(wet) == n if all_wet else wet[0] == 0 and 0 < wet[-1] < n
-    plan = SolvePlan(Js[0].indices, Js[0].indptr)
+    m = m[perm]
+    kept = [(renumber(J, perm), u_p[perm]) for J, u_p in kept]
+    wet = [int(wet_columns(J).sum()) for J, _ in kept]
+    if wet_set == "all":
+        assert min(wet) == n
+    elif wet_set == "growing":
+        assert wet[0] == 0 and 0 < wet[-1] < n
+    else:
+        assert 0 < min(wet) and max(wet) < n
+    symmetric = not any(config.gravity)
+    factored = sum(w > 0 for w in wet)
+    route = {"dgbsv": 0, "dpbsv": factored} if symmetric else {"dgbsv": factored, "dpbsv": 0}
+    assert calls == route  # the run's own solves
+    calls.update(dgbsv=0, dpbsv=0)
+    plan = SolvePlan(kept[0][0].indices, kept[0][0].indptr, symmetric=symmetric)
     b = np.random.default_rng(4).standard_normal(n)
-    for J in Js:
-        x = linear_solve(plan, J.data, b)
+    for J, u_p in kept:
+        x = linear_solve(plan, J.data, b, m, u_p)
         ref = np.linalg.solve(J.toarray(), b) if n < 1000 else spla.spsolve(J, b)
         assert np.linalg.norm(x - ref, np.inf) <= 1e-12 * np.linalg.norm(ref, np.inf)
+    assert calls == route
 
 
 @pytest.mark.parametrize("kind", NUMBERINGS)
@@ -302,7 +347,7 @@ def test_all_dry_jacobian_is_solved_without_lu(monkeypatch, kind):
     plan = SolvePlan(J.indices, J.indptr)
     calls = count_lu(monkeypatch)
     x = linear_solve(plan, J.data, b)
-    assert calls == {"dgbsv": 0}
+    assert calls == {"dgbsv": 0, "dpbsv": 0}
     np.testing.assert_array_equal(x, b / J.diagonal())
 
 
@@ -311,47 +356,77 @@ def chain(n):
     return sp.diags([-np.ones(n - 1), 3.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1]).tolil()
 
 
-@pytest.mark.parametrize("kind", NUMBERINGS)
-def test_zero_pivot_in_the_wet_set_raises_singular(monkeypatch, kind):
-    # cells 10 and 11 form a block [[1, 1], [-1, -1]] of two wet columns,
-    # uncoupled from the rest: its second pivot is exactly zero in either
-    # order, and the message names that cell, not its position in the plan
-    n = 50
-    A = chain(n)
-    A[9, 10] = A[10, 9] = A[11, 12] = A[12, 11] = 0.0
-    A[10, 10] = A[10, 11] = 1.0
-    A[11, 10] = A[11, 11] = -1.0
+def singular_input(source):
+    """(A, m, u', LAPACK calls of one solve) of a matrix to be made singular:
+    chain(50), solved by band LU, or the first Newton correction of test2 on
+    20x20, every column wet and diag(m) A diag(u')^-1 symmetric positive
+    definite, solved by band Cholesky."""
+    if source == "chain":
+        return chain(50), None, None, {"dgbsv": 1, "dpbsv": 0}
+    m, kept = corrections(short_test2(t_end=1e3))
+    J, u_p = kept[0]
+    return J.tolil(), m, u_p, {"dgbsv": 0, "dpbsv": 1}
+
+
+def renumbered(A, m, u_p, kind, keep):
+    """A without its explicit zeros, m and u', in numbering(kind, n, keep)."""
     A = sp.csc_matrix(A)
     A.eliminate_zeros()
-    A = renumber(A, numbering(kind, n, keep=[10, 11]))
+    perm = numbering(kind, A.shape[0], keep)
+    return renumber(A, perm), *(None if v is None else v[perm] for v in (m, u_p))
+
+
+@pytest.mark.parametrize("source", ["chain", "test2"])
+@pytest.mark.parametrize("kind", NUMBERINGS)
+def test_zero_pivot_in_the_wet_set_raises_singular(monkeypatch, kind, source):
+    # chain: cells 10 and 11 form a block [[1, 1], [-1, -1]] of two wet
+    # columns, uncoupled from the rest, so the second LU pivot is exactly
+    # zero in either order.  test2: J_10,10 = 0 leaves column 10 wet and
+    # makes the Cholesky pivot of cell 10 nonpositive.  The message names
+    # the cell, not its position in the plan
+    A, m, u_p, route = singular_input(source)
+    if source == "chain":
+        A[9, 10] = A[10, 9] = A[11, 12] = A[12, 11] = 0.0
+        A[10, 10] = A[10, 11] = 1.0
+        A[11, 10] = A[11, 11] = -1.0
+        message = r"the pivot of cell 1[01] is exactly zero"
+    else:
+        A[10, 10] = 0.0
+        message = r"the pivot of cell 10 is not positive"
+    A, m, u_p = renumbered(A, m, u_p, kind, keep=[10, 11])
     assert wet_columns(A)[[10, 11]].all()
     calls = count_lu(monkeypatch)
-    with pytest.raises(SingularJacobianError, match=r"the pivot of cell 1[01] is exactly zero"):
-        solve(A, np.ones(n))
-    assert calls == {"dgbsv": 1}
+    with pytest.raises(SingularJacobianError, match=message):
+        solve(A, np.ones(A.shape[0]), m, u_p)
+    assert calls == route
 
 
+@pytest.mark.parametrize("source", ["chain", "test2"])
 @pytest.mark.parametrize("kind", NUMBERINGS)
-def test_zero_column_raises_singular(monkeypatch, kind):
-    n = 50
-    A = chain(n)
+def test_zero_column_raises_singular(monkeypatch, kind, source):
+    # the zero column 10 is dry; its zero diagonal is refused after the
+    # wet set, all the other cells, is factored
+    A, m, u_p, route = singular_input(source)
     A[:, 10] = 0.0
-    A = sp.csc_matrix(A)
-    A.eliminate_zeros()
-    A = renumber(A, numbering(kind, n, keep=[10]))
+    A, m, u_p = renumbered(A, m, u_p, kind, keep=[10])
     calls = count_lu(monkeypatch)
     with pytest.raises(SingularJacobianError, match=r"dry column 10 has a zero diagonal"):
-        solve(A, np.ones(n))
-    assert calls == {"dgbsv": 1}
+        solve(A, np.ones(A.shape[0]), m, u_p)
+    assert calls == route
 
 
-def test_iteration_counts_pinned():
+def test_iteration_counts_pinned(monkeypatch):
     # the same counts as with every earlier LU ordering (SuperLU's COLAMD
-    # and MMD, the natural band) at 20x20 and 40x40
+    # and MMD, the natural band) at 20x20 and 40x40; test1 is solved by band
+    # LU alone, the gravity-free test2 by band Cholesky alone
+    calls = count_lu(monkeypatch)
     res = run(short_test1("20x20", 0.2))
     assert res.iters_per_step == [7, 5, 4, 5, 5, 5, 5, 5, 4, 5, 5, 4, 5, 5, 4, 4, 4, 5, 5, 5]
-    res = run(replace(preset_test2(eps=1e-6, mesh_size="40x40"), t_end=1e4))
+    assert calls == {"dgbsv": 95, "dpbsv": 0}  # all 96 Jacobians but the first, all dry
+    calls.update(dgbsv=0, dpbsv=0)
+    res = run(short_test2("40x40"))
     assert res.iters_per_step == [18, 7, 6, 6, 5, 5, 4, 4, 4, 5]
+    assert calls == {"dgbsv": 0, "dpbsv": 64}
 
 
 def test_iteration_counts_pinned_on_the_fine_run():
@@ -377,9 +452,9 @@ def test_jacobian_computed_only_where_a_correction_uses_it(monkeypatch):
     res = run(replace(preset_test2(eps=1e-6, mesh_size="40x40"), t_end=1e4))
     assert res.iters_per_step == [18, 7, 6, 6, 5, 5, 4, 4, 4, 5]
     assert calls["jacobian"] == sum(res.iters_per_step)
-    # one per iterate (64 + 10), plus the boundary values, the initial s and
-    # the 11 states of the mass error: as many as with a Jacobian per iterate
-    assert calls["eval"] == 87
+    # one per iterate (64 + 10), plus the boundary values and the initial s;
+    # the mass error reads the water volumes of the s that newton_solve returned
+    assert calls["eval"] == 76
 
     # per step as many Jacobians as iterations; none where tau_init converged
     per_step = []
