@@ -287,10 +287,8 @@ def run(config: RunConfig, mesh: Mesh | None = None, callback=None) -> RunResult
     system = Assembly(mesh, param, gravity, tau_D)
     ncfg = NewtonConfig(eps=config.eps)
 
-    s_prev = np.asarray(param.eval(tau)[0], dtype=float)
     times = [0.0]
     taus = [tau.copy()]
-    water = [float(np.sum(mesh.cell_volumes * s_prev))]
     reports = []
     iters = []
     rejected = 0
@@ -300,6 +298,8 @@ def run(config: RunConfig, mesh: Mesh | None = None, callback=None) -> RunResult
     dt = config.dt
     easy_streak = 0
     step = 0
+    s_prev = np.asarray(param.eval(tau)[0], dtype=float)
+    water = [float(np.sum(mesh.cell_volumes * s_prev))]
     while t < config.t_end - 1e-9 * config.dt:
         dt = min(dt, config.t_end - t)
         tau_new, s_new, report = newton_solve(system, dt, s_prev, tau, ncfg, callback=callback)

@@ -158,6 +158,8 @@ def linear_solve(plan: SolvePlan, data, b, m=None, u_p=None) -> np.ndarray:
         block = data[plan.slots[keep]]  # A[i, j] of the W x W block
         if plan.symmetric:  # B y = m b with B = diag(m) A diag(u')^-1, y = u' x
             m_w, u_w = m[w], u_p[w]
+            # lower storage: with two OpenBLAS threads, dpbsv of the upper
+            # triangle took about 4 times as long as with one; the lower one did not
             kd = int((i - j).max(initial=0))
             ab = np.zeros((kd + 1) * w.size)
             ab[i - j + (kd + 1) * j] = block * m_w[i] / u_w[j]  # B[i, j], i >= j
