@@ -279,6 +279,14 @@ def validate_admissibility(mesh: Mesh) -> ValidationReport:
               for j, kk, ll, g, dd in _rows(off & (l >= 0), e, k, l, gap, d)]
     found += [(j, f"edge {j} (boundary of {kk}): |x_K - x_sigma| = {g!r} != d_K = {dd!r}")
               for j, kk, g, dd in _rows(off & (l < 0), e, k, gap, d)]
+    # one edge per pair of cells: the Jacobian holds one coupling per edge
+    # side (scheme.jacobian), so a second edge's coupling would be lost
+    inner = np.flatnonzero(mesh.edge_cells[:, 1] >= 0)
+    pairs = np.sort(mesh.edge_cells[inner], axis=1)
+    _, first, which = np.unique(pairs, axis=0, return_index=True, return_inverse=True)
+    prior = inner[first[which.ravel()]]  # the first edge joining the same pair
+    found += [(j, f"edge {j} repeats cell pair {kk}|{ll} of edge {i}")
+              for j, i, kk, ll in _rows(prior != inner, inner, prior, *mesh.edge_cells[prior].T)]
     found.sort(key=lambda t: t[0])  # stable: per edge, in check order
     out += [msg for _, msg in found]
 

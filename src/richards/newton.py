@@ -7,12 +7,14 @@ search, or trust region) with the residual-based stopping rule
 a uniform bound on ||J^{-1}||_1; the analysis utilities here verify the
 conditions and compute the bound on concrete matrices.
 
-Each Newton correction is one band solve in the reverse Cuthill-McKee
-order of the Jacobian's fixed pattern, worked out once per run
-(``scheme.SolvePlan``, held by the ``Assembly``), so a box mesh in any
-numbering has a band about as wide as its narrower side.  Per iteration
-only numeric work is left: the Jacobian's values are computed for an
-iterate whose correction is solved, placed in band storage and factored.
+The scheme gives the Jacobian as its diagonal plus one coupling per side
+of each interior edge (``scheme.jacobian``).  Each Newton correction is
+one band solve in the reverse Cuthill-McKee order of those couplings,
+worked out once per run (``scheme.SolvePlan``, held by the ``Assembly``),
+so a box mesh in any numbering has a band about as wide as its narrower
+side.  Per iteration only numeric work is left: the diagonal and the
+couplings are computed for an iterate whose correction is solved, placed
+in band storage and factored; a CSC matrix is built only for a callback.
 Which factorization runs is a property of the physics, fixed per run by
 the ``Assembly``:
 
@@ -40,11 +42,13 @@ makes J block lower triangular in the order [W, dry]: the W x W block is
 factored alone, W in the plan's order, and each dry cell then costs one
 division.  This is an inexact Newton step (Dembo, Eisenstat & Steihaug,
 SIAM J. Numer. Anal. 19, 1982).  A dry column K has one coupling per
-edge, each at most DROP x J_KK, so the mass the dropped matrix E takes
-from it is at most (number of edges of K) x DROP x J_KK, and the
-correction s solves J s = -F up to ||E s||_1 <= (edges per cell) x DROP x
-||diag(J) s||_1.  That forcing term, near 1e-13 relative, lies far below
-any stopping tolerance, so the local quadratic convergence is kept.  With
+edge, as no two edges join the same pair of cells
+(``mesh.validate_admissibility`` refuses a mesh where two do), each at
+most DROP x J_KK.  So the mass the dropped matrix E takes from it is at
+most (number of edges of K) x DROP x J_KK, and the correction s solves
+J s = -F up to ||E s||_1 <= (edges per cell) x DROP x ||diag(J) s||_1.
+That forcing term, near 1e-13 relative, lies far below any stopping
+tolerance, so the local quadratic convergence is kept.  With
 every column wet, W is all cells and the whole Jacobian is factored; with
 none, nothing is.  A callback's J keeps the undropped values.
 """
@@ -110,15 +114,17 @@ class NewtonReport:
         return self.residual_history[-1]
 
 
-def linear_solve(plan: SolvePlan, data, b, m=None, u_p=None) -> np.ndarray:
-    """Direct solve of A x = b, A given by its CSC values data on plan's pattern.
+def linear_solve(plan: SolvePlan, diag, off, b, m=None, u_p=None) -> np.ndarray:
+    """Direct solve of A x = b, A given by its diagonal diag and its couplings
+    off on the rows and columns of plan (``plan.rows``, ``plan.cols``).
 
     Column K of A is dry when every off-diagonal entry is at most DROP
     times the diagonal A_KK, and wet otherwise (a non-finite entry makes it
     wet); the wet set is W.  With the dry columns' couplings taken as zero,
     A is block lower triangular in the order [W, dry].  So only the W x W
-    block is factored, W in the plan's order, in LAPACK band storage of |W|
-    columns with that block's own bandwidth; then each dry cell gets
+    block is factored, W in the plan's order: the wet diagonal and the wet
+    couplings go straight into LAPACK band storage of |W| columns with that
+    block's own bandwidth.  Then each dry cell gets
     x_K = (b_K - sum_L A_KL x_L) / A_KK, the sum over the wet L.  With every
     column wet the block is A; with none, nothing is factored.
 
@@ -139,30 +145,28 @@ def linear_solve(plan: SolvePlan, data, b, m=None, u_p=None) -> np.ndarray:
 
     An exactly zero LU pivot or a nonpositive Cholesky pivot in the
     factored block, or an exactly zero diagonal of a dry cell, raises
-    SingularJacobianError naming the cell.  data is not modified.
+    SingularJacobianError naming the cell.  diag and off are not modified.
     Deterministic for fixed input.
     """
     b = np.asarray(b, dtype=float)
-    n, off_cols = plan.n, plan.off_cols
-    values = np.append(data, 0.0)  # the zero stands for a diagonal absent from the pattern
-    diag, coupling = values[plan.diag], values[plan.off]
+    n, rows, cols = plan.n, plan.rows, plan.cols
     wet = ~np.isfinite(diag)
-    wet[off_cols[~(np.abs(coupling) <= (DROP * diag)[off_cols])]] = True  # nan is wet
+    wet[cols[~(np.abs(off) <= (DROP * diag)[cols])]] = True  # nan is wet
     x = np.zeros(n)
     wet_p = wet[plan.order]  # W in the plan's order
     w = plan.order[wet_p]
     if w.size:
-        rank = np.cumsum(wet_p) - 1  # position in W of each wet plan position
-        keep = np.flatnonzero(wet_p[plan.rows] & wet_p[plan.cols])
-        i, j = rank[plan.rows[keep]], rank[plan.cols[keep]]
-        block = data[plan.slots[keep]]  # A[i, j] of the W x W block
+        rank = (np.cumsum(wet_p) - 1)[plan.rank]  # position in W of each wet cell
+        keep = plan.entries[wet[rows[plan.entries]] & wet[cols[plan.entries]]]
+        i, j = rank[rows[keep]], rank[cols[keep]]  # A[i, j] = off[keep] of the W x W block
         if plan.symmetric:  # B y = m b with B = diag(m) A diag(u')^-1, y = u' x
             m_w, u_w = m[w], u_p[w]
             # lower storage: with two OpenBLAS threads, dpbsv of the upper
             # triangle took about 4 times as long as with one; the lower one did not
             kd = int((i - j).max(initial=0))
             ab = np.zeros((kd + 1) * w.size)
-            ab[i - j + (kd + 1) * j] = block * m_w[i] / u_w[j]  # B[i, j], i >= j
+            ab[::kd + 1] = diag[w] * m_w / u_w  # B[i, i] in row 0
+            ab[i - j + (kd + 1) * j] = off[keep] * m_w[i] / u_w[j]  # B[i, j], i > j
             _, y, info = dpbsv(ab.reshape((kd + 1, w.size), order="F"), m_w * b[w],
                                lower=1, overwrite_ab=True)
             x[w] = y / u_w
@@ -171,7 +175,8 @@ def linear_solve(plan: SolvePlan, data, b, m=None, u_p=None) -> np.ndarray:
             kl, ku = int((i - j).max(initial=0)), int((j - i).max(initial=0))
             ldab = 2 * kl + ku + 1
             ab = np.zeros(ldab * w.size)
-            ab[kl + ku + i - j + ldab * j] = block  # A[i, j] in row kl + ku + i - j of column j
+            ab[kl + ku::ldab] = diag[w]  # A[i, i] in row kl + ku
+            ab[kl + ku + i - j + ldab * j] = off[keep]  # A[i, j] in row kl + ku + i - j
             _, _, x[w], info = dgbsv(kl, ku, ab.reshape((ldab, w.size), order="F"), b[w],
                                      overwrite_ab=True)
             failure = "band LU factorization failed: the pivot of cell {} is exactly zero"
@@ -182,7 +187,7 @@ def linear_solve(plan: SolvePlan, data, b, m=None, u_p=None) -> np.ndarray:
         if np.any(diag[dry] == 0.0):
             raise SingularJacobianError(f"dry column {dry[diag[dry] == 0.0][0]} has a zero "
                                         "diagonal")
-        below = np.bincount(plan.off_rows, weights=coupling * x[off_cols], minlength=n)
+        below = np.bincount(rows, weights=off * x[cols], minlength=n)
         x[dry] = (b[dry] - below[dry]) / diag[dry]
     return x
 
@@ -197,7 +202,8 @@ def newton_solve(system: Assembly, dt: float, s_prev, tau_init, config: NewtonCo
     Jacobian's values are computed only at an iterate whose correction is
     solved, so a step that converges at tau_init computes none.  The
     optional callback is invoked as callback(k, tau, res_norm, J) at every
-    such iterate, with J a CSC matrix of its own.  A non-converged step, a
+    such iterate, with J a CSC matrix of its own, built from the diagonal and
+    couplings that are solved (``Assembly.matrix``).  A non-converged step, a
     singular Jacobian included, is reported, not raised.
     """
     if not dt > 0:
@@ -212,11 +218,11 @@ def newton_solve(system: Assembly, dt: float, s_prev, tau_init, config: NewtonCo
             break
         if not np.isfinite(res):
             break
-        data = jacobian(system, dt, s, derivatives)
+        jac = jacobian(system, dt, s, derivatives)  # (diag, off)
         if callback is not None:
-            callback(k, tau, res, system.matrix(data))
+            callback(k, tau, res, system.matrix(*jac))
         try:
-            delta = linear_solve(system.plan, data, f, system.mesh.cell_volumes, derivatives[1])
+            delta = linear_solve(system.plan, *jac, f, system.mesh.cell_volumes, derivatives[1])
         except SingularJacobianError:
             break
         tau -= delta

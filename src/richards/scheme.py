@@ -15,11 +15,16 @@ parts (upwinded mobility).  No-flux boundary edges are simply omitted
 from the sum.  On the edges the mesh tags Dirichlet, one constant boundary
 value tau_D = p^{-1}(p_D) takes the place of the outer cell.
 
-The Jacobian's sparsity pattern is fixed by the mesh, so everything that
-depends on the pattern, or on whether gravity enters the fluxes, is worked
-out once per run by ``Assembly``: the CSC pattern, the map from each
-assembled term to its CSC slot, and the ``SolvePlan``, the cell ordering
-the direct solver factors in and its factorization.  Per Newton iterate,
+The Jacobian of this two-point scheme has a fixed shape: its diagonal
+plus exactly one coupling per side of each interior edge sigma = K|L, in
+row K, column L and in row L, column K (``mesh.validate_admissibility``
+refuses two edges joining the same pair of cells).  So the edge list is
+the Jacobian's one storage format: ``jacobian`` returns the diagonal and
+the couplings in edge order, and a CSC matrix is built only for a Newton
+callback (``Assembly.matrix``).  Everything that depends on the mesh, or
+on whether gravity enters the fluxes, is worked out once per run by
+``Assembly``: the edge arrays and the ``SolvePlan``, the cell order the
+direct solver factors in and its factorization.  Per Newton iterate,
 ``residual`` evaluates the parametrization once and gives f(tau), s(tau)
 and the derivatives; ``jacobian`` turns those derivatives into the
 Jacobian's values only for an iterate whose correction is solved.
@@ -93,53 +98,32 @@ def discretize_initial(s0: InitialField | float, mesh: Mesh, param: Parametrizat
     return np.asarray(param.sat_inverse(s_cells), dtype=float)
 
 
-def _csc_pattern(keys, n: int):
-    """(indices, indptr) of the n x n pattern with sorted entries keys = column * n + row."""
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
-    return (keys % n).astype(np.int32), indptr.astype(np.int32)
-
-
 class SolvePlan:
-    """The cell order in which a fixed n x n CSC pattern is factored, and how.
+    """The cell order in which n x n matrices with fixed couplings are factored, and how.
 
-    Worked out once from the pattern (indices, indptr), which holds no
-    duplicate entries, and from ``symmetric``: whether the matrices solved
-    on it are gravity-free Jacobians, which a diagonal scaling makes
-    symmetric positive definite (``newton.linear_solve``).  ``order`` lists
-    the cells in reverse Cuthill-McKee order (Cuthill & McKee 1969; George
-    & Liu, Computer Solution of Large Sparse Positive Definite Systems,
-    1981): level by level of a breadth-first search, so each coupling joins
-    cells of one level or of neighbouring ones.  On a box mesh, in any
-    numbering, the bandwidth is then about the cell count of the narrower
-    side (40 on 40x40, 10 on 160x10).  ``slots`` are the slots the
-    factorization reads: all of them for LU, the lower triangle in that
-    order (rows at or after their column) for Cholesky; ``rows`` and
-    ``cols`` give their rows and columns as positions in that order.  For
-    the split into wet and dry columns the plan keeps each column's
-    diagonal slot (``diag``) and the off-diagonal slots (``off``) with
-    their rows and columns in the cells' own numbering (``off_rows``,
-    ``off_cols``).
+    Worked out once from the couplings' rows and columns (``rows``,
+    ``cols``: off-diagonal entries, no pair twice) and from ``symmetric``:
+    whether the matrices solved on it are gravity-free Jacobians, which a
+    diagonal scaling makes symmetric positive definite
+    (``newton.linear_solve``).  ``order`` lists the cells in reverse
+    Cuthill-McKee order (Cuthill & McKee 1969; George & Liu, Computer
+    Solution of Large Sparse Positive Definite Systems, 1981): level by
+    level of a breadth-first search, so each coupling joins cells of one
+    level or of neighbouring ones.  On a box mesh, in any numbering, the
+    bandwidth is then about the cell count of the narrower side (40 on
+    40x40, 10 on 160x10).  ``rank`` is each cell's position in that order.
+    ``entries`` are the couplings the factorization reads: all of them for
+    LU, those below the diagonal in that order for Cholesky.
     """
 
-    def __init__(self, indices, indptr, symmetric: bool = False):
-        self.n = n = indptr.size - 1
-        self.symmetric = symmetric
-        rows = indices.astype(np.intp)
-        cols = np.repeat(np.arange(n), np.diff(indptr))
-        on = rows == cols
-        # each column's diagonal slot, or slot indices.size (a zero appended
-        # to the values) where the pattern has none
-        self.diag = np.full(n, indices.size)
-        self.diag[cols[on]] = np.flatnonzero(on)
-        self.off = np.flatnonzero(~on)
-        self.off_rows, self.off_cols = rows[~on], cols[~on]
-        pattern = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
+    def __init__(self, n: int, rows, cols, symmetric: bool = False):
+        self.n, self.symmetric = n, symmetric
+        self.rows, self.cols = rows, cols
+        pattern = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
         self.order = reverse_cuthill_mckee(pattern, symmetric_mode=True).astype(np.intp)
-        where = np.empty(n, dtype=np.intp)
-        where[self.order] = np.arange(n)
-        rows, cols = where[rows], where[cols]
-        self.slots = np.flatnonzero(rows >= cols) if symmetric else np.arange(indices.size)
-        self.rows, self.cols = rows[self.slots], cols[self.slots]
+        self.rank = np.argsort(self.order)
+        below = self.rank[rows] > self.rank[cols]
+        self.entries = np.flatnonzero(below) if symmetric else np.arange(rows.size)
 
 
 class Assembly:
@@ -147,12 +131,12 @@ class Assembly:
 
     Holds the edge arrays of the flux sum (interior edges first, then
     ``mesh.dirichlet_edges``, whose outer cell is tau_D =
-    param.tau_of_pressure(p_D)), the boundary values (u, lam) of tau_D, the
-    CSC sparsity pattern of the Jacobian with the map from each assembled
-    term to its CSC slot, and the ``SolvePlan`` of that pattern: band
-    Cholesky when no edge carries a gravity term, band LU otherwise.
-    Nothing here depends on dt, the history or the iterate.  tau_D is given
-    exactly when the mesh has Dirichlet edges.
+    param.tau_of_pressure(p_D)), the boundary values (u, lam) of tau_D, and
+    the ``SolvePlan`` of the Jacobian's couplings, rows [K, L] and columns
+    [L, K] over the interior edges: band Cholesky when no edge carries a
+    gravity term, band LU otherwise.  Nothing here depends on dt, the
+    history or the iterate.  tau_D is given exactly when the mesh has
+    Dirichlet edges.
     """
 
     def __init__(self, mesh: Mesh, param: Parametrization, gravity, tau_D: float | None = None):
@@ -180,32 +164,25 @@ class Assembly:
         sD, uD, _, _ = param.eval(np.full(de.size, tau_D, dtype=float))
         self.u_D = np.asarray(uD, dtype=float)
         self.lam_D = np.asarray(mobility(param.model, sD), dtype=float)
-
-        # Jacobian terms in the order jacobian() lists them: s' on the
-        # diagonal, the diagonal flux terms (interior K, interior L,
-        # Dirichlet K), then the off-diagonal pairs (K, L) and (L, K).
-        n = mesh.n_cells
         K, L = self.K[:ni], self.L
-        diag = np.arange(n)
-        rows = np.concatenate([diag, K, L, self.K[ni:], K, L])
-        cols = np.concatenate([diag, K, L, self.K[ni:], L, K])
-        keys, self.slots = np.unique(cols * n + rows, return_inverse=True)
-        self.indices, self.indptr = _csc_pattern(keys, n)
         self.flux_cells = np.concatenate([K, L, self.K[ni:]])
+        # the cells of jacobian()'s diagonal terms: s', then the flux terms
+        self.diag_cells = np.concatenate([np.arange(mesh.n_cells), self.flux_cells])
         # with no gravity term on any edge, diag(m) J diag(u')^-1 is symmetric
         gravity_free = not (self.mgp.any() or self.mgn.any())
-        self.plan = SolvePlan(self.indices, self.indptr, symmetric=gravity_free)
+        self.plan = SolvePlan(mesh.n_cells, np.concatenate([K, L]), np.concatenate([L, K]),
+                              symmetric=gravity_free)
 
-    def matrix(self, data) -> sp.csc_matrix:
-        """The CSC matrix with values data on the Jacobian's pattern.
+    def matrix(self, diag, off) -> sp.csc_matrix:
+        """The CSC matrix with diagonal diag and the couplings off on the plan's rows and columns.
 
-        It gets its own copies of the values and the pattern: an in-place
-        scipy call on a kept matrix (such as eliminate_zeros) must rewrite
-        neither the values that are solved nor the pattern of later ones.
+        Built from new arrays, so an in-place scipy call on a kept matrix
+        (such as eliminate_zeros) rewrites nothing that is solved later.
         """
-        n = self.mesh.n_cells
-        return sp.csc_matrix((data.copy(), self.indices.copy(), self.indptr.copy()),
-                             shape=(n, n))
+        n, rows, cols = self.mesh.n_cells, self.plan.rows, self.plan.cols
+        cells = np.arange(n)
+        ij = (np.concatenate([cells, rows]), np.concatenate([cells, cols]))
+        return sp.csc_matrix((np.concatenate([diag, off]), ij), shape=(n, n))
 
 
 def residual(system: Assembly, dt: float, s_prev, tau):
@@ -229,8 +206,9 @@ def residual(system: Assembly, dt: float, s_prev, tau):
     return f, s, (s_p, u_p)
 
 
-def jacobian(system: Assembly, dt: float, s, derivatives) -> np.ndarray:
-    """Values of the exact Jacobian of residual() in the CSC slot order of the Assembly.
+def jacobian(system: Assembly, dt: float, s, derivatives):
+    """The exact Jacobian of residual() as (diag, off): its diagonal, and its
+    couplings on the rows and columns of system.plan, in edge order.
 
     s and derivatives = (s', u') are what residual() returned at the
     iterate.  Diagonal of J: s'(tau_K) + (dt/m_K) sum_sigma (m_sigma g+
@@ -247,8 +225,6 @@ def jacobian(system: Assembly, dt: float, s, derivatives) -> np.ndarray:
     dFK = system.mgp * w[K] + system.A * u_p[K]
     dFL = system.mgn * w[L] + system.A[:ni] * u_p[L]
     rK, rL = r[K], r[L]
-    terms = np.concatenate([
-        s_p, rK[:ni] * dFK[:ni], rL * dFL, rK[ni:] * dFK[ni:],
-        -rK[:ni] * dFL, -rL * dFK[:ni],
-    ])
-    return np.bincount(system.slots, weights=terms, minlength=system.indices.size)
+    diag = np.bincount(system.diag_cells, weights=np.concatenate([
+        s_p, rK[:ni] * dFK[:ni], rL * dFL, rK[ni:] * dFK[ni:]]), minlength=s_p.size)
+    return diag, np.concatenate([-rK[:ni] * dFL, -rL * dFK[:ni]])

@@ -336,6 +336,17 @@ def test_cli_singular_jacobian_exits_newton_failure(tmp_path, monkeypatch, capsy
     assert "Traceback" not in err
 
 
+def test_cli_refuses_two_edges_joining_one_pair(tmp_path):
+    from test_mesh import split_edge_mesh
+
+    path = tmp_path / "split.mesh"
+    split_edge_mesh(path)
+    out = cli("validate-mesh", str(path))
+    assert out.returncode == 2
+    assert "edge 7 repeats cell pair 0|1 of edge 0" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_import_leaves_out_scipy_integrate():
     out = subprocess.run(
         [sys.executable, "-c",

@@ -307,6 +307,28 @@ def test_two_cell_voronoi_pair(tmp_path):
     assert mesh.edge_A[0] == pytest.approx(1.0 / 0.5)
 
 
+def split_edge_mesh(path, pair="0 1"):
+    """The 2x1 box mesh with its interior edge 0 = 0|1 split into two
+    half-edges, edge 0 and edge 7, the second listing its cells as pair."""
+    save_mesh(build_rect_mesh(2, 1), path)
+    text = path.read_text().replace("nedges=7", "nedges=8")
+    text = text.replace("edge 0 1 interior 0 1 0.25 0.25\n", "edge 0 0.5 interior 0 1 0.25 0.25\n")
+    path.write_text(text + f"edge 7 0.5 interior {pair} 0.25 0.25\n")
+
+
+@pytest.mark.parametrize("pair", ["0 1", "1 0"])
+def test_two_edges_joining_one_pair_rejected(tmp_path, pair):
+    # each half-edge is admissible on its own and the cell surfaces close,
+    # but the Jacobian holds one coupling per edge side: a second edge
+    # between the same cells is refused
+    path = tmp_path / "split.mesh"
+    split_edge_mesh(path, pair)
+    with pytest.raises(MeshError) as exc:
+        load_mesh(path)
+    assert str(exc.value).splitlines() == [f"{path}: mesh is not admissible:",
+                                           "edge 7 repeats cell pair 0|1 of edge 0"]
+
+
 def test_non_orthogonal_pair_rejected(tmp_path):
     # center distance 0.5 but declared d_K + d_L = 0.6: the orthogonal
     # projection property cannot hold

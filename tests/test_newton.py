@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import richards.harness as H
 import richards.newton as N
@@ -110,8 +112,8 @@ def test_callback_jacobians_are_independent():
     # own values after later iterates are assembled on the same pattern, and
     # an in-place change of a used J's pattern reaches no later J
     prob = diffusion_problem([0.9, 0.1, 0.5, 0.2], dt=10.0)
-    system = prob[0]
-    pattern = (system.indices.copy(), system.indptr.copy())
+    plan = prob[0].plan
+    pattern = (plan.rows.copy(), plan.cols.copy())
     tau0, config = np.array([0.1, 0.9, 0.3, 0.6]), NewtonConfig(eps=1e-12)
     kept = []
 
@@ -126,13 +128,14 @@ def test_callback_jacobians_are_independent():
     tau_clean, _, report_clean = newton_solve(*prob, tau0, config)
     assert report.residual_history == report_clean.residual_history
     np.testing.assert_array_equal(tau, tau_clean)
-    np.testing.assert_array_equal(system.indices, pattern[0])
-    np.testing.assert_array_equal(system.indptr, pattern[1])
+    np.testing.assert_array_equal(plan.rows, pattern[0])
+    np.testing.assert_array_equal(plan.cols, pattern[1])
     arrays = lambda J: (J.data, J.indices, J.indptr)
     for n, (J, values) in enumerate(kept):
         np.testing.assert_array_equal(J.data, values)
-        for a, b in zip(arrays(J)[1:], (system.indices, system.indptr)):
-            assert not np.shares_memory(a, b)
+        for a in arrays(J)[1:]:
+            for b in (plan.rows, plan.cols):
+                assert not np.shares_memory(a, b)
         for J_other, _ in kept[n + 1:]:
             assert J is not J_other
             for a, b in zip(arrays(J), arrays(J_other)):
@@ -150,12 +153,34 @@ def test_config_validation():
 # -- linear_solve --------------------------------------------------------------
 
 
+def split(A):
+    """(diagonal, rows, columns, values) of A: its diagonal, and its
+    off-diagonal entries in CSC order."""
+    A = sp.csc_matrix(A)
+    rows = A.indices
+    cols = np.repeat(np.arange(A.shape[1]), np.diff(A.indptr))
+    off = rows != cols
+    return A.diagonal(), rows[off], cols[off], A.data[off]
+
+
+def plan_of(A, symmetric=False):
+    """The SolvePlan of A's off-diagonal pattern."""
+    _, rows, cols, _ = split(A)
+    return SolvePlan(A.shape[0], rows, cols, symmetric=symmetric)
+
+
+def solve_on(plan, A, b, m=None, u_p=None):
+    """linear_solve of A x = b on plan, made from A's pattern or an equal one."""
+    diag, rows, cols, off = split(A)
+    np.testing.assert_array_equal(rows, plan.rows)
+    np.testing.assert_array_equal(cols, plan.cols)
+    return linear_solve(plan, diag, off, b, m, u_p)
+
+
 def solve(A, b, m=None, u_p=None):
     """x = A^{-1} b through a plan of A's own pattern: by band Cholesky of
     diag(m) A diag(u')^-1 when m and u' are given, by band LU otherwise."""
-    A = sp.csc_matrix(A)
-    plan = SolvePlan(A.indices, A.indptr, symmetric=m is not None)
-    return linear_solve(plan, A.data, b, m, u_p)
+    return solve_on(plan_of(A, symmetric=m is not None), A, b, m, u_p)
 
 
 def test_identity_system():
@@ -179,6 +204,57 @@ def test_matches_dense_reference():
     b = rng.standard_normal(n)
     x = solve(sp.csr_matrix(A), b)
     np.testing.assert_allclose(x, np.linalg.solve(A, b), rtol=1e-10)
+
+
+def graph_system(n, seed, dry_share, symmetric):
+    """(diag, rows, cols, off, m, u', J) of a random connected graph of n cells.
+
+    J = diag(s') + diag(dt/m) Lambda diag(u'), with Lambda the Laplacian of
+    the edge transmissibilities A plus a Dirichlet term on some diagonal
+    entries: the gravity-free Jacobian.  About dry_share of the cells have
+    u' near 1e-17, so their columns are dry.  Unless symmetric, m is one
+    value for all cells and every edge carries an upwind term
+    (dt/m) g u'_K from its upwind cell K, which keeps J diagonally dominant
+    by columns.  The couplings are given per edge side, rows [K, L] and
+    columns [L, K], as the scheme gives them.
+    """
+    rng = np.random.default_rng(seed)
+    tree = np.stack([np.arange(1, n), rng.integers(0, np.arange(1, n))])  # a spanning tree
+    extra = rng.integers(0, n, (2, rng.integers(0, 2 * n + 1)))
+    pairs = np.unique(np.sort(np.concatenate([tree, extra], axis=1), axis=0), axis=1)
+    K, L = pairs[:, pairs[0] != pairs[1]]
+    A = rng.uniform(0.5, 2.0, K.size)
+    m = rng.uniform(0.5, 2.0, n) if symmetric else np.full(n, rng.uniform(0.5, 2.0))
+    dt = rng.uniform(0.01, 1.0)
+    u_p = np.where(rng.random(n) < dry_share, 1e-17 * rng.uniform(0.5, 2.0, n),
+                   rng.uniform(0.1, 1.0, n))
+    lam = np.diag(np.where(rng.random(n) < 0.2, rng.uniform(0.0, 2.0, n), 0.0))
+    np.add.at(lam, (K, L), -A)
+    np.add.at(lam, (L, K), -A)
+    np.add.at(lam, (K, K), A)
+    np.add.at(lam, (L, L), A)
+    J = np.diag(rng.uniform(0.2, 1.0, n)) + (dt / m)[:, None] * lam * u_p
+    if not symmetric:
+        up, down = np.where(rng.random(K.size) < 0.5, [K, L], [L, K])
+        c = dt / m[0] * rng.uniform(0.0, 2.0, K.size) * u_p[up]
+        np.add.at(J, (up, up), c)
+        np.add.at(J, (down, up), -c)
+    rows, cols = np.concatenate([K, L]), np.concatenate([L, K])
+    return np.diag(J), rows, cols, J[rows, cols], m, u_p, J
+
+
+@given(st.integers(1, 60), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_random_graph_solve_matches_dense(n, seed, dry_share, symmetric):
+    # band Cholesky (given m and u') of a gravity-free Jacobian, or band LU
+    # of one with upwind terms, on any connected pattern: the wet block in
+    # the plan's order and the dry pass agree with the dense solve
+    diag, rows, cols, off, m, u_p, J = graph_system(n, seed, dry_share, symmetric)
+    plan = SolvePlan(n, rows, cols, symmetric=symmetric)
+    b = np.random.default_rng(seed).standard_normal(n)
+    x = linear_solve(plan, diag, off, b, *((m, u_p) if symmetric else ()))
+    ref = np.linalg.solve(J, b)
+    assert np.linalg.norm(x - ref, np.inf) <= 1e-12 * np.linalg.norm(ref, np.inf)
 
 
 def count_lu(monkeypatch) -> dict:
@@ -207,8 +283,8 @@ def bandwidth(A) -> int:
 def plan_bandwidths(plan) -> tuple:
     """Bandwidth of the plan's pattern in the cells' own numbering and in
     the plan's order."""
-    return (int(np.abs(plan.off_rows - plan.off_cols).max()),
-            int(np.abs(plan.rows - plan.cols).max()))
+    return (int(np.abs(plan.rows - plan.cols).max()),
+            int(np.abs(plan.rank[plan.rows] - plan.rank[plan.cols]).max()))
 
 
 NUMBERINGS = ["natural", "shuffled"]
@@ -268,11 +344,11 @@ def test_scheme_jacobian_is_solved_in_either_numbering(monkeypatch, kind):
     assert wet_columns(J).sum() == 37
     J = renumber(J, numbering(kind, J.shape[0]))
     b = np.random.default_rng(4).standard_normal(J.shape[0])
-    plan = SolvePlan(J.indices, J.indptr)
+    plan = plan_of(J)
     width, planned = plan_bandwidths(plan)
     assert (width == 20) == (kind == "natural") and planned == 20
     calls = count_lu(monkeypatch)
-    x = linear_solve(plan, J.data, b)
+    x = solve_on(plan, J, b)
     ref = np.linalg.solve(J.toarray(), b)
     assert np.linalg.norm(x - ref, np.inf) <= 1e-12 * np.linalg.norm(ref, np.inf)
     assert calls == {"dgbsv": 1, "dpbsv": 0}
@@ -327,10 +403,10 @@ def test_wet_set_solve_matches_the_full_solve(monkeypatch, config, kind, wet_set
     route = {"dgbsv": 0, "dpbsv": factored} if symmetric else {"dgbsv": factored, "dpbsv": 0}
     assert calls == route  # the run's own solves
     calls.update(dgbsv=0, dpbsv=0)
-    plan = SolvePlan(kept[0][0].indices, kept[0][0].indptr, symmetric=symmetric)
+    plan = plan_of(kept[0][0], symmetric=symmetric)
     b = np.random.default_rng(4).standard_normal(n)
     for J, u_p in kept:
-        x = linear_solve(plan, J.data, b, m, u_p)
+        x = solve_on(plan, J, b, m, u_p)
         ref = np.linalg.solve(J.toarray(), b) if n < 1000 else spla.spsolve(J, b)
         assert np.linalg.norm(x - ref, np.inf) <= 1e-12 * np.linalg.norm(ref, np.inf)
     assert calls == route
@@ -344,9 +420,9 @@ def test_all_dry_jacobian_is_solved_without_lu(monkeypatch, kind):
     assert not wet_columns(J).any()
     J = renumber(J, numbering(kind, J.shape[0]))
     b = np.random.default_rng(5).standard_normal(J.shape[0])
-    plan = SolvePlan(J.indices, J.indptr)
+    plan = plan_of(J)
     calls = count_lu(monkeypatch)
-    x = linear_solve(plan, J.data, b)
+    x = solve_on(plan, J, b)
     assert calls == {"dgbsv": 0, "dpbsv": 0}
     np.testing.assert_array_equal(x, b / J.diagonal())
 

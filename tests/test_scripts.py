@@ -2,11 +2,14 @@
 
 `scripts/run_test1_sweep.py` and `scripts/run_test2.py` import names of the
 harness (presets, `run`, `sweep`, `write_outputs`, the reference
-tolerances).  Loading each script by path, without calling `main()`, makes
-a rename that breaks one of those imports fail here.
+tolerances), and `scripts/digest.py` reads `bench/workloads.py`.  Loading
+each script by path, without calling `main()`, makes a rename that breaks
+one of those imports fail here.
 """
 
 import importlib.util
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,9 +17,29 @@ import pytest
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-@pytest.mark.parametrize("name", ["run_test1_sweep.py", "run_test2.py"])
-def test_script_loads(name):
+def load(name, monkeypatch):
+    """The script as a module; what it changes in os.environ and sys.path
+    (digest.py pins BLAS threads as it loads and extends sys.path in main)
+    is undone after the test."""
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setattr(sys, "path", sys.path.copy())
     spec = importlib.util.spec_from_file_location(Path(name).stem, SCRIPTS / name)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert callable(module.main)
+    return module
+
+
+@pytest.mark.parametrize("name", ["run_test1_sweep.py", "run_test2.py", "digest.py"])
+def test_script_loads(name, monkeypatch):
+    assert callable(load(name, monkeypatch).main)
+
+
+def test_digest_prints_one_line_per_workload(monkeypatch, capsys):
+    # the workload, its Newton total and 16 hex digits of the results' SHA-256
+    load("digest.py", monkeypatch).main(["--scale", "tiny"])
+    lines = capsys.readouterr().out.splitlines()
+    names = ["infiltration-sweep", "infiltration-fine", "redistribution", "mmatrix-audit"]
+    assert [line.split()[0] for line in lines] == names
+    for line in lines:
+        assert re.fullmatch(r"\S+ [1-9][0-9]* [0-9a-f]{16}", line), line
