@@ -4,10 +4,12 @@
 Runs one round of each workload of `bench/workloads.py` and prints, per
 workload, its Newton iteration total and the first 16 hex digits of a
 SHA-256 over every run's iterations per step, Newton residual histories,
-tau levels and (err_s, err_u, mass_err).  Two checkouts that print the same
-lines computed the same numbers, bit for bit.  As in `bench/run.py`, BLAS
-runs on one thread and the solver is imported from `src/` next to this
-directory.
+tau levels and (err_s, err_u, mass_err).  On mmatrix-audit it also covers
+each audited Jacobian (CSC data, indices, indptr) and each M-matrix
+report's (is_column_wise, max_path_length, violations).  Two checkouts that
+print the same lines computed the same numbers, bit for bit.  As in
+`bench/run.py`, BLAS runs on one thread and the solver is imported from
+`src/` next to this directory.
 
 Usage (from the repository root):
 
@@ -30,8 +32,9 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def digest(results) -> str:
-    """SHA-256 (16 hex digits) of the runs' iterations, residuals, tau levels and errors."""
+def digest(results, audits=()) -> str:
+    """SHA-256 (16 hex digits) of the runs' iterations, residuals, tau levels and
+    errors, then of the audited (Jacobian, M-matrix report) pairs."""
     h = hashlib.sha256()
     for res in results:
         h.update(np.asarray(res.iters_per_step, dtype=np.int64).tobytes())
@@ -40,6 +43,10 @@ def digest(results) -> str:
         for tau in res.trajectory.taus:
             h.update(np.asarray(tau, dtype=float).tobytes())
         h.update(repr((res.err_s, res.err_u, res.mass_err)).encode())
+    for J, rep in audits:
+        for a in (J.data, J.indices, J.indptr):
+            h.update(a.tobytes())
+        h.update(repr((rep.is_column_wise, rep.max_path_length, rep.violations)).encode())
     return h.hexdigest()[:16]
 
 
@@ -51,9 +58,10 @@ def main(argv=None):
     from workloads import WORKLOADS
 
     for name in WORKLOADS:
-        results = [r for op in WORKLOADS[name](args.scale).ops() for r in op.call()]
+        workload = WORKLOADS[name](args.scale)
+        results = [r for op in workload.ops() for r in op.call()]
         total = sum(r.total_iters for r in results)
-        print(f"{name} {total} {digest(results)}", flush=True)
+        print(f"{name} {total} {digest(results, getattr(workload, 'audits', ()))}", flush=True)
 
 
 if __name__ == "__main__":

@@ -271,6 +271,11 @@ def run(config: RunConfig, mesh: Mesh | None = None, callback=None) -> RunResult
     t0 = time.perf_counter()
     if mesh is None:
         mesh = build_mesh(config)
+    gravity = np.asarray(config.gravity, dtype=float)
+    if gravity.size < mesh.dim or np.any(gravity[mesh.dim:] != 0.0):
+        raise ConfigError(f"gravity {' '.join(f'{g:g}' for g in gravity)} does not fit the "
+                          f"{mesh.dim}-D mesh: it needs {mesh.dim} components, and any "
+                          "beyond them must be 0")
     if config.snapshot_times and mesh.cell_boxes is None:
         raise ConfigError("snapshot_times: VTK export requires a structured mesh with cell boxes")
     outside = [t for t in config.snapshot_times if not 0.0 <= t <= config.t_end]
@@ -283,8 +288,7 @@ def run(config: RunConfig, mesh: Mesh | None = None, callback=None) -> RunResult
     tau = discretize_initial(s0, mesh, param)
     p_D = config.p_dirichlet
     tau_D = None if p_D is None else float(param.tau_of_pressure(p_D))
-    gravity = np.asarray(config.gravity, dtype=float)[: mesh.dim]
-    system = Assembly(mesh, param, gravity, tau_D)
+    system = Assembly(mesh, param, gravity[: mesh.dim], tau_D)
     ncfg = NewtonConfig(eps=config.eps)
 
     times = [0.0]

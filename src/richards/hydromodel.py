@@ -294,12 +294,13 @@ def kirchhoff_quadrature_oracle(model: BrooksCoreyModel, p: float) -> float:
     return val
 
 
-def select_eta_mode(beta: float, p_b: float, n_points: int = 20) -> str:
-    """Return the eta_mode whose closed form matches the quadrature oracle."""
+def select_eta_mode(beta: float, p_b: float) -> str:
+    """Return the eta_mode whose closed form matches the quadrature oracle on
+    20 pressures from p_b to 100 p_b."""
     best_mode, best_dev = None, math.inf
+    ps = p_b * np.logspace(0.0, 2.0, 20)
     for mode in ("derived", "legacy"):
         model = BrooksCoreyModel(beta=beta, p_b=p_b, eta_mode=mode)
-        ps = p_b * np.logspace(0.0, 2.0, n_points)
         dev = 0.0
         for p in ps:
             ref = kirchhoff_quadrature_oracle(model, p)

@@ -5,7 +5,10 @@ search, or trust region) with the residual-based stopping rule
 ||F(tau^k)||_1 <= eps * dt.  The Jacobian of the scheme is a column-wise
 (delta, Delta)-M-matrix for non-degenerate parametrizations, which yields
 a uniform bound on ||J^{-1}||_1; the analysis utilities here verify the
-conditions and compute the bound on concrete matrices.
+conditions and compute the bound on concrete matrices.  ``mmatrix_analyze``
+does so in one whole-array pass over the matrix's COO entries and one
+multi-source shortest-path search from I_delta, and its report keeps each
+column's delta-transmissive path length and the violated conditions.
 
 The scheme gives the Jacobian as its diagonal plus one coupling per side
 of each interior edge (``scheme.jacobian``).  Each Newton correction is
@@ -55,7 +58,7 @@ none, nothing is.  A callback's J keeps the undropped values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -66,6 +69,7 @@ from .mesh import Mesh
 from .scheme import Assembly, SolvePlan, jacobian, residual
 
 __all__ = [
+    "ATOL_SCALE",
     "DROP",
     "NewtonConfig",
     "NewtonReport",
@@ -236,91 +240,67 @@ def newton_solve(system: Assembly, dt: float, s_prev, tau_init, config: NewtonCo
 # -- M-matrix analysis ---------------------------------------------------------
 
 
+# Roundoff slack of the M-matrix checks, relative to max(Delta, 1).
+ATOL_SCALE = 1e-9
+
+
 @dataclass
 class MMatrixReport:
-    is_column_wise: bool
-    delta: float
-    Delta: float
-    delta_observed: float  # min diagonal entry
-    Delta_observed: float  # max diagonal entry
-    strong_columns: np.ndarray  # I_delta: columns with column sum >= delta
-    path_lengths: dict  # column outside I_delta -> shortest path length (or None)
-    path_cover: dict  # column outside I_delta -> node list of a transmissive path
-    max_path_length: int  # script-L over covered columns (0 when I_delta covers all)
-    violations: list = field(default_factory=list)
+    """path_lengths[j]: length of a shortest delta-transmissive path from column j
+    to I_delta (0 on I_delta, inf where there is none); violations: what fails."""
+
+    path_lengths: np.ndarray
+    violations: list
+
+    @property
+    def is_column_wise(self) -> bool:
+        return not self.violations
+
+    @property
+    def max_path_length(self) -> int:
+        """script-L: the longest finite path length (0 when I_delta covers all)."""
+        return int(self.path_lengths[np.isfinite(self.path_lengths)].max(initial=0))
 
 
-def mmatrix_analyze(A, delta: float, Delta: float, atol_scale: float = 1e-9) -> MMatrixReport:
-    """Check the column-wise (delta, Delta)-M-matrix conditions on A.
+def mmatrix_analyze(A, delta: float, Delta: float) -> MMatrixReport:
+    """Check the column-wise (delta, Delta)-M-matrix conditions on A (dense or sparse).
 
     Verifies sign pattern, diagonal bounds, nonnegative column sums, a
-    nonempty strongly-dominant column set I_delta, and for every column
-    outside I_delta a delta-transmissive path to I_delta (unweighted
-    shortest paths on the arcs i -> j with A[j, i] < -delta, i.e. paths in
-    A^T).  Small roundoff slack atol = atol_scale * Delta is allowed.
+    nonempty strongly-dominant column set I_delta (column sum >= delta),
+    and for every column outside I_delta a delta-transmissive path to
+    I_delta: one unweighted multi-source shortest-path search from I_delta
+    along the arcs j -> i with A[j, i] < -delta, i.e. paths in A^T.  Every
+    test allows the roundoff slack atol = ATOL_SCALE * max(Delta, 1).
     """
-    A = sp.csr_matrix(A)
+    A = sp.coo_matrix(A)
     n = A.shape[0]
     if A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
-    atol = atol_scale * max(Delta, 1.0)
+    atol = ATOL_SCALE * max(Delta, 1.0)
     violations = []
 
     diag = A.diagonal()
-    d_obs, D_obs = float(diag.min()), float(diag.max())
-    if d_obs < delta - atol:
-        violations.append(f"diagonal entry {d_obs!r} below delta = {delta!r}")
-    if D_obs > Delta + atol:
-        violations.append(f"diagonal entry {D_obs!r} above Delta = {Delta!r}")
-
-    coo = A.tocoo()
-    off = coo.row != coo.col
-    if np.any(coo.data[off] > atol):
-        worst = float(coo.data[off].max())
-        violations.append(f"positive off-diagonal entry {worst!r}")
-
-    colsum = np.asarray(A.sum(axis=0)).ravel()
+    if diag.min() < delta - atol:
+        violations.append(f"diagonal entry {float(diag.min())!r} below delta = {delta!r}")
+    if diag.max() > Delta + atol:
+        violations.append(f"diagonal entry {float(diag.max())!r} above Delta = {Delta!r}")
+    off = A.row != A.col
+    if np.any(A.data[off] > atol):
+        violations.append(f"positive off-diagonal entry {float(A.data[off].max())!r}")
+    colsum = np.bincount(A.col, weights=A.data, minlength=n)
     if np.any(colsum < -atol):
         violations.append(f"negative column sum {float(colsum.min())!r}")
 
-    is_strong = colsum >= delta - atol
-    strong = np.flatnonzero(is_strong)
-    path_lengths: dict = {}
-    path_cover: dict = {}
-    max_len = 0
+    strong = np.flatnonzero(colsum >= delta - atol)
     if strong.size == 0:
         violations.append("I_delta is empty")
-    else:
-        # shortest paths from I_delta along the arcs j -> i with A[j, i] < -delta
-        arc = off & (coo.data < -(delta - atol))
-        G = sp.csr_matrix((np.ones(arc.sum()), (coo.row[arc], coo.col[arc])), shape=(n, n))
-        dist, parent, _ = dijkstra(G, indices=strong, unweighted=True, min_only=True,
-                                   return_predecessors=True)
-        for i in np.flatnonzero(~is_strong).tolist():
-            if np.isinf(dist[i]):
-                path_lengths[i] = None
-                path_cover[i] = None
-                violations.append(f"column {i}: no delta-transmissive path to I_delta")
-            else:
-                path = [i]
-                while parent[path[-1]] >= 0:
-                    path.append(int(parent[path[-1]]))
-                path_lengths[i] = int(dist[i])
-                path_cover[i] = path
-                max_len = max(max_len, int(dist[i]))
-
-    return MMatrixReport(
-        is_column_wise=not violations,
-        delta=delta,
-        Delta=Delta,
-        delta_observed=d_obs,
-        Delta_observed=D_obs,
-        strong_columns=strong,
-        path_lengths=path_lengths,
-        path_cover=path_cover,
-        max_path_length=max_len,
-        violations=violations,
-    )
+        return MMatrixReport(np.full(n, np.inf), violations)
+    arc = off & (A.data < -(delta - atol))
+    G = sp.csr_matrix((np.ones(arc.sum()), (A.row[arc], A.col[arc])), shape=(n, n))
+    path_lengths = dijkstra(G, indices=strong, unweighted=True, min_only=True)
+    violations += [f"column {i}: no delta-transmissive path to I_delta"
+                   for i in np.flatnonzero(np.isinf(path_lengths)).tolist()]
+    return MMatrixReport(path_lengths, violations)
 
 
 def jacobian_bounds(mesh: Mesh, dt: float, alpha_low: float, alpha_high: float,

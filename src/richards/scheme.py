@@ -33,6 +33,7 @@ Jacobian's values only for an iterate whose correction is solved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -173,16 +174,28 @@ class Assembly:
         self.plan = SolvePlan(mesh.n_cells, np.concatenate([K, L]), np.concatenate([L, K]),
                               symmetric=gravity_free)
 
+    @cached_property
+    def _csc(self):
+        """CSC layout of [diagonal, couplings], made at the first matrix() (runs without
+        a callback hold none): the entry order (by column, then row), indices and
+        indptr, int32 as scipy's COO -> CSC build gives them at these sizes."""
+        n, cells = self.mesh.n_cells, np.arange(self.mesh.n_cells)
+        rows = np.concatenate([cells, self.plan.rows])
+        cols = np.concatenate([cells, self.plan.cols])
+        order = np.lexsort((rows, cols))
+        indptr = np.searchsorted(cols[order], np.arange(n + 1))
+        return order, rows[order].astype(np.int32), indptr.astype(np.int32)
+
     def matrix(self, diag, off) -> sp.csc_matrix:
         """The CSC matrix with diagonal diag and the couplings off on the plan's rows and columns.
 
-        Built from new arrays, so an in-place scipy call on a kept matrix
-        (such as eliminate_zeros) rewrites nothing that is solved later.
+        One gather into ``_csc``, into new arrays, so an in-place scipy call on a
+        kept matrix (such as eliminate_zeros) rewrites nothing that is solved later.
         """
-        n, rows, cols = self.mesh.n_cells, self.plan.rows, self.plan.cols
-        cells = np.arange(n)
-        ij = (np.concatenate([cells, rows]), np.concatenate([cells, cols]))
-        return sp.csc_matrix((np.concatenate([diag, off]), ij), shape=(n, n))
+        order, indices, indptr = self._csc
+        n = self.mesh.n_cells
+        return sp.csc_matrix((np.concatenate([diag, off])[order], indices.copy(), indptr.copy()),
+                             shape=(n, n))
 
 
 def residual(system: Assembly, dt: float, s_prev, tau):

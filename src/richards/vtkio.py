@@ -18,7 +18,7 @@ __all__ = ["write_vtk"]
 _CELL_SHAPES = {1: (3, [(0,), (1,)]), 2: (9, [(0, 0), (1, 0), (1, 1), (0, 1)])}
 
 
-def write_vtk(mesh: Mesh, cell_data: dict, path, title: str = "fields"):
+def write_vtk(mesh: Mesh, cell_data: dict, path):
     """Write per-cell scalar fields; cell_data maps name -> (n_cells,) array."""
     if mesh.cell_boxes is None:
         raise ValueError("VTK export requires a structured mesh with cell boxes")
@@ -28,7 +28,7 @@ def write_vtk(mesh: Mesh, cell_data: dict, path, title: str = "fields"):
     pts[:, :, : mesh.dim] = mesh.cell_boxes[:, np.arange(mesh.dim), np.array(corners)]
     lines = [
         "# vtk DataFile Version 3.0",
-        title,
+        "fields",
         "ASCII",
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {n * c} double",

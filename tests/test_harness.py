@@ -498,6 +498,41 @@ def test_cli_mesh_file_run(tmp_path):
     assert out.returncode == 0, out.stderr
 
 
+@pytest.mark.parametrize("gravity", ["0 -1 7", "-1"])
+def test_cli_refuses_gravity_that_does_not_fit_the_mesh(tmp_path, capsys, gravity):
+    # a third component on a 2-D mesh, or a missing second one, is refused
+    # before any step instead of being dropped or failing inside numpy
+    from richards.cli import main
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"case = test1\nmesh = 4x4\ntend = 0.02\ngravity = {gravity}\n")
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert (f"gravity {gravity} does not fit the 2-D mesh: it needs 2 components, "
+            "and any beyond them must be 0") in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_zero_gravity_components_beyond_the_mesh_dimension_are_allowed(tmp_path):
+    # on a 1-D file mesh, gravity (0, 0) runs as (0,): infiltration through
+    # a Dirichlet end
+    from richards.mesh import build_interval_mesh, save_mesh
+
+    path = tmp_path / "line.mesh"
+    save_mesh(build_interval_mesh(8), path)
+    cfg = RunConfig(case="custom", formulation="tau", beta=4.0, dt=0.01, t_end=0.03, eps=1e-6,
+                    mesh=f"file:{path}", gravity=(0.0, 0.0), dirichlet_box=[(0.0, 0.0)],
+                    p_dirichlet=1.0)
+    res = run(cfg)
+    assert res.converged and min(res.iters_per_step) > 0
+    one = run(replace(cfg, gravity=(0.0,)))
+    assert res.iters_per_step == one.iters_per_step
+    for a, b in zip(res.trajectory.taus, one.trajectory.taus):
+        np.testing.assert_array_equal(a, b)
+
+
 @pytest.mark.parametrize("text, message", [
     ("case = test2\nadaptive_dt = maybe\n", ":2: bad value for adaptive_dt: 'maybe'"),
     ("case = test2\n\nbeta = four\n", ":3: bad value for beta: could not convert"),

@@ -32,7 +32,7 @@ from richards.newton import (
     mmatrix_analyze,
     newton_solve,
 )
-from richards.scheme import Assembly, SolvePlan
+from richards.scheme import Assembly, SolvePlan, jacobian, residual
 
 MODEL = BrooksCoreyModel(beta=4.0, p_b=-0.01)
 TAU = Parametrization(kind="tau", model=MODEL)
@@ -593,13 +593,52 @@ def test_shuffled_mesh_keeps_the_method_properties(shuffled_40x40):
     assert mass["u"] >= 1e6 * max(mass["tau"], np.finfo(float).eps)
 
 
+def test_callback_matrix_is_the_coo_build(shuffled_40x40):
+    # Assembly.matrix gathers into a CSC layout worked out once; array for
+    # array it is the COO -> CSC build of [diagonal, couplings], on a natural
+    # mesh with Dirichlet edges and on a renumbered file mesh
+    cfg = preset_test1(beta=4.0, eps=1e-6)
+    cases = [(H.build_mesh(cfg), cfg.gravity, float(TAU.tau_of_pressure(cfg.p_dirichlet))),
+             (load_mesh(shuffled_40x40), (0.0, 0.0), None)]
+    assert cases[0][0].dirichlet_edges.size > 0
+    rng = np.random.default_rng(5)
+    for mesh, gravity, tau_D in cases:
+        system = Assembly(mesh, TAU, np.asarray(gravity), tau_D)
+        n, plan = mesh.n_cells, system.plan
+        tau = rng.uniform(-0.1, 2.2, n)
+        _, s, derivatives = residual(system, 0.01, np.full(n, 1e-6), tau)
+        diag, off = jacobian(system, 0.01, s, derivatives)
+        ij = (np.concatenate([np.arange(n), plan.rows]), np.concatenate([np.arange(n), plan.cols]))
+        want = sp.coo_matrix((np.concatenate([diag, off]), ij), shape=(n, n)).tocsc()
+        J = system.matrix(diag, off)
+        for a, b in ((J.data, want.data), (J.indices, want.indices), (J.indptr, want.indptr)):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+
 # -- mmatrix_analyze -----------------------------------------------------------
+
+
+def bfs_path_lengths(A, strong, delta) -> np.ndarray:
+    """Breadth-first distances from the columns strong along the arcs j -> i
+    with A[j, i] < -delta (dense A); inf where no such path arrives."""
+    n = A.shape[0]
+    dist = np.full(n, np.inf)
+    dist[strong] = 0
+    queue = deque(strong)
+    while queue:
+        j = queue.popleft()
+        for i in range(n):
+            if i != j and A[j, i] < -delta and np.isinf(dist[i]):
+                dist[i] = dist[j] + 1
+                queue.append(i)
+    return dist
 
 
 def test_1x1_matrix():
     rep = mmatrix_analyze(sp.csr_matrix(np.array([[2.0]])), delta=1.0, Delta=3.0)
     assert rep.is_column_wise
-    assert list(rep.strong_columns) == [0]
+    assert np.flatnonzero(rep.path_lengths == 0).tolist() == [0]
     assert rep.max_path_length == 0
 
 
@@ -617,25 +656,9 @@ def test_path_graph_laplacian_with_anchor():
     L[0, 0] += delta
     rep = mmatrix_analyze(sp.csr_matrix(L), delta=delta, Delta=6.0)
     assert rep.is_column_wise
-    assert list(rep.strong_columns) == [0]
+    assert np.flatnonzero(rep.path_lengths == 0).tolist() == [0]
     assert rep.max_path_length == n - 1
     assert rep.path_lengths[n - 1] == n - 1
-
-
-def test_path_nodes_distinct_and_transmissive():
-    n = 5
-    L = np.zeros((n, n))
-    for i in range(n - 1):
-        L[i, i] += 2.0
-        L[i + 1, i + 1] += 2.0
-        L[i, i + 1] = L[i + 1, i] = -2.0
-    L[0, 0] += 1.0
-    rep = mmatrix_analyze(sp.csr_matrix(L), delta=1.0, Delta=6.0)
-    A = L
-    for col, path in rep.path_cover.items():
-        assert len(set(path)) == len(path)
-        for i, j in zip(path[:-1], path[1:]):
-            assert A[j, i] < -rep.delta + 1e-9
 
 
 def test_path_lengths_match_breadth_first_search():
@@ -654,19 +677,47 @@ def test_path_lengths_match_breadth_first_search():
     L[strong, strong] += delta
     rep = mmatrix_analyze(sp.csr_matrix(L), delta=delta, Delta=10.0)
     assert rep.is_column_wise
-    assert rep.strong_columns.tolist() == strong
-
-    dist = dict.fromkeys(strong, 0)  # arcs j -> i where L[j, i] < -delta
-    queue = deque(strong)
-    while queue:
-        j = queue.popleft()
-        for i in range(n):
-            if i != j and L[j, i] < -delta and i not in dist:
-                dist[i] = dist[j] + 1
-                queue.append(i)
-    assert rep.path_lengths == {i: d for i, d in dist.items() if i not in strong}
-    assert sorted(set(rep.path_lengths.values())) == [1, 2, 3]
+    assert np.flatnonzero(rep.path_lengths == 0).tolist() == strong
+    np.testing.assert_array_equal(rep.path_lengths, bfs_path_lengths(L, strong, delta))
+    assert sorted(set(np.delete(rep.path_lengths, strong).tolist())) == [1, 2, 3]
     assert rep.max_path_length == 3
+
+
+@st.composite
+def anchored_graphs(draw):
+    """(A, anchors): a column-wise graph Laplacian on n nodes, each coupling
+    A[a, b] drawn stronger (2 to 5) or weaker (0.01 to 0.5) than delta = 1,
+    and delta added to the diagonal of the anchor columns.  Few edges are
+    drawn, so the graph is often disconnected."""
+    n = draw(st.integers(1, 30))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, max(n - 1, 1))),
+                          max_size=2 * n if n > 1 else 0))
+    weight = st.one_of(st.floats(0.01, 0.5), st.floats(2.0, 5.0))
+    A = np.zeros((n, n))
+    for a, k in edges:
+        b = (a + k) % n
+        A[a, b], A[b, a] = -draw(weight), -draw(weight)
+    anchors = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    A[np.diag_indices(n)] = -A.sum(axis=0)
+    A[anchors, anchors] += 1.0
+    return A, anchors
+
+
+@given(anchored_graphs(), st.sampled_from([np.asarray, sp.csr_matrix, sp.csc_matrix]))
+@settings(max_examples=80, deadline=None)
+def test_random_anchored_graph_path_lengths(graph, form):
+    # path lengths are the breadth-first distances from the anchors, I_delta
+    # is where they are 0, and each column no path reaches is inf and named
+    # by exactly one violation
+    A, anchors = graph
+    rep = mmatrix_analyze(form(A), delta=1.0, Delta=float(A.diagonal().max()) + 1.0)
+    dist = bfs_path_lengths(A, anchors, 1.0)
+    np.testing.assert_array_equal(rep.path_lengths, dist)
+    assert np.flatnonzero(rep.path_lengths == 0).tolist() == anchors
+    no_path = [v for v in rep.violations if "no delta-transmissive path" in v]
+    assert no_path == [f"column {i}: no delta-transmissive path to I_delta"
+                       for i in np.flatnonzero(np.isinf(dist))]
+    assert rep.max_path_length == int(dist[np.isfinite(dist)].max())
 
 
 def test_violations_detected():
