@@ -265,8 +265,10 @@ def run(config: RunConfig, mesh: Mesh | None = None, callback=None) -> RunResult
     consecutive converged steps, never above the configured dt), and the
     Newton iterations of the rejected attempt count in rejected_iters.  The
     trajectory keeps the water volume of every accepted level, summed from
-    the s that newton_solve returned.  The optional callback is forwarded
-    to every Newton solve.
+    the s that newton_solve returned.  Each step after the first, a retry
+    at dt/2 included, starts from the evaluation that the last accepted
+    step returned, so tau_init is not evaluated again.  The optional
+    callback is forwarded to every Newton solve.
     """
     t0 = time.perf_counter()
     if mesh is None:
@@ -278,6 +280,10 @@ def run(config: RunConfig, mesh: Mesh | None = None, callback=None) -> RunResult
                           "beyond them must be 0")
     if config.snapshot_times and mesh.cell_boxes is None:
         raise ConfigError("snapshot_times: VTK export requires a structured mesh with cell boxes")
+    for bounds, _ in config.s0_boxes:
+        if np.shape(bounds) != (mesh.dim, 2):
+            raise ConfigError(f"s0_boxes: a box of shape {np.shape(bounds)} does not fit the "
+                              f"{mesh.dim}-D mesh: it needs shape ({mesh.dim}, 2)")
     outside = [t for t in config.snapshot_times if not 0.0 <= t <= config.t_end]
     if outside:
         raise ConfigError(f"snapshot_times {' '.join(f'{t:g}' for t in outside)} lie "
@@ -303,10 +309,12 @@ def run(config: RunConfig, mesh: Mesh | None = None, callback=None) -> RunResult
     easy_streak = 0
     step = 0
     s_prev = np.asarray(param.eval(tau)[0], dtype=float)
+    start = None  # the evaluation at tau, carried from the last accepted step
     water = [float(np.sum(mesh.cell_volumes * s_prev))]
     while t < config.t_end - 1e-9 * config.dt:
         dt = min(dt, config.t_end - t)
-        tau_new, s_new, report = newton_solve(system, dt, s_prev, tau, ncfg, callback=callback)
+        tau_new, last, report = newton_solve(system, dt, s_prev, tau, ncfg, callback=callback,
+                                             start=start)
         if not report.converged:
             if config.adaptive_dt and dt > 1e-12 * config.dt:
                 rejected += report.iterations
@@ -317,7 +325,7 @@ def run(config: RunConfig, mesh: Mesh | None = None, callback=None) -> RunResult
             iters.append(report.iterations)
             converged, failed_step = False, step + 1
             break
-        tau, s_prev = tau_new, s_new
+        tau, s_prev, start = tau_new, last.s, last
         t += dt
         step += 1
         times.append(t)

@@ -23,6 +23,11 @@ it (u' = 1, s = S~(u)).  The two kinds differ only in tau_star:
 
 Both are extended below tau = 0 by s = 0, u(tau) = tau so that u' = 1
 holds for transient negative Newton iterates.
+
+``Parametrization.eval`` computes each of the three branches (tau < 0 or
+NaN, 0 <= tau < tau_star, tau >= tau_star) only on the cells that lie on
+it, so a cell costs the powers of its own branch alone; on the
+redistribution test's tau formulation every cell lies on the middle one.
 """
 
 from __future__ import annotations
@@ -142,15 +147,12 @@ def sat_of_kirchhoff(model: BrooksCoreyModel, u, params: DerivedParams | None = 
 
 
 def _sat_of_kirchhoff_prime(params: DerivedParams, u):
-    """d S~/du; +inf at u = 0+, 0 for u >= u_b and u < 0 (right derivative at u_b)."""
-    u = np.asarray(u, dtype=float)
+    """d S~/du at u >= 0: +inf at u = 0, 0 from u_b on (right derivative at u_b)."""
     eta, u_b = params.eta, params.u_b
-    with np.errstate(divide="ignore"):
-        inner = (u > 0.0) & (u < u_b)
-        safe = np.where(u > 0.0, u, 1.0)
-        val = (1.0 / (eta * u_b)) * (safe / u_b) ** (1.0 / eta - 1.0)
-        out = np.where(inner, val, np.where(u == 0.0, np.inf, 0.0))
-    return out
+    inner = (u > 0.0) & (u < u_b)
+    safe = np.where(inner, u, 1.0)
+    return np.where(inner, (1.0 / (eta * u_b)) * (safe / u_b) ** (1.0 / eta - 1.0),
+                    np.where(u == 0.0, np.inf, 0.0))
 
 
 @dataclass(frozen=True)
@@ -182,22 +184,36 @@ class Parametrization:
     # -- maps ---------------------------------------------------------------
 
     def eval(self, tau):
-        """Return (s, u, s', u') arrays; right derivatives at branch points."""
+        """Return (s, u, s', u') arrays of tau's shape; right derivatives at branch points.
+
+        Each branch is computed on its own cells only: tau < 0 or NaN
+        (s = 0, u = tau, s' = 0, u' = 1; a NaN iterate stays NaN, so its
+        residual is non-finite), 0 <= tau < tau_star (s = tau,
+        u = u_b tau^eta) and tau >= tau_star (u affine in tau, s = S~(u)).
+        """
         tau = np.asarray(tau, dtype=float)
         p = self.params
         eta, u_b, t_st = p.eta, p.u_b, p.tau_star
-        low = (tau >= 0.0) & (tau < t_st)
-        up_b = tau >= t_st
-        t_low = np.where(low, tau, 0.0)
-        u_up = tau - t_st + u_b * t_st**eta
-        # u = tau below 0; a NaN iterate stays NaN, so its residual is non-finite
-        u = np.where(low, u_b * t_low**eta, np.where(up_b, u_up, tau))
-        upr = np.where(low, eta * u_b * t_low ** (eta - 1.0), 1.0)
-        s = np.where(low, tau, 0.0)
-        s = np.where(up_b, sat_of_kirchhoff(self.model, np.where(up_b, u, 0.0), p), s)
-        sp = np.where(low, 1.0, 0.0)
-        sp = np.where(up_b, _sat_of_kirchhoff_prime(p, np.where(up_b, u, -1.0)), sp)
-        return s, u, sp, upr
+        t = tau.reshape(-1)
+        s, u, sp, upr = np.zeros(t.size), t.copy(), np.zeros(t.size), np.ones(t.size)
+        up = t >= t_st
+        low = (t >= 0.0) & ~up
+        # A scalar tau is computed on as the 0-d array itself, not as a
+        # 1-element array: numpy takes a power of a 0-d quotient from the C
+        # library's pow, which can differ by an ulp from its vectorized loop,
+        # so a scalar gets the same bits as from whole-array code.
+        if low.any():
+            t_low = t[low] if tau.ndim else tau
+            s[low] = t_low
+            u[low] = u_b * t_low**eta
+            sp[low] = 1.0
+            upr[low] = eta * u_b * t_low ** (eta - 1.0)
+        if up.any():
+            u_up = (t[up] if tau.ndim else tau) - t_st + u_b * t_st**eta  # >= 0
+            u[up] = u_up
+            s[up] = sat_of_kirchhoff(self.model, u_up, p)
+            sp[up] = _sat_of_kirchhoff_prime(p, u_up)
+        return tuple(a.reshape(tau.shape) for a in (s, u, sp, upr))
 
     # -- inverses -----------------------------------------------------------
 

@@ -2,13 +2,16 @@
 
 The nonlinear step problem is solved by plain Newton (no damping, line
 search, or trust region) with the residual-based stopping rule
-||F(tau^k)||_1 <= eps * dt.  The Jacobian of the scheme is a column-wise
-(delta, Delta)-M-matrix for non-degenerate parametrizations, which yields
-a uniform bound on ||J^{-1}||_1; the analysis utilities here verify the
-conditions and compute the bound on concrete matrices.  ``mmatrix_analyze``
-does so in one whole-array pass over the matrix's COO entries and one
-multi-source shortest-path search from I_delta, and its report keeps each
-column's delta-transmissive path length and the violated conditions.
+||F(tau^k)||_1 <= eps * dt.  A step starts from the evaluation at
+tau_init that the previous step ended with (``scheme.Evaluation``), so
+a step evaluates only its own Newton iterates.  The Jacobian of the
+scheme is a column-wise (delta, Delta)-M-matrix for non-degenerate
+parametrizations, which yields a uniform bound on ||J^{-1}||_1; the
+analysis utilities here verify the conditions and compute the bound on
+concrete matrices.  ``mmatrix_analyze`` does so in one whole-array pass
+over the matrix's COO entries and one multi-source shortest-path search
+from I_delta, and its report keeps each column's delta-transmissive path
+length and the violated conditions.
 
 The scheme gives the Jacobian as its diagonal plus one coupling per side
 of each interior edge (``scheme.jacobian``).  Each Newton correction is
@@ -36,11 +39,14 @@ the ``Assembly``:
 
 Only the wet set is factored.  Column K of J holds the couplings
 -(dt/m_L)(m_sigma g+ lam'(s_K) s'(tau_K) + A_sigma u'(tau_K)), which depend
-on cell K's state alone; in a dry zone (s near 1e-6 in the infiltration
-test) u'(tau_K) is near 1e-16, so they sit near 1e-16 of the diagonal and
-their fill products in an LU underflow to subnormals.  Column K is dry
-when every off-diagonal entry is at most DROP = 1e-14 times J_KK, and the
-other columns form the wet set W.  Taking the dry couplings as zero
+on cell K's state alone.  In a dry zone (s near 1e-6 in the infiltration
+test) u'(tau_K) is near 1e-16, so the A_sigma terms sit near 1e-16 of the
+diagonal, and their fill products in an LU underflow to subnormals.  The
+gravity term need not: on the 20x20 infiltration mesh it is
+0.2 lam'(s) s'(tau) of a diagonal near 1, about 7e-16 at beta = 4 but
+1.1e-13 at beta = 16, above DROP, so there nearly every column is wet.
+Column K is dry when every off-diagonal entry is at most DROP = 1e-14
+times J_KK, and the other columns form the wet set W.  Taking the dry couplings as zero
 makes J block lower triangular in the order [W, dry]: the W x W block is
 factored alone, W in the plan's order, and each dry cell then costs one
 division.  This is an inexact Newton step (Dembo, Eisenstat & Steihaug,
@@ -66,7 +72,7 @@ from scipy.linalg.lapack import dgbsv, dpbsv
 from scipy.sparse.csgraph import dijkstra
 
 from .mesh import Mesh
-from .scheme import Assembly, SolvePlan, jacobian, residual
+from .scheme import Assembly, Evaluation, SolvePlan, jacobian, residual, step_residual
 
 __all__ = [
     "ATOL_SCALE",
@@ -197,24 +203,32 @@ def linear_solve(plan: SolvePlan, diag, off, b, m=None, u_p=None) -> np.ndarray:
 
 
 def newton_solve(system: Assembly, dt: float, s_prev, tau_init, config: NewtonConfig,
-                 callback=None):
-    """Plain Newton on the step residual; returns (tau, s(tau), NewtonReport).
+                 callback=None, start: Evaluation | None = None):
+    """Plain Newton on the step residual; returns (tau, ev, NewtonReport),
+    ev the ``scheme.Evaluation`` at tau.
 
     dt and s_prev = s(tau^{n-1}) are the step's data; tau_init is the
-    previous time-step solution.  s(tau) comes from the last evaluation, so
-    the next step takes it as its s_prev without evaluating s again.  The
-    Jacobian's values are computed only at an iterate whose correction is
-    solved, so a step that converges at tau_init computes none.  The
-    optional callback is invoked as callback(k, tau, res_norm, J) at every
-    such iterate, with J a CSC matrix of its own, built from the diagonal and
-    couplings that are solved (``Assembly.matrix``).  A non-converged step, a
-    singular Jacobian included, is reported, not raised.
+    previous time-step solution.  start is the evaluation at tau_init when
+    the caller has it: the ev that the previous step's newton_solve
+    returned, so that f(tau_init) = (s - s_prev) + (dt/m) flux needs no
+    residual() call, also when a step is retried at a smaller dt.  Without
+    it, tau_init is evaluated here.  The returned ev holds s(tau), which the
+    next step takes as its s_prev, and is that step's start.  The Jacobian's
+    values are computed only at an iterate whose correction is solved, so a
+    step that converges at tau_init computes none.  The optional callback is
+    invoked as callback(k, tau, res_norm, J) at every such iterate, with J a
+    CSC matrix of its own, built from the diagonal and couplings that are
+    solved (``Assembly.matrix``).  A non-converged step, a singular Jacobian
+    included, is reported, not raised.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     tau = np.array(tau_init, dtype=float)
     tol = config.eps * dt
-    f, s, derivatives = residual(system, dt, s_prev, tau)
+    if start is None:
+        f, ev = residual(system, dt, s_prev, tau)
+    else:
+        f, ev = step_residual(system, dt, s_prev, start), start
     res = float(np.sum(np.abs(f)))  # raw 1-norm, no volume weights
     history = [res]
     for k in range(config.max_iter):
@@ -222,19 +236,19 @@ def newton_solve(system: Assembly, dt: float, s_prev, tau_init, config: NewtonCo
             break
         if not np.isfinite(res):
             break
-        jac = jacobian(system, dt, s, derivatives)  # (diag, off)
+        jac = jacobian(system, dt, ev)  # (diag, off)
         if callback is not None:
             callback(k, tau, res, system.matrix(*jac))
         try:
-            delta = linear_solve(system.plan, *jac, f, system.mesh.cell_volumes, derivatives[1])
+            delta = linear_solve(system.plan, *jac, f, system.mesh.cell_volumes, ev.u_p)
         except SingularJacobianError:
             break
         tau -= delta
-        f, s, derivatives = residual(system, dt, s_prev, tau)
+        f, ev = residual(system, dt, s_prev, tau)
         res = float(np.sum(np.abs(f)))
         history.append(res)
     converged = bool(np.isfinite(res) and res <= tol)
-    return tau, s, NewtonReport(residual_history=history, converged=converged)
+    return tau, ev, NewtonReport(residual_history=history, converged=converged)
 
 
 # -- M-matrix analysis ---------------------------------------------------------

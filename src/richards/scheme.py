@@ -23,17 +23,26 @@ the Jacobian's one storage format: ``jacobian`` returns the diagonal and
 the couplings in edge order, and a CSC matrix is built only for a Newton
 callback (``Assembly.matrix``).  Everything that depends on the mesh, or
 on whether gravity enters the fluxes, is worked out once per run by
-``Assembly``: the edge arrays and the ``SolvePlan``, the cell order the
-direct solver factors in and its factorization.  Per Newton iterate,
-``residual`` evaluates the parametrization once and gives f(tau), s(tau)
-and the derivatives; ``jacobian`` turns those derivatives into the
-Jacobian's values only for an iterate whose correction is solved.
+``Assembly``: the edge arrays, whether any edge carries a gravity term,
+and the ``SolvePlan``, the cell order the direct solver factors in and
+its factorization.  Per Newton iterate, ``residual`` evaluates the
+parametrization once and returns f(tau) with the ``Evaluation`` at tau:
+s(tau), s'(tau), u'(tau) and each cell's flux sum.  The mobility lam and
+the gravity terms are computed only when some edge carries a gravity
+term, so a gravity-free run evaluates neither lam nor lam'.  With gravity
+they are computed on every edge: on the infiltration test half the edges
+carry a gravity term, and gathering that half costs more than the
+products it saves.  ``jacobian`` turns an evaluation into
+the Jacobian's values only for an iterate whose correction is solved.
+An evaluation depends on neither dt nor s^{n-1}, so ``step_residual``
+forms the next step's f(tau_init) from the one the last step ended with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,11 +53,13 @@ from .mesh import Mesh
 
 __all__ = [
     "Assembly",
+    "Evaluation",
     "InitialField",
     "SolvePlan",
     "discretize_initial",
     "jacobian",
     "residual",
+    "step_residual",
 ]
 
 @dataclass
@@ -132,8 +143,9 @@ class Assembly:
 
     Holds the edge arrays of the flux sum (interior edges first, then
     ``mesh.dirichlet_edges``, whose outer cell is tau_D =
-    param.tau_of_pressure(p_D)), the boundary values (u, lam) of tau_D, and
-    the ``SolvePlan`` of the Jacobian's couplings, rows [K, L] and columns
+    param.tau_of_pressure(p_D)), the boundary values (u, lam) of tau_D, the
+    g+ and g- of every edge and whether any edge carries a gravity term,
+    and the ``SolvePlan`` of the Jacobian's couplings, rows [K, L] and columns
     [L, K] over the interior edges: band Cholesky when no edge carries a
     gravity term, band LU otherwise.  Nothing here depends on dt, the
     history or the iterate.  tau_D is given exactly when the mesh has
@@ -162,6 +174,9 @@ class Assembly:
         self.gn = np.clip(-gn, 0.0, None)
         self.mgp = self.m * self.gp
         self.mgn = self.m[:ni] * self.gn[:ni]
+        # whether any edge carries a gravity term: residual() and jacobian()
+        # compute lam, lam' and the gravity terms only then
+        self.gravity = bool(self.mgp.any() or self.mgn.any())
         sD, uD, _, _ = param.eval(np.full(de.size, tau_D, dtype=float))
         self.u_D = np.asarray(uD, dtype=float)
         self.lam_D = np.asarray(mobility(param.model, sD), dtype=float)
@@ -170,9 +185,8 @@ class Assembly:
         # the cells of jacobian()'s diagonal terms: s', then the flux terms
         self.diag_cells = np.concatenate([np.arange(mesh.n_cells), self.flux_cells])
         # with no gravity term on any edge, diag(m) J diag(u')^-1 is symmetric
-        gravity_free = not (self.mgp.any() or self.mgn.any())
         self.plan = SolvePlan(mesh.n_cells, np.concatenate([K, L]), np.concatenate([L, K]),
-                              symmetric=gravity_free)
+                              symmetric=not self.gravity)
 
     @cached_property
     def _csc(self):
@@ -198,45 +212,70 @@ class Assembly:
                              shape=(n, n))
 
 
+class Evaluation(NamedTuple):
+    """What one iterate tau gives the step residual and its Jacobian: s(tau),
+    the derivatives s'(tau) and u'(tau), and the flux sum
+    sum_{sigma in E_K} F_{K,sigma}(tau) of each cell.  None of it depends on
+    dt or s^{n-1}, so the evaluation at the last iterate of a step is the one
+    at the next step's tau_init."""
+
+    s: np.ndarray
+    s_p: np.ndarray
+    u_p: np.ndarray
+    flux: np.ndarray
+
+
+def step_residual(system: Assembly, dt: float, s_prev, ev: Evaluation):
+    """f = (s - s_prev) + (dt / m_K) * flux of the evaluation ev."""
+    return (ev.s - s_prev) + dt / system.mesh.cell_volumes * ev.flux
+
+
 def residual(system: Assembly, dt: float, s_prev, tau):
-    """Residual f(tau) of one implicit step, s(tau) and the derivatives (s', u') at tau.
+    """Residual f(tau) of one implicit step and the Evaluation at tau: (f, ev).
 
     The parametrization is evaluated once; jacobian() takes s(tau) and the
-    derivatives from here, so an iterate whose correction is solved costs
-    no second evaluation.  Sums over edges run in edge order, so each call
-    with the same inputs gives the same bits.
+    derivatives from ev, so an iterate whose correction is solved costs no
+    second evaluation, and the next step starts from ev (``newton_solve``).
+    The mobility lam(s) and the gravity terms are computed only when an
+    edge carries a gravity term (``Assembly.gravity``).  Sums over edges run
+    in edge order, so each call with the same inputs gives the same bits.
     """
     param, ni = system.param, system.n_interior
     s, u, s_p, u_p = param.eval(np.asarray(tau, dtype=float))
-    lam = mobility(param.model, s)
     K, L = system.K, system.L
-    lam_out = np.concatenate([lam[L], system.lam_D])
-    u_out = np.concatenate([u[L], system.u_D])
-    F = system.m * (lam[K] * system.gp - lam_out * system.gn) + system.A * (u[K] - u_out)
+    F = system.A * (u[K] - np.concatenate([u[L], system.u_D]))
+    if system.gravity:
+        lam = mobility(param.model, s)
+        lam_out = np.concatenate([lam[L], system.lam_D])
+        F += system.m * (lam[K] * system.gp - lam_out * system.gn)
     flux = np.bincount(system.flux_cells, weights=np.concatenate([F[:ni], -F[:ni], F[ni:]]),
                        minlength=system.mesh.n_cells)
-    f = (s - s_prev) + dt / system.mesh.cell_volumes * flux
-    return f, s, (s_p, u_p)
+    ev = Evaluation(s, s_p, u_p, flux)
+    return step_residual(system, dt, s_prev, ev), ev
 
 
-def jacobian(system: Assembly, dt: float, s, derivatives):
+def jacobian(system: Assembly, dt: float, ev: Evaluation):
     """The exact Jacobian of residual() as (diag, off): its diagonal, and its
     couplings on the rows and columns of system.plan, in edge order.
 
-    s and derivatives = (s', u') are what residual() returned at the
-    iterate.  Diagonal of J: s'(tau_K) + (dt/m_K) sum_sigma (m_sigma g+
-    lam'(s_K) s'(tau_K) + A_sigma u'(tau_K)); off-diagonal (row L, column K,
-    sigma = K|L): -(dt/m_L)(m_sigma g+_{K,sigma} lam'(s_K) s'(tau_K)
-    + A_sigma u'(tau_K)).  Dirichlet edges contribute only to the diagonal.
+    ev is what residual() returned at the iterate.  Diagonal of J:
+    s'(tau_K) + (dt/m_K) sum_sigma (m_sigma g+ lam'(s_K) s'(tau_K)
+    + A_sigma u'(tau_K)); off-diagonal (row L, column K, sigma = K|L):
+    -(dt/m_L)(m_sigma g+_{K,sigma} lam'(s_K) s'(tau_K) + A_sigma u'(tau_K)).
+    The lam' terms are computed only when an edge carries a gravity term.
+    Dirichlet edges contribute only to the diagonal.
     """
-    s_p, u_p = derivatives
-    s_p = np.where(np.isfinite(s_p), np.minimum(s_p, SPRIME_CAP), SPRIME_CAP)
-    w = mobility_derivative(system.param.model, s) * s_p  # d lam(s(tau))/d tau
+    u_p = ev.u_p
+    s_p = np.where(np.isfinite(ev.s_p), np.minimum(ev.s_p, SPRIME_CAP), SPRIME_CAP)
     ni, K, L = system.n_interior, system.K, system.L
     r = dt / system.mesh.cell_volumes
     # derivative of F_{K,sigma} w.r.t. tau_K (upwind g+ side) and tau_L
-    dFK = system.mgp * w[K] + system.A * u_p[K]
-    dFL = system.mgn * w[L] + system.A[:ni] * u_p[L]
+    dFK = system.A * u_p[K]
+    dFL = system.A[:ni] * u_p[L]
+    if system.gravity:
+        w = mobility_derivative(system.param.model, ev.s) * s_p  # d lam(s(tau))/d tau
+        dFK += system.mgp * w[K]
+        dFL += system.mgn * w[L]
     rK, rL = r[K], r[L]
     diag = np.bincount(system.diag_cells, weights=np.concatenate([
         s_p, rK[:ni] * dFK[:ni], rL * dFL, rK[ni:] * dFK[ni:]]), minlength=s_p.size)

@@ -11,8 +11,8 @@ def evaluate(system, dt, s_prev, tau):
 
     J is the CSC matrix that a Newton callback receives.
     """
-    f, s, derivatives = residual(system, dt, s_prev, tau)
-    return f, system.matrix(*jacobian(system, dt, s, derivatives)), s
+    f, ev = residual(system, dt, s_prev, tau)
+    return f, system.matrix(*jacobian(system, dt, ev)), ev.s
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -94,14 +94,14 @@ def test_adaptive_dt_recovers_from_failure(monkeypatch):
 
     real = H.newton_solve
 
-    def flaky(system, dt, s_prev, tau_init, config, callback=None):
+    def flaky(system, dt, s_prev, tau_init, config, callback=None, start=None):
         if dt > 0.006:
             from richards.newton import NewtonReport
 
             return np.array(tau_init), s_prev, NewtonReport(
                 residual_history=[1.0] * (config.max_iter + 1), converged=False
             )
-        return real(system, dt, s_prev, tau_init, config, callback)
+        return real(system, dt, s_prev, tau_init, config, callback, start)
 
     monkeypatch.setattr(H, "newton_solve", flaky)
     cfg = replace(
@@ -484,6 +484,32 @@ def test_cli_p_dirichlet_needs_dirichlet_edges(tmp_path, capsys):
     assert code == 2
     assert "no Dirichlet edges" in err and "Traceback" not in err
     assert not (tmp_path / "b" / "summary.csv").exists()
+
+
+def test_s0_boxes_must_fit_the_mesh_dimension(tmp_path, capsys):
+    # test2's 2-D quadrant on a 1-D mesh, built (exact cell means) or loaded
+    # from a file (centre sampling), is refused before any step instead of
+    # being misread; a 1-D box runs
+    from richards.cli import main
+    from richards.mesh import build_interval_mesh, save_mesh
+
+    msg = "s0_boxes: a box of shape (2, 2) does not fit the 1-D mesh: it needs shape (1, 2)"
+    cfg = replace(preset_test2(eps=1e-6), t_end=2e3)
+    with pytest.raises(ConfigError) as exc:
+        run(cfg, mesh=build_interval_mesh(5))
+    assert str(exc.value) == msg
+    path = tmp_path / "line.mesh"
+    save_mesh(build_interval_mesh(6), path)
+    code = main(["run", "--case", "test2", "--tend", "2e3", "--mesh", f"file:{path}",
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert msg in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    for mesh in (build_interval_mesh(5), build_interval_mesh(6)):
+        res = run(replace(cfg, s0_boxes=[([(0.0, 0.5)], 0.5)]), mesh=mesh)
+        assert res.converged and min(res.iters_per_step) > 0
+        assert res.trajectory.taus[0].max() > res.trajectory.taus[0].min()
 
 
 def test_cli_mesh_file_run(tmp_path):

@@ -180,6 +180,63 @@ def test_tau_of_pressure_examples(mode):
     assert u_p.tau_of_pressure(1.0) == pytest.approx(p.u_b + 1.0 - m.p_b, rel=1e-14)
 
 
+def whole_array_sat_of_kirchhoff_prime(params, u):
+    """d S~/du on any u: +inf at u = 0, 0 for u >= u_b and u < 0."""
+    u = np.asarray(u, dtype=float)
+    eta, u_b = params.eta, params.u_b
+    inner = (u > 0.0) & (u < u_b)
+    safe = np.where(u > 0.0, u, 1.0)
+    val = (1.0 / (eta * u_b)) * (safe / u_b) ** (1.0 / eta - 1.0)
+    return np.where(inner, val, np.where(u == 0.0, np.inf, 0.0))
+
+
+def whole_array_eval(param, tau):
+    """Parametrization.eval as whole-array selections: every branch's formula
+    on every cell, then np.where picks each cell's branch."""
+    tau = np.asarray(tau, dtype=float)
+    p = param.params
+    eta, u_b, t_st = p.eta, p.u_b, p.tau_star
+    low = (tau >= 0.0) & (tau < t_st)
+    up_b = tau >= t_st
+    t_low = np.where(low, tau, 0.0)
+    u_up = tau - t_st + u_b * t_st**eta
+    u = np.where(low, u_b * t_low**eta, np.where(up_b, u_up, tau))
+    upr = np.where(low, eta * u_b * t_low ** (eta - 1.0), 1.0)
+    s = np.where(low, tau, 0.0)
+    s = np.where(up_b, sat_of_kirchhoff(param.model, np.where(up_b, u, 0.0), p), s)
+    sp = np.where(low, 1.0, 0.0)
+    sp = np.where(up_b, whole_array_sat_of_kirchhoff_prime(p, np.where(up_b, u, -1.0)), sp)
+    return s, u, sp, upr
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["tau", "u"]), beta=st.sampled_from([1.0, 4.0, 16.0]),
+       mode=st.sampled_from(["derived", "legacy"]), data=st.data())
+def test_eval_matches_whole_array_oracle(kind, beta, mode, data):
+    # bit for bit, sign bits and NaNs included, on scalars and 1-D and 2-D
+    # arrays mixing every branch and its end points
+    param = Parametrization(kind=kind, model=BrooksCoreyModel(beta=beta, p_b=-0.01, eta_mode=mode))
+    p = param.params
+    special = [-np.inf, -1.0, -1e-300, -0.0, 0.0, 5e-324, 1e-6, p.u_b, p.tau_star,
+               np.nextafter(p.tau_star, -np.inf), np.nextafter(p.tau_star, np.inf), p.tau_sat,
+               np.nextafter(p.tau_sat, -np.inf), np.nextafter(p.tau_sat, np.inf),
+               2.0 * p.tau_sat + 1.0, np.inf, np.nan]
+    element = st.one_of(st.sampled_from(special), st.floats(-2.0, 3.0 * p.tau_sat),
+                        st.floats(0.0, p.tau_sat))
+    shape = data.draw(st.sampled_from([(), (1,), (9,), (3, 4), (1, 5)]))
+    values = data.draw(st.lists(element, min_size=max(1, int(np.prod(shape))),
+                                max_size=max(1, int(np.prod(shape)))))
+    tau = np.array(values, dtype=float).reshape(shape)
+    inputs = [tau] + ([float(tau)] if tau.ndim == 0 else []) + ([tau.T] if tau.ndim == 2 else [])
+    for x in inputs:
+        got, want = param.eval(x), whole_array_eval(param, x)
+        assert len(got) == 4
+        for a, b in zip(got, want):
+            assert isinstance(a, np.ndarray) and a.dtype == np.float64
+            assert a.shape == b.shape == np.shape(x)
+            assert a.tobytes() == b.tobytes()
+
+
 class UFormOracle:
     """The u-formulation u(tau) = tau in closed form, written out branch by branch."""
 

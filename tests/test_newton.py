@@ -32,7 +32,7 @@ from richards.newton import (
     mmatrix_analyze,
     newton_solve,
 )
-from richards.scheme import Assembly, SolvePlan, jacobian, residual
+from richards.scheme import Assembly, SolvePlan, jacobian, residual, step_residual
 
 MODEL = BrooksCoreyModel(beta=4.0, p_b=-0.01)
 TAU = Parametrization(kind="tau", model=MODEL)
@@ -90,21 +90,21 @@ def test_quadratic_rate_on_two_cell_diffusion():
 def test_report_invariants():
     prob = diffusion_problem([0.9, 0.1], dt=10.0)
     config = NewtonConfig(eps=1e-10)
-    tau, s, report = newton_solve(*prob, np.array([0.1, 0.9]), config)
+    tau, ev, report = newton_solve(*prob, np.array([0.1, 0.9]), config)
     assert len(report.residual_history) == report.iterations + 1
-    np.testing.assert_array_equal(s, TAU.eval(tau)[0])  # s of the returned tau
+    np.testing.assert_array_equal(ev.s, TAU.eval(tau)[0])  # s of the returned tau
     if report.converged:
         assert report.final_residual <= config.eps * 10.0
 
 
 def test_nonconvergence_is_reported_not_raised():
     prob = diffusion_problem([0.9, 0.1], dt=10.0)
-    tau, s, report = newton_solve(
+    tau, ev, report = newton_solve(
         *prob, np.array([0.1, 0.9]), NewtonConfig(eps=1e-10, max_iter=1)
     )
     assert not report.converged
     assert report.iterations == 1
-    np.testing.assert_array_equal(s, TAU.eval(tau)[0])
+    np.testing.assert_array_equal(ev.s, TAU.eval(tau)[0])
 
 
 def test_callback_jacobians_are_independent():
@@ -528,9 +528,11 @@ def test_jacobian_computed_only_where_a_correction_uses_it(monkeypatch):
     res = run(replace(preset_test2(eps=1e-6, mesh_size="40x40"), t_end=1e4))
     assert res.iters_per_step == [18, 7, 6, 6, 5, 5, 4, 4, 4, 5]
     assert calls["jacobian"] == sum(res.iters_per_step)
-    # one per iterate (64 + 10), plus the boundary values and the initial s;
-    # the mass error reads the water volumes of the s that newton_solve returned
-    assert calls["eval"] == 76
+    # one per Newton iterate (64), plus the first step's tau_init, the
+    # boundary values and the initial s: every later step starts from the
+    # evaluation its predecessor ended with, and the mass error reads the
+    # water volumes of the s that newton_solve returned
+    assert calls["eval"] == 67
 
     # per step as many Jacobians as iterations; none where tau_init converged
     per_step = []
@@ -545,6 +547,72 @@ def test_jacobian_computed_only_where_a_correction_uses_it(monkeypatch):
     res = run(replace(preset_test2(eps=1e-2, mesh_size="40x40"), t_end=3e4))
     assert 0 in res.iters_per_step
     assert per_step == [(n, n) for n in res.iters_per_step]
+
+
+def test_gravity_free_steps_evaluate_no_mobility(monkeypatch):
+    # lam and lam' enter only through gravity terms: a test2 run computes
+    # neither in its time loop, a test1 run computes lam once per residual
+    # and lam' once per Jacobian
+    import richards.scheme as S
+
+    calls = {"mobility": 0, "mobility_derivative": 0}
+    in_loop = [False]
+    for name in calls:
+        def counted(*args, fn=getattr(S, name), name=name):
+            calls[name] += in_loop[0]
+            return fn(*args)
+
+        monkeypatch.setattr(S, name, counted)
+    solve = H.newton_solve
+
+    def in_time_loop(*args, **kwargs):
+        in_loop[0] = True
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            in_loop[0] = False
+
+    monkeypatch.setattr(H, "newton_solve", in_time_loop)
+    res = run(replace(preset_test2(eps=1e-6, mesh_size="10x10"), t_end=5e3))
+    assert res.total_iters > 0
+    assert calls == {"mobility": 0, "mobility_derivative": 0}
+    res = run(replace(preset_test1(beta=4.0, eps=1e-6, mesh_size="5x5"), t_end=0.03))
+    assert res.total_iters > 0
+    assert calls == {"mobility": res.total_iters + 1, "mobility_derivative": res.total_iters}
+
+
+@pytest.mark.parametrize("cfg", [
+    replace(preset_test1(beta=4.0, eps=1e-6, mesh_size="5x5"), t_end=0.05, adaptive_dt=True),
+    replace(preset_test2(eps=1e-6, mesh_size="6x6"), t_end=5e3, adaptive_dt=True),
+], ids=["test1", "test2"])
+def test_carried_step_start_is_the_residual_at_tau_init(monkeypatch, cfg):
+    # every step after the first starts from the evaluation its predecessor
+    # ended with; its f(tau_init) is bit for bit residual(system, dt, s_prev,
+    # tau_init), also at the retry after a rejected attempt halved dt
+    solve, calls = H.newton_solve, []
+
+    def bits(a):
+        return np.asarray(a, dtype=float).tobytes()
+
+    def checked(system, dt, s_prev, tau_init, config, callback=None, start=None):
+        calls.append((dt, start is not None))
+        if start is not None:
+            f, ev = residual(system, dt, s_prev, tau_init)
+            assert bits(step_residual(system, dt, s_prev, start)) == bits(f)
+            assert all(bits(a) == bits(b) for a, b in zip(start, ev))
+        out = solve(system, dt, s_prev, tau_init, config, callback, start)
+        if start is not None:
+            assert out[2].residual_history[0] == float(np.sum(np.abs(f)))
+        if len(calls) == 3:  # reject the third step's first attempt: it is retried at dt/2
+            return out[0], out[1], replace(out[2], converged=False)
+        return out
+
+    monkeypatch.setattr(H, "newton_solve", checked)
+    res = run(cfg)
+    assert res.converged and res.rejected_iters > 0
+    assert calls[0] == (cfg.dt, False)
+    assert calls[1:4] == [(cfg.dt, True), (cfg.dt, True), (cfg.dt / 2, True)]
+    assert all(carried for _, carried in calls[1:])
 
 
 def shuffled_box(nx, ny, seed=7) -> Mesh:
@@ -606,8 +674,8 @@ def test_callback_matrix_is_the_coo_build(shuffled_40x40):
         system = Assembly(mesh, TAU, np.asarray(gravity), tau_D)
         n, plan = mesh.n_cells, system.plan
         tau = rng.uniform(-0.1, 2.2, n)
-        _, s, derivatives = residual(system, 0.01, np.full(n, 1e-6), tau)
-        diag, off = jacobian(system, 0.01, s, derivatives)
+        _, ev = residual(system, 0.01, np.full(n, 1e-6), tau)
+        diag, off = jacobian(system, 0.01, ev)
         ij = (np.concatenate([np.arange(n), plan.rows]), np.concatenate([np.arange(n), plan.cols]))
         want = sp.coo_matrix((np.concatenate([diag, off]), ij), shape=(n, n)).tocsc()
         J = system.matrix(diag, off)

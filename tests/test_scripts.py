@@ -36,10 +36,17 @@ def test_script_loads(name, monkeypatch):
 
 
 def test_digest_prints_one_line_per_workload(monkeypatch, capsys):
-    # the workload, its Newton total and 16 hex digits of the results' SHA-256
-    load("digest.py", monkeypatch).main(["--scale", "tiny"])
+    # the workload, its Newton total and 16 hex digits of the results' SHA-256;
+    # the tiny-scale totals are pinned, and a second run in the same process
+    # prints the same lines (the digits themselves depend on the platform's
+    # libm and BLAS, so they are not pinned)
+    digest = load("digest.py", monkeypatch)
+    digest.main(["--scale", "tiny"])
     lines = capsys.readouterr().out.splitlines()
     names = ["infiltration-sweep", "infiltration-fine", "redistribution", "mmatrix-audit"]
     assert [line.split()[0] for line in lines] == names
     for line in lines:
         assert re.fullmatch(r"\S+ [1-9][0-9]* [0-9a-f]{16}", line), line
+    assert [int(line.split()[1]) for line in lines] == [1586, 23, 180, 16]
+    digest.main(["--scale", "tiny"])
+    assert capsys.readouterr().out.splitlines() == lines
