@@ -491,7 +491,7 @@ def test_s0_boxes_must_fit_the_mesh_dimension(tmp_path, capsys):
     # from a file (centre sampling), is refused before any step instead of
     # being misread; a 1-D box runs
     from richards.cli import main
-    from richards.mesh import build_interval_mesh, save_mesh
+    from richards.mesh import build_interval_mesh, load_mesh, save_mesh
 
     msg = "s0_boxes: a box of shape (2, 2) does not fit the 1-D mesh: it needs shape (1, 2)"
     cfg = replace(preset_test2(eps=1e-6), t_end=2e3)
@@ -506,7 +506,7 @@ def test_s0_boxes_must_fit_the_mesh_dimension(tmp_path, capsys):
     assert code == 2
     assert msg in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
-    for mesh in (build_interval_mesh(5), build_interval_mesh(6)):
+    for mesh in (build_interval_mesh(5), load_mesh(path)):
         res = run(replace(cfg, s0_boxes=[([(0.0, 0.5)], 0.5)]), mesh=mesh)
         assert res.converged and min(res.iters_per_step) > 0
         assert res.trajectory.taus[0].max() > res.trajectory.taus[0].min()
