@@ -1,7 +1,10 @@
 """Error metrics, conservation/energy diagnostics, and structural-lemma checks.
 
 All metrics are pure functions of trajectories; nothing here mutates the
-solver state.  Integrals of the parametrization branches (free energy,
+solver state.  A trajectory's saturation and Kirchhoff fields come from
+one evaluation of its stacked tau levels (``Trajectory.fields``), and the
+error and contraction metrics are whole-array sums over those (levels x
+cells) arrays.  Integrals of the parametrization branches (free energy,
 xi) are evaluated in closed form rather than by quadrature, so invariant
 tests are noise-free.
 """
@@ -47,23 +50,11 @@ class Trajectory:
         if self.newton_reports and len(self.newton_reports) != len(self.times) - 1:
             raise ValueError("need one Newton report per time step")
 
-    @property
-    def n_steps(self) -> int:
-        return len(self.times) - 1
-
-    def saturations(self):
-        return [np.asarray(self.param.eval(t)[0], dtype=float) for t in self.taus]
-
-    def kirchhoffs(self):
-        return [np.asarray(self.param.eval(t)[1], dtype=float) for t in self.taus]
-
-
-def _fields(traj: Trajectory, which: str):
-    if which == "saturation":
-        return traj.saturations()
-    if which == "kirchhoff":
-        return traj.kirchhoffs()
-    raise ValueError(f"unknown field {which!r}")
+    def fields(self):
+        """(s, u): the saturation and the Kirchhoff transform of every level,
+        two (levels x cells) arrays from one evaluation of the stacked taus."""
+        s, u, _, _ = self.param.eval(np.stack(self.taus))
+        return s, u
 
 
 def linf_l1_error(trajectory: Trajectory, reference: Trajectory, which: str,
@@ -80,12 +71,15 @@ def linf_l1_error(trajectory: Trajectory, reference: Trajectory, which: str,
         trajectory.times, reference.times, rtol=0.0, atol=1e-12
     ):
         raise ValueError("time grids differ")
-    m = trajectory.mesh.cell_volumes
+    i = {"saturation": 0, "kirchhoff": 1}.get(which)
+    if i is None:
+        raise ValueError(f"unknown field {which!r}")
     stop = len(trajectory.times) if up_to is None else up_to + 1
-    f_run = _fields(trajectory, which)[:stop]
-    f_ref = _fields(reference, which)[:stop]
-    num = max(float(np.sum(m * np.abs(a - b))) for a, b in zip(f_run, f_ref))
-    den = max(float(np.sum(m * np.abs(b))) for b in f_ref)
+    m = trajectory.mesh.cell_volumes
+    f_run = trajectory.fields()[i][:stop]
+    f_ref = reference.fields()[i][:stop]
+    num = float(np.max(np.sum(m * np.abs(f_run - f_ref), axis=1)))
+    den = float(np.max(np.sum(m * np.abs(f_ref), axis=1)))
     if den == 0.0:
         return 0.0 if num == 0.0 else math.inf
     return num / den
@@ -154,11 +148,7 @@ def contraction_check(run_a: Trajectory, run_b: Trajectory) -> np.ndarray:
     ):
         raise ValueError("boundary data differ")
     m = run_a.mesh.cell_volumes
-    d = np.array(
-        [float(np.sum(m * np.abs(sa - sb)))
-         for sa, sb in zip(run_a.saturations(), run_b.saturations())]
-    )
-    return np.diff(d)
+    return np.diff(np.sum(m * np.abs(run_a.fields()[0] - run_b.fields()[0]), axis=1))
 
 
 def quadratic_tail(residual_history, floor: float) -> bool:

@@ -28,7 +28,7 @@ import numpy as np
 from .diagnostics import Trajectory, linf_l1_error, mass_error
 from .hydromodel import BrooksCoreyModel, Parametrization
 from .mesh import DIRICHLET, Mesh, build_rect_mesh, load_mesh
-from .newton import NewtonConfig, newton_solve
+from .newton import newton_solve
 from .scheme import Assembly, InitialField, discretize_initial
 from .vtkio import write_vtk
 
@@ -295,7 +295,6 @@ def run(config: RunConfig, mesh: Mesh | None = None, callback=None) -> RunResult
     p_D = config.p_dirichlet
     tau_D = None if p_D is None else float(param.tau_of_pressure(p_D))
     system = Assembly(mesh, param, gravity[: mesh.dim], tau_D)
-    ncfg = NewtonConfig(eps=config.eps)
 
     times = [0.0]
     taus = [tau.copy()]
@@ -313,8 +312,8 @@ def run(config: RunConfig, mesh: Mesh | None = None, callback=None) -> RunResult
     water = [float(np.sum(mesh.cell_volumes * s_prev))]
     while t < config.t_end - 1e-9 * config.dt:
         dt = min(dt, config.t_end - t)
-        tau_new, last, report = newton_solve(system, dt, s_prev, tau, ncfg, callback=callback,
-                                             start=start)
+        tau_new, last, report = newton_solve(system, dt, s_prev, tau, config.eps,
+                                             callback=callback, start=start)
         if not report.converged:
             if config.adaptive_dt and dt > 1e-12 * config.dt:
                 rejected += report.iterations

@@ -77,7 +77,7 @@ from .scheme import Assembly, Evaluation, SolvePlan, jacobian, residual, step_re
 __all__ = [
     "ATOL_SCALE",
     "DROP",
-    "NewtonConfig",
+    "MAX_ITER",
     "NewtonReport",
     "MMatrixReport",
     "SingularJacobianError",
@@ -93,21 +93,12 @@ __all__ = [
 # the solve takes those couplings as zero (see the module docstring).
 DROP = 1e-14
 
+# Newton iterations after which a step that has not converged is given up.
+MAX_ITER = 100
+
 
 class SingularJacobianError(RuntimeError):
     """Raised when the direct factorization fails."""
-
-
-@dataclass
-class NewtonConfig:
-    eps: float
-    max_iter: int = 100
-
-    def __post_init__(self):
-        if not self.eps > 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass
@@ -202,10 +193,11 @@ def linear_solve(plan: SolvePlan, diag, off, b, m=None, u_p=None) -> np.ndarray:
     return x
 
 
-def newton_solve(system: Assembly, dt: float, s_prev, tau_init, config: NewtonConfig,
+def newton_solve(system: Assembly, dt: float, s_prev, tau_init, eps: float,
                  callback=None, start: Evaluation | None = None):
-    """Plain Newton on the step residual; returns (tau, ev, NewtonReport),
-    ev the ``scheme.Evaluation`` at tau.
+    """Plain Newton on the step residual, stopped at ||F||_1 <= eps * dt or
+    after MAX_ITER iterations; returns (tau, ev, NewtonReport), ev the
+    ``scheme.Evaluation`` at tau.
 
     dt and s_prev = s(tau^{n-1}) are the step's data; tau_init is the
     previous time-step solution.  start is the evaluation at tau_init when
@@ -223,15 +215,17 @@ def newton_solve(system: Assembly, dt: float, s_prev, tau_init, config: NewtonCo
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
     tau = np.array(tau_init, dtype=float)
-    tol = config.eps * dt
+    tol = eps * dt
     if start is None:
         f, ev = residual(system, dt, s_prev, tau)
     else:
         f, ev = step_residual(system, dt, s_prev, start), start
     res = float(np.sum(np.abs(f)))  # raw 1-norm, no volume weights
     history = [res]
-    for k in range(config.max_iter):
+    for k in range(MAX_ITER):
         if res <= tol:
             break
         if not np.isfinite(res):

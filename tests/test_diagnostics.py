@@ -1,5 +1,7 @@
 """Error metrics, conservation/energy diagnostics, and structural checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from richards.diagnostics import (
     quadratic_tail,
     xi_seminorm,
 )
+from richards.harness import preset_test1, run
 from richards.hydromodel import BrooksCoreyModel, Parametrization
 from richards.mesh import DIRICHLET, build_interval_mesh, build_rect_mesh
 
@@ -216,6 +219,58 @@ def test_contraction_config_mismatch():
     for b in (make_traj(top, param, taus, tau_D=1.5), make_traj(left, param, taus, tau_D=2.0)):
         with pytest.raises(ValueError, match="boundary data differ"):
             contraction_check(a, b)
+
+
+# -- whole-array metrics against the per-level formulas ------------------------
+
+
+def per_level(traj, i):
+    """Field i (0: s, 1: u) of each level, evaluated level by level."""
+    return [np.asarray(traj.param.eval(t)[i], dtype=float) for t in traj.taus]
+
+
+def per_level_error(run, ref, i, up_to=None):
+    m = run.mesh.cell_volumes
+    stop = len(run.times) if up_to is None else up_to + 1
+    f_run, f_ref = per_level(run, i)[:stop], per_level(ref, i)[:stop]
+    num = max(float(np.sum(m * np.abs(a - b))) for a, b in zip(f_run, f_ref))
+    den = max(float(np.sum(m * np.abs(b))) for b in f_ref)
+    return num / den
+
+
+def per_level_contraction(run_a, run_b):
+    m = run_a.mesh.cell_volumes
+    return np.diff(np.array([float(np.sum(m * np.abs(sa - sb)))
+                             for sa, sb in zip(per_level(run_a, 0), per_level(run_b, 0))]))
+
+
+@pytest.fixture(scope="module")
+def infiltration_runs():
+    """A tau reference, and tau and u runs, of test1 on 12x12 over 10 steps."""
+    base = replace(preset_test1(beta=4.0, eps=1e-4, mesh_size="12x12"), t_end=0.1)
+    runs = [run(replace(base, eps=1e-8)), run(base), run(replace(base, formulation="u")),
+            run(replace(base, formulation="u", eps=1e-6))]
+    assert all(r.converged and len(r.trajectory.taus) == 11 for r in runs)
+    return [r.trajectory for r in runs]
+
+
+def test_whole_array_metrics_match_the_per_level_formulas(infiltration_runs):
+    ref, tau_run, u_run, u_fine = infiltration_runs
+    for traj in infiltration_runs:
+        s, u = traj.fields()
+        assert s.shape == u.shape == (11, 144)
+        assert np.array_equal(s, np.stack(per_level(traj, 0)))
+        assert np.array_equal(u, np.stack(per_level(traj, 1)))
+    for traj in (tau_run, u_run):
+        for i, which in enumerate(("saturation", "kirchhoff")):
+            for up_to in (None, 0, 1, 4, 10):
+                err = linf_l1_error(traj, ref, which, up_to=up_to)
+                assert err == per_level_error(traj, ref, i, up_to)
+    # runs with the same boundary data: tau_D depends on the formulation
+    for a, b in ((tau_run, ref), (ref, tau_run), (u_run, u_fine)):
+        margins = contraction_check(a, b)
+        assert margins.shape == (10,)
+        assert np.array_equal(margins, per_level_contraction(a, b))
 
 
 # -- quadratic tail ------------------------------------------------------------

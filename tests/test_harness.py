@@ -94,14 +94,14 @@ def test_adaptive_dt_recovers_from_failure(monkeypatch):
 
     real = H.newton_solve
 
-    def flaky(system, dt, s_prev, tau_init, config, callback=None, start=None):
+    def flaky(system, dt, s_prev, tau_init, eps, callback=None, start=None):
         if dt > 0.006:
-            from richards.newton import NewtonReport
+            from richards.newton import MAX_ITER, NewtonReport
 
             return np.array(tau_init), s_prev, NewtonReport(
-                residual_history=[1.0] * (config.max_iter + 1), converged=False
+                residual_history=[1.0] * (MAX_ITER + 1), converged=False
             )
-        return real(system, dt, s_prev, tau_init, config, callback, start)
+        return real(system, dt, s_prev, tau_init, eps, callback, start)
 
     monkeypatch.setattr(H, "newton_solve", flaky)
     cfg = replace(
@@ -153,6 +153,28 @@ def test_sweep_shape_and_errors():
     assert ref.config.eps == 1e-8 and ref.err_s is None
     assert r1.err_s is not None and r2.err_s is not None
     assert r1.err_s >= r2.err_s  # coarser tolerance, larger error
+
+
+def test_sweep_evaluates_each_run_once_per_error(monkeypatch):
+    # one evaluation per Newton iterate, three per run (the first step's
+    # tau_init, the boundary value and the initial s), and four per compared
+    # run: err_s and err_u each evaluate the run's and its reference's stacked
+    # levels once, whatever the number of levels
+    calls = [0]
+    param_eval = Parametrization.eval
+
+    def counted(self, tau):
+        calls[0] += 1
+        return param_eval(self, tau)
+
+    monkeypatch.setattr(Parametrization, "eval", counted)
+    base = replace(preset_test1(beta=4.0, eps=1e-4), t_end=0.05, mesh="8x8")
+    results = sweep(base, [4.0], [1e-4], ["tau", "u"], eps_ref=1e-8)
+    compared = [r for r in results if r.err_s is not None]
+    assert len(results) == 3 and len(compared) == 2
+    assert all(len(r.trajectory.taus) == 6 for r in results)
+    iters = sum(r.total_iters for r in results)
+    assert calls[0] == iters + 3 * len(results) + 4 * len(compared)
 
 
 # -- outputs -------------------------------------------------------------------

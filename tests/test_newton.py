@@ -24,7 +24,6 @@ from richards.mesh import (
     save_mesh,
 )
 from richards.newton import (
-    NewtonConfig,
     SingularJacobianError,
     inverse_norm_bound,
     jacobian_bounds,
@@ -50,7 +49,7 @@ def diffusion_problem(tau_prev, dt=0.01):
 
 def test_zero_iterations_when_already_converged():
     prob = diffusion_problem([0.3, 0.3])
-    tau, _, report = newton_solve(*prob, np.array([0.3, 0.3]), NewtonConfig(eps=1e-8))
+    tau, _, report = newton_solve(*prob, np.array([0.3, 0.3]), 1e-8)
     assert report.iterations == 0
     assert report.converged
     assert len(report.residual_history) == 1
@@ -60,7 +59,7 @@ def test_one_iteration_on_affine_branch():
     # a single closed cell: f(tau) = s(tau) - c, affine on the lower branch
     # (s(tau) = tau), so Newton lands exactly in one step
     prob = diffusion_problem([0.25])
-    tau, _, report = newton_solve(*prob, np.array([0.6]), NewtonConfig(eps=1e-13))
+    tau, _, report = newton_solve(*prob, np.array([0.6]), 1e-13)
     assert report.iterations == 1
     assert report.converged
     assert tau[0] == pytest.approx(0.25, abs=1e-15)
@@ -70,7 +69,7 @@ def test_quadratic_rate_on_two_cell_diffusion():
     # tau* from a run to residual 1e-14; the last ratios
     # ||tau^{k+1} - tau*|| / ||tau^k - tau*||^2 stay bounded
     prob = diffusion_problem([0.9, 0.1], dt=10.0)
-    tau_star, _, ref = newton_solve(*prob, np.array([0.9, 0.1]), NewtonConfig(eps=1e-12))
+    tau_star, _, ref = newton_solve(*prob, np.array([0.9, 0.1]), 1e-12)
     assert ref.converged
 
     errs = []
@@ -78,7 +77,7 @@ def test_quadratic_rate_on_two_cell_diffusion():
     def record(k, tau, res, J):
         errs.append(float(np.linalg.norm(tau - tau_star)))
 
-    newton_solve(*prob, np.array([0.9, 0.1]), NewtonConfig(eps=1e-12), callback=record)
+    newton_solve(*prob, np.array([0.9, 0.1]), 1e-12, callback=record)
     meaningful = [e for e in errs if e > 1e-13]
     ratios = [
         b / a**2 for a, b in zip(meaningful[:-1], meaningful[1:]) if a < 1e-2
@@ -89,19 +88,18 @@ def test_quadratic_rate_on_two_cell_diffusion():
 
 def test_report_invariants():
     prob = diffusion_problem([0.9, 0.1], dt=10.0)
-    config = NewtonConfig(eps=1e-10)
-    tau, ev, report = newton_solve(*prob, np.array([0.1, 0.9]), config)
+    eps = 1e-10
+    tau, ev, report = newton_solve(*prob, np.array([0.1, 0.9]), eps)
     assert len(report.residual_history) == report.iterations + 1
     np.testing.assert_array_equal(ev.s, TAU.eval(tau)[0])  # s of the returned tau
     if report.converged:
-        assert report.final_residual <= config.eps * 10.0
+        assert report.final_residual <= eps * 10.0
 
 
-def test_nonconvergence_is_reported_not_raised():
+def test_nonconvergence_is_reported_not_raised(monkeypatch):
+    monkeypatch.setattr(N, "MAX_ITER", 1)
     prob = diffusion_problem([0.9, 0.1], dt=10.0)
-    tau, ev, report = newton_solve(
-        *prob, np.array([0.1, 0.9]), NewtonConfig(eps=1e-10, max_iter=1)
-    )
+    tau, ev, report = newton_solve(*prob, np.array([0.1, 0.9]), 1e-10)
     assert not report.converged
     assert report.iterations == 1
     np.testing.assert_array_equal(ev.s, TAU.eval(tau)[0])
@@ -114,7 +112,7 @@ def test_callback_jacobians_are_independent():
     prob = diffusion_problem([0.9, 0.1, 0.5, 0.2], dt=10.0)
     plan = prob[0].plan
     pattern = (plan.rows.copy(), plan.cols.copy())
-    tau0, config = np.array([0.1, 0.9, 0.3, 0.6]), NewtonConfig(eps=1e-12)
+    tau0, eps = np.array([0.1, 0.9, 0.3, 0.6]), 1e-12
     kept = []
 
     def keep(k, tau, res, J):
@@ -123,9 +121,9 @@ def test_callback_jacobians_are_independent():
             kept[-1][0].indptr[:] = 0
         kept.append((J, J.data.copy()))
 
-    tau, _, report = newton_solve(*prob, tau0, config, callback=keep)
+    tau, _, report = newton_solve(*prob, tau0, eps, callback=keep)
     assert report.converged and len(kept) >= 3
-    tau_clean, _, report_clean = newton_solve(*prob, tau0, config)
+    tau_clean, _, report_clean = newton_solve(*prob, tau0, eps)
     assert report.residual_history == report_clean.residual_history
     np.testing.assert_array_equal(tau, tau_clean)
     np.testing.assert_array_equal(plan.rows, pattern[0])
@@ -145,9 +143,7 @@ def test_callback_jacobians_are_independent():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        NewtonConfig(eps=0.0)
-    with pytest.raises(ValueError):
-        NewtonConfig(eps=1e-6, max_iter=0)
+        newton_solve(*diffusion_problem([0.3, 0.3]), np.array([0.3, 0.3]), 0.0)
 
 
 # -- linear_solve --------------------------------------------------------------
@@ -594,13 +590,13 @@ def test_carried_step_start_is_the_residual_at_tau_init(monkeypatch, cfg):
     def bits(a):
         return np.asarray(a, dtype=float).tobytes()
 
-    def checked(system, dt, s_prev, tau_init, config, callback=None, start=None):
+    def checked(system, dt, s_prev, tau_init, eps, callback=None, start=None):
         calls.append((dt, start is not None))
         if start is not None:
             f, ev = residual(system, dt, s_prev, tau_init)
             assert bits(step_residual(system, dt, s_prev, start)) == bits(f)
             assert all(bits(a) == bits(b) for a, b in zip(start, ev))
-        out = solve(system, dt, s_prev, tau_init, config, callback, start)
+        out = solve(system, dt, s_prev, tau_init, eps, callback, start)
         if start is not None:
             assert out[2].residual_history[0] == float(np.sum(np.abs(f)))
         if len(calls) == 3:  # reject the third step's first attempt: it is retried at dt/2
@@ -653,9 +649,8 @@ def test_shuffled_mesh_keeps_the_method_properties(shuffled_40x40):
         res = run(replace(preset_test2(eps=1e-6, formulation=form,
                                        mesh_size=f"file:{shuffled_40x40}"), t_end=2e4))
         assert res.converged and len(res.iters_per_step) == 20
-        sats = res.trajectory.saturations()
-        assert min(float(s.min()) for s in sats) >= 0.0
-        assert max(float(s.max()) for s in sats) <= 1.0
+        sats, _ = res.trajectory.fields()
+        assert sats.min() >= 0.0 and sats.max() <= 1.0
         mass[form] = res.mass_err
     assert mass["tau"] <= 1e-10
     assert mass["u"] >= 1e6 * max(mass["tau"], np.finfo(float).eps)
