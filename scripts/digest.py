@@ -6,10 +6,10 @@ workload, its Newton iteration total and the first 16 hex digits of a
 SHA-256 over every run's iterations per step, Newton residual histories,
 tau levels and (err_s, err_u, mass_err).  On mmatrix-audit it also covers
 each audited Jacobian (CSC data, indices, indptr) and each M-matrix
-report's (is_column_wise, max_path_length, violations).  Two checkouts that
-print the same lines computed the same numbers, bit for bit.  As in
-`bench/run.py`, BLAS runs on one thread and the solver is imported from
-`src/` next to this directory.
+report's `path_lengths` bytes and (is_column_wise, max_path_length,
+violations).  Two checkouts that print the same lines computed the same
+numbers, bit for bit.  As in `bench/run.py`, BLAS runs on one thread and
+the solver is imported from `src/` next to this directory.
 
 Usage (from the repository root):
 
@@ -46,6 +46,7 @@ def digest(results, audits=()) -> str:
     for J, rep in audits:
         for a in (J.data, J.indices, J.indptr):
             h.update(a.tobytes())
+        h.update(np.asarray(rep.path_lengths, dtype=float).tobytes())
         h.update(repr((rep.is_column_wise, rep.max_path_length, rep.violations)).encode())
     return h.hexdigest()[:16]
 

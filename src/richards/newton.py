@@ -9,8 +9,10 @@ scheme is a column-wise (delta, Delta)-M-matrix for non-degenerate
 parametrizations, which yields a uniform bound on ||J^{-1}||_1; the
 analysis utilities here verify the conditions and compute the bound on
 concrete matrices.  ``mmatrix_analyze`` does so in one whole-array pass
-over the matrix's COO entries and one multi-source shortest-path search
-from I_delta, and its report keeps each column's delta-transmissive path
+over the matrix's CSC arrays and a level-synchronous breadth-first search
+from I_delta, one numpy pass over the delta-transmissive arcs per level
+(about 10 us on a 20x20 Jacobian, so a chain anchored at one end is the
+worst case), and its report keeps each column's delta-transmissive path
 length and the violated conditions.
 
 The scheme gives the Jacobian as its diagonal plus one coupling per side
@@ -69,7 +71,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dgbsv, dpbsv
-from scipy.sparse.csgraph import dijkstra
 
 from .mesh import Mesh
 from .scheme import Assembly, Evaluation, SolvePlan, jacobian, residual, step_residual
@@ -276,26 +277,39 @@ def mmatrix_analyze(A, delta: float, Delta: float) -> MMatrixReport:
     Verifies sign pattern, diagonal bounds, nonnegative column sums, a
     nonempty strongly-dominant column set I_delta (column sum >= delta),
     and for every column outside I_delta a delta-transmissive path to
-    I_delta: one unweighted multi-source shortest-path search from I_delta
-    along the arcs j -> i with A[j, i] < -delta, i.e. paths in A^T.  Every
-    test allows the roundoff slack atol = ATOL_SCALE * max(Delta, 1).
+    I_delta.  Every test allows the roundoff slack
+    atol = ATOL_SCALE * max(Delta, 1).
+
+    A is read as CSC (``sp.csc_matrix``, which shares a CSC input's arrays
+    and sums the duplicate entries of a COO one; a CSC input is read as
+    stored) in one pass over its entries: the diagonal, the signs, and the
+    column sums by ``np.bincount`` in storage order.  The paths come from a
+    level-synchronous breadth-first search from I_delta along the arcs
+    j -> i with A[j, i] < -delta, i.e. paths in A^T: each level gathers the
+    targets of the arcs leaving the current front, and those not reached
+    before get the level and form the next front.  A level is one pass over
+    the arcs, about 10 us on a 20x20 Jacobian, so the cost grows with the
+    longest path L.  A chain anchored at one end (L = n - 1) is the worst
+    case: 2.6-4.6 ms at n = 400, where scipy's ``dijkstra`` took 0.3-0.5 ms.
     """
-    A = sp.coo_matrix(A)
+    A = sp.csc_matrix(A)
     n = A.shape[0]
     if A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
     atol = ATOL_SCALE * max(Delta, 1.0)
     violations = []
 
+    row, data = A.indices, A.data
+    col = np.repeat(np.arange(n), np.diff(A.indptr))
     diag = A.diagonal()
     if diag.min() < delta - atol:
         violations.append(f"diagonal entry {float(diag.min())!r} below delta = {delta!r}")
     if diag.max() > Delta + atol:
         violations.append(f"diagonal entry {float(diag.max())!r} above Delta = {Delta!r}")
-    off = A.row != A.col
-    if np.any(A.data[off] > atol):
-        violations.append(f"positive off-diagonal entry {float(A.data[off].max())!r}")
-    colsum = np.bincount(A.col, weights=A.data, minlength=n)
+    off = row != col
+    if np.any(data[off] > atol):
+        violations.append(f"positive off-diagonal entry {float(data[off].max())!r}")
+    colsum = np.bincount(col, weights=data, minlength=n)
     if np.any(colsum < -atol):
         violations.append(f"negative column sum {float(colsum.min())!r}")
 
@@ -303,9 +317,18 @@ def mmatrix_analyze(A, delta: float, Delta: float) -> MMatrixReport:
     if strong.size == 0:
         violations.append("I_delta is empty")
         return MMatrixReport(np.full(n, np.inf), violations)
-    arc = off & (A.data < -(delta - atol))
-    G = sp.csr_matrix((np.ones(arc.sum()), (A.row[arc], A.col[arc])), shape=(n, n))
-    path_lengths = dijkstra(G, indices=strong, unweighted=True, min_only=True)
+    arc = off & (data < -(delta - atol))
+    src, dst = row[arc], col[arc]
+    path_lengths = np.full(n, np.inf)
+    front = np.zeros(n, dtype=bool)
+    reached, level = strong, 0
+    while reached.size:
+        path_lengths[reached] = level
+        front[:] = False
+        front[reached] = True
+        reached = dst[front[src]]
+        reached = reached[np.isinf(path_lengths[reached])]
+        level += 1
     violations += [f"column {i}: no delta-transmissive path to I_delta"
                    for i in np.flatnonzero(np.isinf(path_lengths)).tolist()]
     return MMatrixReport(path_lengths, violations)
@@ -326,9 +349,8 @@ def jacobian_bounds(mesh: Mesh, dt: float, alpha_low: float, alpha_high: float,
     gn = (mesh.edge_normal @ g)[e] * sign  # g . n_{K,sigma}
     a_min = np.full(mesh.n_cells, np.inf)
     np.minimum.at(a_min, cells, mesh.edge_A[e])
-    load = np.zeros(mesh.n_cells)
-    np.add.at(load, cells,
-              mesh.edge_measure[e] * np.maximum(gn, 0.0) * lam_prime_max + mesh.edge_A[e])
+    load = np.bincount(cells, weights=mesh.edge_measure[e] * np.maximum(gn, 0.0) * lam_prime_max
+                       + mesh.edge_A[e], minlength=mesh.n_cells)
     delta = alpha_low * min(1.0, dt * float(np.min(a_min / mesh.cell_volumes)))
     Delta = alpha_high * float(np.max(1.0 + dt / mesh.cell_volumes * load))
     return delta, Delta

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import dijkstra
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -766,14 +767,29 @@ def anchored_graphs(draw):
     return A, anchors
 
 
-@given(anchored_graphs(), st.sampled_from([np.asarray, sp.csr_matrix, sp.csc_matrix]))
+def halves(A):
+    """A (dense) in COO form with each off-diagonal entry x stored twice, as
+    x/2 and x/2, whose sum is x exactly."""
+    r, c = np.nonzero(A)
+    off = r != c
+    x = A[r, c]
+    return sp.coo_matrix((np.concatenate([np.where(off, x / 2, x), x[off] / 2]),
+                          (np.concatenate([r, r[off]]), np.concatenate([c, c[off]]))),
+                         shape=A.shape)
+
+
+@given(anchored_graphs(), st.sampled_from([np.asarray, sp.csr_matrix, sp.csc_matrix, halves]))
 @settings(max_examples=80, deadline=None)
 def test_random_anchored_graph_path_lengths(graph, form):
     # path lengths are the breadth-first distances from the anchors, I_delta
     # is where they are 0, and each column no path reaches is inf and named
-    # by exactly one violation
+    # by exactly one violation; every storage form gives the dense form's report
     A, anchors = graph
-    rep = mmatrix_analyze(form(A), delta=1.0, Delta=float(A.diagonal().max()) + 1.0)
+    Delta = float(A.diagonal().max()) + 1.0
+    rep = mmatrix_analyze(form(A), delta=1.0, Delta=Delta)
+    dense = mmatrix_analyze(A, delta=1.0, Delta=Delta)
+    np.testing.assert_array_equal(rep.path_lengths, dense.path_lengths)
+    assert rep.violations == dense.violations
     dist = bfs_path_lengths(A, anchors, 1.0)
     np.testing.assert_array_equal(rep.path_lengths, dist)
     assert np.flatnonzero(rep.path_lengths == 0).tolist() == anchors
@@ -781,6 +797,84 @@ def test_random_anchored_graph_path_lengths(graph, form):
     assert no_path == [f"column {i}: no delta-transmissive path to I_delta"
                        for i in np.flatnonzero(np.isinf(dist))]
     assert rep.max_path_length == int(dist[np.isfinite(dist)].max())
+
+
+def test_duplicate_coo_entries_are_summed():
+    # diagonal 2, off-diagonal -2, with the (0, 1) entry stored as +1 and -3:
+    # the COO form is the dense one, not a positive off-diagonal entry
+    A = np.array([[2.0, -2.0], [-2.0, 2.0]])
+    coo = sp.coo_matrix(([2.0, 1.0, -3.0, -2.0, 2.0], ([0, 0, 0, 1, 1], [0, 1, 1, 0, 1])),
+                        shape=(2, 2))
+    want = mmatrix_analyze(A, delta=1.0, Delta=3.0)
+    assert want.violations == ["I_delta is empty"]
+    for form in (coo, sp.csc_matrix(A), sp.csr_matrix(A)):
+        rep = mmatrix_analyze(form, delta=1.0, Delta=3.0)
+        np.testing.assert_array_equal(rep.path_lengths, want.path_lengths)
+        assert rep.violations == want.violations
+
+
+def test_long_chain_path_lengths():
+    # a 400-cell chain anchored at one end: one path of length 399, one
+    # breadth-first level per cell
+    n, delta = 400, 1.0
+    L = np.zeros((n, n))
+    i = np.arange(n - 1)
+    L[i, i + 1] = L[i + 1, i] = -2.0
+    L[np.diag_indices(n)] = -L.sum(axis=0)
+    L[0, 0] += delta
+    rep = mmatrix_analyze(sp.csc_matrix(L), delta=delta, Delta=6.0)
+    assert rep.is_column_wise, rep.violations
+    np.testing.assert_array_equal(rep.path_lengths, bfs_path_lengths(L, [0], delta))
+    assert rep.max_path_length == n - 1
+
+
+def dijkstra_path_lengths(J, delta, Delta) -> np.ndarray:
+    """Path lengths of J from scipy's multi-source unweighted dijkstra over
+    the arc graph, I_delta and the arcs read from J's COO entries."""
+    A = sp.coo_matrix(J)
+    atol = N.ATOL_SCALE * max(Delta, 1.0)
+    strong = np.bincount(A.col, weights=A.data, minlength=A.shape[0]) >= delta - atol
+    arc = (A.row != A.col) & (A.data < -(delta - atol))
+    G = sp.csr_matrix((np.ones(arc.sum()), (A.row[arc], A.col[arc])), shape=A.shape)
+    return dijkstra(G, indices=np.flatnonzero(strong), unweighted=True, min_only=True)
+
+
+def test_infiltration_jacobians_match_dijkstra():
+    # every callback Jacobian of test1 20x20 to t = 0.7, whose paths grow
+    # past 20 levels as the front moves down
+    cfg = preset_test1(beta=4.0, eps=1e-6)
+    mesh = H.build_mesh(cfg)
+    audits = []
+
+    def audit(k, tau, res, J):
+        delta, Delta = jacobian_bounds(mesh, cfg.dt, 1.0, 1.0, 3.0 + 2.0 / cfg.beta, cfg.gravity)
+        audits.append((J, delta, Delta))
+
+    run(cfg, mesh=mesh, callback=audit)
+    lengths = []
+    for J, delta, Delta in audits:
+        rep = mmatrix_analyze(J, delta, Delta)
+        np.testing.assert_array_equal(rep.path_lengths, dijkstra_path_lengths(J, delta, Delta))
+        assert rep.violations == []
+        lengths.append(rep.max_path_length)
+    assert max(lengths) >= 20
+
+
+def test_csc_input_is_left_unchanged():
+    # a CSC input is read in place, its rows in reverse order in each column
+    A = np.array([[3.0, -1.0, 0.0], [-2.0, 2.0, -2.0], [0.0, -1.0, 2.5]])
+    rows = [np.flatnonzero(A[:, j])[::-1] for j in range(3)]
+    indices = np.concatenate(rows).astype(np.int32)
+    data = A[indices, np.repeat(np.arange(3), [r.size for r in rows])]
+    indptr = np.concatenate([[0], np.cumsum([r.size for r in rows])]).astype(np.int32)
+    J = sp.csc_matrix((data, indices, indptr), shape=(3, 3))
+    before = [a.copy() for a in (J.data, J.indices, J.indptr)]
+    rep = mmatrix_analyze(J, delta=0.5, Delta=3.0)
+    for a, b in zip((J.data, J.indices, J.indptr), before):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(rep.path_lengths, [0.0, 1.0, 0.0])
+    assert rep.violations == []
 
 
 def test_violations_detected():
