@@ -130,6 +130,14 @@ def linear_solve(plan: SolvePlan, diag, off, b, m=None, u_p=None) -> np.ndarray:
     x_K = (b_K - sum_L A_KL x_L) / A_KK, the sum over the wet L.  With every
     column wet the block is A; with none, nothing is factored.
 
+    The set-up goes by the plan's edges (``plan.pair``), so past the wet
+    test it costs what the wet block costs: the block takes the couplings of
+    the edges whose two cells are wet, placed by ``plan.positions``, and the
+    dry pass sums only the couplings of the edges with one wet cell, from
+    the wet column into the dry row, in their order in off (as a sum over
+    every coupling would, so it rounds the same).  With every column wet, the
+    bandwidth and the places are the plan's own (``plan.kd``, ``plan.band``).
+
     The plan says how the block is factored.  By default, ``dgbsv`` (band
     LU) factors A's block; partial pivoting makes no row swap, since the
     scheme's Jacobian is diagonally dominant by columns.  When
@@ -155,42 +163,49 @@ def linear_solve(plan: SolvePlan, diag, off, b, m=None, u_p=None) -> np.ndarray:
     wet = ~np.isfinite(diag)
     wet[cols[~(np.abs(off) <= (DROP * diag)[cols])]] = True  # nan is wet
     x = np.zeros(n)
-    wet_p = wet[plan.order]  # W in the plan's order
-    w = plan.order[wet_p]
+    w = plan.order[wet[plan.order]]  # W in the plan's order
+    if w.size == n:  # the plan's bandwidth and places
+        q, k, band = plan.pair, plan.kd, plan.band
+    elif w.size:
+        wet_c = wet.take(cols).reshape(2, -1)  # per edge K|L: whether L, then K, is wet
+        q = plan.pair.take(np.flatnonzero(wet_c[0] & wet_c[1]), axis=1)  # the edges inside W
+        place = np.empty(n, dtype=np.intp)
+        place[w] = np.arange(w.size)
+        p = place[cols[q]]  # the places in W of each edge's earlier and later cell
+        k = int((p[1] - p[0]).max(initial=0))
+        band = plan.positions(p, k)
     if w.size:
-        rank = (np.cumsum(wet_p) - 1)[plan.rank]  # position in W of each wet cell
-        keep = plan.entries[wet[rows[plan.entries]] & wet[cols[plan.entries]]]
-        i, j = rank[rows[keep]], rank[cols[keep]]  # A[i, j] = off[keep] of the W x W block
         if plan.symmetric:  # B y = m b with B = diag(m) A diag(u')^-1, y = u' x
             m_w, u_w = m[w], u_p[w]
             # lower storage: with two OpenBLAS threads, dpbsv of the upper
             # triangle took about 4 times as long as with one; the lower one did not
-            kd = int((i - j).max(initial=0))
-            ab = np.zeros((kd + 1) * w.size)
-            ab[::kd + 1] = diag[w] * m_w / u_w  # B[i, i] in row 0
-            ab[i - j + (kd + 1) * j] = off[keep] * m_w[i] / u_w[j]  # B[i, j], i > j
-            _, y, info = dpbsv(ab.reshape((kd + 1, w.size), order="F"), m_w * b[w],
+            ab = np.zeros((k + 1) * w.size)
+            ab[::k + 1] = diag[w] * m_w / u_w  # B[i, i] in row 0
+            q = q[0]  # A[i, j] with i > j: B[i, j] = m_i A[i, j] / u'_j
+            ab[band] = off.take(q) * m.take(rows.take(q)) / u_p.take(cols.take(q))
+            _, y, info = dpbsv(ab.reshape((k + 1, w.size), order="F"), m_w * b[w],
                                lower=1, overwrite_ab=True)
             x[w] = y / u_w
             failure = "band Cholesky factorization failed: the pivot of cell {} is not positive"
         else:
-            kl, ku = int((i - j).max(initial=0)), int((j - i).max(initial=0))
-            ldab = 2 * kl + ku + 1
+            ldab = 3 * k + 1
             ab = np.zeros(ldab * w.size)
-            ab[kl + ku::ldab] = diag[w]  # A[i, i] in row kl + ku
-            ab[kl + ku + i - j + ldab * j] = off[keep]  # A[i, j] in row kl + ku + i - j
-            _, _, x[w], info = dgbsv(kl, ku, ab.reshape((ldab, w.size), order="F"), b[w],
+            ab[2 * k::ldab] = diag[w]  # A[i, i] in row 2k
+            ab[band] = off.take(q)
+            _, _, x[w], info = dgbsv(k, k, ab.reshape((ldab, w.size), order="F"), b[w],
                                      overwrite_ab=True)
             failure = "band LU factorization failed: the pivot of cell {} is exactly zero"
         if info > 0:
             raise SingularJacobianError(failure.format(w[info - 1]))
-    dry = np.flatnonzero(~wet)
-    if dry.size:  # x_K = (b_K - sum_L A_KL x_L) / A_KK over the wet L
-        if np.any(diag[dry] == 0.0):
-            raise SingularJacobianError(f"dry column {dry[diag[dry] == 0.0][0]} has a zero "
-                                        "diagonal")
-        below = np.bincount(rows, weights=off * x[cols], minlength=n)
-        x[dry] = (b[dry] - below[dry]) / diag[dry]
+    if w.size < n:  # x_K = (b_K - sum_L A_KL x_L) / A_KK over the wet L
+        dry = ~wet
+        if not (diag.all() or diag[dry].all()):
+            raise SingularJacobianError(f"dry column {np.flatnonzero(dry & (diag == 0.0))[0]} "
+                                        "has a zero diagonal")
+        if w.size:  # the couplings from a wet column into a dry row, in their order
+            c = np.flatnonzero(wet_c > wet_c[::-1])
+            b = b - np.bincount(rows[c], weights=off[c] * x[cols[c]], minlength=n)
+        np.divide(b, diag, out=x, where=dry)
     return x
 
 

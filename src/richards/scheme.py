@@ -113,29 +113,50 @@ def discretize_initial(s0: InitialField | float, mesh: Mesh, param: Parametrizat
 class SolvePlan:
     """The cell order in which n x n matrices with fixed couplings are factored, and how.
 
-    Worked out once from the couplings' rows and columns (``rows``,
-    ``cols``: off-diagonal entries, no pair twice) and from ``symmetric``:
-    whether the matrices solved on it are gravity-free Jacobians, which a
-    diagonal scaling makes symmetric positive definite
-    (``newton.linear_solve``).  ``order`` lists the cells in reverse
-    Cuthill-McKee order (Cuthill & McKee 1969; George & Liu, Computer
-    Solution of Large Sparse Positive Definite Systems, 1981): level by
-    level of a breadth-first search, so each coupling joins cells of one
-    level or of neighbouring ones.  On a box mesh, in any numbering, the
-    bandwidth is then about the cell count of the narrower side (40 on
-    40x40, 10 on 160x10).  ``rank`` is each cell's position in that order.
-    ``entries`` are the couplings the factorization reads: all of them for
-    LU, those below the diagonal in that order for Cholesky.
+    The couplings are given per edge K|L (``K``, ``L``; no pair twice), one
+    per side: rows [K, L] and columns [L, K] (``rows``, ``cols``).  The plan
+    is worked out once from them and from ``symmetric``: whether the
+    matrices solved on it are gravity-free Jacobians, which a diagonal
+    scaling makes symmetric positive definite (``newton.linear_solve``).
+    ``order`` lists the cells in reverse Cuthill-McKee order (Cuthill &
+    McKee 1969; George & Liu, Computer Solution of Large Sparse Positive
+    Definite Systems, 1981): level by level of a breadth-first search, so
+    each coupling joins cells of one level or of neighbouring ones.  On a
+    box mesh, in any numbering, the bandwidth is then about the cell count
+    of the narrower side (40 on 40x40, 10 on 160x10).
+
+    ``pair`` holds each edge's two couplings as indices into rows and cols:
+    first the one below the diagonal in that order (row the later cell,
+    column the earlier one), then the one above.  A block of cells factored
+    in that order reads, per edge inside it, both couplings for LU and the
+    one below for Cholesky.  ``kd`` and ``band`` are the bandwidth and the
+    places of those couplings in the band storage (``positions``) of the
+    whole matrix, for a solve in which every cell is factored.
     """
 
-    def __init__(self, n: int, rows, cols, symmetric: bool = False):
+    def __init__(self, n: int, K, L, symmetric: bool = False):
+        K, L = np.asarray(K, dtype=np.intp), np.asarray(L, dtype=np.intp)
         self.n, self.symmetric = n, symmetric
-        self.rows, self.cols = rows, cols
-        pattern = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+        self.rows, self.cols = np.concatenate([K, L]), np.concatenate([L, K])
+        pattern = sp.csr_matrix((np.ones(self.rows.size), (self.rows, self.cols)), shape=(n, n))
         self.order = reverse_cuthill_mckee(pattern, symmetric_mode=True).astype(np.intp)
-        self.rank = np.argsort(self.order)
-        below = self.rank[rows] > self.rank[cols]
-        self.entries = np.flatnonzero(below) if symmetric else np.arange(rows.size)
+        rank = np.argsort(self.order)
+        e = np.arange(K.size)
+        self.pair = np.where(rank[K] > rank[L], [e, e + K.size], [e + K.size, e])
+        p = rank[self.cols[self.pair]]  # each edge's earlier cell, then its later one
+        self.kd = int((p[1] - p[0]).max(initial=0))
+        self.band = self.positions(p, self.kd)
+
+    def positions(self, p, k: int) -> np.ndarray:
+        """The places of the couplings ``pair[:, e]`` of the edges e of a block in
+        its column-major band storage, given p = the places in the block of
+        each edge's earlier cell (p[0]) and later cell (p[1]), and the block's
+        bandwidth k.  LU (``dgbsv``, 3k + 1 rows): A[i, j] in row 2k + i - j, for
+        both couplings.  Cholesky (``dpbsv``, lower, k + 1 rows): B[i, j] in
+        row i - j, for the coupling below the diagonal alone."""
+        if self.symmetric:
+            return k * p[0] + p[1]
+        return 3 * k * p + p[::-1] + 2 * k
 
 
 class Assembly:
@@ -185,8 +206,7 @@ class Assembly:
         # the cells of jacobian()'s diagonal terms: s', then the flux terms
         self.diag_cells = np.concatenate([np.arange(mesh.n_cells), self.flux_cells])
         # with no gravity term on any edge, diag(m) J diag(u')^-1 is symmetric
-        self.plan = SolvePlan(mesh.n_cells, np.concatenate([K, L]), np.concatenate([L, K]),
-                              symmetric=not self.gravity)
+        self.plan = SolvePlan(mesh.n_cells, K, L, symmetric=not self.gravity)
 
     @cached_property
     def _csc(self):

@@ -151,26 +151,28 @@ def test_config_validation():
 
 
 def split(A):
-    """(diagonal, rows, columns, values) of A: its diagonal, and its
-    off-diagonal entries in CSC order."""
+    """(diagonal, K, L, couplings) of A: the edges K|L (K < L) of the pairs of
+    cells that A couples in either direction, and the couplings in a
+    SolvePlan's layout, A[K, L] and then A[L, K] (zero where A stores none)."""
     A = sp.csc_matrix(A)
-    rows = A.indices
-    cols = np.repeat(np.arange(A.shape[1]), np.diff(A.indptr))
-    off = rows != cols
-    return A.diagonal(), rows[off], cols[off], A.data[off]
+    P = sp.csc_matrix((np.ones(A.nnz), A.indices, A.indptr), shape=A.shape)
+    edges = sp.triu(P + P.T, k=1).tocoo()
+    K, L = edges.row.astype(np.intp), edges.col.astype(np.intp)
+    off = np.asarray(A[np.concatenate([K, L]), np.concatenate([L, K])]).ravel()
+    return A.diagonal(), K, L, off
 
 
 def plan_of(A, symmetric=False):
     """The SolvePlan of A's off-diagonal pattern."""
-    _, rows, cols, _ = split(A)
-    return SolvePlan(A.shape[0], rows, cols, symmetric=symmetric)
+    _, K, L, _ = split(A)
+    return SolvePlan(A.shape[0], K, L, symmetric=symmetric)
 
 
 def solve_on(plan, A, b, m=None, u_p=None):
     """linear_solve of A x = b on plan, made from A's pattern or an equal one."""
-    diag, rows, cols, off = split(A)
-    np.testing.assert_array_equal(rows, plan.rows)
-    np.testing.assert_array_equal(cols, plan.cols)
+    diag, K, L, off = split(A)
+    np.testing.assert_array_equal(np.concatenate([K, L]), plan.rows)
+    np.testing.assert_array_equal(np.concatenate([L, K]), plan.cols)
     return linear_solve(plan, diag, off, b, m, u_p)
 
 
@@ -204,7 +206,7 @@ def test_matches_dense_reference():
 
 
 def graph_system(n, seed, dry_share, symmetric):
-    """(diag, rows, cols, off, m, u', J) of a random connected graph of n cells.
+    """(diag, K, L, off, m, u', J) of a random connected graph of n cells.
 
     J = diag(s') + diag(dt/m) Lambda diag(u'), with Lambda the Laplacian of
     the edge transmissibilities A plus a Dirichlet term on some diagonal
@@ -237,7 +239,7 @@ def graph_system(n, seed, dry_share, symmetric):
         np.add.at(J, (up, up), c)
         np.add.at(J, (down, up), -c)
     rows, cols = np.concatenate([K, L]), np.concatenate([L, K])
-    return np.diag(J), rows, cols, J[rows, cols], m, u_p, J
+    return np.diag(J), K, L, J[rows, cols], m, u_p, J
 
 
 @given(st.integers(1, 60), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0), st.booleans())
@@ -245,13 +247,15 @@ def graph_system(n, seed, dry_share, symmetric):
 def test_random_graph_solve_matches_dense(n, seed, dry_share, symmetric):
     # band Cholesky (given m and u') of a gravity-free Jacobian, or band LU
     # of one with upwind terms, on any connected pattern: the wet block in
-    # the plan's order and the dry pass agree with the dense solve
-    diag, rows, cols, off, m, u_p, J = graph_system(n, seed, dry_share, symmetric)
-    plan = SolvePlan(n, rows, cols, symmetric=symmetric)
+    # the plan's order and the dry pass agree with the dense solve, and bit
+    # for bit with the set-up over every coupling (all wet, none, or some)
+    diag, K, L, off, m, u_p, J = graph_system(n, seed, dry_share, symmetric)
+    plan = SolvePlan(n, K, L, symmetric=symmetric)
     b = np.random.default_rng(seed).standard_normal(n)
     x = linear_solve(plan, diag, off, b, *((m, u_p) if symmetric else ()))
     ref = np.linalg.solve(J, b)
     assert np.linalg.norm(x - ref, np.inf) <= 1e-12 * np.linalg.norm(ref, np.inf)
+    assert np.array_equal(x, solve_over_every_coupling(plan, diag, off, b, m, u_p)[0])
 
 
 def count_lu(monkeypatch) -> dict:
@@ -280,8 +284,9 @@ def bandwidth(A) -> int:
 def plan_bandwidths(plan) -> tuple:
     """Bandwidth of the plan's pattern in the cells' own numbering and in
     the plan's order."""
+    rank = np.argsort(plan.order)
     return (int(np.abs(plan.rows - plan.cols).max()),
-            int(np.abs(plan.rank[plan.rows] - plan.rank[plan.cols]).max()))
+            int(np.abs(rank[plan.rows] - rank[plan.cols]).max()))
 
 
 NUMBERINGS = ["natural", "shuffled"]
@@ -407,6 +412,122 @@ def test_wet_set_solve_matches_the_full_solve(monkeypatch, config, kind, wet_set
         ref = np.linalg.solve(J.toarray(), b) if n < 1000 else spla.spsolve(J, b)
         assert np.linalg.norm(x - ref, np.inf) <= 1e-12 * np.linalg.norm(ref, np.inf)
     assert calls == route
+
+
+def solve_over_every_coupling(plan, diag, off, b, m=None, u_p=None):
+    """(x, |W|): linear_solve with the set-up it had over every coupling, kept
+    as the bit-level oracle of the per-edge one.  Each wet cell's place in W
+    comes from a cumsum over every cell in the plan's order, the W x W
+    couplings are picked from the plan's entries (every coupling for LU,
+    those below the diagonal in the plan's order for Cholesky) by gathers
+    over all of them, and the dry pass is one bincount over every coupling.
+    LAPACK is called through the newton module, as linear_solve calls it."""
+    b = np.asarray(b, dtype=float)
+    n, rows, cols = plan.n, plan.rows, plan.cols
+    plan_rank = np.argsort(plan.order)
+    below_diag = plan_rank[rows] > plan_rank[cols]
+    entries = np.flatnonzero(below_diag) if plan.symmetric else np.arange(rows.size)
+    wet = ~np.isfinite(diag)
+    wet[cols[~(np.abs(off) <= (N.DROP * diag)[cols])]] = True
+    x = np.zeros(n)
+    wet_p = wet[plan.order]
+    w = plan.order[wet_p]
+    if w.size:
+        rank = (np.cumsum(wet_p) - 1)[plan_rank]
+        keep = entries[wet[rows[entries]] & wet[cols[entries]]]
+        i, j = rank[rows[keep]], rank[cols[keep]]
+        if plan.symmetric:
+            m_w, u_w = m[w], u_p[w]
+            kd = int((i - j).max(initial=0))
+            ab = np.zeros((kd + 1) * w.size)
+            ab[::kd + 1] = diag[w] * m_w / u_w
+            ab[i - j + (kd + 1) * j] = off[keep] * m_w[i] / u_w[j]
+            _, y, info = N.dpbsv(ab.reshape((kd + 1, w.size), order="F"), m_w * b[w],
+                                 lower=1, overwrite_ab=True)
+            x[w] = y / u_w
+        else:
+            kl, ku = int((i - j).max(initial=0)), int((j - i).max(initial=0))
+            ldab = 2 * kl + ku + 1
+            ab = np.zeros(ldab * w.size)
+            ab[kl + ku::ldab] = diag[w]
+            ab[kl + ku + i - j + ldab * j] = off[keep]
+            _, _, x[w], info = N.dgbsv(kl, ku, ab.reshape((ldab, w.size), order="F"), b[w],
+                                       overwrite_ab=True)
+        assert info == 0
+    dry = np.flatnonzero(~wet)
+    if dry.size:
+        below = np.bincount(rows, weights=off * x[cols], minlength=n)
+        x[dry] = (b[dry] - below[dry]) / diag[dry]
+    return x, w.size
+
+
+def lapack_inputs(monkeypatch) -> list:
+    """Copies of the arguments of every dgbsv and dpbsv call, in call order."""
+    seen = []
+
+    def recorder(lapack):
+        def recorded(*args, **kwargs):
+            seen.append((lapack.__name__, [np.array(a) for a in args], kwargs))
+            return lapack(*args, **kwargs)
+
+        return recorded
+
+    for name in ("dgbsv", "dpbsv"):
+        monkeypatch.setattr(N, name, recorder(getattr(N, name)))
+    return seen
+
+
+def captured_solves(monkeypatch, config) -> list:
+    """(plan, diag, off, b, m, u') of every linear_solve of a run of config."""
+    seen = []
+
+    def capture(plan, diag, off, b, m=None, u_p=None):
+        seen.append((plan, diag, off, b, m, u_p))
+        return solve(plan, diag, off, b, m, u_p)
+
+    solve = N.linear_solve
+    monkeypatch.setattr(N, "linear_solve", capture)
+    run(config)
+    monkeypatch.setattr(N, "linear_solve", solve)
+    return seen
+
+
+@pytest.mark.parametrize("config,kind,wet_set", [
+    (short_test1("20x20", 0.03), "natural", "partial"),
+    (short_test1("80x80", 0.01), "natural", "partial"),
+    (short_test2("40x40"), "natural", "all"),
+    (short_test2(dt=0.01, t_end=0.03), "natural", "partial"),
+    (short_test1("20x20", 0.03), "shuffled", "partial"),
+], ids=["test1-20x20", "test1-80x80", "test2-40x40", "test2-20x20-small-dt",
+        "test1-20x20-shuffled"])
+def test_per_edge_setup_gives_the_bits_of_the_setup_over_every_coupling(monkeypatch, config,
+                                                                        kind, wet_set):
+    # every correction of a short run, in the cells' numbering or renumbered
+    # at random (edge order and couplings kept): the same band storage reaches
+    # LAPACK, and the same x comes back, bit for bit
+    solves = captured_solves(monkeypatch, config)
+    plan = solves[0][0]
+    n, ni = plan.n, plan.rows.size // 2
+    perm = numbering(kind, n)
+    new = np.argsort(perm)
+    plan = SolvePlan(n, new[plan.rows[:ni]], new[plan.cols[:ni]], symmetric=plan.symmetric)
+    lapack = lapack_inputs(monkeypatch)
+    wet = []
+    for _, diag, off, b, m, u_p in solves:
+        args = (diag[perm], off, b[perm], *(None if v is None else v[perm] for v in (m, u_p)))
+        x = linear_solve(plan, *args)
+        ref, w = solve_over_every_coupling(plan, *args)
+        assert np.array_equal(x, ref)
+        wet.append(w)
+    if wet_set == "all":
+        assert min(wet) == n
+    else:
+        assert max(wet) > 0 and min(wet) < n and any(0 < w < n for w in wet)
+    assert len(lapack) == 2 * sum(w > 0 for w in wet)
+    for (name, args, kwargs), (ref_name, ref_args, ref_kwargs) in zip(lapack[::2], lapack[1::2]):
+        assert name == ref_name and kwargs == ref_kwargs and len(args) == len(ref_args)
+        for a, r in zip(args, ref_args):
+            assert a.dtype == r.dtype and a.shape == r.shape and np.array_equal(a, r)
 
 
 @pytest.mark.parametrize("kind", NUMBERINGS)
