@@ -358,7 +358,7 @@ def run(config: RunConfig, mesh: Mesh | None = None, callback=None) -> RunResult
 
 
 def sweep(base_config: RunConfig, betas, epss, formulations,
-          eps_ref: float = EPS_REF_TEST1, callback=None) -> list:
+          eps_ref: float = EPS_REF_TEST1) -> list:
     """Reference run per beta (tau formulation at eps_ref), then the cross
     product over (beta, eps, formulation); failures are recorded rows, not
     exceptions.  Returns RunResults in deterministic order, references first.
@@ -368,7 +368,7 @@ def sweep(base_config: RunConfig, betas, epss, formulations,
     for beta in betas:
         ref_cfg = replace(base_config, beta=beta, eps=eps_ref, formulation="tau")
         mesh = build_mesh(ref_cfg)
-        ref = run(ref_cfg, mesh=mesh, callback=callback)
+        ref = run(ref_cfg, mesh=mesh)
         references[beta] = ref
         results.append(ref)
     for beta in betas:
@@ -376,7 +376,7 @@ def sweep(base_config: RunConfig, betas, epss, formulations,
         for formulation in formulations:
             for eps in epss:
                 cfg = replace(base_config, beta=beta, eps=eps, formulation=formulation)
-                res = run(cfg, mesh=build_mesh(cfg), callback=callback)
+                res = run(cfg, mesh=build_mesh(cfg))
                 if res.converged and ref.converged:
                     res.err_s = linf_l1_error(res.trajectory, ref.trajectory, "saturation")
                     res.err_u = linf_l1_error(res.trajectory, ref.trajectory, "kirchhoff")

@@ -44,12 +44,14 @@ Only the wet set is factored.  Column K of J holds the couplings
 on cell K's state alone.  In a dry zone (s near 1e-6 in the infiltration
 test) u'(tau_K) is near 1e-16, so the A_sigma terms sit near 1e-16 of the
 diagonal, and their fill products in an LU underflow to subnormals.  The
-gravity term need not: on the 20x20 infiltration mesh it is
-0.2 lam'(s) s'(tau) of a diagonal near 1, about 7e-16 at beta = 4 but
-1.1e-13 at beta = 16, above DROP, so there nearly every column is wet.
-Column K is dry when every off-diagonal entry is at most DROP = 1e-14
-times J_KK, and the other columns form the wet set W.  Taking the dry couplings as zero
-makes J block lower triangular in the order [W, dry]: the W x W block is
+gravity term is larger: on the 20x20 infiltration mesh it is
+0.2 lam'(s) s'(tau) of a diagonal near 1, about 7e-16 at beta = 4 and
+1.1e-13 at beta = 16.  Column K is dry when every off-diagonal entry is at
+most DROP = 1e-12 times J_KK, and the other columns form the wet set W.
+So the dry soil stays dry at every beta of the paper's sweep: a short
+20x20 run at beta = 16 factors about as many columns per correction as at
+beta = 4 (47 and 46 on average), where a DROP of 1e-14 left 380 of 400
+wet.  Taking the dry couplings as zero makes J block lower triangular in the order [W, dry]: the W x W block is
 factored alone, W in the plan's order, and each dry cell then costs one
 division.  This is an inexact Newton step (Dembo, Eisenstat & Steihaug,
 SIAM J. Numer. Anal. 19, 1982).  A dry column K has one coupling per
@@ -58,8 +60,11 @@ edge, as no two edges join the same pair of cells
 most DROP x J_KK.  So the mass the dropped matrix E takes from it is at
 most (number of edges of K) x DROP x J_KK, and the correction s solves
 J s = -F up to ||E s||_1 <= (edges per cell) x DROP x ||diag(J) s||_1.
-That forcing term, near 1e-13 relative, lies far below any stopping
-tolerance, so the local quadratic convergence is kept.  With
+That forcing term, 4e-12 relative on a box mesh (four edges per cell),
+lies far below any stopping tolerance, so the local quadratic convergence
+is kept.  A dry cell's diffusive coupling relative to its diagonal grows
+like dt/h^2, so at a fixed dt a fine enough mesh makes every column wet
+again; the threshold sets how fine.  With
 every column wet, W is all cells and the whole Jacobian is factored; with
 none, nothing is.  A callback's J keeps the undropped values.
 """
@@ -91,8 +96,11 @@ __all__ = [
 
 
 # A column whose couplings are all at most DROP times its diagonal is dry:
-# the solve takes those couplings as zero (see the module docstring).
-DROP = 1e-14
+# the solve takes those couplings as zero (see the module docstring).  This
+# leaves a forcing term of (edges per cell) x DROP, 4e-12 relative on a box
+# mesh.  At 1e-14 the dry soil's gravity coupling at beta = 16 (1.1e-13 of
+# the diagonal on 20x20) kept nearly every column wet.
+DROP = 1e-12
 
 # Newton iterations after which a step that has not converged is given up.
 MAX_ITER = 100
@@ -295,10 +303,13 @@ def mmatrix_analyze(A, delta: float, Delta: float) -> MMatrixReport:
     I_delta.  Every test allows the roundoff slack
     atol = ATOL_SCALE * max(Delta, 1).
 
-    A is read as CSC (``sp.csc_matrix``, which shares a CSC input's arrays
-    and sums the duplicate entries of a COO one; a CSC input is read as
-    stored) in one pass over its entries: the diagonal, the signs, and the
-    column sums by ``np.bincount`` in storage order.  The paths come from a
+    A is read as CSC in one pass over its entries.  A CSC input in canonical
+    form (sorted rows in each column, none twice: ``has_canonical_format``,
+    which ``Assembly.matrix`` declares) is read as stored, without a copy; a
+    CSC or CSR input that is not has its duplicate entries summed on a copy
+    first, and ``sp.csc_matrix`` sums those of a COO input.  The pass reads
+    the diagonal, the signs, and the column sums by ``np.bincount`` in
+    storage order.  The paths come from a
     level-synchronous breadth-first search from I_delta along the arcs
     j -> i with A[j, i] < -delta, i.e. paths in A^T: each level gathers the
     targets of the arcs leaving the current front, and those not reached
@@ -307,6 +318,9 @@ def mmatrix_analyze(A, delta: float, Delta: float) -> MMatrixReport:
     longest path L.  A chain anchored at one end (L = n - 1) is the worst
     case: 2.6-4.6 ms at n = 400, where scipy's ``dijkstra`` took 0.3-0.5 ms.
     """
+    if sp.issparse(A) and A.format in ("csc", "csr") and not A.has_canonical_format:
+        A = A.copy()
+        A.sum_duplicates()
     A = sp.csc_matrix(A)
     n = A.shape[0]
     if A.shape[0] != A.shape[1]:

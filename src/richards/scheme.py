@@ -225,11 +225,15 @@ class Assembly:
 
         One gather into ``_csc``, into new arrays, so an in-place scipy call on a
         kept matrix (such as eliminate_zeros) rewrites nothing that is solved later.
+        The layout has sorted rows in each column and no pair twice, and the
+        matrix says so (``has_canonical_format``), so no reader pays to check it.
         """
         order, indices, indptr = self._csc
         n = self.mesh.n_cells
-        return sp.csc_matrix((np.concatenate([diag, off])[order], indices.copy(), indptr.copy()),
-                             shape=(n, n))
+        J = sp.csc_matrix((np.concatenate([diag, off])[order], indices.copy(), indptr.copy()),
+                          shape=(n, n))
+        J.has_canonical_format = True
+        return J
 
 
 class Evaluation(NamedTuple):
