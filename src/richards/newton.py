@@ -51,22 +51,23 @@ most DROP = 1e-12 times J_KK, and the other columns form the wet set W.
 So the dry soil stays dry at every beta of the paper's sweep: a short
 20x20 run at beta = 16 factors about as many columns per correction as at
 beta = 4 (47 and 46 on average), where a DROP of 1e-14 left 380 of 400
-wet.  Taking the dry couplings as zero makes J block lower triangular in the order [W, dry]: the W x W block is
-factored alone, W in the plan's order, and each dry cell then costs one
-division.  This is an inexact Newton step (Dembo, Eisenstat & Steihaug,
-SIAM J. Numer. Anal. 19, 1982).  A dry column K has one coupling per
-edge, as no two edges join the same pair of cells
-(``mesh.validate_admissibility`` refuses a mesh where two do), each at
-most DROP x J_KK.  So the mass the dropped matrix E takes from it is at
-most (number of edges of K) x DROP x J_KK, and the correction s solves
-J s = -F up to ||E s||_1 <= (edges per cell) x DROP x ||diag(J) s||_1.
-That forcing term, 4e-12 relative on a box mesh (four edges per cell),
-lies far below any stopping tolerance, so the local quadratic convergence
-is kept.  A dry cell's diffusive coupling relative to its diagonal grows
-like dt/h^2, so at a fixed dt a fine enough mesh makes every column wet
-again; the threshold sets how fine.  With
-every column wet, W is all cells and the whole Jacobian is factored; with
-none, nothing is.  A callback's J keeps the undropped values.
+wet.  Taking the dry couplings as zero makes J block lower triangular in
+the order [W, dry]: the W x W block is factored alone, W in the plan's
+order, and each dry cell then costs one division.  This is an inexact
+Newton step (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982).
+A dry column K has one coupling per edge, as no two edges join the same
+pair of cells (``mesh.validate_admissibility`` refuses a mesh where two
+do), each at most DROP x J_KK.  So the mass the dropped matrix E takes
+from it is at most (number of edges of K) x DROP x J_KK, and the
+correction s solves J s = -F up to
+||E s||_1 <= (edges per cell) x DROP x ||diag(J) s||_1.  That forcing
+term, 4e-12 relative on a box mesh (four edges per cell), lies far below
+any stopping tolerance, so the local quadratic convergence is kept.  A
+dry cell's diffusive coupling relative to its diagonal grows like dt/h^2,
+so at a fixed dt a fine enough mesh makes every column wet again; the
+threshold sets how fine.  With every column wet, W is all cells and the
+whole Jacobian is factored; with none, nothing is.  A callback's J keeps
+the undropped values.
 """
 
 from __future__ import annotations
