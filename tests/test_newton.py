@@ -340,8 +340,8 @@ def wet_columns(J):
 @pytest.mark.parametrize("kind", NUMBERINGS)
 def test_scheme_jacobian_is_solved_in_either_numbering(monkeypatch, kind):
     # the seventh Jacobian of a test1 run on 20x20, with 36 of its 400
-    # columns wet (37 with DROP = 1e-14): bandwidth 20 in natural order, far
-    # more in a random one, and 20 in the plan's order for both
+    # columns wet (a count that follows from DROP): bandwidth 20 in natural
+    # order, far more in a random one, and 20 in the plan's order for both
     J = jacobians(replace(preset_test1(beta=4.0, eps=1e-6), t_end=0.03))[6]
     wet = wet_columns(J).sum()
     assert 0 < wet < J.shape[0]
