@@ -16,10 +16,16 @@ A run's text form is keyed by the :class:`RunConfig` field names (all but
 ``s0_boxes``), and a sweep adds its grid keys.  Config files,
 :func:`resolve_config` and the summary.csv echo follow it, so the echo
 without its ``# `` prefixes reruns the run or the sweep.
+
+A sweep's runs are independent, so :func:`sweep` makes them in up to two
+forked worker processes (min(2, usable CPUs, runs); one worker means in
+process, with no pool).  Its results keep the config order, each run's
+``wall_ms`` is its time in its worker, and there is no setting for it.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field, fields, replace
 
@@ -357,30 +363,53 @@ def run(config: RunConfig, mesh: Mesh | None = None, callback=None) -> RunResult
     )
 
 
+def _run_config(config: RunConfig) -> RunResult:
+    """One run of a sweep on a mesh of its own (module level, so a worker
+    process can be sent it by name)."""
+    return run(config, mesh=build_mesh(config))
+
+
 def sweep(base_config: RunConfig, betas, epss, formulations,
           eps_ref: float = EPS_REF_TEST1) -> list:
     """Reference run per beta (tau formulation at eps_ref), then the cross
     product over (beta, eps, formulation); failures are recorded rows, not
     exceptions.  Returns RunResults in deterministic order, references first.
+
+    The runs are independent, so they go to min(2, usable CPUs, runs)
+    worker processes, the CPUs counted by ``os.sched_getaffinity`` (or
+    ``os.cpu_count`` where it is absent); there is no setting for it.  With
+    one worker the runs are made in this process and no pool starts.  The
+    workers are forked, not spawned: a spawned worker would import numpy and
+    scipy again, about 0.5 s, near the time of a whole 20x20 sweep.  The pool
+    forks its workers before it starts its own thread, and OpenBLAS stops
+    its threads around a fork.  Results keep the config order,
+    each ``wall_ms`` is the run's time in its worker, and the errors against
+    the references are computed here once every run is back.  A run that
+    raises (a ``ConfigError`` included) raises the same exception here, and
+    no worker outlives the call.
     """
-    results = []
-    references = {}
-    for beta in betas:
-        ref_cfg = replace(base_config, beta=beta, eps=eps_ref, formulation="tau")
-        mesh = build_mesh(ref_cfg)
-        ref = run(ref_cfg, mesh=mesh)
-        references[beta] = ref
-        results.append(ref)
-    for beta in betas:
-        ref = references[beta]
-        for formulation in formulations:
-            for eps in epss:
-                cfg = replace(base_config, beta=beta, eps=eps, formulation=formulation)
-                res = run(cfg, mesh=build_mesh(cfg))
-                if res.converged and ref.converged:
-                    res.err_s = linf_l1_error(res.trajectory, ref.trajectory, "saturation")
-                    res.err_u = linf_l1_error(res.trajectory, ref.trajectory, "kirchhoff")
-                results.append(res)
+    configs = [replace(base_config, beta=beta, eps=eps_ref, formulation="tau")
+               for beta in betas]
+    configs += [replace(base_config, beta=beta, eps=eps, formulation=formulation)
+                for beta in betas for formulation in formulations for eps in epss]
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(2, cpus, len(configs))
+    if workers == 1:
+        results = [_run_config(cfg) for cfg in configs]
+    else:
+        # imported here, so that a process that makes no pool does not load them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            results = list(pool.map(_run_config, configs))
+    references = dict(zip(betas, results))
+    for res in results[len(betas):]:
+        ref = references[res.config.beta]
+        if res.converged and ref.converged:
+            res.err_s = linf_l1_error(res.trajectory, ref.trajectory, "saturation")
+            res.err_u = linf_l1_error(res.trajectory, ref.trajectory, "kirchhoff")
     return results
 
 
@@ -428,8 +457,6 @@ def write_outputs(results, config: RunConfig, out_dir, grid: dict | None = None)
     which the summary.csv echo lists after the base config.  Returns the
     list of created paths.
     """
-    import os
-
     if isinstance(results, RunResult):
         results = [results]
     os.makedirs(out_dir, exist_ok=True)

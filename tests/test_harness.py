@@ -1,5 +1,7 @@
 """Presets, time marching, sweeps, file outputs, and the CLI."""
 
+import multiprocessing
+import os
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -155,6 +157,11 @@ def test_sweep_shape_and_errors():
     assert r1.err_s >= r2.err_s  # coarser tolerance, larger error
 
 
+def _usable_cpus(monkeypatch, n):
+    """Make sweep see n usable CPUs: the input its worker count is read from."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
 def test_sweep_evaluates_each_run_once_per_error(monkeypatch):
     # one evaluation per Newton iterate, three per run (the first step's
     # tau_init, the boundary value and the initial s), and four per compared
@@ -168,6 +175,7 @@ def test_sweep_evaluates_each_run_once_per_error(monkeypatch):
         return param_eval(self, tau)
 
     monkeypatch.setattr(Parametrization, "eval", counted)
+    _usable_cpus(monkeypatch, 1)  # a worker's evaluations would not be counted here
     base = replace(preset_test1(beta=4.0, eps=1e-4), t_end=0.05, mesh="8x8")
     results = sweep(base, [4.0], [1e-4], ["tau", "u"], eps_ref=1e-8)
     compared = [r for r in results if r.err_s is not None]
@@ -175,6 +183,46 @@ def test_sweep_evaluates_each_run_once_per_error(monkeypatch):
     assert all(len(r.trajectory.taus) == 6 for r in results)
     iters = sum(r.total_iters for r in results)
     assert calls[0] == iters + 3 * len(results) + 4 * len(compared)
+
+    # with two workers this process only computes the errors
+    calls[0] = 0
+    _usable_cpus(monkeypatch, 2)
+    sweep(base, [4.0], [1e-4], ["tau", "u"], eps_ref=1e-8)
+    assert calls[0] == 4 * len(compared)
+
+
+def test_two_worker_sweep_equals_one_worker_sweep(monkeypatch):
+    base = replace(preset_test1(beta=4.0, eps=1e-4), t_end=0.05, mesh="8x8")
+
+    def grid(cpus):
+        _usable_cpus(monkeypatch, cpus)
+        return sweep(base, [4.0, 16.0], [1e-2, 1e-4], ["tau", "u"], eps_ref=1e-8)
+
+    pooled, serial = grid(2), grid(1)
+    assert len(pooled) == 2 + 2 * 2 * 2
+    assert [r.config for r in pooled] == [r.config for r in serial]
+    for a, b in zip(pooled, serial):
+        assert [t.tobytes() for t in a.trajectory.taus] == [t.tobytes() for t in b.trajectory.taus]
+        assert (a.err_s, a.err_u) == (b.err_s, b.err_u)
+        # summary_row ends with wall_ms, the one column that may differ
+        assert summary_row(a).rsplit(",", 1)[0] == summary_row(b).rsplit(",", 1)[0]
+    assert sum(r.err_s is not None for r in pooled) == 8
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_raises_a_worker_error_and_leaves_no_process(monkeypatch):
+    # a third gravity component on a 2-D mesh makes every run raise before its first step
+    base = replace(preset_test1(beta=4.0, eps=1e-4), t_end=0.02, mesh="4x4",
+                   gravity=(0.0, -1.0, 7.0))
+    raised = {}
+    for cpus in (2, 1):
+        _usable_cpus(monkeypatch, cpus)
+        with pytest.raises(ConfigError) as exc:
+            sweep(base, [4.0, 16.0], [1e-4], ["tau", "u"], eps_ref=1e-8)
+        raised[cpus] = str(exc.value)
+        assert multiprocessing.active_children() == []
+    assert raised[2] == raised[1]
+    assert raised[2].startswith("gravity 0 -1 7 does not fit the 2-D mesh")
 
 
 # -- outputs -------------------------------------------------------------------
@@ -609,6 +657,34 @@ def test_cli_sweep_refuses_an_empty_grid_list(tmp_path, key):
     assert out.returncode == 2
     assert f"{cfg}:3: bad value for {key}: a sweep grid needs at least one value" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+def test_cli_sweep_reports_a_worker_error(tmp_path, monkeypatch, capfd):
+    # the runs raise in worker processes: the file descriptors are captured,
+    # so a traceback a worker printed would show here too
+    from richards.cli import EXIT_CONFIG, main
+
+    _usable_cpus(monkeypatch, 2)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"case = test1\nmesh = 4x4\ntend = 0.02\ngravity = 0 -1 7\n"
+                   f"out = {tmp_path / 'out'}\n")
+    code = main(["sweep", "--config", str(cfg)])
+    err = capfd.readouterr().err
+    assert code == EXIT_CONFIG
+    assert "error: gravity 0 -1 7 does not fit the 2-D mesh" in err
+    assert "Traceback" not in err
+    assert multiprocessing.active_children() == []
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # sweep imports them when it starts a pool, so that a run's start-up
+    # (timed by the benchmark's setup_s) does not load them
+    code = ("import sys, richards.cli; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures.process') "
+            "if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_cli_custom_run_from_flags(tmp_path):
