@@ -382,11 +382,11 @@ def sweep(base_config: RunConfig, betas, epss, formulations,
     workers are forked, not spawned: a spawned worker would import numpy and
     scipy again, about 0.5 s, near the time of a whole 20x20 sweep.  The pool
     forks its workers before it starts its own thread, and OpenBLAS stops
-    its threads around a fork.  Results keep the config order,
-    each ``wall_ms`` is the run's time in its worker, and the errors against
-    the references are computed here once every run is back.  A run that
-    raises (a ``ConfigError`` included) raises the same exception here, and
-    no worker outlives the call.
+    its threads around a fork.  Results keep the config order, each
+    ``wall_ms`` is the run's time in its worker, and the errors against the
+    references are computed here once every run is back.  A run that raises
+    (a ``ConfigError`` included) raises the same exception here, and no
+    worker outlives the call.
     """
     configs = [replace(base_config, beta=beta, eps=eps_ref, formulation="tau")
                for beta in betas]
