@@ -97,6 +97,9 @@ class RunConfig:
     def __post_init__(self):
         if self.formulation not in ("tau", "u"):
             raise ConfigError(f"unknown formulation {self.formulation!r}")
+        for name in ("dt", "t_end", "eps"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.eps > 0:
             raise ConfigError(f"eps must be positive, got {self.eps}")
         if not (self.dt > 0 and self.t_end >= 0):

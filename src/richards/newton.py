@@ -23,8 +23,15 @@ so a box mesh in any numbering has a band about as wide as its narrower
 side.  Per iteration only numeric work is left: the diagonal and the
 couplings are computed for an iterate whose correction is solved, placed
 in band storage and factored; a CSC matrix is built only for a callback.
-Which factorization runs is a property of the physics, fixed per run by
-the ``Assembly``:
+An iterate recomputes what depends on the cells whose tau changed since
+the last one, when few enough did (``scheme.refresh_limit``; test1 at
+80x80 and above): ``residual`` evaluates the parametrization on those
+cells and re-sums the fluxes around them, and ``jacobian`` recomputes
+their columns from the Jacobian of the last iterate, which
+``newton_solve`` keeps for the step.  Otherwise both compute every cell;
+on meshes of at most 600 cells no change set is computed at all.  Either
+way the bits are the same.  Which factorization runs is a property of the
+physics, fixed per run by the ``Assembly``:
 
 * With gravity, LAPACK band LU (``dgbsv``) of J.  A column-wise M-matrix
   with nonnegative column sums is diagonally dominant by columns, so LU
@@ -47,7 +54,10 @@ diagonal, and their fill products in an LU underflow to subnormals.  The
 gravity term is larger: on the 20x20 infiltration mesh it is
 0.2 lam'(s) s'(tau) of a diagonal near 1, about 7e-16 at beta = 4 and
 1.1e-13 at beta = 16.  Column K is dry when every off-diagonal entry is at
-most DROP = 1e-12 times J_KK, and the other columns form the wet set W.
+most DROP = 1e-12 times J_KK (``scheme.DROP``, re-exported here), and the
+other columns form the wet set W.  As a column depends on its own cell
+alone, ``scheme.jacobian`` flags it wet or dry where it forms the column,
+and ``linear_solve`` takes the flags.
 So the dry soil stays dry at every beta of the paper's sweep: a short
 20x20 run at beta = 16 factors about as many columns per correction as at
 beta = 4 (47 and 46 on average), where a DROP of 1e-14 left 380 of 400
@@ -79,7 +89,7 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dgbsv, dpbsv
 
 from .mesh import Mesh
-from .scheme import Assembly, Evaluation, SolvePlan, jacobian, residual, step_residual
+from .scheme import DROP, Assembly, Evaluation, SolvePlan, jacobian, residual, step_residual
 
 __all__ = [
     "ATOL_SCALE",
@@ -95,13 +105,6 @@ __all__ = [
     "inverse_norm_bound",
 ]
 
-
-# A column whose couplings are all at most DROP times its diagonal is dry:
-# the solve takes those couplings as zero (see the module docstring).  This
-# leaves a forcing term of (edges per cell) x DROP, 4e-12 relative on a box
-# mesh.  At 1e-14 the dry soil's gravity coupling at beta = 16 (1.1e-13 of
-# the diagonal on 20x20) kept nearly every column wet.
-DROP = 1e-12
 
 # Newton iterations after which a step that has not converged is given up.
 MAX_ITER = 100
@@ -125,13 +128,15 @@ class NewtonReport:
         return self.residual_history[-1]
 
 
-def linear_solve(plan: SolvePlan, diag, off, b, m=None, u_p=None) -> np.ndarray:
+def linear_solve(plan: SolvePlan, diag, off, wet, b, m=None, u_p=None) -> np.ndarray:
     """Direct solve of A x = b, A given by its diagonal diag and its couplings
     off on the rows and columns of plan (``plan.rows``, ``plan.cols``).
 
-    Column K of A is dry when every off-diagonal entry is at most DROP
-    times the diagonal A_KK, and wet otherwise (a non-finite entry makes it
-    wet); the wet set is W.  With the dry columns' couplings taken as zero,
+    wet holds one flag per column: column K of A is dry when every
+    off-diagonal entry is at most DROP times the diagonal A_KK, and wet
+    otherwise (a non-finite entry makes it wet; ``scheme.wet_columns``, and
+    ``scheme.jacobian`` gives the flags with the Jacobian).  The wet columns
+    form the set W.  With the dry columns' couplings taken as zero,
     A is block lower triangular in the order [W, dry].  So only the W x W
     block is factored, W in the plan's order: the wet diagonal and the wet
     couplings go straight into LAPACK band storage of |W| columns with that
@@ -139,8 +144,10 @@ def linear_solve(plan: SolvePlan, diag, off, b, m=None, u_p=None) -> np.ndarray:
     x_K = (b_K - sum_L A_KL x_L) / A_KK, the sum over the wet L.  With every
     column wet the block is A; with none, nothing is factored.
 
-    The set-up goes by the plan's edges (``plan.pair``), so past the wet
-    test it costs what the wet block costs: the block takes the couplings of
+    The set-up goes by the plan's edges (``plan.pair``), so it costs what
+    the wet block costs, but for three passes over every edge or cell: W in
+    the plan's order, each edge's two wet flags, and the choice of the edges
+    of the dry pass.  The block takes the couplings of
     the edges whose two cells are wet, placed by ``plan.positions``, and the
     dry pass sums only the couplings of the edges with one wet cell, from
     the wet column into the dry row, in their order in off (as a sum over
@@ -164,13 +171,11 @@ def linear_solve(plan: SolvePlan, diag, off, b, m=None, u_p=None) -> np.ndarray:
 
     An exactly zero LU pivot or a nonpositive Cholesky pivot in the
     factored block, or an exactly zero diagonal of a dry cell, raises
-    SingularJacobianError naming the cell.  diag and off are not modified.
+    SingularJacobianError naming the cell.  diag, off and wet are not modified.
     Deterministic for fixed input.
     """
     b = np.asarray(b, dtype=float)
     n, rows, cols = plan.n, plan.rows, plan.cols
-    wet = ~np.isfinite(diag)
-    wet[cols[~(np.abs(off) <= (DROP * diag)[cols])]] = True  # nan is wet
     x = np.zeros(n)
     w = plan.order[wet[plan.order]]  # W in the plan's order
     if w.size == n:  # the plan's bandwidth and places
@@ -232,10 +237,14 @@ def newton_solve(system: Assembly, dt: float, s_prev, tau_init, eps: float,
     it, tau_init is evaluated here.  The returned ev holds s(tau), which the
     next step takes as its s_prev, and is that step's start.  The Jacobian's
     values are computed only at an iterate whose correction is solved, so a
-    step that converges at tau_init computes none.  The optional callback is
-    invoked as callback(k, tau, res_norm, J) at every such iterate, with J a
-    CSC matrix of its own, built from the diagonal and couplings that are
-    solved (``Assembly.matrix``).  A non-converged step, a singular Jacobian
+    step that converges at tau_init computes none.  Each iterate after the
+    first is evaluated from the last one's evaluation, and its Jacobian from
+    the last one's Jacobian, which lives only in this call: a step's first
+    Jacobian is computed in full (``scheme.residual``, ``scheme.jacobian``).
+    Each iterate is a new array, so an evaluation keeps its own.  The
+    optional callback is invoked as callback(k, tau, res_norm, J) at every
+    such iterate, with J a CSC matrix of its own, built from the diagonal and
+    couplings that are solved (``Assembly.matrix``).  A non-converged step, a singular Jacobian
     included, is reported, not raised.
     """
     if not dt > 0:
@@ -250,20 +259,21 @@ def newton_solve(system: Assembly, dt: float, s_prev, tau_init, eps: float,
         f, ev = step_residual(system, dt, s_prev, start), start
     res = float(np.sum(np.abs(f)))  # raw 1-norm, no volume weights
     history = [res]
+    jac = None  # the Jacobian of the last iterate, refreshed at the next one
     for k in range(MAX_ITER):
         if res <= tol:
             break
         if not np.isfinite(res):
             break
-        jac = jacobian(system, dt, ev)  # (diag, off)
+        jac = jacobian(system, dt, ev, jac)
         if callback is not None:
-            callback(k, tau, res, system.matrix(*jac))
+            callback(k, tau, res, system.matrix(jac.diag, jac.off))
         try:
             delta = linear_solve(system.plan, *jac, f, system.mesh.cell_volumes, ev.u_p)
         except SingularJacobianError:
             break
-        tau -= delta
-        f, ev = residual(system, dt, s_prev, tau)
+        tau = tau - delta  # a new array: ev keeps the iterate it was given
+        f, ev = residual(system, dt, s_prev, tau, ev)
         res = float(np.sum(np.abs(f)))
         history.append(res)
     converged = bool(np.isfinite(res) and res <= tol)

@@ -12,7 +12,8 @@ def evaluate(system, dt, s_prev, tau):
     J is the CSC matrix that a Newton callback receives.
     """
     f, ev = residual(system, dt, s_prev, tau)
-    return f, system.matrix(*jacobian(system, dt, ev)), ev.s
+    jac = jacobian(system, dt, ev)
+    return f, system.matrix(jac.diag, jac.off), ev.s
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -406,6 +406,21 @@ def test_cli_singular_jacobian_exits_newton_failure(tmp_path, monkeypatch, capsy
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag,name", [("--dt", "dt"), ("--eps", "eps"), ("--tend", "t_end")])
+def test_cli_refuses_a_non_finite_step_horizon_or_tolerance(tmp_path, capsys, flag, name):
+    # dt = inf made no step, eps = inf took no Newton iteration, and
+    # t_end = inf overflowed when counting the steps; each is refused up front
+    from richards.cli import main
+
+    code = main(["run", "--case", "test1", "--mesh", "4x4", flag, "inf",
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: {name} must be finite, got inf" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_refuses_two_edges_joining_one_pair(tmp_path):
     from test_mesh import split_edge_mesh
 

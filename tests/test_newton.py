@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import richards.harness as H
 import richards.newton as N
+import richards.scheme as S
 from conftest import evaluate
 from richards.harness import RunConfig, preset_test1, preset_test2, run
 from richards.hydromodel import BrooksCoreyModel, Parametrization
@@ -173,7 +174,7 @@ def solve_on(plan, A, b, m=None, u_p=None):
     diag, K, L, off = split(A)
     np.testing.assert_array_equal(np.concatenate([K, L]), plan.rows)
     np.testing.assert_array_equal(np.concatenate([L, K]), plan.cols)
-    return linear_solve(plan, diag, off, b, m, u_p)
+    return linear_solve(plan, diag, off, S.wet_columns(plan.cols, diag, off), b, m, u_p)
 
 
 def solve(A, b, m=None, u_p=None):
@@ -252,7 +253,8 @@ def test_random_graph_solve_matches_dense(n, seed, dry_share, symmetric):
     diag, K, L, off, m, u_p, J = graph_system(n, seed, dry_share, symmetric)
     plan = SolvePlan(n, K, L, symmetric=symmetric)
     b = np.random.default_rng(seed).standard_normal(n)
-    x = linear_solve(plan, diag, off, b, *((m, u_p) if symmetric else ()))
+    x = linear_solve(plan, diag, off, S.wet_columns(plan.cols, diag, off), b,
+                     *((m, u_p) if symmetric else ()))
     ref = np.linalg.solve(J, b)
     assert np.linalg.norm(x - ref, np.inf) <= 1e-12 * np.linalg.norm(ref, np.inf)
     assert np.array_equal(x, solve_over_every_coupling(plan, diag, off, b, m, u_p)[0])
@@ -494,12 +496,12 @@ def lapack_inputs(monkeypatch) -> list:
 
 
 def captured_solves(monkeypatch, config) -> list:
-    """(plan, diag, off, b, m, u') of every linear_solve of a run of config."""
+    """(plan, diag, off, wet, b, m, u') of every linear_solve of a run of config."""
     seen = []
 
-    def capture(plan, diag, off, b, m=None, u_p=None):
-        seen.append((plan, diag, off, b, m, u_p))
-        return solve(plan, diag, off, b, m, u_p)
+    def capture(plan, diag, off, wet, b, m=None, u_p=None):
+        seen.append((plan, diag, off, wet, b, m, u_p))
+        return solve(plan, diag, off, wet, b, m, u_p)
 
     solve = N.linear_solve
     monkeypatch.setattr(N, "linear_solve", capture)
@@ -529,9 +531,9 @@ def test_per_edge_setup_gives_the_bits_of_the_setup_over_every_coupling(monkeypa
     plan = SolvePlan(n, new[plan.rows[:ni]], new[plan.cols[:ni]], symmetric=plan.symmetric)
     lapack = lapack_inputs(monkeypatch)
     wet = []
-    for _, diag, off, b, m, u_p in solves:
+    for _, diag, off, wet_mask, b, m, u_p in solves:
         args = (diag[perm], off, b[perm], *(None if v is None else v[perm] for v in (m, u_p)))
-        x = linear_solve(plan, *args)
+        x = linear_solve(plan, args[0], off, wet_mask[perm], *args[2:])
         ref, w = solve_over_every_coupling(plan, *args)
         assert np.array_equal(x, ref)
         wet.append(w)
@@ -683,12 +685,57 @@ def test_jacobian_computed_only_where_a_correction_uses_it(monkeypatch):
     assert per_step == [(n, n) for n in res.iters_per_step]
 
 
+def refresh_counts(monkeypatch, config) -> dict:
+    """How many residual and jacobian calls of a run of config refreshed, and
+    how many computed in full; also the largest change limit of its systems."""
+    counts = {"residual": [0, 0], "jacobian": [0, 0], "max_changed": []}
+    residual_, jacobian_ = N.residual, N.jacobian
+
+    def counted_residual(system, dt, s_prev, tau, prev=None):
+        f, ev = residual_(system, dt, s_prev, tau, prev)
+        counts["residual"][ev.changed is None] += 1
+        counts["max_changed"].append(system.max_changed)
+        return f, ev
+
+    def counted_jacobian(system, dt, ev, prev=None):
+        counts["jacobian"][prev is None or ev.changed is None] += 1
+        return jacobian_(system, dt, ev, prev)
+
+    monkeypatch.setattr(N, "residual", counted_residual)
+    monkeypatch.setattr(N, "jacobian", counted_jacobian)
+    res = run(config)
+    assert res.converged
+    counts.update(iters=res.total_iters, steps=len(res.iters_per_step))
+    return counts
+
+
+@pytest.mark.parametrize("config", [short_test1("20x20", 0.05), short_test2("40x40")],
+                         ids=["test1-20x20", "test2-40x40"])
+def test_small_and_all_changing_runs_never_refresh(monkeypatch, config):
+    # 20x20 is below the size at which a refresh can pay, so no change set is
+    # computed there (max_changed <= 0); on test2 40x40 every iterate changes
+    # more cells than the limit
+    counts = refresh_counts(monkeypatch, config)
+    assert counts["residual"][0] == 0 and counts["jacobian"][0] == 0
+    assert counts["jacobian"][1] == counts["iters"]
+    assert (max(counts["max_changed"]) <= 0) == (config.mesh == "20x20")
+
+
+def test_fine_run_refreshes_most_iterates(monkeypatch):
+    # infiltration-fine: every Newton iterate but the first of each step
+    # changes at most 1082 of the 6400 cells, so each refreshes its residual
+    # and its Jacobian; a step's first Jacobian is computed in full, and so is
+    # the run's first residual
+    counts = refresh_counts(monkeypatch, short_test1("80x80", 0.05))
+    assert counts["iters"] == 54 and counts["steps"] == 5
+    assert counts["residual"] == [54, 1]
+    assert counts["jacobian"] == [54 - 5, 5]
+
+
 def test_gravity_free_steps_evaluate_no_mobility(monkeypatch):
     # lam and lam' enter only through gravity terms: a test2 run computes
     # neither in its time loop, a test1 run computes lam once per residual
     # and lam' once per Jacobian
-    import richards.scheme as S
-
     calls = {"mobility": 0, "mobility_derivative": 0}
     in_loop = [False]
     for name in calls:
@@ -808,7 +855,7 @@ def test_callback_matrix_is_the_coo_build(shuffled_40x40):
         n, plan = mesh.n_cells, system.plan
         tau = rng.uniform(-0.1, 2.2, n)
         _, ev = residual(system, 0.01, np.full(n, 1e-6), tau)
-        diag, off = jacobian(system, 0.01, ev)
+        diag, off, _ = jacobian(system, 0.01, ev)
         ij = (np.concatenate([np.arange(n), plan.rows]), np.concatenate([np.arange(n), plan.cols]))
         want = sp.coo_matrix((np.concatenate([diag, off]), ij), shape=(n, n)).tocsc()
         J = system.matrix(diag, off)

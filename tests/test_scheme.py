@@ -12,6 +12,8 @@ from richards.scheme import (
     Assembly,
     InitialField,
     discretize_initial,
+    jacobian,
+    residual,
 )
 
 MODEL = BrooksCoreyModel(beta=4.0, p_b=-0.01)
@@ -347,3 +349,82 @@ def test_u_form_prime_cap_keeps_jacobian_finite():
     J = step(tau)[1].toarray()
     assert np.all(np.isfinite(J))
     assert J.max() >= 1e15  # the capped singular slope is visible
+
+
+# -- refreshing an iterate -----------------------------------------------------
+
+
+def refresh_system(case, param, shape):
+    """(system, dt, s_prev) of one step on a box of shape (an interval when
+    shape has one entry): test1's gravity and a Dirichlet strip on the top
+    (the right end of an interval), or test2's closed box without gravity.
+    The system refreshes every iterate, whatever changed."""
+    mesh = build_rect_mesh(*shape) if len(shape) == 2 else build_interval_mesh(*shape)
+    tau_D = None
+    if case == "test1":
+        def strip(x):
+            top = x[:, -1] > 1.0 - 1e-12
+            return top & (x[:, 0] < 0.6) if mesh.dim == 2 else top
+
+        assert mesh.retag_boundary(strip, DIRICHLET) > 0
+        tau_D = float(param.tau_of_pressure(1.0))
+        gravity = np.zeros(mesh.dim)
+        gravity[-1] = -1.0
+        dt, s_prev = 0.01, np.full(mesh.n_cells, 1e-6)
+    else:
+        gravity, dt = np.zeros(mesh.dim), 1e3
+        s_prev = np.where(mesh.cell_centers[:, 0] < 0.5, 0.5, 1e-6)
+    system = Assembly(mesh, param, gravity, tau_D)
+    system.max_changed = mesh.n_cells
+    return system, dt, s_prev
+
+
+def bits(a):
+    return None if a is None else np.ascontiguousarray(a).tobytes()
+
+
+# tau on every branch of both kinds, their switch and saturation points and
+# both signs of zero
+SPECIAL_TAU = [-0.3, -0.0, 0.0, 1e-300, TAU.params.tau_star, TAU.params.tau_sat,
+               U.params.tau_sat, 2.5]
+
+
+@given(st.sampled_from(["test1", "test2"]), st.sampled_from([TAU, U]),
+       st.sampled_from([(6, 5), (1, 7), (9,), (2,)]), st.integers(0, 2**32 - 1),
+       st.floats(0.0, 1.0))
+@settings(max_examples=80, deadline=None)
+def test_refresh_gives_the_bits_of_the_full_computation(case, param, shape, seed, share):
+    # two Newton-like moves in a row, each on a random subset of the cells:
+    # the refreshed evaluation, f, diagonal, couplings and wet mask are bit
+    # for bit those computed in full at the same tau
+    system, dt, s_prev = refresh_system(case, param, shape)
+    n = system.mesh.n_cells
+    rng = np.random.default_rng(seed)
+
+    def draw(size):
+        return np.where(rng.random(size) < 0.3, rng.choice(SPECIAL_TAU, size),
+                        rng.uniform(-0.2, 2.4, size))
+
+    tau = draw(n)
+    f, ev = residual(system, dt, s_prev, tau)
+    jac = jacobian(system, dt, ev)
+    for _ in range(2):
+        tau = tau.copy()
+        moved = rng.random(n) < share
+        tau[moved] = draw(int(moved.sum()))
+        old = (ev, jac, [bits(a) for a in ev], [bits(a) for a in jac])
+        f, ev = residual(system, dt, s_prev, tau, ev)
+        jac = jacobian(system, dt, ev, jac)
+        f_full, ev_full = residual(system, dt, s_prev, tau)
+        jac_full = jacobian(system, dt, ev_full)
+        changed = np.flatnonzero(tau.view(np.int64) != old[0].tau.view(np.int64))
+        np.testing.assert_array_equal(ev.changed, changed)
+        assert ev_full.changed is None
+        assert bits(f) == bits(f_full)
+        for name in ev._fields[:-1]:
+            assert bits(getattr(ev, name)) == bits(getattr(ev_full, name)), name
+        for name in jac._fields:
+            assert bits(getattr(jac, name)) == bits(getattr(jac_full, name)), name
+        # no array that an earlier call returned was changed
+        assert [bits(a) for a in old[0]] == old[2] and [bits(a) for a in old[1]] == old[3]
+
