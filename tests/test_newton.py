@@ -521,8 +521,10 @@ def captured_solves(monkeypatch, config) -> list:
 def test_per_edge_setup_gives_the_bits_of_the_setup_over_every_coupling(monkeypatch, config,
                                                                         kind, wet_set):
     # every correction of a short run, in the cells' numbering or renumbered
-    # at random (edge order and couplings kept): the same band storage reaches
-    # LAPACK, and the same x comes back, bit for bit
+    # at random (edge order and couplings kept), with the wet mask the run's
+    # jacobian gave it (refreshed on the changed columns at 80x80): the same
+    # band storage reaches LAPACK as from the set-up that tests every
+    # coupling, and the same x comes back, bit for bit
     solves = captured_solves(monkeypatch, config)
     plan = solves[0][0]
     n, ni = plan.n, plan.rows.size // 2
