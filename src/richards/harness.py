@@ -97,9 +97,14 @@ class RunConfig:
     def __post_init__(self):
         if self.formulation not in ("tau", "u"):
             raise ConfigError(f"unknown formulation {self.formulation!r}")
-        for name in ("dt", "t_end", "eps"):
+        finite = ["dt", "t_end", "eps", "beta", "p_b", "s0_default"]
+        if self.p_dirichlet is not None:
+            finite.append("p_dirichlet")
+        for name in finite:
             if not np.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        if not np.isfinite(np.asarray(self.gravity, dtype=float)).all():
+            raise ConfigError(f"gravity must be finite, got {' '.join(map(str, self.gravity))}")
         if not self.eps > 0:
             raise ConfigError(f"eps must be positive, got {self.eps}")
         if not (self.dt > 0 and self.t_end >= 0):

@@ -67,6 +67,9 @@ class BrooksCoreyModel:
     eta_mode: str = "derived"  # "derived" | "legacy"
 
     def __post_init__(self):
+        for name in ("beta", "p_b"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.p_b < 0:
             raise ValueError(f"p_b must be strictly negative, got {self.p_b}")
         if not self.beta > 0:

@@ -46,6 +46,21 @@ physics, fixed per run by the ``Assembly``:
   2 kl + ku + 1 and with about half the flops.  This needs u' > 0 on the
   factored cells, which the wet set below guarantees.
 
+When every column is wet (every correction of the closed-box test2), the
+whole matrix is not factored.  The two-point scheme couples neighbours
+only, so on a box mesh no coupling joins two cells of one checkerboard
+colour.  Eliminating such an independent set I exactly (red-black
+elimination; George & Liu 1981; Saad, Iterative Methods for Sparse Linear
+Systems, 2003, sec. 3.3) leaves the Schur complement
+S = A_SS - A_SI A_II^-1 A_IS on the other half of the cells, with about
+the same bandwidth, so its band factor takes about half the flops of the
+whole one.  S needs no pivoting either: the Schur complement of a
+column diagonally dominant M-matrix is again one, and that of the
+symmetric positive definite B is again symmetric positive definite.  The
+split and the places of S's entries are worked out once per run from the
+couplings (``scheme.SolvePlan.schur``), and kept only where S's band costs
+less than the whole one.
+
 Only the wet set is factored.  Column K of J holds the couplings
 -(dt/m_L)(m_sigma g+ lam'(s_K) s'(tau_K) + A_sigma u'(tau_K)), which depend
 on cell K's state alone.  In a dry zone (s near 1e-6 in the infiltration
@@ -76,8 +91,8 @@ any stopping tolerance, so the local quadratic convergence is kept.  A
 dry cell's diffusive coupling relative to its diagonal grows like dt/h^2,
 so at a fixed dt a fine enough mesh makes every column wet again; the
 threshold sets how fine.  With every column wet, W is all cells and the
-whole Jacobian is factored; with none, nothing is.  A callback's J keeps
-the undropped values.
+Schur complement above is factored; with none, nothing is.  A callback's
+J keeps the undropped values.
 """
 
 from __future__ import annotations
@@ -144,6 +159,21 @@ def linear_solve(plan: SolvePlan, diag, off, wet, b, m=None, u_p=None) -> np.nda
     x_K = (b_K - sum_L A_KL x_L) / A_KK, the sum over the wet L.  With every
     column wet the block is A; with none, nothing is factored.
 
+    With every column wet and a Schur layout in the plan (``plan.schur``,
+    kept where its band costs less: n_S kd_S^2 < n kd^2), A itself is not
+    factored either.  No coupling joins two cells of the layout's
+    independent set I, so A_II is diagonal, and eliminating I leaves the
+    Schur complement S = A_SS - A_SI A_II^-1 A_IS on the other cells, n/2
+    of them on a box mesh, with about the same bandwidth.  S is formed by
+    one gather, product and ``np.bincount`` into band storage in the
+    layout's order and factored as the plan says; then each cell of I gets
+    x_i = (b_i - sum_a A_ia x_a) / A_ii, one division.  S needs no pivot:
+    the Schur complement of a column diagonally dominant M-matrix is again
+    one, so LU makes no row swap, and on the Cholesky route
+    diag(m_S) S diag(u'_S)^-1 is the Schur complement of B, so symmetric
+    positive definite.  The result agrees with the band solve of A to
+    rounding, not bit for bit.
+
     The set-up goes by the plan's edges (``plan.pair``), so it costs what
     the wet block costs, but for three passes over every edge or cell: W in
     the plan's order, each edge's two wet flags, and the choice of the edges
@@ -170,11 +200,13 @@ def linear_solve(plan: SolvePlan, diag, off, wet, b, m=None, u_p=None) -> np.nda
     and it takes about half the flops.
 
     An exactly zero LU pivot or a nonpositive Cholesky pivot in the
-    factored block, or an exactly zero diagonal of a dry cell, raises
-    SingularJacobianError naming the cell.  diag, off and wet are not modified.
+    factored block or in S, or an exactly zero diagonal of a dry cell or of
+    a cell of I, raises SingularJacobianError naming the cell.  diag, off and wet are not modified.
     Deterministic for fixed input.
     """
     b = np.asarray(b, dtype=float)
+    if wet.all() and plan.schur is not None:
+        return _schur_solve(plan, diag, off, b, m, u_p)
     n, rows, cols = plan.n, plan.rows, plan.cols
     x = np.zeros(n)
     w = plan.order[wet[plan.order]]  # W in the plan's order
@@ -220,6 +252,43 @@ def linear_solve(plan: SolvePlan, diag, off, wet, b, m=None, u_p=None) -> np.nda
             c = np.flatnonzero(wet_c > wet_c[::-1])
             b = b - np.bincount(rows[c], weights=off[c] * x[cols[c]], minlength=n)
         np.divide(b, diag, out=x, where=dry)
+    return x
+
+
+def _schur_solve(plan: SolvePlan, diag, off, b, m, u_p) -> np.ndarray:
+    """x = A^-1 b by the Schur complement S = A_SS - A_SI A_II^-1 A_IS on the
+    cells outside the independent set I of ``plan.schur`` (see ``linear_solve``)."""
+    sc = plan.schur
+    d_i = diag.take(sc.I)
+    if not d_i.all():
+        raise SingularJacobianError(f"eliminated cell {sc.I[np.flatnonzero(d_i == 0.0)[0]]} "
+                                    "has a zero diagonal")
+    g = off.take(sc.into) / diag.take(sc.pivot)  # A_ai / A_ii per cross edge i|a
+    h = off.take(sc.out)  # A_ia
+    s = np.bincount(sc.entry, weights=np.concatenate([
+        diag.take(sc.cells), off.take(sc.direct), -(g.take(sc.left) * h.take(sc.right))]),
+        minlength=sc.n_entries)
+    b_i = b.take(sc.I)  # c = b_S - A_SI A_II^-1 b_I
+    c = b.take(sc.cells) - np.bincount(sc.cross_s, weights=g * b_i.take(sc.cross_i),
+                                       minlength=sc.cells.size)
+    ab = np.zeros(sc.ldab * sc.cells.size)
+    if plan.symmetric:  # diag(m) S diag(u')^-1 is the Schur complement of B
+        ab[sc.band] = s * m.take(sc.rows) / u_p.take(sc.cols)
+        _, y, info = dpbsv(ab.reshape((sc.ldab, -1), order="F"), m.take(sc.cells) * c,
+                           lower=1, overwrite_ab=True)
+        x_s = y / u_p.take(sc.cells)
+        failure = "band Cholesky factorization failed: the pivot of cell {} is not positive"
+    else:
+        ab[sc.band] = s
+        _, _, x_s, info = dgbsv(sc.kd, sc.kd, ab.reshape((sc.ldab, -1), order="F"), c,
+                                overwrite_ab=True)
+        failure = "band LU factorization failed: the pivot of cell {} is exactly zero"
+    if info > 0:
+        raise SingularJacobianError(failure.format(sc.cells[info - 1]))
+    x = np.empty(diag.size)
+    x[sc.cells] = x_s
+    x[sc.I] = (b_i - np.bincount(sc.cross_i, weights=h * x_s.take(sc.cross_s),
+                                 minlength=sc.I.size)) / d_i
     return x
 
 

@@ -64,7 +64,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.sparse.csgraph import breadth_first_order, connected_components, reverse_cuthill_mckee
 
 from .hydromodel import SPRIME_CAP, Parametrization, mobility, mobility_derivative
 from .mesh import Mesh
@@ -173,7 +173,15 @@ class SolvePlan:
     in that order reads, per edge inside it, both couplings for LU and the
     one below for Cholesky.  ``kd`` and ``band`` are the bandwidth and the
     places of those couplings in the band storage (``positions``) of the
-    whole matrix, for a solve in which every cell is factored.
+    whole matrix, for a solve in which every cell is factored and the plan
+    has no Schur layout.
+
+    ``schur`` is that layout (``_SchurLayout``), made at the first solve in
+    which every cell is factored: an independent set I of cells, the order
+    of the others and the places of the entries of the Schur complement S
+    on them.  It is kept only where S's band costs less than the whole one,
+    n_S kd_S^2 < n kd^2 (n/2 cells and kd_S = kd on a square box); then
+    such a solve factors S alone (``newton.linear_solve``).
     """
 
     def __init__(self, n: int, K, L, symmetric: bool = False):
@@ -199,6 +207,117 @@ class SolvePlan:
         if self.symmetric:
             return k * p[0] + p[1]
         return 3 * k * p + p[::-1] + 2 * k
+
+    @cached_property
+    def schur(self) -> "_SchurLayout | None":
+        """The Schur layout, or None where S's band would not cost less than
+        the whole one; made at the first solve that factors every cell, so
+        runs that never do hold none."""
+        if self.kd == 0:
+            return None
+        layout = _SchurLayout(self)
+        return layout if layout.cells.size * layout.kd**2 < self.n * self.kd**2 else None
+
+
+class _SchurLayout:
+    """The red-black split of a ``SolvePlan``'s cells, worked out once from its
+    couplings, and the places that turn A's diagonal and couplings into the
+    band storage of the Schur complement S = A_SS - A_SI A_II^-1 A_IS.
+
+    ``I`` is an independent set: no coupling joins two of its cells, so A_II is
+    diagonal.  Its cells are those at an even breadth-first distance from the
+    first cell of their component (one colour of a box mesh's checkerboard,
+    n/2 cells); where a coupling still joins two of them (an odd cycle), the
+    one the search reached later is left out.  ``cells`` lists the other
+    cells in reverse Cuthill-McKee order of S's pattern, ``kd`` is S's
+    bandwidth in that order, and ``ldab`` its number of band rows.
+
+    Per cross edge, an edge i|a with i in I and a outside: ``into`` and
+    ``out``, the couplings A_ai and A_ia; ``pivot``, i; ``cross_i`` and
+    ``cross_s``, i's place in I and a's in ``cells``.  The cross edges are
+    sorted by i.  S's entries are numbered 0 to ``n_entries`` - 1: the
+    diagonal, and the couplings in the order that the solve reads them (below
+    the diagonal alone when the plan is symmetric, both sides otherwise).
+    Entry e is S[``rows[e]``, ``cols[e]``] (cells) and sits at ``band[e]`` in
+    the band storage of ``newton.linear_solve``.  ``entry`` gives the entry
+    of each term of a sum that forms them: first the diagonal of each cell of
+    ``cells``, then each coupling ``direct`` inside S, then, per pair of cross
+    edges i|a, i|c of one i, the product -(A_ai / A_ii) A_ic, as the cross
+    edges ``left`` and ``right``.  One ``np.bincount`` over them gives S.
+    """
+
+    def __init__(self, plan: SolvePlan):
+        n, rows, cols = plan.n, plan.rows, plan.cols
+        ne = rows.size // 2
+        K, L = rows[:ne], cols[:ne]
+        graph = sp.csr_matrix((np.ones(ne), (K, L)), shape=(n, n))
+        _, label = connected_components(graph, directed=False)
+        _, first = np.unique(label, return_index=True)
+        # one breadth-first search from a node n joined to each component's first cell
+        rooted = sp.csr_matrix((np.ones(ne + first.size),
+                                (np.concatenate([K, np.full(first.size, n)]),
+                                 np.concatenate([L, first]))), shape=(n + 1, n + 1))
+        reached, pred = breadth_first_order(rooted, n, directed=False)
+        pred[n] = n
+        odd = np.ones(n + 1, dtype=bool)  # the parity of the path to pred
+        odd[n] = False
+        while (pred != n).any():  # pointer jumping: odd becomes the depth's parity
+            odd, pred = odd ^ odd[pred], pred[pred]
+        in_i = odd[:n]  # the first cells are at depth 1
+        rank = np.empty(n + 1, dtype=np.intp)
+        rank[reached] = np.arange(n + 1)
+        both = np.flatnonzero(in_i[K] & in_i[L])
+        in_i[np.where(rank[K[both]] > rank[L[both]], K[both], L[both])] = False
+        self.I = np.flatnonzero(in_i)
+        place = np.empty(n, dtype=np.intp)
+        place[self.I] = np.arange(self.I.size)
+
+        e = np.flatnonzero(in_i[K] != in_i[L])
+        e = e[np.argsort(np.where(in_i[K[e]], K[e], L[e]), kind="stable")]
+        i_is_k = in_i[K[e]]
+        self.pivot = np.where(i_is_k, K[e], L[e])
+        a = np.where(i_is_k, L[e], K[e])
+        self.into = np.where(i_is_k, e + ne, e)  # row a, column i
+        self.out = np.where(i_is_k, e, e + ne)  # row i, column a
+        self.cross_i = place[self.pivot]
+        # every ordered pair of the cross edges of one i
+        size = np.bincount(self.cross_i, minlength=self.I.size)
+        start = np.cumsum(size) - size
+        count = size[self.cross_i]
+        left = np.repeat(np.arange(e.size), count)
+        right = start[self.cross_i][left] + np.arange(left.size) - np.repeat(
+            np.cumsum(count) - count, count)
+        direct = np.flatnonzero(~in_i[rows] & ~in_i[cols])
+
+        s_cells = np.flatnonzero(~in_i)
+        n_s = s_cells.size
+        place[s_cells] = np.arange(n_s)
+        r = np.concatenate([rows[direct], a[left]])
+        c = np.concatenate([cols[direct], a[right]])
+        coupled = r != c
+        pattern = sp.csr_matrix((np.ones(np.count_nonzero(coupled)),
+                                 (place[r[coupled]], place[c[coupled]])), shape=(n_s, n_s))
+        self.cells = s_cells[reverse_cuthill_mckee(pattern, symmetric_mode=True)]
+        place[self.cells] = np.arange(n_s)
+        self.cross_s = place[a]
+        # each term's place in S, row and column: the diagonal, direct, products
+        i = np.concatenate([np.arange(n_s), place[r]])
+        j = np.concatenate([np.arange(n_s), place[c]])
+        self.kd = k = int((i - j).max(initial=0))
+        if plan.symmetric:  # Cholesky reads the diagonal and below it
+            lower = i >= j
+            i, j = i[lower], j[lower]
+            d = n_s + direct.size
+            direct, left, right = direct[lower[n_s:d]], left[lower[d:]], right[lower[d:]]
+        self.direct, self.left, self.right = direct, left, right
+        key, self.entry = np.unique(j * n_s + i, return_inverse=True)  # by column, then row
+        self.n_entries = key.size
+        i, j = key % n_s, key // n_s
+        self.rows, self.cols = self.cells[i], self.cells[j]
+        # LU (dgbsv, 3k + 1 rows): S[i, j] in row 2k + i - j; Cholesky (dpbsv,
+        # lower, k + 1 rows): in row i - j
+        self.ldab = k + 1 if plan.symmetric else 3 * k + 1
+        self.band = self.ldab * j + i - j + (0 if plan.symmetric else 2 * k)
 
 
 class Assembly:

@@ -421,6 +421,44 @@ def test_cli_refuses_a_non_finite_step_horizon_or_tolerance(tmp_path, capsys, fl
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("args,message", [
+    (["--beta", "inf"], "beta must be finite, got inf"),
+    (["--pb=-inf"], "p_b must be finite, got -inf"),
+    (["--beta", "nan"], "beta must be finite, got nan"),
+])
+def test_cli_refuses_non_finite_model_parameters(tmp_path, capsys, args, message):
+    # beta = inf ended in a ZeroDivisionError traceback, and p_b = -inf in a
+    # Newton failure (exit 3) after 0 iterations
+    from richards.cli import main
+
+    code = main(["run", "--case", "test1", "--mesh", "4x4", *args, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: {message}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text,message", [
+    ("case = test1\np_dirichlet = inf\n", "p_dirichlet must be finite, got inf"),
+    ("case = test2\ns0_default = nan\n", "s0_default must be finite, got nan"),
+    ("case = test2\ngravity = 0 inf\n", "gravity must be finite, got 0.0 inf"),
+    ("case = test1\ngravity = nan -1\n", "gravity must be finite, got nan -1.0"),
+])
+def test_cli_refuses_non_finite_config_values(tmp_path, capsys, text, message):
+    # each was a Newton failure (exit 3): a non-finite residual at tau_init
+    from richards.cli import main
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text + "mesh = 4x4\n")
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: {message}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_refuses_two_edges_joining_one_pair(tmp_path):
     from test_mesh import split_edge_mesh
 

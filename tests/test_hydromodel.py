@@ -78,6 +78,10 @@ def test_model_validation():
         BrooksCoreyModel(beta=-1.0, p_b=-0.01)
     with pytest.raises(ValueError):
         BrooksCoreyModel(beta=4.0, p_b=-0.01, eta_mode="bogus")
+    # beta = inf divided by zero at tau_star; p_b = -inf gave u_b = inf
+    for beta, p_b in [(np.inf, -0.01), (4.0, -np.inf), (np.nan, -0.01), (4.0, np.nan)]:
+        with pytest.raises(ValueError, match="must be finite"):
+            BrooksCoreyModel(beta=beta, p_b=p_b)
 
 
 # -- pointwise laws ------------------------------------------------------------

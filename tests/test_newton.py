@@ -249,15 +249,111 @@ def test_random_graph_solve_matches_dense(n, seed, dry_share, symmetric):
     # band Cholesky (given m and u') of a gravity-free Jacobian, or band LU
     # of one with upwind terms, on any connected pattern: the wet block in
     # the plan's order and the dry pass agree with the dense solve, and bit
-    # for bit with the set-up over every coupling (all wet, none, or some)
+    # for bit with the set-up over every coupling where some column is dry
+    # (where every one is wet and the plan has a Schur layout, the Schur
+    # complement is factored instead: ``test_all_wet_schur_solve_matches_dense``)
     diag, K, L, off, m, u_p, J = graph_system(n, seed, dry_share, symmetric)
     plan = SolvePlan(n, K, L, symmetric=symmetric)
     b = np.random.default_rng(seed).standard_normal(n)
-    x = linear_solve(plan, diag, off, S.wet_columns(plan.cols, diag, off), b,
-                     *((m, u_p) if symmetric else ()))
+    wet = S.wet_columns(plan.cols, diag, off)
+    x = linear_solve(plan, diag, off, wet, b, *((m, u_p) if symmetric else ()))
     ref = np.linalg.solve(J, b)
     assert np.linalg.norm(x - ref, np.inf) <= 1e-12 * np.linalg.norm(ref, np.inf)
-    assert np.array_equal(x, solve_over_every_coupling(plan, diag, off, b, m, u_p)[0])
+    if not (wet.all() and plan.schur is not None):
+        assert np.array_equal(x, solve_over_every_coupling(plan, diag, off, b, m, u_p)[0])
+
+
+@given(st.integers(2, 60), st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_all_wet_schur_solve_matches_dense(n, seed, symmetric):
+    # every column wet on a random connected pattern, most of them with odd
+    # cycles (couplings inside S): I is independent, and the Schur path (or,
+    # where the plan keeps no layout, the whole band) agrees with the dense
+    # solve at the bound of the partial-wet solves
+    diag, K, L, off, m, u_p, J = graph_system(n, seed, 0.0, symmetric)
+    plan = SolvePlan(n, K, L, symmetric=symmetric)
+    wet = S.wet_columns(plan.cols, diag, off)
+    assert wet.all()
+    if plan.schur is not None:
+        in_i = np.isin(np.arange(n), plan.schur.I)
+        assert not (in_i[K] & in_i[L]).any()
+        assert np.array_equal(np.sort(np.concatenate([plan.schur.I, plan.schur.cells])),
+                              np.arange(n))
+    b = np.random.default_rng(seed).standard_normal(n)
+    x = linear_solve(plan, diag, off, wet, b, *((m, u_p) if symmetric else ()))
+    ref = np.linalg.solve(J, b)
+    assert np.linalg.norm(x - ref, np.inf) <= 1e-12 * np.linalg.norm(ref, np.inf)
+
+
+def triangulated_grid(nx, ny):
+    """(n, K, L) of an nx x ny grid of cells with one diagonal coupling per
+    square of four, every cell's degree at most 6."""
+    cell = np.arange(nx * ny).reshape(ny, nx)
+    K = np.concatenate([cell[:, :-1].ravel(), cell[:-1].ravel(), cell[:-1, :-1].ravel()])
+    L = np.concatenate([cell[:, 1:].ravel(), cell[1:].ravel(), cell[1:, 1:].ravel()])
+    return nx * ny, K, L
+
+
+def test_schur_layout_is_kept_only_where_its_band_costs_less(monkeypatch):
+    # a random pattern with odd cycles: couplings inside S, and S's band costs
+    # less than the whole one, so the layout is kept
+    diag, K, L, off, m, u_p, J = graph_system(60, 3, 0.0, True)
+    plan = SolvePlan(60, K, L, symmetric=True)
+    sc = plan.schur
+    assert sc.direct.size > 0
+    assert sc.cells.size * sc.kd**2 < plan.n * plan.kd**2
+    # a triangulated grid has odd cycles everywhere: of the cells at an even
+    # breadth-first distance, leaving out the later cell of each coupled pair
+    # keeps 9 of 100 in I, so S costs more and the whole band is factored,
+    # also where every column is wet
+    n, K, L = triangulated_grid(10, 10)
+    A = sp.coo_matrix((-np.ones(2 * K.size), (np.concatenate([K, L]), np.concatenate([L, K]))),
+                      shape=(n, n)).tolil()
+    A.setdiag(7.0)
+    plan = plan_of(A)
+    assert S._SchurLayout(plan).I.size == 9 and plan.schur is None
+    b = np.arange(1.0, n + 1)
+    calls = count_lu(monkeypatch)
+    x = solve_on(plan, A, b)
+    assert calls == {"dgbsv": 1, "dpbsv": 0}
+    np.testing.assert_allclose(x, np.linalg.solve(A.toarray(), b), rtol=1e-13)
+
+
+@pytest.mark.parametrize("kind", ["natural", "shuffled"])
+@pytest.mark.parametrize("nx,ny", [(40, 40), (20, 20), (7, 6), (160, 10), (1, 9)])
+def test_box_mesh_schur_complement_keeps_half_the_cells(kind, nx, ny):
+    # I is one colour of the checkerboard: n/2 cells (the larger colour where n
+    # is odd).  S's band costs less than the whole one, and on a square it is
+    # no wider (reverse Cuthill-McKee of S gives 7 for the 7x6 box shuffled,
+    # where the plan's band is 6, and 12 for 160x10 against 10)
+    box = build_rect_mesh(nx, ny) if kind == "natural" else shuffled_box(nx, ny)
+    for symmetric in (True, False):
+        plan = Assembly(box, TAU, np.zeros(2) if symmetric else np.array([0.0, -1.0])).plan
+        assert plan.symmetric == symmetric
+        sc = plan.schur
+        assert sc.I.size == (plan.n + 1) // 2
+        assert sc.cells.size == plan.n // 2
+        assert sc.cells.size * sc.kd**2 < plan.n * plan.kd**2
+        assert sc.kd <= plan.kd or nx != ny
+        i, j = (box.cell_centers[sc.I] * [nx, ny] - 0.5).T
+        assert np.unique(np.round(i + j).astype(int) % 2).size == 1
+
+
+def test_schur_solve_repeats_its_bits(monkeypatch):
+    # the same all-wet input twice, on one plan and on a plan made anew:
+    # the same x, bit for bit, from one Cholesky of the 200 cells of S
+    m, kept = corrections(short_test2(t_end=1e3))
+    J, u_p = kept[0]
+    b = np.random.default_rng(6).standard_normal(J.shape[0])
+    plan = plan_of(J, symmetric=True)
+    calls = count_lu(monkeypatch)
+    lapack = lapack_inputs(monkeypatch)
+    x = [solve_on(plan, J, b, m, u_p), solve_on(plan, J, b, m, u_p), solve(J, b, m, u_p)]
+    assert calls == {"dgbsv": 0, "dpbsv": 3}
+    assert all(args[0].shape == (plan.schur.kd + 1, 200) for _, args, _ in lapack)
+    assert np.array_equal(x[0], x[1]) and np.array_equal(x[0], x[2])
+    ref = np.linalg.solve(J.toarray(), b)
+    assert np.linalg.norm(x[0] - ref, np.inf) <= 1e-12 * np.linalg.norm(ref, np.inf)
 
 
 def count_lu(monkeypatch) -> dict:
@@ -510,21 +606,20 @@ def captured_solves(monkeypatch, config) -> list:
     return seen
 
 
-@pytest.mark.parametrize("config,kind,wet_set", [
-    (short_test1("20x20", 0.03), "natural", "partial"),
-    (short_test1("80x80", 0.01), "natural", "partial"),
-    (short_test2("40x40"), "natural", "all"),
-    (short_test2(dt=0.01, t_end=0.03), "natural", "partial"),
-    (short_test1("20x20", 0.03), "shuffled", "partial"),
-], ids=["test1-20x20", "test1-80x80", "test2-40x40", "test2-20x20-small-dt",
-        "test1-20x20-shuffled"])
+@pytest.mark.parametrize("config,kind", [
+    (short_test1("20x20", 0.03), "natural"),
+    (short_test1("80x80", 0.01), "natural"),
+    (short_test2(dt=0.01, t_end=0.03), "natural"),
+    (short_test1("20x20", 0.03), "shuffled"),
+], ids=["test1-20x20", "test1-80x80", "test2-20x20-small-dt", "test1-20x20-shuffled"])
 def test_per_edge_setup_gives_the_bits_of_the_setup_over_every_coupling(monkeypatch, config,
-                                                                        kind, wet_set):
+                                                                        kind):
     # every correction of a short run, in the cells' numbering or renumbered
     # at random (edge order and couplings kept), with the wet mask the run's
     # jacobian gave it (refreshed on the changed columns at 80x80): the same
     # band storage reaches LAPACK as from the set-up that tests every
-    # coupling, and the same x comes back, bit for bit
+    # coupling, and the same x comes back, bit for bit.  No correction here
+    # has every column wet (those factor the Schur complement instead)
     solves = captured_solves(monkeypatch, config)
     plan = solves[0][0]
     n, ni = plan.n, plan.rows.size // 2
@@ -539,10 +634,7 @@ def test_per_edge_setup_gives_the_bits_of_the_setup_over_every_coupling(monkeypa
         ref, w = solve_over_every_coupling(plan, *args)
         assert np.array_equal(x, ref)
         wet.append(w)
-    if wet_set == "all":
-        assert min(wet) == n
-    else:
-        assert max(wet) > 0 and min(wet) < n and any(0 < w < n for w in wet)
+    assert 0 < max(wet) < n
     assert len(lapack) == 2 * sum(w > 0 for w in wet)
     for (name, args, kwargs), (ref_name, ref_args, ref_kwargs) in zip(lapack[::2], lapack[1::2]):
         assert name == ref_name and kwargs == ref_kwargs and len(args) == len(ref_args)
@@ -593,26 +685,50 @@ def renumbered(A, m, u_p, kind, keep):
 @pytest.mark.parametrize("source", ["chain", "test2"])
 @pytest.mark.parametrize("kind", NUMBERINGS)
 def test_zero_pivot_in_the_wet_set_raises_singular(monkeypatch, kind, source):
-    # chain: cells 10 and 11 form a block [[1, 1], [-1, -1]] of two wet
-    # columns, uncoupled from the rest, so the second LU pivot is exactly
-    # zero in either order.  test2: J_10,10 = 0 leaves column 10 wet and
-    # makes the Cholesky pivot of cell 10 nonpositive.  The message names
-    # the cell, not its position in the plan
+    # every column is wet, so the Schur complement S on the cells outside
+    # the plan's independent set I is factored.  chain: cells 10 and 11 form
+    # a block [[1, 1], [-1, -1]] of two wet columns, uncoupled from the rest;
+    # one of them is in I, and eliminating it leaves the other a zero LU
+    # pivot.  test2: of the neighbours 10 and 11, J_cc = 0 for the one in S,
+    # c, leaves column c wet and makes the Cholesky pivot of cell c in S
+    # nonpositive.  The message names the cell, not its position in S
     A, m, u_p, route = singular_input(source)
     if source == "chain":
         A[9, 10] = A[10, 9] = A[11, 12] = A[12, 11] = 0.0
         A[10, 10] = A[10, 11] = 1.0
         A[11, 10] = A[11, 11] = -1.0
         message = r"the pivot of cell 1[01] is exactly zero"
-    else:
-        A[10, 10] = 0.0
-        message = r"the pivot of cell 10 is not positive"
     A, m, u_p = renumbered(A, m, u_p, kind, keep=[10, 11])
-    assert wet_columns(A)[[10, 11]].all()
+    plan = plan_of(A, symmetric=m is not None)
+    assert np.isin([10, 11], plan.schur.I).sum() == 1
+    if source == "test2":
+        cell = 11 if 10 in plan.schur.I else 10
+        A[cell, cell] = 0.0  # a stored entry: the pattern is kept
+        message = rf"the pivot of cell {cell} is not positive"
+    assert wet_columns(A).all()
     calls = count_lu(monkeypatch)
     with pytest.raises(SingularJacobianError, match=message):
-        solve(A, np.ones(A.shape[0]), m, u_p)
+        solve_on(plan, A, np.ones(A.shape[0]), m, u_p)
     assert calls == route
+
+
+@pytest.mark.parametrize("source", ["chain", "test2"])
+@pytest.mark.parametrize("kind", NUMBERINGS)
+def test_zero_diagonal_on_the_eliminated_set_raises_singular(monkeypatch, kind, source):
+    # every column is wet, and the cell of 10 and 11 (neighbours) that the
+    # Schur path eliminates has a zero diagonal: refused by name before any
+    # factorization
+    A, m, u_p, _ = singular_input(source)
+    A, m, u_p = renumbered(A, m, u_p, kind, keep=[10, 11])
+    plan = plan_of(A, symmetric=m is not None)
+    cell = 10 if 10 in plan.schur.I else 11
+    assert cell in plan.schur.I
+    A[cell, cell] = 0.0  # a stored entry: the pattern is kept
+    assert wet_columns(A).all()
+    calls = count_lu(monkeypatch)
+    with pytest.raises(SingularJacobianError, match=rf"eliminated cell {cell} has a zero diagonal"):
+        solve_on(plan, A, np.ones(A.shape[0]), m, u_p)
+    assert calls == {"dgbsv": 0, "dpbsv": 0}
 
 
 @pytest.mark.parametrize("source", ["chain", "test2"])

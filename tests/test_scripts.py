@@ -50,3 +50,15 @@ def test_digest_prints_one_line_per_workload(monkeypatch, capsys):
     assert [int(line.split()[1]) for line in lines] == [1586, 23, 180, 16]
     digest.main(["--scale", "tiny"])
     assert capsys.readouterr().out.splitlines() == lines
+
+
+def test_run_test2_times_each_run_on_the_given_mesh(monkeypatch, capsys, tmp_path):
+    # six runs (two formulations, three tolerances), each with its wall time
+    script = load("run_test2.py", monkeypatch)
+    script.main(["--mesh", "4x4", "--out", str(tmp_path)])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["form", "eps", "iters", "mass_err", "conv", "wall_ms"]
+    rows = [line.split() for line in lines[1:7]]
+    assert [row[0] for row in rows] == ["tau"] * 3 + ["u"] * 3
+    assert all(float(row[5]) > 0 for row in rows)
+    assert "4x4" in (tmp_path / "summary.csv").read_text()
