@@ -181,8 +181,7 @@ def linear_solve(plan: SolvePlan, diag, off, wet, b, m=None, u_p=None) -> np.nda
     the edges whose two cells are wet, placed by ``plan.positions``, and the
     dry pass sums only the couplings of the edges with one wet cell, from
     the wet column into the dry row, in their order in off (as a sum over
-    every coupling would, so it rounds the same).  With every column wet, the
-    bandwidth and the places are the plan's own (``plan.kd``, ``plan.band``).
+    every coupling would, so it rounds the same).
 
     The plan says how the block is factored.  By default, ``dgbsv`` (band
     LU) factors A's block; partial pivoting makes no row swap, since the
@@ -201,8 +200,8 @@ def linear_solve(plan: SolvePlan, diag, off, wet, b, m=None, u_p=None) -> np.nda
 
     An exactly zero LU pivot or a nonpositive Cholesky pivot in the
     factored block or in S, or an exactly zero diagonal of a dry cell or of
-    a cell of I, raises SingularJacobianError naming the cell.  diag, off and wet are not modified.
-    Deterministic for fixed input.
+    a cell of I, raises SingularJacobianError naming the cell.  diag, off
+    and wet are not modified.  Deterministic for fixed input.
     """
     b = np.asarray(b, dtype=float)
     if wet.all() and plan.schur is not None:
@@ -210,9 +209,7 @@ def linear_solve(plan: SolvePlan, diag, off, wet, b, m=None, u_p=None) -> np.nda
     n, rows, cols = plan.n, plan.rows, plan.cols
     x = np.zeros(n)
     w = plan.order[wet[plan.order]]  # W in the plan's order
-    if w.size == n:  # the plan's bandwidth and places
-        q, k, band = plan.pair, plan.kd, plan.band
-    elif w.size:
+    if w.size:
         wet_c = wet.take(cols).reshape(2, -1)  # per edge K|L: whether L, then K, is wet
         q = plan.pair.take(np.flatnonzero(wet_c[0] & wet_c[1]), axis=1)  # the edges inside W
         place = np.empty(n, dtype=np.intp)
@@ -220,7 +217,6 @@ def linear_solve(plan: SolvePlan, diag, off, wet, b, m=None, u_p=None) -> np.nda
         p = place[cols[q]]  # the places in W of each edge's earlier and later cell
         k = int((p[1] - p[0]).max(initial=0))
         band = plan.positions(p, k)
-    if w.size:
         if plan.symmetric:  # B y = m b with B = diag(m) A diag(u')^-1, y = u' x
             m_w, u_w = m[w], u_p[w]
             # lower storage: with two OpenBLAS threads, dpbsv of the upper
@@ -263,7 +259,7 @@ def _schur_solve(plan: SolvePlan, diag, off, b, m, u_p) -> np.ndarray:
     if not d_i.all():
         raise SingularJacobianError(f"eliminated cell {sc.I[np.flatnonzero(d_i == 0.0)[0]]} "
                                     "has a zero diagonal")
-    g = off.take(sc.into) / diag.take(sc.pivot)  # A_ai / A_ii per cross edge i|a
+    g = off.take(sc.into) / d_i.take(sc.cross_i)  # A_ai / A_ii per cross edge i|a
     h = off.take(sc.out)  # A_ia
     s = np.bincount(sc.entry, weights=np.concatenate([
         diag.take(sc.cells), off.take(sc.direct), -(g.take(sc.left) * h.take(sc.right))]),

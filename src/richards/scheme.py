@@ -171,13 +171,11 @@ class SolvePlan:
     first the one below the diagonal in that order (row the later cell,
     column the earlier one), then the one above.  A block of cells factored
     in that order reads, per edge inside it, both couplings for LU and the
-    one below for Cholesky.  ``kd`` and ``band`` are the bandwidth and the
-    places of those couplings in the band storage (``positions``) of the
-    whole matrix, for a solve in which every cell is factored and the plan
-    has no Schur layout.
+    one below for Cholesky.  ``kd`` is the bandwidth of the whole matrix in
+    that order.
 
-    ``schur`` is that layout (``_SchurLayout``), made at the first solve in
-    which every cell is factored: an independent set I of cells, the order
+    ``schur`` is the Schur layout (``_SchurLayout``), made at the first solve
+    in which every cell is factored: an independent set I of cells, the order
     of the others and the places of the entries of the Schur complement S
     on them.  It is kept only where S's band costs less than the whole one,
     n_S kd_S^2 < n kd^2 (n/2 cells and kd_S = kd on a square box); then
@@ -195,7 +193,6 @@ class SolvePlan:
         self.pair = np.where(rank[K] > rank[L], [e, e + K.size], [e + K.size, e])
         p = rank[self.cols[self.pair]]  # each edge's earlier cell, then its later one
         self.kd = int((p[1] - p[0]).max(initial=0))
-        self.band = self.positions(p, self.kd)
 
     def positions(self, p, k: int) -> np.ndarray:
         """The places of the couplings ``pair[:, e]`` of the edges e of a block in
@@ -233,8 +230,8 @@ class _SchurLayout:
     bandwidth in that order, and ``ldab`` its number of band rows.
 
     Per cross edge, an edge i|a with i in I and a outside: ``into`` and
-    ``out``, the couplings A_ai and A_ia; ``pivot``, i; ``cross_i`` and
-    ``cross_s``, i's place in I and a's in ``cells``.  The cross edges are
+    ``out``, the couplings A_ai and A_ia, and ``cross_i`` and ``cross_s``,
+    i's place in I and a's in ``cells``.  The cross edges are
     sorted by i.  S's entries are numbered 0 to ``n_entries`` - 1: the
     diagonal, and the couplings in the order that the solve reads them (below
     the diagonal alone when the plan is symmetric, both sides otherwise).
@@ -275,11 +272,10 @@ class _SchurLayout:
         e = np.flatnonzero(in_i[K] != in_i[L])
         e = e[np.argsort(np.where(in_i[K[e]], K[e], L[e]), kind="stable")]
         i_is_k = in_i[K[e]]
-        self.pivot = np.where(i_is_k, K[e], L[e])
         a = np.where(i_is_k, L[e], K[e])
         self.into = np.where(i_is_k, e + ne, e)  # row a, column i
         self.out = np.where(i_is_k, e, e + ne)  # row i, column a
-        self.cross_i = place[self.pivot]
+        self.cross_i = place[np.where(i_is_k, K[e], L[e])]
         # every ordered pair of the cross edges of one i
         size = np.bincount(self.cross_i, minlength=self.I.size)
         start = np.cumsum(size) - size
