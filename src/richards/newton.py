@@ -261,29 +261,29 @@ def _schur_solve(plan: SolvePlan, diag, off, b, m, u_p) -> np.ndarray:
                                     "has a zero diagonal")
     g = off.take(sc.into) / d_i.take(sc.cross_i)  # A_ai / A_ii per cross edge i|a
     h = off.take(sc.out)  # A_ia
-    s = np.bincount(sc.entry, weights=np.concatenate([
-        diag.take(sc.cells), off.take(sc.direct), -(g.take(sc.left) * h.take(sc.right))]),
-        minlength=sc.n_entries)
-    b_i = b.take(sc.I)  # c = b_S - A_SI A_II^-1 b_I
-    c = b.take(sc.cells) - np.bincount(sc.cross_s, weights=g * b_i.take(sc.cross_i),
-                                       minlength=sc.cells.size)
-    ab = np.zeros(sc.ldab * sc.cells.size)
-    if plan.symmetric:  # diag(m) S diag(u')^-1 is the Schur complement of B
-        ab[sc.band] = s * m.take(sc.rows) / u_p.take(sc.cols)
-        _, y, info = dpbsv(ab.reshape((sc.ldab, -1), order="F"), m.take(sc.cells) * c,
-                           lower=1, overwrite_ab=True)
-        x_s = y / u_p.take(sc.cells)
+    d_s, b_s, direct = diag.take(sc.cells), b.take(sc.cells), off.take(sc.direct)
+    if plan.symmetric:  # the same for B = diag(m) A diag(u')^-1, y = u' x
+        m_s, u_s = m.take(sc.cells), u_p.take(sc.cells)
+        d_s, b_s = d_s * m_s / u_s, m_s * b_s
+        direct = direct * m.take(plan.rows.take(sc.direct)) / u_p.take(plan.cols.take(sc.direct))
+        g *= m.take(sc.cross_cell)  # g h = B_ai B_ic / B_ii
+        h /= u_p.take(sc.cross_cell)  # h y = A_ia x_a
+    ab = np.bincount(sc.band, weights=np.concatenate([d_s, direct, -(g.take(sc.left) *
+                                                                      h.take(sc.right))]),
+                     minlength=sc.ldab * sc.cells.size).reshape((sc.ldab, -1), order="F")
+    b_i = b.take(sc.I)  # the right side b_S - A_SI A_II^-1 b_I, scaled as S
+    c = b_s - np.bincount(sc.cross_s, weights=g * b_i.take(sc.cross_i), minlength=sc.cells.size)
+    if plan.symmetric:
+        _, y, info = dpbsv(ab, c, lower=1, overwrite_ab=True)
         failure = "band Cholesky factorization failed: the pivot of cell {} is not positive"
     else:
-        ab[sc.band] = s
-        _, _, x_s, info = dgbsv(sc.kd, sc.kd, ab.reshape((sc.ldab, -1), order="F"), c,
-                                overwrite_ab=True)
+        _, _, y, info = dgbsv(sc.kd, sc.kd, ab, c, overwrite_ab=True)
         failure = "band LU factorization failed: the pivot of cell {} is exactly zero"
     if info > 0:
         raise SingularJacobianError(failure.format(sc.cells[info - 1]))
     x = np.empty(diag.size)
-    x[sc.cells] = x_s
-    x[sc.I] = (b_i - np.bincount(sc.cross_i, weights=h * x_s.take(sc.cross_s),
+    x[sc.cells] = y / u_s if plan.symmetric else y
+    x[sc.I] = (b_i - np.bincount(sc.cross_i, weights=h * y.take(sc.cross_s),
                                  minlength=sc.I.size)) / d_i
     return x
 

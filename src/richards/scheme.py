@@ -230,17 +230,15 @@ class _SchurLayout:
     bandwidth in that order, and ``ldab`` its number of band rows.
 
     Per cross edge, an edge i|a with i in I and a outside: ``into`` and
-    ``out``, the couplings A_ai and A_ia, and ``cross_i`` and ``cross_s``,
-    i's place in I and a's in ``cells``.  The cross edges are
-    sorted by i.  S's entries are numbered 0 to ``n_entries`` - 1: the
-    diagonal, and the couplings in the order that the solve reads them (below
-    the diagonal alone when the plan is symmetric, both sides otherwise).
-    Entry e is S[``rows[e]``, ``cols[e]``] (cells) and sits at ``band[e]`` in
-    the band storage of ``newton.linear_solve``.  ``entry`` gives the entry
-    of each term of a sum that forms them: first the diagonal of each cell of
-    ``cells``, then each coupling ``direct`` inside S, then, per pair of cross
-    edges i|a, i|c of one i, the product -(A_ai / A_ii) A_ic, as the cross
-    edges ``left`` and ``right``.  One ``np.bincount`` over them gives S.
+    ``out``, the couplings A_ai and A_ia; ``cross_cell``, a; ``cross_i`` and
+    ``cross_s``, i's place in I and a's in ``cells``.  The cross edges are
+    sorted by i.  S is the sum of terms, each at its place ``band`` in the
+    band storage of ``newton.linear_solve`` (below the diagonal alone when
+    the plan is symmetric, both sides otherwise): first the diagonal of each
+    cell of ``cells``, then each coupling ``direct`` inside S, then, per
+    pair of cross edges i|a, i|c of one i, the product -(A_ai / A_ii) A_ic,
+    as the cross edges ``left`` and ``right``.  One ``np.bincount`` over
+    them gives S in band storage.
     """
 
     def __init__(self, plan: SolvePlan):
@@ -272,7 +270,7 @@ class _SchurLayout:
         e = np.flatnonzero(in_i[K] != in_i[L])
         e = e[np.argsort(np.where(in_i[K[e]], K[e], L[e]), kind="stable")]
         i_is_k = in_i[K[e]]
-        a = np.where(i_is_k, L[e], K[e])
+        self.cross_cell = a = np.where(i_is_k, L[e], K[e])
         self.into = np.where(i_is_k, e + ne, e)  # row a, column i
         self.out = np.where(i_is_k, e, e + ne)  # row i, column a
         self.cross_i = place[np.where(i_is_k, K[e], L[e])]
@@ -306,10 +304,6 @@ class _SchurLayout:
             d = n_s + direct.size
             direct, left, right = direct[lower[n_s:d]], left[lower[d:]], right[lower[d:]]
         self.direct, self.left, self.right = direct, left, right
-        key, self.entry = np.unique(j * n_s + i, return_inverse=True)  # by column, then row
-        self.n_entries = key.size
-        i, j = key % n_s, key // n_s
-        self.rows, self.cols = self.cells[i], self.cells[j]
         # LU (dgbsv, 3k + 1 rows): S[i, j] in row 2k + i - j; Cholesky (dpbsv,
         # lower, k + 1 rows): in row i - j
         self.ldab = k + 1 if plan.symmetric else 3 * k + 1
