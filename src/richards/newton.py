@@ -129,6 +129,11 @@ class SingularJacobianError(RuntimeError):
     """Raised when the direct factorization fails."""
 
 
+# the messages of a failed band factorization, naming the cell
+_CHOLESKY_FAILED = "band Cholesky factorization failed: the pivot of cell {} is not positive"
+_LU_FAILED = "band LU factorization failed: the pivot of cell {} is exactly zero"
+
+
 @dataclass
 class NewtonReport:
     residual_history: list  # ||F||_1 at tau_init and after each iteration
@@ -228,7 +233,7 @@ def linear_solve(plan: SolvePlan, diag, off, wet, b, m=None, u_p=None) -> np.nda
             _, y, info = dpbsv(ab.reshape((k + 1, w.size), order="F"), m_w * b[w],
                                lower=1, overwrite_ab=True)
             x[w] = y / u_w
-            failure = "band Cholesky factorization failed: the pivot of cell {} is not positive"
+            failure = _CHOLESKY_FAILED
         else:
             ldab = 3 * k + 1
             ab = np.zeros(ldab * w.size)
@@ -236,7 +241,7 @@ def linear_solve(plan: SolvePlan, diag, off, wet, b, m=None, u_p=None) -> np.nda
             ab[band] = off.take(q)
             _, _, x[w], info = dgbsv(k, k, ab.reshape((ldab, w.size), order="F"), b[w],
                                      overwrite_ab=True)
-            failure = "band LU factorization failed: the pivot of cell {} is exactly zero"
+            failure = _LU_FAILED
         if info > 0:
             raise SingularJacobianError(failure.format(w[info - 1]))
     if w.size < n:  # x_K = (b_K - sum_L A_KL x_L) / A_KK over the wet L
@@ -268,17 +273,17 @@ def _schur_solve(plan: SolvePlan, diag, off, b, m, u_p) -> np.ndarray:
         direct = direct * m.take(plan.rows.take(sc.direct)) / u_p.take(plan.cols.take(sc.direct))
         g *= m.take(sc.cross_cell)  # g h = B_ai B_ic / B_ii
         h /= u_p.take(sc.cross_cell)  # h y = A_ia x_a
-    ab = np.bincount(sc.band, weights=np.concatenate([d_s, direct, -(g.take(sc.left) *
-                                                                      h.take(sc.right))]),
-                     minlength=sc.ldab * sc.cells.size).reshape((sc.ldab, -1), order="F")
+    terms = np.concatenate([d_s, direct, -(g.take(sc.left) * h.take(sc.right))])
+    ab = np.bincount(sc.band, weights=terms, minlength=sc.ldab * sc.cells.size)
+    ab = ab.reshape((sc.ldab, -1), order="F")
     b_i = b.take(sc.I)  # the right side b_S - A_SI A_II^-1 b_I, scaled as S
     c = b_s - np.bincount(sc.cross_s, weights=g * b_i.take(sc.cross_i), minlength=sc.cells.size)
     if plan.symmetric:
         _, y, info = dpbsv(ab, c, lower=1, overwrite_ab=True)
-        failure = "band Cholesky factorization failed: the pivot of cell {} is not positive"
+        failure = _CHOLESKY_FAILED
     else:
         _, _, y, info = dgbsv(sc.kd, sc.kd, ab, c, overwrite_ab=True)
-        failure = "band LU factorization failed: the pivot of cell {} is exactly zero"
+        failure = _LU_FAILED
     if info > 0:
         raise SingularJacobianError(failure.format(sc.cells[info - 1]))
     x = np.empty(diag.size)
