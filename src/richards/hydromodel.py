@@ -158,6 +158,18 @@ def _sat_of_kirchhoff_prime(params: DerivedParams, u):
                     np.where(u == 0.0, np.inf, 0.0))
 
 
+_ALL = slice(None)  # the index of every cell
+
+
+def _cells(mask):
+    """The cells where mask holds: _ALL when it holds on every one, None when
+    on none, else their index."""
+    idx = np.flatnonzero(mask)
+    if idx.size == mask.size:
+        return _ALL
+    return idx if idx.size else None
+
+
 @dataclass(frozen=True)
 class Parametrization:
     """A pair of monotone maps tau -> (s(tau), u(tau)) covering the graph of S.
@@ -193,29 +205,45 @@ class Parametrization:
         (s = 0, u = tau, s' = 0, u' = 1; a NaN iterate stays NaN, so its
         residual is non-finite), 0 <= tau < tau_star (s = tau,
         u = u_b tau^eta) and tau >= tau_star (u affine in tau, s = S~(u)).
+        On the last, the saturated cells, u >= u_b, take s = 1 and s' = 0
+        with no power, the values S~ and its right derivative have there.
+        A branch that holds every cell is computed on the whole array, with
+        no gather and no scatter.
         """
         tau = np.asarray(tau, dtype=float)
         p = self.params
         eta, u_b, t_st = p.eta, p.u_b, p.tau_star
         t = tau.reshape(-1)
         s, u, sp, upr = np.zeros(t.size), t.copy(), np.zeros(t.size), np.ones(t.size)
-        up = t >= t_st
-        low = (t >= 0.0) & ~up
+        above = t >= t_st
+        up = _cells(above)
+        low = _cells((t >= 0.0) & ~above) if up is not _ALL else None
         # A scalar tau is computed on as the 0-d array itself, not as a
         # 1-element array: numpy takes a power of a 0-d quotient from the C
         # library's pow, which can differ by an ulp from its vectorized loop,
         # so a scalar gets the same bits as from whole-array code.
-        if low.any():
+        if low is not None:
             t_low = t[low] if tau.ndim else tau
             s[low] = t_low
             u[low] = u_b * t_low**eta
             sp[low] = 1.0
             upr[low] = eta * u_b * t_low ** (eta - 1.0)
-        if up.any():
+        if up is not None:
             u_up = (t[up] if tau.ndim else tau) - t_st + u_b * t_st**eta  # >= 0
             u[up] = u_up
-            s[up] = sat_of_kirchhoff(self.model, u_up, p)
-            sp[up] = _sat_of_kirchhoff_prime(p, u_up)
+            below = u_up < u_b  # the others are saturated: s = 1, s' = 0
+            if below.all():
+                s[up] = sat_of_kirchhoff(self.model, u_up, p)
+                sp[up] = _sat_of_kirchhoff_prime(p, u_up)
+            elif not below.any():
+                s[up] = 1.0
+            else:
+                s_up, sp_up = np.ones(u_up.size), np.zeros(u_up.size)
+                j = np.flatnonzero(below)
+                u_j = u_up.take(j)
+                s_up[j] = sat_of_kirchhoff(self.model, u_j, p)
+                sp_up[j] = _sat_of_kirchhoff_prime(p, u_j)
+                s[up], sp[up] = s_up, sp_up
         return tuple(a.reshape(tau.shape) for a in (s, u, sp, upr))
 
     # -- inverses -----------------------------------------------------------

@@ -83,14 +83,22 @@ class Mesh:
     def __post_init__(self):
         k, l = self.edge_cells[:, 0], self.edge_cells[:, 1]
         bnd = l < 0
-        seg = np.where(bnd[:, None], self.edge_x, self.cell_centers[l]) - self.cell_centers[k]
-        d = np.where(bnd, self.edge_d[:, 0], self.edge_d.sum(axis=1))
+        # one coordinate at a time: the center segment x_K -> x_L, or x_K ->
+        # x_sigma on the boundary, its length as the sum of the squares in
+        # axis order (as np.linalg.norm adds them), and its unit normal
+        seg = [np.where(bnd, x, c.take(l)) - c.take(k)
+               for x, c in zip(self.edge_x.T, self.cell_centers.T)]
+        square = seg[0] * seg[0]
+        for s in seg[1:]:
+            square += s * s
+        d0, d1 = self.edge_d.T
         # degenerate geometry gives inf or nan here; validate_admissibility reports it
         with np.errstate(divide="ignore", invalid="ignore"):
-            self.edge_normal = seg / np.linalg.norm(seg, axis=1, keepdims=True)
-            self.edge_A = self.edge_measure / d
-        pts = np.vstack([self.cell_centers, self.edge_x[bnd]])
-        self.bbox = np.stack([pts.min(axis=0), pts.max(axis=0)], axis=-1)
+            length = np.sqrt(square)
+            self.edge_normal = np.stack([s / length for s in seg], axis=-1)
+            self.edge_A = self.edge_measure / np.where(bnd, d0, d0 + d1)
+        pts = np.concatenate([self.cell_centers.T, self.edge_x[bnd].T], axis=1)
+        self.bbox = np.stack([pts.min(axis=1), pts.max(axis=1)], axis=-1)
 
     # -- basic queries -------------------------------------------------------
 

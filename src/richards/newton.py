@@ -104,7 +104,8 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dgbsv, dpbsv
 
 from .mesh import Mesh
-from .scheme import DROP, Assembly, Evaluation, SolvePlan, jacobian, residual, step_residual
+from .scheme import (DROP, Assembly, Evaluation, Jacobian, SolvePlan, jacobian, residual,
+                     step_residual)
 
 __all__ = [
     "ATOL_SCALE",
@@ -148,7 +149,7 @@ class NewtonReport:
         return self.residual_history[-1]
 
 
-def linear_solve(plan: SolvePlan, diag, off, wet, b, m=None, u_p=None) -> np.ndarray:
+def linear_solve(plan: SolvePlan, jac: Jacobian, b, m=None, u_p=None) -> np.ndarray:
     """Direct solve of A x = b, A given by its diagonal diag and its couplings
     off on the rows and columns of plan (``plan.rows``, ``plan.cols``).
 
@@ -209,50 +210,55 @@ def linear_solve(plan: SolvePlan, diag, off, wet, b, m=None, u_p=None) -> np.nda
     and wet are not modified.  Deterministic for fixed input.
     """
     b = np.asarray(b, dtype=float)
-    if wet.all() and plan.schur is not None:
-        return _schur_solve(plan, diag, off, b, m, u_p)
+    diag, off, w = jac.diag, jac.off, jac.wet_cells
     n, rows, cols = plan.n, plan.rows, plan.cols
-    x = np.zeros(n)
-    w = plan.order[wet[plan.order]]  # W in the plan's order
+    if w.size == n and plan.schur is not None:
+        return _schur_solve(plan, diag, off, b, m, u_p)
+    x = np.empty(n)
+    place = np.empty(n, dtype=np.intp)  # each wet cell's place in W, then slots of dry rows
     if w.size:
-        wet_c = wet.take(cols).reshape(2, -1)  # per edge K|L: whether L, then K, is wet
-        q = plan.pair.take(np.flatnonzero(wet_c[0] & wet_c[1]), axis=1)  # the edges inside W
-        place = np.empty(n, dtype=np.intp)
         place[w] = np.arange(w.size)
-        p = place[cols[q]]  # the places in W of each edge's earlier and later cell
+        q = plan.pair.take(jac.inside, axis=1)  # the edges inside W
+        p = place.take(cols.take(q))  # the places in W of each edge's earlier and later cell
         k = int((p[1] - p[0]).max(initial=0))
         band = plan.positions(p, k)
         if plan.symmetric:  # B y = m b with B = diag(m) A diag(u')^-1, y = u' x
-            m_w, u_w = m[w], u_p[w]
+            m_w, u_w = m.take(w), u_p.take(w)
             # lower storage: with two OpenBLAS threads, dpbsv of the upper
             # triangle took about 4 times as long as with one; the lower one did not
             ab = np.zeros((k + 1) * w.size)
-            ab[::k + 1] = diag[w] * m_w / u_w  # B[i, i] in row 0
+            ab[::k + 1] = diag.take(w) * m_w / u_w  # B[i, i] in row 0
             q = q[0]  # A[i, j] with i > j: B[i, j] = m_i A[i, j] / u'_j
             ab[band] = off.take(q) * m.take(rows.take(q)) / u_p.take(cols.take(q))
-            _, y, info = dpbsv(ab.reshape((k + 1, w.size), order="F"), m_w * b[w],
+            _, y, info = dpbsv(ab.reshape((k + 1, w.size), order="F"), m_w * b.take(w),
                                lower=1, overwrite_ab=True)
             x[w] = y / u_w
             failure = _CHOLESKY_FAILED
         else:
             ldab = 3 * k + 1
             ab = np.zeros(ldab * w.size)
-            ab[2 * k::ldab] = diag[w]  # A[i, i] in row 2k
+            ab[2 * k::ldab] = diag.take(w)  # A[i, i] in row 2k
             ab[band] = off.take(q)
-            _, _, x[w], info = dgbsv(k, k, ab.reshape((ldab, w.size), order="F"), b[w],
+            _, _, x[w], info = dgbsv(k, k, ab.reshape((ldab, w.size), order="F"), b.take(w),
                                      overwrite_ab=True)
             failure = _LU_FAILED
         if info > 0:
             raise SingularJacobianError(failure.format(w[info - 1]))
     if w.size < n:  # x_K = (b_K - sum_L A_KL x_L) / A_KK over the wet L
-        dry = ~wet
-        if not (diag.all() or diag[dry].all()):
-            raise SingularJacobianError(f"dry column {np.flatnonzero(dry & (diag == 0.0))[0]} "
-                                        "has a zero diagonal")
-        if w.size:  # the couplings from a wet column into a dry row, in their order
-            c = np.flatnonzero(wet_c > wet_c[::-1])
-            b = b - np.bincount(rows[c], weights=off[c] * x[cols[c]], minlength=n)
-        np.divide(b, diag, out=x, where=dry)
+        if not diag.all():
+            zero = np.flatnonzero(diag == 0.0)
+            zero = zero[~jac.wet.take(zero)]
+            if zero.size:
+                raise SingularJacobianError(f"dry column {zero[0]} has a zero diagonal")
+        np.divide(b, diag, out=x, where=~jac.wet)
+        c = jac.wet_to_dry
+        if c.size:  # the dry rows next to W, each summed in its couplings' order
+            r = rows.take(c)
+            place[r] = np.arange(r.size)
+            slot = place.take(r)  # one slot per dry row
+            below = np.bincount(slot, weights=off.take(c) * x.take(cols.take(c)),
+                                minlength=r.size)
+            x[r] = (b.take(r) - below.take(slot)) / diag.take(r)
     return x
 
 
@@ -339,7 +345,7 @@ def newton_solve(system: Assembly, dt: float, s_prev, tau_init, eps: float,
         if callback is not None:
             callback(k, tau, res, system.matrix(jac.diag, jac.off))
         try:
-            delta = linear_solve(system.plan, *jac, f, system.mesh.cell_volumes, ev.u_p)
+            delta = linear_solve(system.plan, jac, f, system.mesh.cell_volumes, ev.u_p)
         except SingularJacobianError:
             break
         tau = tau - delta  # a new array: ev keeps the iterate it was given

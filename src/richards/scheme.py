@@ -188,11 +188,26 @@ class SolvePlan:
         self.rows, self.cols = np.concatenate([K, L]), np.concatenate([L, K])
         pattern = sp.csr_matrix((np.ones(self.rows.size), (self.rows, self.cols)), shape=(n, n))
         self.order = reverse_cuthill_mckee(pattern, symmetric_mode=True).astype(np.intp)
-        rank = np.argsort(self.order)
+        self.rank = rank = np.empty(n, dtype=np.intp)  # each cell's place in order
+        rank[self.order] = np.arange(n)
         e = np.arange(K.size)
-        self.pair = np.where(rank[K] > rank[L], [e, e + K.size], [e + K.size, e])
+        later = rank[K] > rank[L]
+        self.pair = np.stack([np.where(later, e, e + K.size), np.where(later, e + K.size, e)])
         p = rank[self.cols[self.pair]]  # each edge's earlier cell, then its later one
         self.kd = int((p[1] - p[0]).max(initial=0))
+
+    def wet_split(self, wet):
+        """What a solve reads of the wet mask wet, one flag per column, worked
+        out from every cell and edge: (W, the wet cells in ``order``; the
+        edges whose two cells are wet, ascending; the couplings from a wet
+        column into a dry row, ascending).  ``jacobian`` refreshes them from
+        the last iterate's instead (``_rewet``)."""
+        if wet.all():  # the Schur complement reads none of it
+            return self.order, np.arange(self.rows.size // 2), np.arange(0)
+        w = self.order.take(np.flatnonzero(wet.take(self.order)))
+        wet_c = wet.take(self.cols).reshape(2, -1)  # per edge K|L: whether L, then K, is wet
+        return (w, np.flatnonzero(wet_c[0] & wet_c[1]),
+                np.flatnonzero(wet_c > wet_c[::-1]))
 
     def positions(self, p, k: int) -> np.ndarray:
         """The places of the couplings ``pair[:, e]`` of the edges e of a block in
@@ -353,6 +368,9 @@ class Assembly:
         self.u_D = np.asarray(uD, dtype=float)
         self.lam_D = np.asarray(mobility(param.model, sD), dtype=float)
         K, L = self.K[:ni], self.L
+        # per edge, the place of its outer value in the cell values followed
+        # by the Dirichlet ones (``Evaluation.u``)
+        self.outer = np.concatenate([L, mesh.n_cells + np.arange(de.size)])
         self.flux_cells = np.concatenate([K, L, self.K[ni:]])
         # the cells of jacobian()'s diagonal terms: s', then the flux terms
         self.diag_cells = np.concatenate([np.arange(mesh.n_cells), self.flux_cells])
@@ -404,64 +422,71 @@ def refresh_limit(n: int) -> int:
 
 class _CellIndex:
     """Each cell's positions in the flux sum and the diagonal sum, in
-    ascending order, as the columns of (width, n) tables, width the most
+    ascending order, as the rows of (n, width) tables, width the most
     positions of any cell.  A position is one side of one edge, numbered as
     in ``Assembly.flux_cells``: the K side of interior edge e at e, its L side
     at n_interior + e, and the side of Dirichlet edge e at n_interior + e.  A
-    column with fewer positions is padded at its end with entries that add 0.
+    row with fewer positions is padded at its end with entries that add 0.
 
     Per position: ``edge``, the edge (in a pad, the slot after the last
-    edge); ``sign``, the sign of F_e in the cell's flux sum; ``other``, the
-    cell on the other side (the cell itself on a Dirichlet edge, cell 0 in a
+    edge); ``first``, whether the cell is the edge's first cell K (False in
+    a pad); ``sign``, the sign of F_e in the cell's flux sum; ``other``, the
+    cell on the other side (the cell itself on a Dirichlet edge and in a
     pad); ``A`` and ``g``, the coefficients of u'(tau) and of d lam/d tau of
     the cell in the derivative of that side's flux (A_sigma and m_sigma g+
     on a K side, A_sigma and m_sigma g- on an L side, 0 in a pad);
     ``coupling``, the coupling that derivative feeds, row ``other``, column
-    the cell (on a Dirichlet edge and in a pad, the slot after the last
-    coupling); ``coupled``, whether it feeds one.  ``outer`` gives per edge
-    the index of its outer value in the cell values followed by the
-    Dirichlet ones.  Summing a column in order repeats ``np.bincount``'s
-    additions, so a refreshed sum has the bits of the full one.
+    the cell (-1 on a Dirichlet edge and in a pad: a refresh writes those
+    values to a slot after the last coupling); ``coupled``, whether it
+    feeds one.  Summing a row in order
+    repeats ``np.bincount``'s additions, so a refreshed sum has the bits of
+    the full one.  A refresh reads the rows of a set of cells, by ``take``:
+    each row is one run of memory.
     """
 
     def __init__(self, system: "Assembly"):
         n, ni, ne = system.mesh.n_cells, system.n_interior, system.K.size
         inner, dirichlet = np.arange(ni), np.arange(ni, ne)
-        K, L = system.K[:ni], system.L
         cell = system.flux_cells
         count = np.bincount(cell, minlength=n)
         width = int(count.max(initial=0))
         order = np.argsort(cell, kind="stable")
         row = cell[order]
         col = np.arange(cell.size) - (np.cumsum(count) - count)[row]
+        # each cell's positions, then in its pads the slot after the last one
+        place = np.full(n * width, cell.size)
+        place[row * width + col] = order
+        place = place.reshape(n, width)
 
         def table(values, pad):
-            out = np.full((width, n), pad, dtype=values.dtype)
-            out[col, row] = values[order]
-            return out
+            return np.append(values, pad).take(place)
 
+        k_side = np.ones(cell.size, dtype=bool)
+        k_side[ni:2 * ni] = False
         self.edge = table(np.concatenate([inner, inner, dirichlet]), ne)
-        self.sign = table(np.concatenate([np.ones(ni), -np.ones(ni), np.ones(ne - ni)]), 1.0)
-        self.other = table(np.concatenate([L, K, system.K[ni:]]), 0)
+        self.first = table(k_side, False)
+        self.sign = table(np.where(k_side, 1.0, -1.0), 1.0)
+        self.other = table(np.concatenate([system.L, system.K]), -1)
+        np.copyto(self.other, np.arange(n)[:, None], where=self.other < 0)
         self.A = table(np.concatenate([system.A[:ni], system.A]), 0.0)
         self.g = table(np.concatenate([system.mgp[:ni], system.mgn, system.mgp[ni:]]), 0.0)
-        self.coupling = table(np.concatenate([inner + ni, inner, np.full(ne - ni, 2 * ni)]),
-                              2 * ni)
-        self.coupled = self.coupling < 2 * ni
-        self.outer = np.concatenate([L, n + np.arange(ne - ni)])
+        self.coupling = table(np.concatenate([inner + ni, inner, np.full(ne - ni, -1)]), -1)
+        self.coupled = self.coupling >= 0
 
 
 class Evaluation(NamedTuple):
     """What one iterate tau gives the step residual and its Jacobian: s(tau),
     the derivatives s'(tau) and u'(tau), the flux sum
     sum_{sigma in E_K} F_{K,sigma}(tau) of each cell, and what a refresh from
-    it needs: tau itself (the array ``residual`` was given), u(tau), the
-    flux F of each edge (F_{K,sigma} for its first cell K) and, when an edge
-    carries a gravity term, the mobility lam(s) (None otherwise).  changed
-    holds the cells whose tau differs from the evaluation this one was
-    refreshed from, or is None when it was computed in full.  None of it
-    depends on dt or s^{n-1}, so the evaluation at the last iterate of a step
-    is the one at the next step's tau_init."""
+    it needs: tau itself (the array ``residual`` was given), u(tau) of the
+    cells followed by the Dirichlet edges' u(tau_D) (read through
+    ``Assembly.outer``), the flux F of each edge (F_{K,sigma} for its first
+    cell K) followed by a 0 (the pads of the cell index read it) and, when
+    an edge carries a gravity term, the mobility lam(s), laid out as u (None
+    otherwise).  changed holds the cells whose tau differs from the
+    evaluation this one was refreshed from, or is None when it was computed
+    in full.  None of it depends on dt or s^{n-1}, so the evaluation at the
+    last iterate of a step is the one at the next step's tau_init."""
 
     s: np.ndarray
     s_p: np.ndarray
@@ -476,12 +501,18 @@ class Evaluation(NamedTuple):
 
 class Jacobian(NamedTuple):
     """The Jacobian at an iterate: its diagonal, its couplings on the rows and
-    columns of ``Assembly.plan`` in edge order, and the wet mask, one flag per
-    column (``wet_columns``)."""
+    columns of ``Assembly.plan`` in edge order, the wet mask, one flag per
+    column (``wet_columns``), and what the solve reads of it
+    (``SolvePlan.wet_split``): W, the wet cells in the plan's order; the
+    edges whose two cells are wet, and the couplings from a wet column into
+    a dry row, both ascending."""
 
     diag: np.ndarray
     off: np.ndarray
     wet: np.ndarray
+    wet_cells: np.ndarray
+    inside: np.ndarray
+    wet_to_dry: np.ndarray
 
 
 def wet_columns(cols, diag, off) -> np.ndarray:
@@ -495,7 +526,11 @@ def wet_columns(cols, diag, off) -> np.ndarray:
 
 def step_residual(system: Assembly, dt: float, s_prev, ev: Evaluation):
     """f = (s - s_prev) + (dt / m_K) * flux of the evaluation ev."""
-    return (ev.s - s_prev) + dt / system.mesh.cell_volumes * ev.flux
+    f = ev.s - s_prev
+    rate = dt / system.mesh.cell_volumes
+    rate *= ev.flux
+    f += rate
+    return f
 
 
 def residual(system: Assembly, dt: float, s_prev, tau, prev: Evaluation | None = None):
@@ -521,18 +556,20 @@ def residual(system: Assembly, dt: float, s_prev, tau, prev: Evaluation | None =
     if prev is not None and system.max_changed > 0:
         changed = tau.view(np.int64) != prev.tau.view(np.int64)
         if np.count_nonzero(changed) <= system.max_changed:
-            ev = _refreshed(system, prev, tau, np.flatnonzero(changed))
+            ev = _refreshed(system, prev, tau, changed)
             return step_residual(system, dt, s_prev, ev), ev
     param, ni = system.param, system.n_interior
     s, u, s_p, u_p = param.eval(tau)
-    K, L = system.K, system.L
-    F = system.A * (u[K] - np.concatenate([u[L], system.u_D]))
+    K, outer = system.K, system.outer
+    u = np.concatenate([u, system.u_D])
+    F = np.empty(K.size + 1)
+    F[-1] = 0.0
+    F_e = np.multiply(system.A, u.take(K) - u.take(outer), out=F[:-1])
     lam = None
     if system.gravity:
-        lam = mobility(param.model, s)
-        lam_out = np.concatenate([lam[L], system.lam_D])
-        F += system.m * (lam[K] * system.gp - lam_out * system.gn)
-    flux = np.bincount(system.flux_cells, weights=np.concatenate([F[:ni], -F[:ni], F[ni:]]),
+        lam = np.concatenate([mobility(param.model, s), system.lam_D])
+        F_e += system.m * (lam.take(K) * system.gp - lam.take(outer) * system.gn)
+    flux = np.bincount(system.flux_cells, weights=np.concatenate([F_e[:ni], -F_e[:ni], F_e[ni:]]),
                        minlength=system.mesh.n_cells)
     ev = Evaluation(s, s_p, u_p, flux, tau, u, F, lam, None)
     return step_residual(system, dt, s_prev, ev), ev
@@ -540,45 +577,51 @@ def residual(system: Assembly, dt: float, s_prev, tau, prev: Evaluation | None =
 
 def _refreshed(system: Assembly, prev: Evaluation, tau, changed) -> Evaluation:
     """The evaluation at tau from prev, the one at an iterate that differs from
-    tau on the cells changed alone (see ``residual``)."""
-    cells, n, ne = system._cells, tau.size, system.K.size
-    s_c, u_c, s_p_c, u_p_c = system.param.eval(tau[changed])
-    s, s_p, u_p = prev.s.copy(), prev.s_p.copy(), prev.u_p.copy()
-    s[changed], s_p[changed], u_p[changed] = s_c, s_p_c, u_p_c
-    # u and lam of the cells, then of the Dirichlet edges (cells.outer)
-    u = np.concatenate([prev.u, system.u_D])
-    u[changed] = u_c
-    hit = np.zeros(ne + 1, dtype=bool)
-    hit[cells.edge[:, changed]] = True
-    e = np.flatnonzero(hit[:ne])  # the edges of the changed cells
-    K, outer = system.K[e], cells.outer[e]
-    F_e = system.A[e] * (u[K] - u[outer])
+    tau on the cells where the mask changed holds (see ``residual``)."""
+    cells, mask = system._cells, changed
+    changed = np.flatnonzero(mask)
+    s_c, u_c, s_p_c, u_p_c = system.param.eval(tau.take(changed))
+    s, s_p, u_p, u = prev.s.copy(), prev.s_p.copy(), prev.u_p.copy(), prev.u.copy()
+    s[changed], s_p[changed], u_p[changed], u[changed] = s_c, s_p_c, u_p_c, u_c
+    # the edges of the changed cells, each once: from its first cell when that
+    # one changed, from the other one otherwise
+    other = cells.other.take(changed, axis=0)
+    own = cells.first.take(changed, axis=0) | ~mask.take(other)
+    e = cells.edge.take(changed, axis=0)[own]
+    K, outer = system.K.take(e), system.outer.take(e)
+    F_e = system.A.take(e) * (u.take(K) - u.take(outer))
     lam = None
     if system.gravity:
-        lam = np.concatenate([prev.lam, system.lam_D])
+        lam = prev.lam.copy()
         lam[changed] = mobility(system.param.model, s_c)
-        F_e += system.m[e] * (lam[K] * system.gp[e] - lam[outer] * system.gn[e])
-        lam = lam[:n]
-    F = np.empty(ne + 1)  # a 0 after the last edge, for the pads of cells.edge
-    F[:ne], F[ne] = prev.F, 0.0
+        F_e += system.m.take(e) * (lam.take(K) * system.gp.take(e)
+                                   - lam.take(outer) * system.gn.take(e))
+    F = prev.F.copy()
     F[e] = F_e
-    # the cells on either side of those edges sum their flux again, in order
-    touched = np.zeros(u.size, dtype=bool)
-    touched[K] = True
-    touched[outer] = True
-    t = np.flatnonzero(touched[:n])
+    # the changed cells and their neighbours sum their flux again, in order
+    touched = mask.copy()
+    touched[other] = True
+    t = np.flatnonzero(touched)
     total = np.zeros(t.size)
-    for term in cells.sign[:, t] * F[cells.edge[:, t]]:
+    for term in (cells.sign.take(t, axis=0) * F.take(cells.edge.take(t, axis=0))).T:
         total += term
     flux = prev.flux.copy()
     flux[t] = total
-    return Evaluation(s, s_p, u_p, flux, tau, u[:n], F[:ne], lam, changed)
+    return Evaluation(s, s_p, u_p, flux, tau, u, F, lam, changed)
+
+
+def _capped(s_p):
+    """s' with its non-finite values and those above SPRIME_CAP set to the cap
+    (only the u kind's s' can have them: it is +inf at u = 0)."""
+    if np.all(np.abs(s_p) <= SPRIME_CAP):
+        return s_p
+    return np.where(np.isfinite(s_p), np.minimum(s_p, SPRIME_CAP), SPRIME_CAP)
 
 
 def jacobian(system: Assembly, dt: float, ev: Evaluation, prev: Jacobian | None = None):
     """The exact Jacobian of residual() as a ``Jacobian``: its diagonal, its
-    couplings on the rows and columns of system.plan in edge order, and the
-    wet mask of its columns.
+    couplings on the rows and columns of system.plan in edge order, the wet
+    mask of its columns and what the solve reads of it.
 
     ev is what residual() returned at the iterate.  Diagonal of J:
     s'(tau_K) + (dt/m_K) sum_sigma (m_sigma g+ lam'(s_K) s'(tau_K)
@@ -589,27 +632,30 @@ def jacobian(system: Assembly, dt: float, ev: Evaluation, prev: Jacobian | None 
     and the couplings below and above it, depends on cell K's state and on
     dt alone.  So when ev was refreshed (ev.changed is not None) and prev is
     the Jacobian at the same dt of the evaluation ev was refreshed from, only
-    the changed cells' columns and wet flags are computed again, with the
-    bits of the full computation; no array of prev is changed.
+    the changed cells' columns and wet flags are computed again, and W and
+    the edge lists of the solve are brought up to date from the cells whose
+    flag flipped (``_rewet``), all with the bits of the full computation; no
+    array of prev is changed.
     """
     if prev is not None and ev.changed is not None:
         return _refreshed_jacobian(system, dt, ev, prev)
     u_p = ev.u_p
-    s_p = np.where(np.isfinite(ev.s_p), np.minimum(ev.s_p, SPRIME_CAP), SPRIME_CAP)
+    s_p = _capped(ev.s_p)
     ni, K, L = system.n_interior, system.K, system.L
     r = dt / system.mesh.cell_volumes
     # derivative of F_{K,sigma} w.r.t. tau_K (upwind g+ side) and tau_L
-    dFK = system.A * u_p[K]
-    dFL = system.A[:ni] * u_p[L]
+    dFK = system.A * u_p.take(K)
+    dFL = system.A[:ni] * u_p.take(L)
     if system.gravity:
         w = mobility_derivative(system.param.model, ev.s) * s_p  # d lam(s(tau))/d tau
-        dFK += system.mgp * w[K]
-        dFL += system.mgn * w[L]
-    rK, rL = r[K], r[L]
+        dFK += system.mgp * w.take(K)
+        dFL += system.mgn * w.take(L)
+    rK, rL = r.take(K), r.take(L)
     diag = np.bincount(system.diag_cells, weights=np.concatenate([
         s_p, rK[:ni] * dFK[:ni], rL * dFL, rK[ni:] * dFK[ni:]]), minlength=s_p.size)
     off = np.concatenate([-rK[:ni] * dFL, -rL * dFK[:ni]])
-    return Jacobian(diag, off, wet_columns(system.plan.cols, diag, off))
+    wet = wet_columns(system.plan.cols, diag, off)
+    return Jacobian(diag, off, wet, *system.plan.wet_split(wet))
 
 
 def _refreshed_jacobian(system: Assembly, dt: float, ev: Evaluation, prev: Jacobian) -> Jacobian:
@@ -617,23 +663,52 @@ def _refreshed_jacobian(system: Assembly, dt: float, ev: Evaluation, prev: Jacob
     ``jacobian``), each from its column of the cell index."""
     cells, changed = system._cells, ev.changed
     vol = system.mesh.cell_volumes
-    s_p = ev.s_p[changed]
-    s_p = np.where(np.isfinite(s_p), np.minimum(s_p, SPRIME_CAP), SPRIME_CAP)
+    s_p = _capped(ev.s_p.take(changed))
     # the derivative of each side's flux w.r.t. the cell's tau; 0 in a pad
-    d = cells.A[:, changed] * ev.u_p[changed]
+    d = cells.A.take(changed, axis=0) * ev.u_p.take(changed)[:, None]
     if system.gravity:
-        w = mobility_derivative(system.param.model, ev.s[changed]) * s_p
-        d += cells.g[:, changed] * w
+        w = mobility_derivative(system.param.model, ev.s.take(changed)) * s_p
+        d += cells.g.take(changed, axis=0) * w[:, None]
     diag_c = np.zeros(changed.size)
     diag_c += s_p
-    for term in dt / vol[changed] * d:
+    for term in ((dt / vol.take(changed))[:, None] * d).T:
         diag_c += term
-    value = -(dt / vol[cells.other[:, changed]]) * d
-    off = np.empty(prev.off.size + 1)  # the slot after the last coupling takes
-    off[:-1] = prev.off  # the values of the Dirichlet sides and the pads
-    off[cells.coupling[:, changed]] = value
-    diag, wet = prev.diag.copy(), prev.wet.copy()
+    value = -(dt / vol.take(cells.other.take(changed, axis=0))) * d
+    off = np.empty(prev.off.size + 1)  # the slot after the last coupling, off[-1],
+    off[:-1] = prev.off  # takes the values of the Dirichlet sides and the pads
+    off[cells.coupling.take(changed, axis=0)] = value
+    diag = prev.diag.copy()
     diag[changed] = diag_c
-    big = cells.coupled[:, changed] & ~(np.abs(value) <= DROP * diag_c)
-    wet[changed] = ~np.isfinite(diag_c) | big.any(axis=0)
-    return Jacobian(diag, off[:-1], wet)
+    big = cells.coupled.take(changed, axis=0) & ~(np.abs(value) <= DROP * diag_c[:, None])
+    wet_c = ~np.isfinite(diag_c)
+    for column in big.T:
+        wet_c |= column
+    was = prev.wet.take(changed)
+    wet = prev.wet.copy()
+    wet[changed] = wet_c
+    if np.array_equal(wet_c, was):
+        return Jacobian(diag, off[:-1], wet, prev.wet_cells, prev.inside, prev.wet_to_dry)
+    return Jacobian(diag, off[:-1], wet, *_rewet(system, prev.wet_cells, wet,
+                                                 changed[wet_c & ~was]))
+
+
+def _rewet(system: Assembly, w, wet, new):
+    """``SolvePlan.wet_split`` of the mask wet, from W = w of a mask that
+    differs from wet on some cells: those of w that are dry now leave W, the
+    cells new, wet now, join it.  The edge lists are read off W's columns
+    of the cell index, so this costs what W costs, not what the mesh does."""
+    plan, cells, ni = system.plan, system._cells, system.n_interior
+    w = w[wet.take(w)]
+    if new.size:  # merged in the plan's order
+        w = plan.order.take(np.sort(np.concatenate([plan.rank.take(w), plan.rank.take(new)])))
+    if w.size == plan.n:
+        return plan.wet_split(wet)
+    # per side of an edge of a cell of W: the coupling into the other cell
+    # (row other, column the W cell) and whether that cell is wet
+    c = cells.coupling.take(w, axis=0)
+    o = wet.take(cells.other.take(w, axis=0))
+    inside = c[o & (c >= ni)]  # K sides of interior edges: coupling n_interior + e
+    inside.sort()
+    wet_to_dry = c[~o]  # the other cell is dry, so the side is interior
+    wet_to_dry.sort()
+    return w, inside - ni, wet_to_dry

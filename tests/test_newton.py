@@ -169,12 +169,19 @@ def plan_of(A, symmetric=False):
     return SolvePlan(A.shape[0], K, L, symmetric=symmetric)
 
 
+def jacobian_on(plan, diag, off, wet=None):
+    """The Jacobian that linear_solve reads: diag and off on plan with the wet
+    mask wet (by default the one wet_columns gives) and its split."""
+    wet = S.wet_columns(plan.cols, diag, off) if wet is None else wet
+    return S.Jacobian(diag, off, wet, *plan.wet_split(wet))
+
+
 def solve_on(plan, A, b, m=None, u_p=None):
     """linear_solve of A x = b on plan, made from A's pattern or an equal one."""
     diag, K, L, off = split(A)
     np.testing.assert_array_equal(np.concatenate([K, L]), plan.rows)
     np.testing.assert_array_equal(np.concatenate([L, K]), plan.cols)
-    return linear_solve(plan, diag, off, S.wet_columns(plan.cols, diag, off), b, m, u_p)
+    return linear_solve(plan, jacobian_on(plan, diag, off), b, m, u_p)
 
 
 def solve(A, b, m=None, u_p=None):
@@ -256,7 +263,7 @@ def test_random_graph_solve_matches_dense(n, seed, dry_share, symmetric):
     plan = SolvePlan(n, K, L, symmetric=symmetric)
     b = np.random.default_rng(seed).standard_normal(n)
     wet = S.wet_columns(plan.cols, diag, off)
-    x = linear_solve(plan, diag, off, wet, b, *((m, u_p) if symmetric else ()))
+    x = linear_solve(plan, jacobian_on(plan, diag, off), b, *((m, u_p) if symmetric else ()))
     ref = np.linalg.solve(J, b)
     assert np.linalg.norm(x - ref, np.inf) <= 1e-12 * np.linalg.norm(ref, np.inf)
     if not (wet.all() and plan.schur is not None):
@@ -280,7 +287,7 @@ def test_all_wet_schur_solve_matches_dense(n, seed, symmetric):
         assert np.array_equal(np.sort(np.concatenate([plan.schur.I, plan.schur.cells])),
                               np.arange(n))
     b = np.random.default_rng(seed).standard_normal(n)
-    x = linear_solve(plan, diag, off, wet, b, *((m, u_p) if symmetric else ()))
+    x = linear_solve(plan, jacobian_on(plan, diag, off), b, *((m, u_p) if symmetric else ()))
     ref = np.linalg.solve(J, b)
     assert np.linalg.norm(x - ref, np.inf) <= 1e-12 * np.linalg.norm(ref, np.inf)
 
@@ -595,9 +602,9 @@ def captured_solves(monkeypatch, config) -> list:
     """(plan, diag, off, wet, b, m, u') of every linear_solve of a run of config."""
     seen = []
 
-    def capture(plan, diag, off, wet, b, m=None, u_p=None):
-        seen.append((plan, diag, off, wet, b, m, u_p))
-        return solve(plan, diag, off, wet, b, m, u_p)
+    def capture(plan, jac, b, m=None, u_p=None):
+        seen.append((plan, jac.diag, jac.off, jac.wet, b, m, u_p))
+        return solve(plan, jac, b, m, u_p)
 
     solve = N.linear_solve
     monkeypatch.setattr(N, "linear_solve", capture)
@@ -630,7 +637,7 @@ def test_per_edge_setup_gives_the_bits_of_the_setup_over_every_coupling(monkeypa
     wet = []
     for _, diag, off, wet_mask, b, m, u_p in solves:
         args = (diag[perm], off, b[perm], *(None if v is None else v[perm] for v in (m, u_p)))
-        x = linear_solve(plan, args[0], off, wet_mask[perm], *args[2:])
+        x = linear_solve(plan, jacobian_on(plan, args[0], off, wet_mask[perm]), *args[2:])
         ref, w = solve_over_every_coupling(plan, *args)
         assert np.array_equal(x, ref)
         wet.append(w)
@@ -973,7 +980,7 @@ def test_callback_matrix_is_the_coo_build(shuffled_40x40):
         n, plan = mesh.n_cells, system.plan
         tau = rng.uniform(-0.1, 2.2, n)
         _, ev = residual(system, 0.01, np.full(n, 1e-6), tau)
-        diag, off, _ = jacobian(system, 0.01, ev)
+        diag, off = jacobian(system, 0.01, ev)[:2]
         ij = (np.concatenate([np.arange(n), plan.rows]), np.concatenate([np.arange(n), plan.cols]))
         want = sp.coo_matrix((np.concatenate([diag, off]), ij), shape=(n, n)).tocsc()
         J = system.matrix(diag, off)
