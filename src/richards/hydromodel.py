@@ -162,12 +162,12 @@ _ALL = slice(None)  # the index of every cell
 
 
 def _cells(mask):
-    """The cells where mask holds: _ALL when it holds on every one, None when
-    on none, else their index."""
-    idx = np.flatnonzero(mask)
-    if idx.size == mask.size:
+    """The cells where the 1-D mask holds: _ALL when it holds on every one,
+    None when on none, else their index."""
+    count = np.count_nonzero(mask)
+    if count == mask.size:
         return _ALL
-    return idx if idx.size else None
+    return mask.nonzero()[0] if count else None
 
 
 @dataclass(frozen=True)
@@ -231,19 +231,20 @@ class Parametrization:
         if up is not None:
             u_up = (t[up] if tau.ndim else tau) - t_st + u_b * t_st**eta  # >= 0
             u[up] = u_up
-            below = u_up < u_b  # the others are saturated: s = 1, s' = 0
-            if below.all():
+            below = _cells(np.reshape(u_up < u_b, -1))  # the others are saturated
+            if below is _ALL:
                 s[up] = sat_of_kirchhoff(self.model, u_up, p)
                 sp[up] = _sat_of_kirchhoff_prime(p, u_up)
-            elif not below.any():
-                s[up] = 1.0
+            elif below is None:
+                s[up] = 1.0  # and s' = 0
             else:
                 s_up, sp_up = np.ones(u_up.size), np.zeros(u_up.size)
-                j = np.flatnonzero(below)
-                u_j = u_up.take(j)
-                s_up[j] = sat_of_kirchhoff(self.model, u_j, p)
-                sp_up[j] = _sat_of_kirchhoff_prime(p, u_j)
+                u_below = u_up.take(below)
+                s_up[below] = sat_of_kirchhoff(self.model, u_below, p)
+                sp_up[below] = _sat_of_kirchhoff_prime(p, u_below)
                 s[up], sp[up] = s_up, sp_up
+        if tau.ndim == 1:
+            return s, u, sp, upr
         return tuple(a.reshape(tau.shape) for a in (s, u, sp, upr))
 
     # -- inverses -----------------------------------------------------------

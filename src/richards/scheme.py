@@ -186,7 +186,8 @@ class SolvePlan:
         K, L = np.asarray(K, dtype=np.intp), np.asarray(L, dtype=np.intp)
         self.n, self.symmetric = n, symmetric
         self.rows, self.cols = np.concatenate([K, L]), np.concatenate([L, K])
-        pattern = sp.csr_matrix((np.ones(self.rows.size), (self.rows, self.cols)), shape=(n, n))
+        pattern = sp.csr_matrix((np.ones(self.rows.size, dtype=np.int8), (self.rows, self.cols)),
+                                shape=(n, n))
         self.order = reverse_cuthill_mckee(pattern, symmetric_mode=True).astype(np.intp)
         self.rank = rank = np.empty(n, dtype=np.intp)  # each cell's place in order
         rank[self.order] = np.arange(n)
@@ -352,11 +353,11 @@ class Assembly:
         ie = mesh.interior_edges
         edges = np.concatenate([ie, de])
         self.n_interior = ni = ie.size
-        self.K = mesh.edge_cells[edges, 0]
-        self.L = mesh.edge_cells[ie, 1]
-        self.m = mesh.edge_measure[edges]
-        self.A = mesh.edge_A[edges]
-        gn = mesh.edge_normal[edges] @ gravity  # g . n_{K,sigma}
+        self.K = mesh.edge_cells[:, 0].take(edges)
+        self.L = mesh.edge_cells[:, 1].take(ie)
+        self.m = mesh.edge_measure.take(edges)
+        self.A = mesh.edge_A.take(edges)
+        gn = mesh.edge_normal.take(edges, axis=0) @ gravity  # g . n_{K,sigma}
         self.gp = np.clip(gn, 0.0, None)
         self.gn = np.clip(-gn, 0.0, None)
         self.mgp = self.m * self.gp
