@@ -379,6 +379,17 @@ class Assembly:
         self.plan = SolvePlan(mesh.n_cells, K, L, symmetric=not self.gravity)
         # the most changed cells for which an iterate is refreshed (``refresh_limit``)
         self.max_changed = refresh_limit(mesh.n_cells)
+        self._rate = (None, None)
+
+    def rate(self, dt) -> np.ndarray:
+        """dt / m_K of each cell, read-only.  The iterates of a Newton step pass
+        one dt object, so the array of the last one is kept and handed out
+        again for it (the same object, not an equal value: 0.0 == -0.0)."""
+        if self._rate[0] is not dt:
+            rate = dt / self.mesh.cell_volumes
+            rate.flags.writeable = False
+            self._rate = (dt, rate)
+        return self._rate[1]
 
     @cached_property
     def _cells(self) -> "_CellIndex":
@@ -528,9 +539,7 @@ def wet_columns(cols, diag, off) -> np.ndarray:
 def step_residual(system: Assembly, dt: float, s_prev, ev: Evaluation):
     """f = (s - s_prev) + (dt / m_K) * flux of the evaluation ev."""
     f = ev.s - s_prev
-    rate = dt / system.mesh.cell_volumes
-    rate *= ev.flux
-    f += rate
+    f += system.rate(dt) * ev.flux
     return f
 
 
@@ -643,7 +652,7 @@ def jacobian(system: Assembly, dt: float, ev: Evaluation, prev: Jacobian | None 
     u_p = ev.u_p
     s_p = _capped(ev.s_p)
     ni, K, L = system.n_interior, system.K, system.L
-    r = dt / system.mesh.cell_volumes
+    r = system.rate(dt)
     # derivative of F_{K,sigma} w.r.t. tau_K (upwind g+ side) and tau_L
     dFK = system.A * u_p.take(K)
     dFL = system.A[:ni] * u_p.take(L)
@@ -663,7 +672,7 @@ def _refreshed_jacobian(system: Assembly, dt: float, ev: Evaluation, prev: Jacob
     """The Jacobian at ev from prev, by the columns of the cells ev.changed (see
     ``jacobian``), each from its column of the cell index."""
     cells, changed = system._cells, ev.changed
-    vol = system.mesh.cell_volumes
+    rate = system.rate(dt)
     s_p = _capped(ev.s_p.take(changed))
     # the derivative of each side's flux w.r.t. the cell's tau; 0 in a pad
     d = cells.A.take(changed, axis=0) * ev.u_p.take(changed)[:, None]
@@ -672,9 +681,9 @@ def _refreshed_jacobian(system: Assembly, dt: float, ev: Evaluation, prev: Jacob
         d += cells.g.take(changed, axis=0) * w[:, None]
     diag_c = np.zeros(changed.size)
     diag_c += s_p
-    for term in ((dt / vol.take(changed))[:, None] * d).T:
+    for term in (rate.take(changed)[:, None] * d).T:
         diag_c += term
-    value = -(dt / vol.take(cells.other.take(changed, axis=0))) * d
+    value = -rate.take(cells.other.take(changed, axis=0)) * d
     off = np.empty(prev.off.size + 1)  # the slot after the last coupling, off[-1],
     off[:-1] = prev.off  # takes the values of the Dirichlet sides and the pads
     off[cells.coupling.take(changed, axis=0)] = value
