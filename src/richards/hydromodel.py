@@ -231,7 +231,7 @@ class Parametrization:
         if up is not None:
             u_up = (t[up] if tau.ndim else tau) - t_st + u_b * t_st**eta  # >= 0
             u[up] = u_up
-            below = _cells(np.reshape(u_up < u_b, -1))  # the others are saturated
+            below = _cells((u_up < u_b).reshape(-1))  # the others are saturated
             if below is _ALL:
                 s[up] = sat_of_kirchhoff(self.model, u_up, p)
                 sp[up] = _sat_of_kirchhoff_prime(p, u_up)

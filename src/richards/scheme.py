@@ -442,7 +442,8 @@ class _CellIndex:
 
     Per position: ``edge``, the edge (in a pad, the slot after the last
     edge); ``first``, whether the cell is the edge's first cell K (False in
-    a pad); ``sign``, the sign of F_e in the cell's flux sum; ``other``, the
+    a pad); ``sign``, the sign of F_e in the cell's flux sum (-1 in a pad,
+    which so adds -0.0, changing no sum); ``other``, the
     cell on the other side (the cell itself on a Dirichlet edge and in a
     pad); ``A`` and ``g``, the coefficients of u'(tau) and of d lam/d tau of
     the cell in the derivative of that side's flux (A_sigma and m_sigma g+
@@ -470,19 +471,20 @@ class _CellIndex:
         place[row * width + col] = order
         place = place.reshape(n, width)
 
-        def table(values, pad):
-            return np.append(values, pad).take(place)
+        def table(*values):
+            """The table of per-position values, given in position order and
+            ending with the value of a pad."""
+            return np.concatenate(values).take(place)
 
-        k_side = np.ones(cell.size, dtype=bool)
-        k_side[ni:2 * ni] = False
-        self.edge = table(np.concatenate([inner, inner, dirichlet]), ne)
-        self.first = table(k_side, False)
-        self.sign = table(np.where(k_side, 1.0, -1.0), 1.0)
-        self.other = table(np.concatenate([system.L, system.K]), -1)
+        self.edge = table(inner, inner, dirichlet, [ne])
+        self.first = table(np.ones(ni, dtype=bool), np.zeros(ni, dtype=bool),
+                           np.ones(ne - ni, dtype=bool), [False])
+        self.sign = np.where(self.first, 1.0, -1.0)
+        self.other = table(system.L, system.K, [-1])
         np.copyto(self.other, np.arange(n)[:, None], where=self.other < 0)
-        self.A = table(np.concatenate([system.A[:ni], system.A]), 0.0)
-        self.g = table(np.concatenate([system.mgp[:ni], system.mgn, system.mgp[ni:]]), 0.0)
-        self.coupling = table(np.concatenate([inner + ni, inner, np.full(ne - ni, -1)]), -1)
+        self.A = table(system.A[:ni], system.A, [0.0])
+        self.g = table(system.mgp[:ni], system.mgn, system.mgp[ni:], [0.0])
+        self.coupling = table(inner + ni, inner, np.full(ne - ni + 1, -1))
         self.coupled = self.coupling >= 0
 
 
