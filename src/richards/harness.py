@@ -110,7 +110,7 @@ class RunConfig:
         if not (self.dt > 0 and self.t_end >= 0):
             raise ConfigError(f"need dt > 0 and t_end >= 0, got {self.dt}, {self.t_end}")
         ratio = self.t_end / self.dt
-        if abs(ratio - round(ratio)) > 1e-9:
+        if not (np.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9):
             raise ConfigError(f"t_end/dt = {ratio!r} is not integral")
 
     @property

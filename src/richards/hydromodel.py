@@ -100,7 +100,9 @@ def derive_params(model: BrooksCoreyModel) -> DerivedParams:
 
     "derived" mode uses eta = 3 + 1/beta, the exponent obtained by direct
     integration of lam(S(p)); "legacy" mode uses eta = beta + 3 + 1/beta.
-    In both modes u_b = -p_b / (beta * eta).
+    In both modes u_b = -p_b / (beta * eta); a ValueError is raised where
+    it is not a positive finite number (it underflows to 0 at beta = 1e300
+    and p_b = -1e-300).
     """
     beta = model.beta
     if model.eta_mode == "legacy":
@@ -108,6 +110,10 @@ def derive_params(model: BrooksCoreyModel) -> DerivedParams:
     else:
         eta = 3.0 + 1.0 / beta
     u_b = -model.p_b / (beta * eta)
+    if not 0.0 < u_b < math.inf:
+        raise ValueError(f"beta = {beta!r} and p_b = {model.p_b!r} give the entry Kirchhoff "
+                         f"value u_b = -p_b / (beta eta) = {u_b!r}; it must be positive and "
+                         "finite")
     tau_star = min((eta * u_b) ** (1.0 / (1.0 - eta)), 1.0)
     tau_sat = tau_star + u_b * (1.0 - tau_star**eta)
     return DerivedParams(eta=eta, u_b=u_b, tau_star=tau_star, tau_sat=tau_sat)

@@ -279,6 +279,18 @@ class _SchurLayout:
         rank[reached] = np.arange(n + 1)
         both = np.flatnonzero(in_i[K] & in_i[L])
         in_i[np.where(rank[K[both]] > rank[L[both]], K[both], L[both])] = False
+        # then, in cell order, each cell with no neighbour in I joins it, so I
+        # is a maximal independent set (on a box mesh none joins)
+        taken = np.zeros(n, dtype=bool)
+        taken[rows[in_i[cols]]] = True
+        free = np.flatnonzero(~in_i & ~taken)
+        if free.size:
+            adjacent = sp.csr_matrix((np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(n, n))
+            start, neighbour = adjacent.indptr, adjacent.indices
+            for c in free.tolist():
+                if not taken[c]:
+                    in_i[c] = True
+                    taken[neighbour[start[c]:start[c + 1]]] = True
         self.I = np.flatnonzero(in_i)
         place = np.empty(n, dtype=np.intp)
         place[self.I] = np.arange(self.I.size)

@@ -284,6 +284,10 @@ def test_all_wet_schur_solve_matches_dense(n, seed, symmetric):
     if plan.schur is not None:
         in_i = np.isin(np.arange(n), plan.schur.I)
         assert not (in_i[K] & in_i[L]).any()
+        # maximal: every cell outside I has a neighbour in it
+        next_to_i = np.zeros(n, dtype=bool)
+        next_to_i[K[in_i[L]]] = next_to_i[L[in_i[K]]] = True
+        assert (in_i | next_to_i).all()
         assert np.array_equal(np.sort(np.concatenate([plan.schur.I, plan.schur.cells])),
                               np.arange(n))
     b = np.random.default_rng(seed).standard_normal(n)
@@ -311,14 +315,18 @@ def test_schur_layout_is_kept_only_where_its_band_costs_less(monkeypatch):
     assert sc.cells.size * sc.kd**2 < plan.n * plan.kd**2
     # a triangulated grid has odd cycles everywhere: of the cells at an even
     # breadth-first distance, leaving out the later cell of each coupled pair
-    # keeps 9 of 100 in I, so S costs more and the whole band is factored,
-    # also where every column is wet
+    # keeps 9 of 100 in I, and the cells that then have no neighbour in I,
+    # taken in cell order, bring it to 25.  S (75 cells, band 16) still costs
+    # more than the whole band (10), so the whole band is factored, also
+    # where every column is wet
     n, K, L = triangulated_grid(10, 10)
     A = sp.coo_matrix((-np.ones(2 * K.size), (np.concatenate([K, L]), np.concatenate([L, K]))),
                       shape=(n, n)).tolil()
     A.setdiag(7.0)
     plan = plan_of(A)
-    assert S._SchurLayout(plan).I.size == 9 and plan.schur is None
+    layout = S._SchurLayout(plan)
+    assert layout.I.size == 25 and (layout.cells.size, layout.kd, plan.kd) == (75, 16, 10)
+    assert plan.schur is None
     b = np.arange(1.0, n + 1)
     calls = count_lu(monkeypatch)
     x = solve_on(plan, A, b)

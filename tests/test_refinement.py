@@ -1,5 +1,7 @@
 """The infiltration test under mesh refinement: first-order convergence of
-tau towards a fine reference, and the tau-vs-u Newton comparison on every mesh."""
+tau towards a fine reference, the tau-vs-u Newton comparison on every mesh,
+and the growth of plain Newton's first step with the number of cells the
+front must cross."""
 
 from dataclasses import replace
 
@@ -21,7 +23,7 @@ def block_mean(values, fine: int, coarse: int) -> np.ndarray:
     return v.mean(axis=(1, 3)).reshape(coarse * coarse, *np.shape(values)[1:])
 
 
-@pytest.mark.parametrize("beta", [1.0, 4.0])
+@pytest.mark.parametrize("beta", [1.0, 4.0, 16.0])
 def test_error_falls_at_first_order_and_u_needs_more_iterations(beta):
     # test1 tau at eps = 1e-6 to t = 0.1 (10 steps) on 10x10, 20x20 and 40x40,
     # against an 80x80 run whose saturation is averaged onto each coarse cell
@@ -52,3 +54,15 @@ def test_error_falls_at_first_order_and_u_needs_more_iterations(beta):
         assert u.converged == (beta > 1.0)
         assert u.total_iters > tau.total_iters
     assert all(coarse >= 2.0 * fine for coarse, fine in zip(errors, errors[1:])), errors
+
+
+def test_first_step_iterations_grow_with_the_cells_the_front_crosses():
+    # a 1 x N column of test1 (tau, beta = 4, eps = 1e-6) with a Dirichlet top:
+    # a dry column's couplings are about 1e-16 of its diagonal, so a Newton
+    # correction reaches about one cell past the wet zone, and the front moves
+    # about one cell per iterate.  The first step's iterations so grow like N
+    # (about N / 6 here), not like log N
+    base = replace(preset_test1(beta=4.0, eps=1e-6), t_end=0.01,
+                   dirichlet_box=[(0.0, 1.0), (1.0, 1.0)])
+    iters = [run(replace(base, mesh=f"1x{n}")).iters_per_step for n in (100, 200, 400)]
+    assert iters == [[20], [35], [67]]

@@ -62,3 +62,16 @@ def test_run_test2_times_each_run_on_the_given_mesh(monkeypatch, capsys, tmp_pat
     assert [row[0] for row in rows] == ["tau"] * 3 + ["u"] * 3
     assert all(float(row[5]) > 0 for row in rows)
     assert "4x4" in (tmp_path / "summary.csv").read_text()
+
+
+def test_run_test1_sweep_times_each_run_on_the_given_mesh(monkeypatch, capsys, tmp_path):
+    # the 21 runs of the sweep (the three reference runs, then both
+    # formulations at each beta and tolerance), each with its wall time
+    script = load("run_test1_sweep.py", monkeypatch)
+    script.main(["--mesh", "4x4", "--out", str(tmp_path)])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["form", "beta", "eps", "iters", "err_s", "conv", "wall_ms"]
+    rows = [line.split() for line in lines[1:22]]
+    assert [row[0] for row in rows] == ["tau"] * 6 + ["u"] * 3 + (["tau"] * 3 + ["u"] * 3) * 2
+    assert all(float(row[6]) > 0 for row in rows)
+    assert "4x4" in (tmp_path / "summary.csv").read_text()
