@@ -24,10 +24,15 @@ it (u' = 1, s = S~(u)).  The two kinds differ only in tau_star:
 Both are extended below tau = 0 by s = 0, u(tau) = tau so that u' = 1
 holds for transient negative Newton iterates.
 
-``Parametrization.eval`` computes each of the three branches (tau < 0 or
-NaN, 0 <= tau < tau_star, tau >= tau_star) only on the cells that lie on
-it, so a cell costs the powers of its own branch alone; on the
-redistribution test's tau formulation every cell lies on the middle one.
+``Parametrization.eval`` computes each branch (tau < 0 or NaN,
+0 <= tau < tau_star, and tau >= tau_star, split at u = u_b into its
+unsaturated part and its saturated one, where s = 1 and s' = 0 take no
+power) only on the cells that lie on it, one index per branch, so a cell
+costs the powers of its own branch alone.  A branch that holds every cell
+is computed on the whole array: on the redistribution test's tau
+formulation every cell lies on the middle one.  At the presets' beta
+(1, 4, 16; p_b = -0.01) tau_star = tau_sat = 1 for kind "tau", so its
+whole upper branch is saturated.
 """
 
 from __future__ import annotations

@@ -27,8 +27,8 @@ An iterate recomputes what depends on the cells whose tau changed since
 the last one, when few enough did (``scheme.refresh_limit``; test1 at
 80x80 and above): ``residual`` evaluates the parametrization on those
 cells and re-sums the fluxes around them, and ``jacobian`` recomputes
-their columns from the Jacobian of the last iterate, which
-``newton_solve`` keeps for the step.  Otherwise both compute every cell;
+their columns and the solve's wet set from the Jacobian of the last
+iterate, which ``newton_solve`` keeps for the step.  Otherwise both compute every cell;
 on meshes of at most 600 cells no change set is computed at all.  Either
 way the bits are the same.  Which factorization runs is a property of the
 physics, fixed per run by the ``Assembly``:
@@ -72,7 +72,11 @@ gravity term is larger: on the 20x20 infiltration mesh it is
 most DROP = 1e-12 times J_KK (``scheme.DROP``, re-exported here), and the
 other columns form the wet set W.  As a column depends on its own cell
 alone, ``scheme.jacobian`` flags it wet or dry where it forms the column,
-and ``linear_solve`` takes the flags.
+and hands ``linear_solve`` the wet set in the form the solve reads: W in
+the plan's order, the edges inside W and the couplings from W into dry
+rows (``scheme.SolvePlan.wet_split``).  A refreshed Jacobian brings them
+up to date from the columns whose flag flipped, so a refreshed iterate's
+solve costs what W and the front cost, not what the mesh does.
 So the dry soil stays dry at every beta of the paper's sweep: a short
 20x20 run at beta = 16 factors about as many columns per correction as at
 beta = 4 (47 and 46 on average), where a DROP of 1e-14 left 380 of 400
@@ -150,15 +154,19 @@ class NewtonReport:
 
 
 def linear_solve(plan: SolvePlan, jac: Jacobian, b, m=None, u_p=None) -> np.ndarray:
-    """Direct solve of A x = b, A given by its diagonal diag and its couplings
-    off on the rows and columns of plan (``plan.rows``, ``plan.cols``).
+    """Direct solve of A x = b, A given as a ``scheme.Jacobian`` jac: its
+    diagonal jac.diag, its couplings jac.off on the rows and columns of plan
+    (``plan.rows``, ``plan.cols``), and its wet set.
 
-    wet holds one flag per column: column K of A is dry when every
+    jac.wet holds one flag per column: column K of A is dry when every
     off-diagonal entry is at most DROP times the diagonal A_KK, and wet
-    otherwise (a non-finite entry makes it wet; ``scheme.wet_columns``, and
-    ``scheme.jacobian`` gives the flags with the Jacobian).  The wet columns
-    form the set W.  With the dry columns' couplings taken as zero,
-    A is block lower triangular in the order [W, dry].  So only the W x W
+    otherwise (a non-finite entry makes it wet; ``scheme.wet_columns``).  The
+    wet columns form the set W, which jac gives as the solve reads it
+    (``plan.wet_split``): W in the plan's order (jac.wet_cells), the edges
+    whose two cells are wet (jac.inside) and the couplings from a wet column
+    into a dry row (jac.wet_to_dry), both ascending.  With the dry columns'
+    couplings taken as zero, A is block lower triangular in the order
+    [W, dry].  So only the W x W
     block is factored, W in the plan's order: the wet diagonal and the wet
     couplings go straight into LAPACK band storage of |W| columns with that
     block's own bandwidth.  Then each dry cell gets
@@ -180,14 +188,13 @@ def linear_solve(plan: SolvePlan, jac: Jacobian, b, m=None, u_p=None) -> np.ndar
     positive definite.  The result agrees with the band solve of A to
     rounding, not bit for bit.
 
-    The set-up goes by the plan's edges (``plan.pair``), so it costs what
-    the wet block costs, but for three passes over every edge or cell: W in
-    the plan's order, each edge's two wet flags, and the choice of the edges
-    of the dry pass.  The block takes the couplings of
-    the edges whose two cells are wet, placed by ``plan.positions``, and the
-    dry pass sums only the couplings of the edges with one wet cell, from
-    the wet column into the dry row, in their order in off (as a sum over
-    every coupling would, so it rounds the same).
+    The set-up reads the wet set that jac carries, so it costs what the wet
+    block and the cells next to it cost: the block takes the couplings of
+    the edges inside W, placed by ``plan.positions``, and the dry pass sums,
+    for each dry row next to W, its couplings from wet columns, in their
+    order in off (as a sum over every coupling would, so it rounds the
+    same).  Every other dry cell takes x_K = b_K / A_KK, the one pass over
+    every cell that is left.
 
     The plan says how the block is factored.  By default, ``dgbsv`` (band
     LU) factors A's block; partial pivoting makes no row swap, since the
@@ -206,8 +213,8 @@ def linear_solve(plan: SolvePlan, jac: Jacobian, b, m=None, u_p=None) -> np.ndar
 
     An exactly zero LU pivot or a nonpositive Cholesky pivot in the
     factored block or in S, or an exactly zero diagonal of a dry cell or of
-    a cell of I, raises SingularJacobianError naming the cell.  diag, off
-    and wet are not modified.  Deterministic for fixed input.
+    a cell of I, raises SingularJacobianError naming the cell.  No array of
+    jac is modified.  Deterministic for fixed input.
     """
     b = np.asarray(b, dtype=float)
     diag, off, w = jac.diag, jac.off, jac.wet_cells

@@ -46,14 +46,23 @@ sums of both cells of each of those edges.  Column K of the Jacobian
 depends on cell K's state and on dt alone, so ``jacobian`` refreshes the
 last iterate's Jacobian at the same dt in the changed columns.  Both go
 by one index per ``Assembly``, made at the first refresh: each cell's
-positions in the flux and diagonal sums in ascending order, so a
-refreshed sum repeats ``np.bincount``'s additions and every result has
-the bits of the full computation.  The limit follows measured costs; on
-meshes of at most 600 cells no refresh can pay, and no change set is
-computed.  ``jacobian`` also gives the wet mask that the solve needs: a
-column is dry when its couplings are all at most ``DROP`` times its
-diagonal (``wet_columns``, see ``newton``), and a refresh tests only the
-changed columns.
+positions in the flux and diagonal sums in ascending order, one row of
+memory per cell, so a refreshed sum repeats ``np.bincount``'s additions
+and every result has the bits of the full computation.  The limit
+follows measured costs; on meshes of at most 600 cells no refresh can
+pay, and no change set is computed.
+
+``jacobian`` also gives the wet set that the solve needs: a column is dry
+when its couplings are all at most ``DROP`` times its diagonal
+(``wet_columns``, see ``newton``).  It gives the wet mask and what the
+solve reads of it (``SolvePlan.wet_split``): W, the wet cells in the
+plan's order, the edges inside W and the couplings from W into dry rows.
+A full Jacobian works them out from every cell and edge; a refresh tests
+only the changed columns, and when some flipped it merges W in the plan's
+order and reads the two lists off W's rows of the cell index
+(``_rewet``), so it costs what W costs.  What a refreshed iterate still
+does on every cell is the comparison of tau with the last iterate's, the
+copies that keep each evaluation and Jacobian its own, and f.
 """
 
 from __future__ import annotations
@@ -241,9 +250,13 @@ class _SchurLayout:
     diagonal.  Its cells are those at an even breadth-first distance from the
     first cell of their component (one colour of a box mesh's checkerboard,
     n/2 cells); where a coupling still joins two of them (an odd cycle), the
-    one the search reached later is left out.  ``cells`` lists the other
-    cells in reverse Cuthill-McKee order of S's pattern, ``kd`` is S's
-    bandwidth in that order, and ``ldab`` its number of band rows.
+    one the search reached later is left out.  Then each cell with no
+    neighbour in I joins it, in cell order, so I is a maximal independent
+    set (25 of 100 cells on a grid with one diagonal coupling per square,
+    where the parity alone keeps 9; none joins on a box mesh).  ``cells``
+    lists the other cells in reverse Cuthill-McKee order of S's pattern,
+    ``kd`` is S's bandwidth in that order, and ``ldab`` its number of band
+    rows.
 
     Per cross edge, an edge i|a with i in I and a outside: ``into`` and
     ``out``, the couplings A_ai and A_ia; ``cross_cell``, a; ``cross_i`` and

@@ -241,6 +241,39 @@ def test_eval_matches_whole_array_oracle(kind, beta, mode, data):
             assert a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("kind", ["tau", "u"])
+@pytest.mark.parametrize("p_b", [-0.01, -10.0])
+def test_saturated_branch_has_the_bits_of_the_general_formula(kind, p_b):
+    # eval takes s = 1 and s' = 0 with no power wherever u >= u_b.  At
+    # p_b = -0.01 (the presets) tau_star = tau_sat = 1 for kind tau, so its
+    # whole upper branch is saturated; at p_b = -10, tau_star = 0.66 < tau_sat
+    # and part of it is not.  At tau_sat, one ulp either side, the signed
+    # zeros and NaN, in an array and as scalars, the bits are those of
+    # S~(u) and its right derivative on every cell (whole_array_eval)
+    param = Parametrization(kind=kind, model=BrooksCoreyModel(beta=4.0, p_b=p_b))
+    p = param.params
+    if kind == "tau":
+        assert (p.tau_star == p.tau_sat == 1.0) == (p_b == -0.01)
+    tau = np.array([p.tau_sat, np.nextafter(p.tau_sat, -np.inf), np.nextafter(p.tau_sat, np.inf),
+                    -0.0, 0.0, np.nan, p.tau_star, 0.5 * (p.tau_star + p.tau_sat),
+                    2.0 * p.tau_sat, np.inf])
+    for x in (tau, *tau.tolist()):
+        for a, b in zip(param.eval(x), whole_array_eval(param, x)):
+            assert a.tobytes() == b.tobytes()
+    s, u, s_p, _ = param.eval(tau)
+    saturated = u >= p.u_b
+    assert saturated[[0, 2, 8, 9]].all() and not saturated[[3, 4, 5]].any()
+    assert (s[saturated] == 1.0).all() and (s_p[saturated] == 0.0).all()
+
+
+@pytest.mark.parametrize("beta", [1.0, 4.0, 16.0])
+def test_preset_tau_kinds_saturate_at_their_switch_point(beta):
+    # tau_star = tau_sat = 1 at every beta of the presets (p_b = -0.01), so
+    # eval's upper branch of kind tau takes no power there
+    p = Parametrization(kind="tau", model=BrooksCoreyModel(beta=beta, p_b=-0.01)).params
+    assert p.tau_star == p.tau_sat == 1.0
+
+
 class UFormOracle:
     """The u-formulation u(tau) = tau in closed form, written out branch by branch."""
 

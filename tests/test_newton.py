@@ -865,6 +865,48 @@ def test_fine_run_refreshes_most_iterates(monkeypatch):
     assert counts["jacobian"] == [54 - 5, 5]
 
 
+def test_refreshed_wet_split_is_the_one_built_from_the_mask(monkeypatch):
+    # at every refreshed Jacobian of infiltration-fine, W, the edges inside it
+    # and the couplings from W into dry rows, brought up to date from the
+    # columns whose flag flipped, are those SolvePlan.wet_split builds from
+    # the whole wet mask, bit for bit; most refreshes flip some column
+    flipped = []
+    refreshed = S._refreshed_jacobian
+
+    def checked(system, dt, ev, prev):
+        jac = refreshed(system, dt, ev, prev)
+        flipped.append(int(np.count_nonzero(jac.wet != prev.wet)))
+        for got, want in zip(jac[3:], system.plan.wet_split(jac.wet)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        return jac
+
+    monkeypatch.setattr(S, "_refreshed_jacobian", checked)
+    assert run(short_test1("80x80", 0.05)).total_iters == 54
+    assert len(flipped) == 49 and sum(f > 0 for f in flipped) > 40
+
+
+@pytest.mark.parametrize("config", [short_test1("80x80", 0.05)] + [
+    replace(preset_test1(beta=beta, eps=1e-6), t_end=0.05) for beta in (1.0, 4.0, 16.0)],
+    ids=["80x80", "beta1", "beta4", "beta16"])
+def test_tau_kind_slopes_pass_the_cap_unchanged(monkeypatch, config):
+    # max(s', u') = 1 for kind tau: every s' a Jacobian of a tau run reads,
+    # refreshed or in full, is finite and in [0, 1], so the cap at
+    # SPRIME_CAP is skipped and s' is used as eval gave it
+    capped = S._capped
+    seen = []
+
+    def checked(s_p):
+        assert np.isfinite(s_p).all() and (s_p >= 0.0).all() and (s_p <= 1.0).all()
+        out = capped(s_p)
+        assert out is s_p
+        seen.append(s_p.size)
+        return out
+
+    monkeypatch.setattr(S, "_capped", checked)
+    res = run(config)
+    assert res.converged and len(seen) == res.total_iters
+
+
 def test_gravity_free_steps_evaluate_no_mobility(monkeypatch):
     # lam and lam' enter only through gravity terms: a test2 run computes
     # neither in its time loop, a test1 run computes lam once per residual
