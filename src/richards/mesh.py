@@ -206,21 +206,25 @@ def _build_box_mesh(shape: tuple, domain) -> Mesh:
         walls.append(np.tile([lo[a], hi[a]], len(k) // 2))
     k, l, axis = (np.concatenate(v) for v in (ks, ls, axes))
 
-    bnd = l < 0
+    inner = sum(map(len, ls[:dim]))  # the boundary edges come after the interior ones
     face = np.array([np.prod(np.delete(h, a)) for a in range(dim)])
-    half = h[axis] / 2
+    half = (h / 2).take(axis)
     centers = lo + (idx + 0.5) * h
     xs = np.full((len(k), dim), np.nan)
-    xs[bnd] = centers[k[bnd]]
-    xs[np.flatnonzero(bnd), axis[bnd]] = np.concatenate(walls)
+    xs[inner:] = centers.take(k[inner:], axis=0)
+    xs[np.arange(inner, len(k)), axis[inner:]] = np.concatenate(walls)
+    d = np.stack([half, half], axis=-1)
+    d[inner:, 1] = np.nan
+    tag = np.full(len(k), INTERIOR)
+    tag[inner:] = NOFLUX
     return Mesh(
         cell_volumes=np.full(len(idx), np.prod(h)),
         cell_centers=centers,
-        edge_measure=face[axis],
+        edge_measure=face.take(axis),
         edge_cells=np.stack([k, l], axis=-1),
-        edge_d=np.stack([half, np.where(bnd, np.nan, half)], axis=-1),
+        edge_d=d,
         edge_x=xs,
-        edge_tag=np.where(bnd, NOFLUX, INTERIOR),
+        edge_tag=tag,
         cell_boxes=np.stack([lo + idx * h, lo + (idx + 1) * h], axis=-1),
     )
 

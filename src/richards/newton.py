@@ -222,6 +222,9 @@ def linear_solve(plan: SolvePlan, jac: Jacobian, b, m=None, u_p=None) -> np.ndar
     if w.size == n and plan.schur is not None:
         return _schur_solve(plan, diag, off, b, m, u_p)
     x = np.empty(n)
+    if w.size < n:  # x_K = b_K / A_KK; W and the dry rows next to it are set below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(b, diag, out=x)
     place = np.empty(n, dtype=np.intp)  # each wet cell's place in W, then slots of dry rows
     if w.size:
         place[w] = np.arange(w.size)
@@ -257,7 +260,6 @@ def linear_solve(plan: SolvePlan, jac: Jacobian, b, m=None, u_p=None) -> np.ndar
             zero = zero[~jac.wet.take(zero)]
             if zero.size:
                 raise SingularJacobianError(f"dry column {zero[0]} has a zero diagonal")
-        np.divide(b, diag, out=x, where=~jac.wet)
         c = jac.wet_to_dry
         if c.size:  # the dry rows next to W, each summed in its couplings' order
             r = rows.take(c)

@@ -228,7 +228,10 @@ class SolvePlan:
         row i - j, for the coupling below the diagonal alone."""
         if self.symmetric:
             return k * p[0] + p[1]
-        return 3 * k * p + p[::-1] + 2 * k
+        band = p * (3 * k)
+        band += p[::-1]
+        band += 2 * k
+        return band
 
     @cached_property
     def schur(self) -> "_SchurLayout | None":
@@ -559,7 +562,7 @@ def wet_columns(cols, diag, off) -> np.ndarray:
     at most DROP times the column's diagonal, or the diagonal is not finite
     (a nan coupling makes its column wet)."""
     wet = ~np.isfinite(diag)
-    wet[cols[~(np.abs(off) <= (DROP * diag)[cols])]] = True
+    wet[cols[~(np.abs(off) <= (DROP * diag).take(cols))]] = True
     return wet
 
 
@@ -623,7 +626,7 @@ def _refreshed(system: Assembly, prev: Evaluation, tau, changed) -> Evaluation:
     # the edges of the changed cells, each once: from its first cell when that
     # one changed, from the other one otherwise
     other = cells.other.take(changed, axis=0)
-    own = cells.first.take(changed, axis=0) | ~mask.take(other)
+    own = cells.first.take(changed, axis=0) >= mask.take(other)
     e = cells.edge.take(changed, axis=0)[own]
     K, outer = system.K.take(e), system.outer.take(e)
     F_e = system.A.take(e) * (u.take(K) - u.take(outer))
@@ -706,8 +709,7 @@ def _refreshed_jacobian(system: Assembly, dt: float, ev: Evaluation, prev: Jacob
     if system.gravity:
         w = mobility_derivative(system.param.model, ev.s.take(changed)) * s_p
         d += cells.g.take(changed, axis=0) * w[:, None]
-    diag_c = np.zeros(changed.size)
-    diag_c += s_p
+    diag_c = s_p + 0.0  # a sum starts at +0.0
     for term in (rate.take(changed)[:, None] * d).T:
         diag_c += term
     value = -rate.take(cells.other.take(changed, axis=0)) * d
@@ -720,13 +722,13 @@ def _refreshed_jacobian(system: Assembly, dt: float, ev: Evaluation, prev: Jacob
     wet_c = ~np.isfinite(diag_c)
     for column in big.T:
         wet_c |= column
-    was = prev.wet.take(changed)
+    flipped = wet_c != prev.wet.take(changed)
     wet = prev.wet.copy()
     wet[changed] = wet_c
-    if np.array_equal(wet_c, was):
+    if not flipped.any():
         return Jacobian(diag, off[:-1], wet, prev.wet_cells, prev.inside, prev.wet_to_dry)
     return Jacobian(diag, off[:-1], wet, *_rewet(system, prev.wet_cells, wet,
-                                                 changed[wet_c & ~was]))
+                                                 changed[wet_c & flipped]))
 
 
 def _rewet(system: Assembly, w, wet, new):
