@@ -526,8 +526,9 @@ class Evaluation(NamedTuple):
     cell K) followed by a 0 (the pads of the cell index read it) and, when
     an edge carries a gravity term, the mobility lam(s), laid out as u (None
     otherwise).  changed holds the cells whose tau differs from the
-    evaluation this one was refreshed from, or is None when it was computed
-    in full.  None of it depends on dt or s^{n-1}, so the evaluation at the
+    evaluation this one was refreshed from, and moved those of them whose
+    s, s' or u' differ too (a Jacobian column depends on nothing else of
+    its cell); both are None when it was computed in full.  None of it depends on dt or s^{n-1}, so the evaluation at the
     last iterate of a step is the one at the next step's tau_init."""
 
     s: np.ndarray
@@ -539,6 +540,7 @@ class Evaluation(NamedTuple):
     F: np.ndarray
     lam: np.ndarray | None
     changed: np.ndarray | None
+    moved: np.ndarray | None
 
 
 class Jacobian(NamedTuple):
@@ -611,7 +613,7 @@ def residual(system: Assembly, dt: float, s_prev, tau, prev: Evaluation | None =
         F_e += system.m * (lam.take(K) * system.gp - lam.take(outer) * system.gn)
     flux = np.bincount(system.flux_cells, weights=np.concatenate([F_e[:ni], -F_e[:ni], F_e[ni:]]),
                        minlength=system.mesh.n_cells)
-    ev = Evaluation(s, s_p, u_p, flux, tau, u, F, lam, None)
+    ev = Evaluation(s, s_p, u_p, flux, tau, u, F, lam, None, None)
     return step_residual(system, dt, s_prev, ev), ev
 
 
@@ -619,8 +621,13 @@ def _refreshed(system: Assembly, prev: Evaluation, tau, changed) -> Evaluation:
     """The evaluation at tau from prev, the one at an iterate that differs from
     tau on the cells where the mask changed holds (see ``residual``)."""
     cells, mask = system._cells, changed
-    changed = np.flatnonzero(mask)
+    changed = mask.nonzero()[0]
     s_c, u_c, s_p_c, u_p_c = system.param.eval(tau.take(changed))
+    # the changed cells whose s, s' or u' moved in some bit (on test1 80x80
+    # about a quarter: a saturated cell keeps s = 1, s' = 0 and u' = 1)
+    moved = changed[(s_c.view(np.int64) != prev.s.take(changed).view(np.int64))
+                    | (s_p_c.view(np.int64) != prev.s_p.take(changed).view(np.int64))
+                    | (u_p_c.view(np.int64) != prev.u_p.take(changed).view(np.int64))]
     s, s_p, u_p, u = prev.s.copy(), prev.s_p.copy(), prev.u_p.copy(), prev.u.copy()
     s[changed], s_p[changed], u_p[changed], u[changed] = s_c, s_p_c, u_p_c, u_c
     # the edges of the changed cells, each once: from its first cell when that
@@ -633,7 +640,7 @@ def _refreshed(system: Assembly, prev: Evaluation, tau, changed) -> Evaluation:
     lam = None
     if system.gravity:
         lam = prev.lam.copy()
-        lam[changed] = mobility(system.param.model, s_c)
+        lam[moved] = mobility(system.param.model, s.take(moved))
         F_e += system.m.take(e) * (lam.take(K) * system.gp.take(e)
                                    - lam.take(outer) * system.gn.take(e))
     F = prev.F.copy()
@@ -641,13 +648,13 @@ def _refreshed(system: Assembly, prev: Evaluation, tau, changed) -> Evaluation:
     # the changed cells and their neighbours sum their flux again, in order
     touched = mask.copy()
     touched[other] = True
-    t = np.flatnonzero(touched)
+    t = touched.nonzero()[0]
     total = np.zeros(t.size)
     for term in (cells.sign.take(t, axis=0) * F.take(cells.edge.take(t, axis=0))).T:
         total += term
     flux = prev.flux.copy()
     flux[t] = total
-    return Evaluation(s, s_p, u_p, flux, tau, u, F, lam, changed)
+    return Evaluation(s, s_p, u_p, flux, tau, u, F, lam, changed, moved)
 
 
 def _capped(s_p):
@@ -672,7 +679,8 @@ def jacobian(system: Assembly, dt: float, ev: Evaluation, prev: Jacobian | None 
     and the couplings below and above it, depends on cell K's state and on
     dt alone.  So when ev was refreshed (ev.changed is not None) and prev is
     the Jacobian at the same dt of the evaluation ev was refreshed from, only
-    the changed cells' columns and wet flags are computed again, and W and
+    the columns and wet flags of the cells whose s, s' or u' moved
+    (ev.moved) are computed again, and W and
     the edge lists of the solve are brought up to date from the cells whose
     flag flipped (``_rewet``), all with the bits of the full computation; no
     array of prev is changed.
@@ -699,9 +707,9 @@ def jacobian(system: Assembly, dt: float, ev: Evaluation, prev: Jacobian | None 
 
 
 def _refreshed_jacobian(system: Assembly, dt: float, ev: Evaluation, prev: Jacobian) -> Jacobian:
-    """The Jacobian at ev from prev, by the columns of the cells ev.changed (see
-    ``jacobian``), each from its column of the cell index."""
-    cells, changed = system._cells, ev.changed
+    """The Jacobian at ev from prev, by the columns of the cells ev.moved (see
+    ``jacobian``), each from its row of the cell index."""
+    cells, changed = system._cells, ev.moved
     rate = system.rate(dt)
     s_p = _capped(ev.s_p.take(changed))
     # the derivative of each side's flux w.r.t. the cell's tau; 0 in a pad

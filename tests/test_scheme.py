@@ -419,9 +419,12 @@ def test_refresh_gives_the_bits_of_the_full_computation(case, param, shape, seed
         jac_full = jacobian(system, dt, ev_full)
         changed = np.flatnonzero(tau.view(np.int64) != old[0].tau.view(np.int64))
         np.testing.assert_array_equal(ev.changed, changed)
-        assert ev_full.changed is None
+        moved = [(a.view(np.int64) != b.view(np.int64))[changed]
+                 for a, b in ((ev.s, old[0].s), (ev.s_p, old[0].s_p), (ev.u_p, old[0].u_p))]
+        np.testing.assert_array_equal(ev.moved, changed[np.logical_or.reduce(moved)])
+        assert ev_full.changed is None and ev_full.moved is None
         assert bits(f) == bits(f_full)
-        for name in ev._fields[:-1]:
+        for name in ev._fields[:-2]:
             assert bits(getattr(ev, name)) == bits(getattr(ev_full, name)), name
         for name in jac._fields:
             assert bits(getattr(jac, name)) == bits(getattr(jac_full, name)), name
