@@ -658,9 +658,10 @@ def _refreshed(system: Assembly, prev: Evaluation, tau, changed) -> Evaluation:
 
 
 def _capped(s_p):
-    """s' with its non-finite values and those above SPRIME_CAP set to the cap
-    (only the u kind's s' can have them: it is +inf at u = 0)."""
-    if np.all(np.abs(s_p) <= SPRIME_CAP):
+    """s' with its non-finite values and those above SPRIME_CAP set to the
+    cap, or s' itself where it has none: so every s' of the tau kind at the
+    presets, which lies in [0, 1] (the u kind's is +inf at u = 0)."""
+    if np.maximum.reduce(np.abs(s_p), initial=0.0) <= SPRIME_CAP:  # nan fails
         return s_p
     return np.where(np.isfinite(s_p), np.minimum(s_p, SPRIME_CAP), SPRIME_CAP)
 
