@@ -102,13 +102,16 @@ DROP = 1e-12
 
 # An iterate is refreshed when at most n / REFRESH_SHARE - REFRESH_BASE of
 # its n cells changed (``refresh_limit``).  Measured per iterate (residual
-# and jacobian, min of 5 x 200 calls, one BLAS thread, 2-CPU x86): the full
-# path takes about 0.12 us per cell (766 us on test1 80x80, 1617 us on
-# 120x120, 149 us on gravity-free 40x40), a refresh about 60 us, plus
-# 0.014 us per cell for its copies, plus 0.26 us per changed cell (331 us
-# for 640 changed cells at 80x80).  They meet near 0.4 n - 230 changed
-# cells; the rule stays below that line, and below 600 cells it is never
-# met, so no change set is computed there.
+# and jacobian on recorded iterates, min of 5 x 40 calls, one BLAS thread,
+# 2-CPU x86): the full path takes about 0.12-0.16 us per cell with gravity
+# (1.05 ms on test1 80x80, 1.7 ms on 120x120) and 0.094 us without (150 us
+# on test2 40x40); a refresh about 65 us, plus 0.022 us per cell for its
+# copies, plus 0.13 us per changed cell (0.33 ms for 660 changed cells at
+# 80x80).  They meet near 0.55 n - 490 changed cells without gravity and
+# 0.75 n - 490 with it.  The rule stays below both lines from about 1300
+# cells on (between 600 and 1300 cells a refresh at the limit costs up to
+# about 10% more than the full path), and below 600 cells it is never met,
+# so no change set is computed there.
 REFRESH_SHARE = 3.0
 REFRESH_BASE = 200.0
 
