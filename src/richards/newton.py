@@ -27,10 +27,10 @@ An iterate recomputes what depends on the cells whose tau changed since
 the last one, when few enough did (``scheme.refresh_limit``; test1 at
 80x80 and above): ``residual`` evaluates the parametrization on those
 cells and re-sums the fluxes around them, and ``jacobian`` recomputes
-their columns and the solve's wet set from the Jacobian of the last
-iterate, which ``newton_solve`` keeps for the step.  Otherwise both compute every cell;
-on meshes of at most 600 cells no change set is computed at all.  Either
-way the bits are the same.  Which factorization runs is a property of the
+the columns whose s, s' or u' moved and the solve's wet set from the
+Jacobian of the last iterate, which ``newton_solve`` keeps for the step.
+Otherwise both compute every cell; on meshes of at most 600 cells no
+change set is computed at all.  Either way the bits are the same.  Which factorization runs is a property of the
 physics, fixed per run by the ``Assembly``:
 
 * With gravity, LAPACK band LU (``dgbsv``) of J.  A column-wise M-matrix
@@ -166,10 +166,10 @@ def linear_solve(plan: SolvePlan, jac: Jacobian, b, m=None, u_p=None) -> np.ndar
     whose two cells are wet (jac.inside) and the couplings from a wet column
     into a dry row (jac.wet_to_dry), both ascending.  With the dry columns'
     couplings taken as zero, A is block lower triangular in the order
-    [W, dry].  So only the W x W
-    block is factored, W in the plan's order: the wet diagonal and the wet
-    couplings go straight into LAPACK band storage of |W| columns with that
-    block's own bandwidth.  Then each dry cell gets
+    [W, dry].  So only the W x W block is factored, W in the plan's order:
+    the wet diagonal and the wet couplings go straight into LAPACK band
+    storage of |W| columns with that block's own bandwidth.  Then each dry
+    cell gets
     x_K = (b_K - sum_L A_KL x_L) / A_KK, the sum over the wet L.  With every
     column wet the block is A; with none, nothing is factored.
 
@@ -193,8 +193,8 @@ def linear_solve(plan: SolvePlan, jac: Jacobian, b, m=None, u_p=None) -> np.ndar
     the edges inside W, placed by ``plan.positions``, and the dry pass sums,
     for each dry row next to W, its couplings from wet columns, in their
     order in off (as a sum over every coupling would, so it rounds the
-    same).  Every other dry cell takes x_K = b_K / A_KK, the one pass over
-    every cell that is left.
+    same).  Every other dry cell takes x_K = b_K / A_KK, from one division
+    over every cell.
 
     The plan says how the block is factored.  By default, ``dgbsv`` (band
     LU) factors A's block; partial pivoting makes no row swap, since the

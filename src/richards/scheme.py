@@ -43,8 +43,10 @@ So ``residual`` takes the evaluation of the last iterate, and when at
 most ``refresh_limit(n)`` cells changed it refreshes that one: the
 parametrization on the changed cells, F on their edges, and the flux
 sums of both cells of each of those edges.  Column K of the Jacobian
-depends on cell K's state and on dt alone, so ``jacobian`` refreshes the
-last iterate's Jacobian at the same dt in the changed columns.  Both go
+depends on cell K's s, s' and u' and on dt alone, so ``jacobian``
+refreshes the last iterate's Jacobian at the same dt in the columns whose
+s, s' or u' moved, on test1 80x80 about a quarter of the changed cells (a
+saturated cell keeps s = 1, s' = 0 and u' = 1 as its tau moves).  Both go
 by one index per ``Assembly``, made at the first refresh: each cell's
 positions in the flux and diagonal sums in ascending order, one row of
 memory per cell, so a refreshed sum repeats ``np.bincount``'s additions
@@ -58,8 +60,8 @@ when its couplings are all at most ``DROP`` times its diagonal
 solve reads of it (``SolvePlan.wet_split``): W, the wet cells in the
 plan's order, the edges inside W and the couplings from W into dry rows.
 A full Jacobian works them out from every cell and edge; a refresh tests
-only the changed columns, and when some flipped it merges W in the plan's
-order and reads the two lists off W's rows of the cell index
+only the columns it recomputes, and when some flipped it merges W in the
+plan's order and reads the two lists off W's rows of the cell index
 (``_rewet``), so it costs what W costs.  What a refreshed iterate still
 does on every cell is the comparison of tau with the last iterate's, the
 copies that keep each evaluation and Jacobian its own, and f.
@@ -231,10 +233,7 @@ class SolvePlan:
         row i - j, for the coupling below the diagonal alone."""
         if self.symmetric:
             return k * p[0] + p[1]
-        band = p * (3 * k)
-        band += p[::-1]
-        band += 2 * k
-        return band
+        return 3 * k * p + p[::-1] + 2 * k
 
     @cached_property
     def schur(self) -> "_SchurLayout | None":
@@ -474,18 +473,16 @@ class _CellIndex:
     Per position: ``edge``, the edge (in a pad, the slot after the last
     edge); ``first``, whether the cell is the edge's first cell K (False in
     a pad); ``sign``, the sign of F_e in the cell's flux sum (-1 in a pad,
-    which so adds -0.0, changing no sum); ``other``, the
-    cell on the other side (the cell itself on a Dirichlet edge and in a
-    pad); ``A`` and ``g``, the coefficients of u'(tau) and of d lam/d tau of
+    which so adds -0.0, changing no sum); ``other``, the cell on the other
+    side (the cell itself on a Dirichlet edge and in a pad); ``A`` and ``g``, the coefficients of u'(tau) and of d lam/d tau of
     the cell in the derivative of that side's flux (A_sigma and m_sigma g+
     on a K side, A_sigma and m_sigma g- on an L side, 0 in a pad);
     ``coupling``, the coupling that derivative feeds, row ``other``, column
     the cell (-1 on a Dirichlet edge and in a pad: a refresh writes those
     values to a slot after the last coupling); ``coupled``, whether it
-    feeds one.  Summing a row in order
-    repeats ``np.bincount``'s additions, so a refreshed sum has the bits of
-    the full one.  A refresh reads the rows of a set of cells, by ``take``:
-    each row is one run of memory.
+    feeds one.  Summing a row in order repeats ``np.bincount``'s additions,
+    so a refreshed sum has the bits of the full one.  A refresh reads the
+    rows of a set of cells, by ``take``: each row is one run of memory.
     """
 
     def __init__(self, system: "Assembly"):
@@ -531,8 +528,9 @@ class Evaluation(NamedTuple):
     otherwise).  changed holds the cells whose tau differs from the
     evaluation this one was refreshed from, and moved those of them whose
     s, s' or u' differ too (a Jacobian column depends on nothing else of
-    its cell); both are None when it was computed in full.  None of it depends on dt or s^{n-1}, so the evaluation at the
-    last iterate of a step is the one at the next step's tau_init."""
+    its cell); both are None when it was computed in full.  None of it
+    depends on dt or s^{n-1}, so the evaluation at the last iterate of a
+    step is the one at the next step's tau_init."""
 
     s: np.ndarray
     s_p: np.ndarray
@@ -620,11 +618,10 @@ def residual(system: Assembly, dt: float, s_prev, tau, prev: Evaluation | None =
     return step_residual(system, dt, s_prev, ev), ev
 
 
-def _refreshed(system: Assembly, prev: Evaluation, tau, changed) -> Evaluation:
+def _refreshed(system: Assembly, prev: Evaluation, tau, mask) -> Evaluation:
     """The evaluation at tau from prev, the one at an iterate that differs from
-    tau on the cells where the mask changed holds (see ``residual``)."""
-    cells, mask = system._cells, changed
-    changed = mask.nonzero()[0]
+    tau on the cells where mask holds (see ``residual``)."""
+    cells, changed = system._cells, mask.nonzero()[0]
     s_c, u_c, s_p_c, u_p_c = system.param.eval(tau.take(changed))
     # the changed cells whose s, s' or u' moved in some bit (on test1 80x80
     # about a quarter: a saturated cell keeps s = 1, s' = 0 and u' = 1)
@@ -684,10 +681,9 @@ def jacobian(system: Assembly, dt: float, ev: Evaluation, prev: Jacobian | None 
     dt alone.  So when ev was refreshed (ev.changed is not None) and prev is
     the Jacobian at the same dt of the evaluation ev was refreshed from, only
     the columns and wet flags of the cells whose s, s' or u' moved
-    (ev.moved) are computed again, and W and
-    the edge lists of the solve are brought up to date from the cells whose
-    flag flipped (``_rewet``), all with the bits of the full computation; no
-    array of prev is changed.
+    (ev.moved) are computed again, and W and the edge lists of the solve are
+    brought up to date from the cells whose flag flipped (``_rewet``), all
+    with the bits of the full computation; no array of prev is changed.
     """
     if prev is not None and ev.changed is not None:
         return _refreshed_jacobian(system, dt, ev, prev)
@@ -713,41 +709,41 @@ def jacobian(system: Assembly, dt: float, ev: Evaluation, prev: Jacobian | None 
 def _refreshed_jacobian(system: Assembly, dt: float, ev: Evaluation, prev: Jacobian) -> Jacobian:
     """The Jacobian at ev from prev, by the columns of the cells ev.moved (see
     ``jacobian``), each from its row of the cell index."""
-    cells, changed = system._cells, ev.moved
+    cells, moved = system._cells, ev.moved
     rate = system.rate(dt)
-    s_p = _capped(ev.s_p.take(changed))
+    s_p = _capped(ev.s_p.take(moved))
     # the derivative of each side's flux w.r.t. the cell's tau; 0 in a pad
-    d = cells.A.take(changed, axis=0) * ev.u_p.take(changed)[:, None]
+    d = cells.A.take(moved, axis=0) * ev.u_p.take(moved)[:, None]
     if system.gravity:
-        w = mobility_derivative(system.param.model, ev.s.take(changed)) * s_p
-        d += cells.g.take(changed, axis=0) * w[:, None]
+        w = mobility_derivative(system.param.model, ev.s.take(moved)) * s_p
+        d += cells.g.take(moved, axis=0) * w[:, None]
     diag_c = s_p + 0.0  # a sum starts at +0.0
-    for term in (rate.take(changed)[:, None] * d).T:
+    for term in (rate.take(moved)[:, None] * d).T:
         diag_c += term
-    value = -rate.take(cells.other.take(changed, axis=0)) * d
+    value = -rate.take(cells.other.take(moved, axis=0)) * d
     off = np.empty(prev.off.size + 1)  # the slot after the last coupling, off[-1],
     off[:-1] = prev.off  # takes the values of the Dirichlet sides and the pads
-    off[cells.coupling.take(changed, axis=0)] = value
+    off[cells.coupling.take(moved, axis=0)] = value
     diag = prev.diag.copy()
-    diag[changed] = diag_c
-    big = cells.coupled.take(changed, axis=0) & ~(np.abs(value) <= DROP * diag_c[:, None])
+    diag[moved] = diag_c
+    big = cells.coupled.take(moved, axis=0) & ~(np.abs(value) <= DROP * diag_c[:, None])
     wet_c = ~np.isfinite(diag_c)
     for column in big.T:
         wet_c |= column
-    flipped = wet_c != prev.wet.take(changed)
+    flipped = wet_c != prev.wet.take(moved)
     wet = prev.wet.copy()
-    wet[changed] = wet_c
+    wet[moved] = wet_c
     if not flipped.any():
         return Jacobian(diag, off[:-1], wet, prev.wet_cells, prev.inside, prev.wet_to_dry)
     return Jacobian(diag, off[:-1], wet, *_rewet(system, prev.wet_cells, wet,
-                                                 changed[wet_c & flipped]))
+                                                 moved[wet_c & flipped]))
 
 
 def _rewet(system: Assembly, w, wet, new):
     """``SolvePlan.wet_split`` of the mask wet, from W = w of a mask that
     differs from wet on some cells: those of w that are dry now leave W, the
-    cells new, wet now, join it.  The edge lists are read off W's columns
-    of the cell index, so this costs what W costs, not what the mesh does."""
+    cells new, wet now, join it.  The edge lists are read off W's rows of
+    the cell index, so this costs what W costs, not what the mesh does."""
     plan, cells, ni = system.plan, system._cells, system.n_interior
     w = w[wet.take(w)]
     if new.size:  # merged in the plan's order
