@@ -206,9 +206,9 @@ class SolvePlan:
         self.rank = rank = np.empty(n, dtype=np.intp)  # each cell's place in order
         rank[self.order] = np.arange(n)
         e = np.arange(K.size)
-        later = rank[K] > rank[L]
+        later = rank.take(K) > rank.take(L)
         self.pair = np.stack([np.where(later, e, e + K.size), np.where(later, e + K.size, e)])
-        p = rank[self.cols[self.pair]]  # each edge's earlier cell, then its later one
+        p = rank.take(self.cols.take(self.pair))  # each edge's earlier cell, then its later one
         self.kd = int((p[1] - p[0]).max(initial=0))
 
     def wet_split(self, wet):
@@ -492,8 +492,8 @@ class _CellIndex:
         count = np.bincount(cell, minlength=n)
         width = int(count.max(initial=0))
         order = np.argsort(cell, kind="stable")
-        row = cell[order]
-        col = np.arange(cell.size) - (np.cumsum(count) - count)[row]
+        row = cell.take(order)
+        col = np.arange(cell.size) - (np.cumsum(count) - count).take(row)
         # each cell's positions, then in its pads the slot after the last one
         place = np.full(n * width, cell.size)
         place[row * width + col] = order
