@@ -282,7 +282,9 @@ def run(config: RunConfig, mesh: Mesh | None = None, callback=None) -> RunResult
     the s that newton_solve returned.  Each step after the first, a retry
     at dt/2 included, starts from the evaluation that the last accepted
     step returned, so tau_init is not evaluated again.  The optional
-    callback is forwarded to every Newton solve.
+    callback is forwarded to every Newton solve.  A converged run on an
+    all-no-flux boundary reports its mass error, unless it starts with no
+    water: then mass_err stays None, an empty summary.csv column.
     """
     t0 = time.perf_counter()
     if mesh is None:
@@ -360,8 +362,8 @@ def run(config: RunConfig, mesh: Mesh | None = None, callback=None) -> RunResult
         newton_reports=reports[: len(taus) - 1],
         tau_D=tau_D,
     )
-    m_err = None
-    if converged and not mesh.dirichlet_edges.size:
+    m_err = None  # relative to the initial water volume, so none for a dry box
+    if converged and not mesh.dirichlet_edges.size and water[0] != 0.0:
         m_err = mass_error(traj)
     wall_ms = (time.perf_counter() - t0) * 1e3
     return RunResult(

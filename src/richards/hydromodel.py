@@ -8,8 +8,10 @@ The saturation/pressure relation is the Brooks-Corey family
 with entry pressure p_b < 0 and exponent beta > 0.  Integrating
 lam(S(p)) in pressure gives the Kirchhoff variable u with a closed-form
 power law u = u_b * s^eta.  Two sets of constants for (eta, u_b) are
-supported (see ``derive_params``); the quadrature oracle in this module picks
-the internally consistent one, which is the default.
+supported (see ``derive_params``); the default, "derived", is the one
+obtained by integrating lam(S(p)) directly.  ``kirchhoff_quadrature_oracle``
+computes that integral by quadrature, independently of both closed forms,
+and the CLI's ``oracle-kirchhoff`` table sets it beside each of them.
 
 A parametrization tau -> (s(tau), u(tau)) of the graph follows s up to a
 switch point tau_star (s = tau, u = u_b tau^eta) and is affine in u after
@@ -38,8 +40,7 @@ whole upper branch is saturated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -54,8 +55,6 @@ __all__ = [
     "sat_of_kirchhoff",
     "kirchhoff_quadrature_oracle",
     "kirchhoff_closed_form",
-    "check_nondegeneracy",
-    "select_eta_mode",
 ]
 
 # Cap used when reporting the u-formulation's singular s' without
@@ -195,17 +194,17 @@ class Parametrization:
 
     kind: str
     model: BrooksCoreyModel
+    # the model's constants, with tau_star = 0 and tau_sat = u_b for kind "u";
+    # derived from kind and model, so no part of equality, hash or repr
+    params: DerivedParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.params  # rejects an unknown kind at construction
-
-    @cached_property
-    def params(self) -> DerivedParams:
-        """The model's constants, with tau_star = 0 and tau_sat = u_b for kind "u"."""
         if self.kind not in ("tau", "u"):
             raise ValueError(f"unknown parametrization kind {self.kind!r}")
         p = derive_params(self.model)
-        return p if self.kind == "tau" else replace(p, tau_star=0.0, tau_sat=p.u_b)
+        if self.kind == "u":
+            p = replace(p, tau_star=0.0, tau_sat=p.u_b)
+        object.__setattr__(self, "params", p)  # set once, at construction
 
     # -- maps ---------------------------------------------------------------
 
@@ -281,40 +280,6 @@ class Parametrization:
             kirchhoff_closed_form(self.model, pressure),
         )
 
-    # -- closed-form integrals used by the diagnostics ----------------------
-
-    def s_antiderivative(self, tau):
-        """int_0^tau s(a) da, exact per branch."""
-        tau = np.asarray(tau, dtype=float)
-        p = self.params
-        eta, u_b, t_st, t_sat = p.eta, p.u_b, p.tau_star, p.tau_sat
-
-        def g_int(u):
-            # int (x/u_b)^(1/eta) dx from 0 to u, for 0 <= u <= u_b
-            return (eta / (eta + 1.0)) * u_b * np.clip(u / u_b, 0.0, None) ** ((eta + 1.0) / eta)
-
-        t = np.clip(tau, 0.0, None)
-        low = np.minimum(t, t_st)
-        out = 0.5 * low**2
-        u_at = np.clip(t - t_st, 0.0, None) + u_b * t_st**eta
-        mid = t > t_st
-        out = out + np.where(mid, g_int(np.minimum(u_at, u_b)) - g_int(u_b * t_st**eta), 0.0)
-        out = out + np.clip(t - t_sat, 0.0, None)
-        return out if out.ndim else float(out)
-
-    def xi(self, tau):
-        """xi(tau) = int_0^tau sqrt(u'(a)) da, exact per branch."""
-        tau = np.asarray(tau, dtype=float)
-        p = self.params
-        eta, u_b, t_st = p.eta, p.u_b, p.tau_star
-        # lower branch: sqrt(u') = sqrt(eta u_b) a^((eta-1)/2)
-        c = math.sqrt(eta * u_b) * 2.0 / (eta + 1.0)
-        low = np.clip(tau, 0.0, t_st)
-        out = c * low ** ((eta + 1.0) / 2.0)
-        out = out + np.clip(tau - t_st, 0.0, None)  # upper branch: u' = 1
-        out = out + np.minimum(tau, 0.0)  # extension: u' = 1
-        return out if out.ndim else float(out)
-
 
 # -- oracle ------------------------------------------------------------------
 
@@ -332,8 +297,8 @@ def kirchhoff_closed_form(model: BrooksCoreyModel, p):
 def kirchhoff_quadrature_oracle(model: BrooksCoreyModel, p: float) -> float:
     """u(p) = int_{-inf}^{p} lam(S(a)) da by adaptive quadrature.
 
-    Independent of the closed forms; used to validate them and to select
-    the internally consistent eta_mode.  Relative accuracy ~1e-12.
+    Independent of the closed forms; used to validate them.  Relative
+    accuracy ~1e-12.
     """
     # imported here: scipy.integrate takes most of the package import time
     from scipy.integrate import quad
@@ -351,27 +316,3 @@ def kirchhoff_quadrature_oracle(model: BrooksCoreyModel, p: float) -> float:
     if p > p_b:
         val += p - p_b
     return val
-
-
-def select_eta_mode(beta: float, p_b: float) -> str:
-    """Return the eta_mode whose closed form matches the quadrature oracle on
-    20 pressures from p_b to 100 p_b."""
-    best_mode, best_dev = None, math.inf
-    ps = p_b * np.logspace(0.0, 2.0, 20)
-    for mode in ("derived", "legacy"):
-        model = BrooksCoreyModel(beta=beta, p_b=p_b, eta_mode=mode)
-        dev = 0.0
-        for p in ps:
-            ref = kirchhoff_quadrature_oracle(model, p)
-            dev = max(dev, abs(kirchhoff_closed_form(model, p) - ref) / ref)
-        if dev < best_dev:
-            best_mode, best_dev = mode, dev
-    return best_mode
-
-
-def check_nondegeneracy(param: Parametrization, tau_grid) -> tuple[float, float]:
-    """(alpha_low, alpha_high) estimates: min and max over the grid of max(s', u')."""
-    tau_grid = np.asarray(tau_grid, dtype=float)
-    _, _, sp, up = param.eval(tau_grid)
-    m = np.maximum(sp, up)
-    return float(np.min(m)), float(np.max(m))

@@ -3,21 +3,21 @@
 A mesh is admissible when the segment joining neighboring cell centers is
 orthogonal to their shared edge, so that the two-point flux approximation
 is consistent.  A mesh stores only its primary geometry, which is exactly
-what :func:`save_mesh` writes: cell volumes and centers, and per edge its
-measure, cells, distances d_K (d_L), boundary point x_sigma and tag.
-Everything else is derived once, at construction: the unit normal
-n_{K,sigma}, collinear with x_K -> x_L (x_K -> x_sigma on the boundary);
-the transmissibility A_sigma = m_sigma / (d_K + d_L), or m_sigma / d_K on
-the boundary; the bounding box of the centers and boundary points; and the
-dimension.
+what the text format of :func:`load_mesh` holds: cell volumes and centers,
+and per edge its measure, cells, distances d_K (d_L), boundary point
+x_sigma and tag.  Everything else is derived once, at construction: the
+unit normal n_{K,sigma}, collinear with x_K -> x_L (x_K -> x_sigma on the
+boundary); the transmissibility A_sigma = m_sigma / (d_K + d_L), or
+m_sigma / d_K on the boundary; the bounding box of the centers and
+boundary points; and the dimension.
 
 The cell-edge incidence has one representation, the ``edge_cells`` array;
 :meth:`Mesh.incidence` unrolls it into one (cell, edge, sign) entry per
 side of each edge, in edge order, for per-cell sums over E_K with outward
-normals.  Uniform box meshes (rectangles in 2D, intervals in 1D) come from
-one tensor-product builder; general orthogonal meshes (e.g. Voronoi) are
-loaded from a line-oriented text format, see :func:`load_mesh`.  Set-up
-and validation are whole-array code.  Meshes are immutable after
+normals.  Uniform rectangles come from a tensor-product builder of boxes
+in any dimension; general orthogonal meshes (e.g. Voronoi) are loaded
+from a line-oriented text format, see :func:`load_mesh`.  Set-up and
+validation are whole-array code.  Meshes are immutable after
 construction apart from boundary retagging, which must happen before any
 assembly.
 """
@@ -37,15 +37,11 @@ __all__ = [
     "DIRICHLET",
     "NOFLUX",
     "build_rect_mesh",
-    "build_interval_mesh",
     "load_mesh",
-    "save_mesh",
     "validate_admissibility",
-    "discrete_h1_inner",
 ]
 
 INTERIOR, DIRICHLET, NOFLUX = 0, 1, 2
-_TAG_NAMES = {INTERIOR: "interior", DIRICHLET: "dirichlet", NOFLUX: "noflux"}
 
 ORTHO_TOL = 1e-10  # angle tolerance for the orthogonality condition [rad]
 TILE_TOL = 1e-12  # relative tolerance for the tiling and closure identities
@@ -163,11 +159,6 @@ class Mesh:
 def build_rect_mesh(nx: int, ny: int, domain=((0.0, 1.0), (0.0, 1.0))) -> Mesh:
     """Uniform rectangular mesh of an axis-aligned box; boundary tagged NoFlux."""
     return _build_box_mesh((nx, ny), domain)
-
-
-def build_interval_mesh(nx: int, domain=(0.0, 1.0)) -> Mesh:
-    """Uniform 1D mesh; edges are points with measure 1."""
-    return _build_box_mesh((nx,), (domain,))
 
 
 def _build_box_mesh(shape: tuple, domain) -> Mesh:
@@ -314,60 +305,7 @@ def validate_admissibility(mesh: Mesh) -> ValidationReport:
     return ValidationReport(out)
 
 
-# -- discrete H1 inner product ----------------------------------------------
-
-
-def discrete_h1_inner(mesh: Mesh, v, w, v_D=None, w_D=None) -> float:
-    """Edge-sum bilinear form of the discrete gradient reconstruction.
-
-    sum over interior sigma=K|L of A_sigma (v_K - v_L)(w_K - w_L), plus
-    A_sigma (v_K - v_D)(w_K - w_D) over ``mesh.dirichlet_edges`` when the
-    boundary values are given.  v_D and w_D are each a scalar or an array
-    in the order of ``mesh.dirichlet_edges``; give both or neither.
-    Without them only interior edges contribute; no-flux edges never do.
-    """
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if v.shape != (mesh.n_cells,) or w.shape != (mesh.n_cells,):
-        raise ValueError(
-            f"expected cell vectors of length {mesh.n_cells}, got {v.shape} and {w.shape}"
-        )
-    if (v_D is None) != (w_D is None):
-        raise ValueError("give boundary values for both v and w, or for neither")
-    ie = mesh.interior_edges
-    kk, ll = mesh.edge_cells[ie, 0], mesh.edge_cells[ie, 1]
-    total = float(np.sum(mesh.edge_A[ie] * (v[kk] - v[ll]) * (w[kk] - w[ll])))
-    if v_D is None:
-        return total
-    de = mesh.dirichlet_edges
-    kk = mesh.edge_cells[de, 0]
-    v_D, w_D = (np.broadcast_to(np.asarray(x, dtype=float), de.shape) for x in (v_D, w_D))
-    return total + float(np.sum(mesh.edge_A[de] * (v[kk] - v_D) * (w[kk] - w_D)))
-
-
 # -- text format -------------------------------------------------------------
-
-
-def save_mesh(mesh: Mesh, path):
-    """Write the line-oriented ASCII format (see load_mesh)."""
-    lines = [f"mesh d={mesh.dim} ncells={mesh.n_cells} nedges={mesh.n_edges}"]
-    for i in range(mesh.n_cells):
-        coords = " ".join(f"{c:.17g}" for c in mesh.cell_centers[i])
-        lines.append(f"cell {i} {mesh.cell_volumes[i]:.17g} {coords}")
-    for e in range(mesh.n_edges):
-        k, l = mesh.edge_cells[e]
-        m = mesh.edge_measure[e]
-        if l >= 0:
-            lines.append(
-                f"edge {e} {m:.17g} interior {k} {l} "
-                f"{mesh.edge_d[e, 0]:.17g} {mesh.edge_d[e, 1]:.17g}"
-            )
-        else:
-            coords = " ".join(f"{c:.17g}" for c in mesh.edge_x[e])
-            tag = _TAG_NAMES[int(mesh.edge_tag[e])]
-            lines.append(f"edge {e} {m:.17g} boundary {k} {mesh.edge_d[e, 0]:.17g} {coords} {tag}")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
 
 
 def _convert(table, rows, cols, errors, bound=None):

@@ -6,14 +6,15 @@ search, or trust region) with the residual-based stopping rule
 tau_init that the previous step ended with (``scheme.Evaluation``), so
 a step evaluates only its own Newton iterates.  The Jacobian of the
 scheme is a column-wise (delta, Delta)-M-matrix for non-degenerate
-parametrizations, which yields a uniform bound on ||J^{-1}||_1; the
-analysis utilities here verify the conditions and compute the bound on
-concrete matrices.  ``mmatrix_analyze`` does so in one whole-array pass
-over the matrix's CSC arrays and a level-synchronous breadth-first search
-from I_delta, one numpy pass over the delta-transmissive arcs per level
-(about 10 us on a 20x20 Jacobian, so a chain anchored at one end is the
-worst case), and its report keeps each column's delta-transmissive path
-length and the violated conditions.
+parametrizations, which yields a uniform bound on ||J^{-1}||_1 from the
+longest delta-transmissive path.  ``jacobian_bounds`` brackets the
+diagonal of the scheme's Jacobian by (delta, Delta), and
+``mmatrix_analyze`` checks the conditions on a concrete matrix in one
+whole-array pass over its CSC arrays and a level-synchronous
+breadth-first search from I_delta, one numpy pass over the
+delta-transmissive arcs per level (about 10 us on a 20x20 Jacobian, so a
+chain anchored at one end is the worst case), and its report keeps each
+column's delta-transmissive path length and the violated conditions.
 
 The scheme gives the Jacobian as its diagonal plus one coupling per side
 of each interior edge (``scheme.jacobian``).  Each Newton correction is
@@ -69,7 +70,7 @@ diagonal, and their fill products in an LU underflow to subnormals.  The
 gravity term is larger: on the 20x20 infiltration mesh it is
 0.2 lam'(s) s'(tau) of a diagonal near 1, about 7e-16 at beta = 4 and
 1.1e-13 at beta = 16.  Column K is dry when every off-diagonal entry is at
-most DROP = 1e-12 times J_KK (``scheme.DROP``, re-exported here), and the
+most DROP = 1e-12 times J_KK (``scheme.DROP``), and the
 other columns form the wet set W.  As a column depends on its own cell
 alone, ``scheme.jacobian`` flags it wet or dry where it forms the column,
 and hands ``linear_solve`` the wet set in the form the solve reads: W in
@@ -108,12 +109,10 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dgbsv, dpbsv
 
 from .mesh import Mesh
-from .scheme import (DROP, Assembly, Evaluation, Jacobian, SolvePlan, jacobian, residual,
-                     step_residual)
+from .scheme import Assembly, Evaluation, Jacobian, SolvePlan, jacobian, residual, step_residual
 
 __all__ = [
     "ATOL_SCALE",
-    "DROP",
     "MAX_ITER",
     "NewtonReport",
     "MMatrixReport",
@@ -122,7 +121,6 @@ __all__ = [
     "linear_solve",
     "mmatrix_analyze",
     "jacobian_bounds",
-    "inverse_norm_bound",
 ]
 
 
@@ -153,7 +151,7 @@ class NewtonReport:
         return self.residual_history[-1]
 
 
-def linear_solve(plan: SolvePlan, jac: Jacobian, b, m=None, u_p=None) -> np.ndarray:
+def linear_solve(plan: SolvePlan, jac: Jacobian, b) -> np.ndarray:
     """Direct solve of A x = b, A given as a ``scheme.Jacobian`` jac: its
     diagonal jac.diag, its couplings jac.off on the rows and columns of plan
     (``plan.rows``, ``plan.cols``), and its wet set.
@@ -202,7 +200,8 @@ def linear_solve(plan: SolvePlan, jac: Jacobian, b, m=None, u_p=None) -> np.ndar
     ``plan.symmetric``, A is a gravity-free Jacobian
     diag(s') + diag(dt/m) Lambda diag(u'), with Lambda the symmetric
     transmissibility matrix (Dirichlet edges on its diagonal), m the cell
-    volumes and u' = u'(tau) at the iterate, which must then be given.  So
+    volumes, which the plan holds (``plan.m``), and u' = u'(tau) at the
+    iterate, which jac carries (jac.u_p).  So
     B = diag(m) A diag(u')^-1 = diag(m s'/u') + dt Lambda is symmetric, and
     ``dpbsv`` (band Cholesky) solves B y = m b on W from its lower
     triangle; x_W = y / u'_W.  u' > 0 on W: a wet column K holds a coupling
@@ -217,10 +216,10 @@ def linear_solve(plan: SolvePlan, jac: Jacobian, b, m=None, u_p=None) -> np.ndar
     jac is modified.  Deterministic for fixed input.
     """
     b = np.asarray(b, dtype=float)
-    diag, off, w = jac.diag, jac.off, jac.wet_cells
-    n, rows, cols = plan.n, plan.rows, plan.cols
+    diag, off, w, u_p = jac.diag, jac.off, jac.wet_cells, jac.u_p
+    n, m, rows, cols = plan.n, plan.m, plan.rows, plan.cols
     if w.size == n and plan.schur is not None:
-        return _schur_solve(plan, diag, off, b, m, u_p)
+        return _schur_solve(plan, diag, off, b, u_p)
     x = np.empty(n)
     if w.size < n:  # x_K = b_K / A_KK; W and the dry rows next to it are set below
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -271,10 +270,10 @@ def linear_solve(plan: SolvePlan, jac: Jacobian, b, m=None, u_p=None) -> np.ndar
     return x
 
 
-def _schur_solve(plan: SolvePlan, diag, off, b, m, u_p) -> np.ndarray:
+def _schur_solve(plan: SolvePlan, diag, off, b, u_p) -> np.ndarray:
     """x = A^-1 b by the Schur complement S = A_SS - A_SI A_II^-1 A_IS on the
     cells outside the independent set I of ``plan.schur`` (see ``linear_solve``)."""
-    sc = plan.schur
+    sc, m = plan.schur, plan.m
     d_i = diag.take(sc.I)
     if not d_i.all():
         raise SingularJacobianError(f"eliminated cell {sc.I[np.flatnonzero(d_i == 0.0)[0]]} "
@@ -354,7 +353,7 @@ def newton_solve(system: Assembly, dt: float, s_prev, tau_init, eps: float,
         if callback is not None:
             callback(k, tau, res, system.matrix(jac.diag, jac.off))
         try:
-            delta = linear_solve(system.plan, jac, f, system.mesh.cell_volumes, ev.u_p)
+            delta = linear_solve(system.plan, jac, f)
         except SingularJacobianError:
             break
         tau = tau - delta  # a new array: ev keeps the iterate it was given
@@ -479,21 +478,3 @@ def jacobian_bounds(mesh: Mesh, dt: float, alpha_low: float, alpha_high: float,
     delta = alpha_low * min(1.0, dt * float(np.min(a_min / mesh.cell_volumes)))
     Delta = alpha_high * float(np.max(1.0 + dt / mesh.cell_volumes * load))
     return delta, Delta
-
-
-def inverse_norm_bound(delta: float, Delta: float, path_length: int) -> float:
-    """c_{L+1} = ((Delta/delta)^(L+1) - 1) / (Delta - delta).
-
-    A valid bound on ||A^{-1}||_inf for row-wise (resp. ||A^{-1}||_1 for
-    column-wise) (delta, Delta)-M-matrices whose transmissive paths have
-    length at most L.  The degenerate case delta == Delta returns the
-    limit (L+1)/Delta of c_{L+1}.
-    """
-    if not (0 < delta <= Delta):
-        raise ValueError(f"need 0 < delta <= Delta, got {delta}, {Delta}")
-    if path_length < 0:
-        raise ValueError("path length must be >= 0")
-    p = path_length + 1
-    if delta == Delta:
-        return p / Delta
-    return ((Delta / delta) ** p - 1.0) / (Delta - delta)

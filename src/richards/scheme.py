@@ -171,9 +171,10 @@ class SolvePlan:
 
     The couplings are given per edge K|L (``K``, ``L``; no pair twice), one
     per side: rows [K, L] and columns [L, K] (``rows``, ``cols``).  The plan
-    is worked out once from them and from ``symmetric``: whether the
+    is worked out once from them and from ``m``: the cell volumes when the
     matrices solved on it are gravity-free Jacobians, which a diagonal
-    scaling makes symmetric positive definite (``newton.linear_solve``).
+    scaling by m and u' makes symmetric positive definite, or None
+    (``symmetric``, ``newton.linear_solve``).
     ``order`` lists the cells in reverse Cuthill-McKee order (Cuthill &
     McKee 1969; George & Liu, Computer Solution of Large Sparse Positive
     Definite Systems, 1981): level by level of a breadth-first search, so
@@ -196,9 +197,9 @@ class SolvePlan:
     such a solve factors S alone (``newton.linear_solve``).
     """
 
-    def __init__(self, n: int, K, L, symmetric: bool = False):
+    def __init__(self, n: int, K, L, m=None):
         K, L = np.asarray(K, dtype=np.intp), np.asarray(L, dtype=np.intp)
-        self.n, self.symmetric = n, symmetric
+        self.n, self.m = n, m
         self.rows, self.cols = np.concatenate([K, L]), np.concatenate([L, K])
         pattern = sp.csr_matrix((np.ones(self.rows.size, dtype=np.int8), (self.rows, self.cols)),
                                 shape=(n, n))
@@ -210,6 +211,11 @@ class SolvePlan:
         self.pair = np.stack([np.where(later, e, e + K.size), np.where(later, e + K.size, e)])
         p = rank.take(self.cols.take(self.pair))  # each edge's earlier cell, then its later one
         self.kd = int((p[1] - p[0]).max(initial=0))
+
+    @property
+    def symmetric(self) -> bool:
+        """Whether the band Cholesky of diag(m) A diag(u')^-1 solves, not band LU."""
+        return self.m is not None
 
     def wet_split(self, wet):
         """What a solve reads of the wet mask wet, one flag per column, worked
@@ -406,7 +412,7 @@ class Assembly:
         # the cells of jacobian()'s diagonal terms: s', then the flux terms
         self.diag_cells = np.concatenate([np.arange(mesh.n_cells), self.flux_cells])
         # with no gravity term on any edge, diag(m) J diag(u')^-1 is symmetric
-        self.plan = SolvePlan(mesh.n_cells, K, L, symmetric=not self.gravity)
+        self.plan = SolvePlan(mesh.n_cells, K, L, None if self.gravity else mesh.cell_volumes)
         # the most changed cells for which an iterate is refreshed (``refresh_limit``)
         self.max_changed = refresh_limit(mesh.n_cells)
         self._rate = (None, None)
@@ -525,10 +531,10 @@ class Evaluation(NamedTuple):
     ``Assembly.outer``), the flux F of each edge (F_{K,sigma} for its first
     cell K) followed by a 0 (the pads of the cell index read it) and, when
     an edge carries a gravity term, the mobility lam(s), laid out as u (None
-    otherwise).  changed holds the cells whose tau differs from the
-    evaluation this one was refreshed from, and moved those of them whose
-    s, s' or u' differ too (a Jacobian column depends on nothing else of
-    its cell); both are None when it was computed in full.  None of it
+    otherwise).  moved holds the cells whose tau and whose s, s' or u'
+    differ from the evaluation this one was refreshed from (a Jacobian
+    column depends on nothing else of its cell), and is None when it was
+    computed in full.  None of it
     depends on dt or s^{n-1}, so the evaluation at the last iterate of a
     step is the one at the next step's tau_init."""
 
@@ -540,13 +546,13 @@ class Evaluation(NamedTuple):
     u: np.ndarray
     F: np.ndarray
     lam: np.ndarray | None
-    changed: np.ndarray | None
     moved: np.ndarray | None
 
 
 class Jacobian(NamedTuple):
     """The Jacobian at an iterate: its diagonal, its couplings on the rows and
-    columns of ``Assembly.plan`` in edge order, the wet mask, one flag per
+    columns of ``Assembly.plan`` in edge order, u'(tau) of the iterate's
+    evaluation (the band Cholesky scales by it), the wet mask, one flag per
     column (``wet_columns``), and what the solve reads of it
     (``SolvePlan.wet_split``): W, the wet cells in the plan's order; the
     edges whose two cells are wet, and the couplings from a wet column into
@@ -554,6 +560,7 @@ class Jacobian(NamedTuple):
 
     diag: np.ndarray
     off: np.ndarray
+    u_p: np.ndarray
     wet: np.ndarray
     wet_cells: np.ndarray
     inside: np.ndarray
@@ -614,7 +621,7 @@ def residual(system: Assembly, dt: float, s_prev, tau, prev: Evaluation | None =
         F_e += system.m * (lam.take(K) * system.gp - lam.take(outer) * system.gn)
     flux = np.bincount(system.flux_cells, weights=np.concatenate([F_e[:ni], -F_e[:ni], F_e[ni:]]),
                        minlength=system.mesh.n_cells)
-    ev = Evaluation(s, s_p, u_p, flux, tau, u, F, lam, None, None)
+    ev = Evaluation(s, s_p, u_p, flux, tau, u, F, lam, None)
     return step_residual(system, dt, s_prev, ev), ev
 
 
@@ -654,7 +661,7 @@ def _refreshed(system: Assembly, prev: Evaluation, tau, mask) -> Evaluation:
         total += term
     flux = prev.flux.copy()
     flux[t] = total
-    return Evaluation(s, s_p, u_p, flux, tau, u, F, lam, changed, moved)
+    return Evaluation(s, s_p, u_p, flux, tau, u, F, lam, moved)
 
 
 def _capped(s_p):
@@ -678,14 +685,14 @@ def jacobian(system: Assembly, dt: float, ev: Evaluation, prev: Jacobian | None 
     The lam' terms are computed only when an edge carries a gravity term.
     Dirichlet edges contribute only to the diagonal.  Column K, its diagonal
     and the couplings below and above it, depends on cell K's state and on
-    dt alone.  So when ev was refreshed (ev.changed is not None) and prev is
+    dt alone.  So when ev was refreshed (ev.moved is not None) and prev is
     the Jacobian at the same dt of the evaluation ev was refreshed from, only
     the columns and wet flags of the cells whose s, s' or u' moved
     (ev.moved) are computed again, and W and the edge lists of the solve are
     brought up to date from the cells whose flag flipped (``_rewet``), all
     with the bits of the full computation; no array of prev is changed.
     """
-    if prev is not None and ev.changed is not None:
+    if prev is not None and ev.moved is not None:
         return _refreshed_jacobian(system, dt, ev, prev)
     u_p = ev.u_p
     s_p = _capped(ev.s_p)
@@ -703,7 +710,7 @@ def jacobian(system: Assembly, dt: float, ev: Evaluation, prev: Jacobian | None 
         s_p, rK[:ni] * dFK[:ni], rL * dFL, rK[ni:] * dFK[ni:]]), minlength=s_p.size)
     off = np.concatenate([-rK[:ni] * dFL, -rL * dFK[:ni]])
     wet = wet_columns(system.plan.cols, diag, off)
-    return Jacobian(diag, off, wet, *system.plan.wet_split(wet))
+    return Jacobian(diag, off, u_p, wet, *system.plan.wet_split(wet))
 
 
 def _refreshed_jacobian(system: Assembly, dt: float, ev: Evaluation, prev: Jacobian) -> Jacobian:
@@ -734,9 +741,10 @@ def _refreshed_jacobian(system: Assembly, dt: float, ev: Evaluation, prev: Jacob
     wet = prev.wet.copy()
     wet[moved] = wet_c
     if not flipped.any():
-        return Jacobian(diag, off[:-1], wet, prev.wet_cells, prev.inside, prev.wet_to_dry)
-    return Jacobian(diag, off[:-1], wet, *_rewet(system, prev.wet_cells, wet,
-                                                 moved[wet_c & flipped]))
+        return Jacobian(diag, off[:-1], ev.u_p, wet, prev.wet_cells, prev.inside,
+                        prev.wet_to_dry)
+    return Jacobian(diag, off[:-1], ev.u_p, wet, *_rewet(system, prev.wet_cells, wet,
+                                                         moved[wet_c & flipped]))
 
 
 def _rewet(system: Assembly, w, wet, new):

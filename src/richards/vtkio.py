@@ -2,7 +2,7 @@
 
 Writes DATASET UNSTRUCTURED_GRID files with CELL_DATA scalars, one quad
 (or line) cell per finite-volume cell.  Only meshes carrying axis-aligned
-cell boxes (the built rectangular/interval meshes) are supported; loaded
+cell boxes (the built box meshes, in 1D or 2D) are supported; loaded
 general meshes have no polygon data to export.
 """
 

@@ -16,12 +16,15 @@ import numpy as np
 import pytest
 
 from conftest import evaluate
-from richards.diagnostics import (
+from oracles import (
+    check_nondegeneracy,
     contraction_check,
     energy_series,
-    linf_l1_error,
+    inverse_norm_bound,
     quadratic_tail,
+    select_eta_mode,
 )
+from richards.diagnostics import linf_l1_error
 from richards.harness import (
     EPS_REF_TEST1,
     EPS_REF_TEST2,
@@ -35,15 +38,12 @@ from richards.harness import (
 from richards.hydromodel import (
     BrooksCoreyModel,
     Parametrization,
-    check_nondegeneracy,
     derive_params,
     kirchhoff_closed_form,
     kirchhoff_quadrature_oracle,
-    select_eta_mode,
 )
 from richards.mesh import DIRICHLET, build_rect_mesh
 from richards.newton import (
-    inverse_norm_bound,
     jacobian_bounds,
     mmatrix_analyze,
 )

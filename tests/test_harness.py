@@ -330,7 +330,8 @@ LOOKUP_TABLE default
 
 
 def test_vtk_golden_1d_and_2d(tmp_path):
-    from richards.mesh import build_interval_mesh, build_rect_mesh
+    from oracles import build_interval_mesh
+    from richards.mesh import build_rect_mesh
     from richards.vtkio import write_vtk
 
     s = np.array([0.25, 0.5])
@@ -459,6 +460,24 @@ def test_cli_refuses_non_finite_config_values(tmp_path, capsys, text, message):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_runs_a_closed_box_with_no_water(tmp_path, capsys):
+    # both steps solved, then mass_error refused the zero initial volume and
+    # the run exited 2 with no output; the mass error is relative to that
+    # volume, so the run reports none: an empty mass_err column
+    from richards.cli import main
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("beta = 4\ndt = 0.01\nt_end = 0.02\neps = 1e-6\ns0_default = 0\nmesh = 4x4\n")
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert "2 steps" in captured.out and captured.err == ""
+    rows = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+    header, row = rows[-2].split(","), rows[-1].split(",")
+    assert row[header.index("steps")] == "2"
+    assert row[header.index("mass_err")] == ""
+
+
 def test_cli_refuses_two_edges_joining_one_pair(tmp_path):
     from test_mesh import split_edge_mesh
 
@@ -490,7 +509,8 @@ def test_cli_config_file_with_overrides(tmp_path):
 
 
 def test_cli_validate_mesh(tmp_path):
-    from richards.mesh import build_rect_mesh, save_mesh
+    from oracles import save_mesh
+    from richards.mesh import build_rect_mesh
 
     path = tmp_path / "m.mesh"
     save_mesh(build_rect_mesh(3, 3), path)
@@ -564,7 +584,8 @@ def test_cli_refuses_dirichlet_edges_without_value(tmp_path, monkeypatch, capsys
     # so the run has no boundary value for them and must stop before any step
     import richards.harness as H
     from richards.cli import main
-    from richards.mesh import DIRICHLET, build_rect_mesh, save_mesh
+    from oracles import save_mesh
+    from richards.mesh import DIRICHLET, build_rect_mesh
 
     mesh = build_rect_mesh(4, 4)
     assert mesh.retag_boundary(lambda x: x[:, 1] >= 1.0 - 1e-12, DIRICHLET) == 4
@@ -590,7 +611,8 @@ def test_cli_p_dirichlet_needs_dirichlet_edges(tmp_path, capsys):
     # a mesh file that tags its own Dirichlet edges takes p_dirichlet alone;
     # on a mesh without Dirichlet edges p_dirichlet is refused before any step
     from richards.cli import main
-    from richards.mesh import DIRICHLET, build_rect_mesh, save_mesh
+    from oracles import save_mesh
+    from richards.mesh import DIRICHLET, build_rect_mesh
 
     mesh = build_rect_mesh(4, 4)
     assert mesh.retag_boundary(lambda x: x[:, 1] >= 1.0 - 1e-12, DIRICHLET) == 4
@@ -614,7 +636,8 @@ def test_s0_boxes_must_fit_the_mesh_dimension(tmp_path, capsys):
     # from a file (centre sampling), is refused before any step instead of
     # being misread; a 1-D box runs
     from richards.cli import main
-    from richards.mesh import build_interval_mesh, load_mesh, save_mesh
+    from oracles import build_interval_mesh, save_mesh
+    from richards.mesh import load_mesh
 
     msg = "s0_boxes: a box of shape (2, 2) does not fit the 1-D mesh: it needs shape (1, 2)"
     cfg = replace(preset_test2(eps=1e-6), t_end=2e3)
@@ -636,7 +659,8 @@ def test_s0_boxes_must_fit_the_mesh_dimension(tmp_path, capsys):
 
 
 def test_cli_mesh_file_run(tmp_path):
-    from richards.mesh import build_rect_mesh, save_mesh
+    from oracles import save_mesh
+    from richards.mesh import build_rect_mesh
 
     path = tmp_path / "m.mesh"
     save_mesh(build_rect_mesh(5, 5), path)
@@ -667,7 +691,7 @@ def test_cli_refuses_gravity_that_does_not_fit_the_mesh(tmp_path, capsys, gravit
 def test_zero_gravity_components_beyond_the_mesh_dimension_are_allowed(tmp_path):
     # on a 1-D file mesh, gravity (0, 0) runs as (0,): infiltration through
     # a Dirichlet end
-    from richards.mesh import build_interval_mesh, save_mesh
+    from oracles import build_interval_mesh, save_mesh
 
     path = tmp_path / "line.mesh"
     save_mesh(build_interval_mesh(8), path)
@@ -766,7 +790,8 @@ def _run_and_rerun_echo(tmp_path, argv):
 
 @pytest.mark.parametrize("case", ["test1", "test2-file-mesh", "custom"])
 def test_summary_echo_reruns_the_run(tmp_path, case):
-    from richards.mesh import DIRICHLET, build_rect_mesh, save_mesh
+    from oracles import save_mesh
+    from richards.mesh import DIRICHLET, build_rect_mesh
 
     cfg = tmp_path / "run.cfg"
     if case == "test1":
@@ -820,7 +845,8 @@ def _refused_before_first_step(tmp_path, monkeypatch, capsys, text):
 
 def test_cli_refuses_snapshots_on_mesh_without_cell_boxes(tmp_path, monkeypatch, capsys):
     # loaded meshes have no cell boxes to export; the run must stop before any step
-    from richards.mesh import build_rect_mesh, save_mesh
+    from oracles import save_mesh
+    from richards.mesh import build_rect_mesh
 
     path = tmp_path / "m.mesh"
     save_mesh(build_rect_mesh(4, 4), path)

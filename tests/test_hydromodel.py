@@ -1,16 +1,18 @@
 """Constitutive laws, Kirchhoff transform, and the two parametrizations."""
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import check_nondegeneracy, s_antiderivative, select_eta_mode, xi
 from richards.hydromodel import (
     BrooksCoreyModel,
     Parametrization,
-    check_nondegeneracy,
     derive_params,
     kirchhoff_closed_form,
     kirchhoff_quadrature_oracle,
@@ -18,7 +20,6 @@ from richards.hydromodel import (
     mobility_derivative,
     sat_of_kirchhoff,
     saturation_of_pressure,
-    select_eta_mode,
     _sat_of_kirchhoff_prime,
 )
 
@@ -324,16 +325,38 @@ def test_u_form_is_tau_graph_with_zero_switch_point(mode, beta):
     for tau in (taus, *taus[:15]):
         for got, want in zip(param.eval(tau), oracle.eval(tau)):
             assert np.array_equal(got, want)
-        assert np.array_equal(param.s_antiderivative(tau), oracle.s_antiderivative(tau))
-        assert np.array_equal(param.xi(tau), oracle.xi(tau))
+        assert np.array_equal(s_antiderivative(param, tau), oracle.s_antiderivative(tau))
+        assert np.array_equal(xi(param, tau), oracle.xi(tau))
     for s in (sats, *sats[:6]):
         assert np.array_equal(param.sat_inverse(s), oracle.sat_inverse(s))
     for pr in (pressures, *pressures[-4:], pressures[0]):
         assert np.array_equal(param.tau_of_pressure(pr), oracle.tau_of_pressure(pr))
     assert isinstance(param.sat_inverse(0.5), float)
     assert isinstance(param.tau_of_pressure(1.0), float)
-    assert isinstance(param.xi(0.5), float)
-    assert isinstance(param.s_antiderivative(0.5), float)
+    assert isinstance(xi(param, 0.5), float)
+    assert isinstance(s_antiderivative(param, 0.5), float)
+
+
+def test_params_are_set_once_at_construction():
+    # params is derived from kind and model in __post_init__: reading it
+    # writes nothing into the frozen instance, and it takes no part in
+    # equality, hashing or repr; a pickled copy (as a sweep worker gets
+    # one) is equal and has the same constants
+    m = BrooksCoreyModel(beta=4.0, p_b=-0.01)
+    param = Parametrization(kind="u", model=m)
+    state = dict(vars(param))
+    assert param.params.tau_star == 0.0 and param.params.tau_sat == derive_params(m).u_b
+    assert vars(param) == state
+    same = Parametrization(kind="u", model=m)
+    assert param == same and hash(param) == hash(same)
+    assert param != Parametrization(kind="tau", model=m)
+    assert "params" not in repr(param)
+    copy = pickle.loads(pickle.dumps(param))
+    assert copy == param and copy.params == param.params
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        param.params = derive_params(m)
+    with pytest.raises(ValueError, match="unknown parametrization kind"):
+        Parametrization(kind="p", model=m)
 
 
 def test_u_form_dirichlet_value_legacy_mode():

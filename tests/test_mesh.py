@@ -5,16 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import build_interval_mesh, discrete_h1_inner, save_mesh
 from richards.mesh import (
     DIRICHLET,
     INTERIOR,
     NOFLUX,
     MeshError,
-    build_interval_mesh,
     build_rect_mesh,
-    discrete_h1_inner,
     load_mesh,
-    save_mesh,
     validate_admissibility,
 )
 

@@ -15,19 +15,12 @@ import richards.harness as H
 import richards.newton as N
 import richards.scheme as S
 from conftest import evaluate
+from oracles import build_interval_mesh, inverse_norm_bound, save_mesh
 from richards.harness import RunConfig, preset_test1, preset_test2, run
 from richards.hydromodel import BrooksCoreyModel, Parametrization
-from richards.mesh import (
-    DIRICHLET,
-    Mesh,
-    build_interval_mesh,
-    build_rect_mesh,
-    load_mesh,
-    save_mesh,
-)
+from richards.mesh import DIRICHLET, Mesh, build_rect_mesh, load_mesh
 from richards.newton import (
     SingularJacobianError,
-    inverse_norm_bound,
     jacobian_bounds,
     linear_solve,
     mmatrix_analyze,
@@ -163,31 +156,33 @@ def split(A):
     return A.diagonal(), K, L, off
 
 
-def plan_of(A, symmetric=False):
-    """The SolvePlan of A's off-diagonal pattern."""
+def plan_of(A, m=None):
+    """The SolvePlan of A's off-diagonal pattern, for band Cholesky with the
+    cell volumes m, or for band LU when m is None."""
     _, K, L, _ = split(A)
-    return SolvePlan(A.shape[0], K, L, symmetric=symmetric)
+    return SolvePlan(A.shape[0], K, L, m)
 
 
-def jacobian_on(plan, diag, off, wet=None):
-    """The Jacobian that linear_solve reads: diag and off on plan with the wet
-    mask wet (by default the one wet_columns gives) and its split."""
+def jacobian_on(plan, diag, off, u_p=None, wet=None):
+    """The Jacobian that linear_solve reads: diag, off and u' (read on the
+    Cholesky route only) on plan with the wet mask wet (by default the one
+    wet_columns gives) and its split."""
     wet = S.wet_columns(plan.cols, diag, off) if wet is None else wet
-    return S.Jacobian(diag, off, wet, *plan.wet_split(wet))
+    return S.Jacobian(diag, off, u_p, wet, *plan.wet_split(wet))
 
 
-def solve_on(plan, A, b, m=None, u_p=None):
+def solve_on(plan, A, b, u_p=None):
     """linear_solve of A x = b on plan, made from A's pattern or an equal one."""
     diag, K, L, off = split(A)
     np.testing.assert_array_equal(np.concatenate([K, L]), plan.rows)
     np.testing.assert_array_equal(np.concatenate([L, K]), plan.cols)
-    return linear_solve(plan, jacobian_on(plan, diag, off), b, m, u_p)
+    return linear_solve(plan, jacobian_on(plan, diag, off, u_p), b)
 
 
 def solve(A, b, m=None, u_p=None):
     """x = A^{-1} b through a plan of A's own pattern: by band Cholesky of
     diag(m) A diag(u')^-1 when m and u' are given, by band LU otherwise."""
-    return solve_on(plan_of(A, symmetric=m is not None), A, b, m, u_p)
+    return solve_on(plan_of(A, m), A, b, u_p)
 
 
 def test_identity_system():
@@ -260,14 +255,14 @@ def test_random_graph_solve_matches_dense(n, seed, dry_share, symmetric):
     # (where every one is wet and the plan has a Schur layout, the Schur
     # complement is factored instead: ``test_all_wet_schur_solve_matches_dense``)
     diag, K, L, off, m, u_p, J = graph_system(n, seed, dry_share, symmetric)
-    plan = SolvePlan(n, K, L, symmetric=symmetric)
+    plan = SolvePlan(n, K, L, m if symmetric else None)
     b = np.random.default_rng(seed).standard_normal(n)
     wet = S.wet_columns(plan.cols, diag, off)
-    x = linear_solve(plan, jacobian_on(plan, diag, off), b, *((m, u_p) if symmetric else ()))
+    x = linear_solve(plan, jacobian_on(plan, diag, off, u_p), b)
     ref = np.linalg.solve(J, b)
     assert np.linalg.norm(x - ref, np.inf) <= 1e-12 * np.linalg.norm(ref, np.inf)
     if not (wet.all() and plan.schur is not None):
-        assert np.array_equal(x, solve_over_every_coupling(plan, diag, off, b, m, u_p)[0])
+        assert np.array_equal(x, solve_over_every_coupling(plan, diag, off, b, u_p)[0])
 
 
 @given(st.integers(2, 60), st.integers(0, 2**32 - 1), st.booleans())
@@ -278,7 +273,7 @@ def test_all_wet_schur_solve_matches_dense(n, seed, symmetric):
     # where the plan keeps no layout, the whole band) agrees with the dense
     # solve at the bound of the partial-wet solves
     diag, K, L, off, m, u_p, J = graph_system(n, seed, 0.0, symmetric)
-    plan = SolvePlan(n, K, L, symmetric=symmetric)
+    plan = SolvePlan(n, K, L, m if symmetric else None)
     wet = S.wet_columns(plan.cols, diag, off)
     assert wet.all()
     if plan.schur is not None:
@@ -291,7 +286,7 @@ def test_all_wet_schur_solve_matches_dense(n, seed, symmetric):
         assert np.array_equal(np.sort(np.concatenate([plan.schur.I, plan.schur.cells])),
                               np.arange(n))
     b = np.random.default_rng(seed).standard_normal(n)
-    x = linear_solve(plan, jacobian_on(plan, diag, off), b, *((m, u_p) if symmetric else ()))
+    x = linear_solve(plan, jacobian_on(plan, diag, off, u_p), b)
     ref = np.linalg.solve(J, b)
     assert np.linalg.norm(x - ref, np.inf) <= 1e-12 * np.linalg.norm(ref, np.inf)
 
@@ -309,7 +304,7 @@ def test_schur_layout_is_kept_only_where_its_band_costs_less(monkeypatch):
     # a random pattern with odd cycles: couplings inside S, and S's band costs
     # less than the whole one, so the layout is kept
     diag, K, L, off, m, u_p, J = graph_system(60, 3, 0.0, True)
-    plan = SolvePlan(60, K, L, symmetric=True)
+    plan = SolvePlan(60, K, L, m)
     sc = plan.schur
     assert sc.direct.size > 0
     assert sc.cells.size * sc.kd**2 < plan.n * plan.kd**2
@@ -354,16 +349,37 @@ def test_box_mesh_schur_complement_keeps_half_the_cells(kind, nx, ny):
         assert np.unique(np.round(i + j).astype(int) % 2).size == 1
 
 
+@pytest.mark.parametrize("gravity", [(0.0, 0.0), (0.0, -1.0)], ids=["cholesky", "lu"])
+def test_assembly_plan_solves_a_jacobian_from_its_own_arguments(gravity):
+    # a gravity-free plan holds the cell volumes and each Jacobian the u' of
+    # its evaluation, so linear_solve(plan, jac, b) needs nothing else on
+    # either route (the test2 start on 6x6, every column wet)
+    config = replace(short_test2("6x6"), gravity=gravity)
+    mesh = H.build_mesh(config)
+    system = Assembly(mesh, TAU, np.asarray(gravity))
+    assert system.plan.symmetric == (gravity == (0.0, 0.0))
+    assert system.plan.m is (mesh.cell_volumes if system.plan.symmetric else None)
+    s0 = S.InitialField(default=config.s0_default, boxes=config.s0_boxes)
+    tau = S.discretize_initial(s0, mesh, TAU)
+    s_prev = TAU.eval(tau)[0]
+    f, ev = residual(system, config.dt, s_prev, tau * 1.01)
+    jac = jacobian(system, config.dt, ev)
+    assert jac.u_p is ev.u_p and jac.wet.all()
+    x = linear_solve(system.plan, jac, f)
+    ref = np.linalg.solve(system.matrix(jac.diag, jac.off).toarray(), f)
+    assert np.linalg.norm(x - ref, np.inf) <= 1e-12 * np.linalg.norm(ref, np.inf)
+
+
 def test_schur_solve_repeats_its_bits(monkeypatch):
     # the same all-wet input twice, on one plan and on a plan made anew:
     # the same x, bit for bit, from one Cholesky of the 200 cells of S
     m, kept = corrections(short_test2(t_end=1e3))
     J, u_p = kept[0]
     b = np.random.default_rng(6).standard_normal(J.shape[0])
-    plan = plan_of(J, symmetric=True)
+    plan = plan_of(J, m)
     calls = count_lu(monkeypatch)
     lapack = lapack_inputs(monkeypatch)
-    x = [solve_on(plan, J, b, m, u_p), solve_on(plan, J, b, m, u_p), solve(J, b, m, u_p)]
+    x = [solve_on(plan, J, b, u_p), solve_on(plan, J, b, u_p), solve(J, b, m, u_p)]
     assert calls == {"dgbsv": 0, "dpbsv": 3}
     assert all(args[0].shape == (plan.schur.kd + 1, 200) for _, args, _ in lapack)
     assert np.array_equal(x[0], x[1]) and np.array_equal(x[0], x[2])
@@ -446,7 +462,7 @@ def wet_columns(J):
     coo = sp.coo_matrix(J)
     d = sp.csc_matrix(J).diagonal()
     off = coo.row != coo.col
-    big = ~(np.abs(coo.data[off]) <= N.DROP * d[coo.col[off]])
+    big = ~(np.abs(coo.data[off]) <= S.DROP * d[coo.col[off]])
     return (np.bincount(coo.col[off][big], minlength=J.shape[0]) > 0) | ~np.isfinite(d)
 
 
@@ -534,16 +550,16 @@ def test_wet_set_solve_matches_the_full_solve(monkeypatch, config, kind, wet_set
     route = {"dgbsv": 0, "dpbsv": factored} if symmetric else {"dgbsv": factored, "dpbsv": 0}
     assert calls == route  # the run's own solves
     calls.update(dgbsv=0, dpbsv=0)
-    plan = plan_of(kept[0][0], symmetric=symmetric)
+    plan = plan_of(kept[0][0], m if symmetric else None)
     b = np.random.default_rng(4).standard_normal(n)
     for J, u_p in kept:
-        x = solve_on(plan, J, b, m, u_p)
+        x = solve_on(plan, J, b, u_p)
         ref = np.linalg.solve(J.toarray(), b) if n < 1000 else spla.spsolve(J, b)
         assert np.linalg.norm(x - ref, np.inf) <= 1e-12 * np.linalg.norm(ref, np.inf)
     assert calls == route
 
 
-def solve_over_every_coupling(plan, diag, off, b, m=None, u_p=None):
+def solve_over_every_coupling(plan, diag, off, b, u_p=None):
     """(x, |W|): linear_solve with the set-up it had over every coupling, kept
     as the bit-level oracle of the per-edge one.  Each wet cell's place in W
     comes from a cumsum over every cell in the plan's order, the W x W
@@ -557,7 +573,7 @@ def solve_over_every_coupling(plan, diag, off, b, m=None, u_p=None):
     below_diag = plan_rank[rows] > plan_rank[cols]
     entries = np.flatnonzero(below_diag) if plan.symmetric else np.arange(rows.size)
     wet = ~np.isfinite(diag)
-    wet[cols[~(np.abs(off) <= (N.DROP * diag)[cols])]] = True
+    wet[cols[~(np.abs(off) <= (S.DROP * diag)[cols])]] = True
     x = np.zeros(n)
     wet_p = wet[plan.order]
     w = plan.order[wet_p]
@@ -566,7 +582,7 @@ def solve_over_every_coupling(plan, diag, off, b, m=None, u_p=None):
         keep = entries[wet[rows[entries]] & wet[cols[entries]]]
         i, j = rank[rows[keep]], rank[cols[keep]]
         if plan.symmetric:
-            m_w, u_w = m[w], u_p[w]
+            m_w, u_w = plan.m[w], u_p[w]
             kd = int((i - j).max(initial=0))
             ab = np.zeros((kd + 1) * w.size)
             ab[::kd + 1] = diag[w] * m_w / u_w
@@ -607,12 +623,12 @@ def lapack_inputs(monkeypatch) -> list:
 
 
 def captured_solves(monkeypatch, config) -> list:
-    """(plan, diag, off, wet, b, m, u') of every linear_solve of a run of config."""
+    """(plan, diag, off, wet, b, u') of every linear_solve of a run of config."""
     seen = []
 
-    def capture(plan, jac, b, m=None, u_p=None):
-        seen.append((plan, jac.diag, jac.off, jac.wet, b, m, u_p))
-        return solve(plan, jac, b, m, u_p)
+    def capture(plan, jac, b):
+        seen.append((plan, jac.diag, jac.off, jac.wet, b, jac.u_p))
+        return solve(plan, jac, b)
 
     solve = N.linear_solve
     monkeypatch.setattr(N, "linear_solve", capture)
@@ -640,13 +656,14 @@ def test_per_edge_setup_gives_the_bits_of_the_setup_over_every_coupling(monkeypa
     n, ni = plan.n, plan.rows.size // 2
     perm = numbering(kind, n)
     new = np.argsort(perm)
-    plan = SolvePlan(n, new[plan.rows[:ni]], new[plan.cols[:ni]], symmetric=plan.symmetric)
+    m = None if plan.m is None else plan.m[perm]
+    plan = SolvePlan(n, new[plan.rows[:ni]], new[plan.cols[:ni]], m)
     lapack = lapack_inputs(monkeypatch)
     wet = []
-    for _, diag, off, wet_mask, b, m, u_p in solves:
-        args = (diag[perm], off, b[perm], *(None if v is None else v[perm] for v in (m, u_p)))
-        x = linear_solve(plan, jacobian_on(plan, args[0], off, wet_mask[perm]), *args[2:])
-        ref, w = solve_over_every_coupling(plan, *args)
+    for _, diag, off, wet_mask, b, u_p in solves:
+        diag, b, u_p = diag[perm], b[perm], u_p[perm]
+        x = linear_solve(plan, jacobian_on(plan, diag, off, u_p, wet_mask[perm]), b)
+        ref, w = solve_over_every_coupling(plan, diag, off, b, u_p)
         assert np.array_equal(x, ref)
         wet.append(w)
     assert 0 < max(wet) < n
@@ -714,7 +731,7 @@ def test_zero_pivot_in_the_wet_set_raises_singular(monkeypatch, kind, source):
         A[11, 10] = A[11, 11] = -1.0
         message = r"the pivot of cell 1[01] is exactly zero"
     A, m, u_p = renumbered(A, m, u_p, kind, keep=[10, 11])
-    plan = plan_of(A, symmetric=m is not None)
+    plan = plan_of(A, m)
     assert np.isin([10, 11], plan.schur.I).sum() == 1
     if source == "test2":
         cell = 11 if 10 in plan.schur.I else 10
@@ -723,7 +740,7 @@ def test_zero_pivot_in_the_wet_set_raises_singular(monkeypatch, kind, source):
     assert wet_columns(A).all()
     calls = count_lu(monkeypatch)
     with pytest.raises(SingularJacobianError, match=message):
-        solve_on(plan, A, np.ones(A.shape[0]), m, u_p)
+        solve_on(plan, A, np.ones(A.shape[0]), u_p)
     assert calls == route
 
 
@@ -735,14 +752,14 @@ def test_zero_diagonal_on_the_eliminated_set_raises_singular(monkeypatch, kind, 
     # factorization
     A, m, u_p, _ = singular_input(source)
     A, m, u_p = renumbered(A, m, u_p, kind, keep=[10, 11])
-    plan = plan_of(A, symmetric=m is not None)
+    plan = plan_of(A, m)
     cell = 10 if 10 in plan.schur.I else 11
     assert cell in plan.schur.I
     A[cell, cell] = 0.0  # a stored entry: the pattern is kept
     assert wet_columns(A).all()
     calls = count_lu(monkeypatch)
     with pytest.raises(SingularJacobianError, match=rf"eliminated cell {cell} has a zero diagonal"):
-        solve_on(plan, A, np.ones(A.shape[0]), m, u_p)
+        solve_on(plan, A, np.ones(A.shape[0]), u_p)
     assert calls == {"dgbsv": 0, "dpbsv": 0}
 
 
@@ -826,12 +843,12 @@ def refresh_counts(monkeypatch, config) -> dict:
 
     def counted_residual(system, dt, s_prev, tau, prev=None):
         f, ev = residual_(system, dt, s_prev, tau, prev)
-        counts["residual"][ev.changed is None] += 1
+        counts["residual"][ev.moved is None] += 1
         counts["max_changed"].append(system.max_changed)
         return f, ev
 
     def counted_jacobian(system, dt, ev, prev=None):
-        counts["jacobian"][prev is None or ev.changed is None] += 1
+        counts["jacobian"][prev is None or ev.moved is None] += 1
         return jacobian_(system, dt, ev, prev)
 
     monkeypatch.setattr(N, "residual", counted_residual)
@@ -876,7 +893,8 @@ def test_refreshed_wet_split_is_the_one_built_from_the_mask(monkeypatch):
     def checked(system, dt, ev, prev):
         jac = refreshed(system, dt, ev, prev)
         flipped.append(int(np.count_nonzero(jac.wet != prev.wet)))
-        for got, want in zip(jac[3:], system.plan.wet_split(jac.wet)):
+        split = (jac.wet_cells, jac.inside, jac.wet_to_dry)
+        for got, want in zip(split, system.plan.wet_split(jac.wet)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
         return jac
 
