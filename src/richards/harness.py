@@ -462,7 +462,9 @@ def write_outputs(results, config: RunConfig, out_dir, grid: dict | None = None)
     """Write summary.csv, residuals.csv, and optional VTK snapshots.
 
     results may be a single RunResult or a list (sweep); residuals and
-    snapshots are written for the first result only in the sweep case.
+    snapshots are written for the first result only in the sweep case, and
+    a snapshot only for a time its trajectory reached (a failed run stops
+    short of t_end).
     grid holds a sweep's grid keys (betas, epss, formulations, eps_ref),
     which the summary.csv echo lists after the base config.  Returns the
     list of created paths.
@@ -492,7 +494,8 @@ def write_outputs(results, config: RunConfig, out_dir, grid: dict | None = None)
 
     if results and config.snapshot_times:
         traj = results[0].trajectory
-        for t_snap in config.snapshot_times:
+        reached = traj.times[-1] + 1e-9 * config.dt
+        for t_snap in (t for t in config.snapshot_times if t <= reached):
             idx = int(np.argmin(np.abs(traj.times - t_snap)))
             s, u, _, _ = traj.param.eval(traj.taus[idx])
             name = f"snapshot_t{t_snap:g}.vtk"

@@ -30,9 +30,8 @@ the last one, when few enough did (``scheme.refresh_limit``; test1 at
 cells and re-sums the fluxes around them, and ``jacobian`` recomputes
 the columns whose s, s' or u' moved and the solve's wet set from the
 Jacobian of the last iterate, which ``newton_solve`` keeps for the step.
-Otherwise both compute every cell; on meshes of at most 600 cells no
-change set is computed at all.  Either way the bits are the same.  Which factorization runs is a property of the
-physics, fixed per run by the ``Assembly``:
+Otherwise both compute every cell; either way the bits are the same.
+Which factorization runs is fixed per run by the physics:
 
 * With gravity, LAPACK band LU (``dgbsv``) of J.  A column-wise M-matrix
   with nonnegative column sums is diagonally dominant by columns, so LU
@@ -40,27 +39,13 @@ physics, fixed per run by the ``Assembly``:
   ordering; the ordering decides fill and speed, not accuracy.
 * Without a gravity term on any edge, J = diag(s') + diag(dt/m) Lambda
   diag(u'), with Lambda the symmetric transmissibility matrix of the
-  A_sigma (Dirichlet edges on its diagonal).  So B = diag(m) J diag(u')^-1
-  = diag(m s'/u') + dt Lambda is symmetric, and positive definite where J
-  is nonsingular.  LAPACK band Cholesky (``dpbsv``; George & Liu 1981)
-  solves B y = m f with y = u' x, in kd + 1 band rows instead of LU's
-  2 kl + ku + 1 and with about half the flops.  This needs u' > 0 on the
-  factored cells, which the wet set below guarantees.
-
-When every column is wet (every correction of the closed-box test2), the
-whole matrix is not factored.  The two-point scheme couples neighbours
-only, so on a box mesh no coupling joins two cells of one checkerboard
-colour.  Eliminating such an independent set I exactly (red-black
-elimination; George & Liu 1981; Saad, Iterative Methods for Sparse Linear
-Systems, 2003, sec. 3.3) leaves the Schur complement
-S = A_SS - A_SI A_II^-1 A_IS on the other half of the cells, with about
-the same bandwidth, so its band factor takes about half the flops of the
-whole one.  S needs no pivoting either: the Schur complement of a
-column diagonally dominant M-matrix is again one, and that of the
-symmetric positive definite B is again symmetric positive definite.  The
-split and the places of S's entries are worked out once per run from the
-couplings (``scheme.SolvePlan.schur``), and kept only where S's band costs
-less than the whole one.
+  A_sigma (Dirichlet edges on its diagonal) and m the cell volumes.  So
+  B = diag(m) J diag(u')^-1 = diag(m s'/u') + dt Lambda is symmetric, and
+  positive semidefinite as s' >= 0, so positive definite where J is
+  nonsingular.  LAPACK band Cholesky (``dpbsv``; George & Liu 1981) solves
+  B y = m f with y = u' x, in kd + 1 band rows instead of LU's 2 kl + ku + 1
+  and with about half the flops.  This needs u' > 0 on the factored cells:
+  a wet column K (below) holds a coupling (dt/m_L) A_sigma u'_K > 0.
 
 Only the wet set is factored.  Column K of J holds the couplings
 -(dt/m_L)(m_sigma g+ lam'(s_K) s'(tau_K) + A_sigma u'(tau_K)), which depend
@@ -70,13 +55,12 @@ diagonal, and their fill products in an LU underflow to subnormals.  The
 gravity term is larger: on the 20x20 infiltration mesh it is
 0.2 lam'(s) s'(tau) of a diagonal near 1, about 7e-16 at beta = 4 and
 1.1e-13 at beta = 16.  Column K is dry when every off-diagonal entry is at
-most DROP = 1e-12 times J_KK (``scheme.DROP``), and the
-other columns form the wet set W.  As a column depends on its own cell
-alone, ``scheme.jacobian`` flags it wet or dry where it forms the column,
-and hands ``linear_solve`` the wet set in the form the solve reads: W in
-the plan's order, the edges inside W and the couplings from W into dry
-rows (``scheme.SolvePlan.wet_split``).  A refreshed Jacobian brings them
-up to date from the columns whose flag flipped, so a refreshed iterate's
+most DROP = 1e-12 times J_KK (``scheme.DROP``; a non-finite entry makes it
+wet), and the other columns form the wet set W.  As a column depends on
+its own cell alone, ``scheme.jacobian`` flags it where it forms the
+column, and hands ``linear_solve`` W in the form the solve reads
+(``scheme.SolvePlan.wet_split``), brought up to date on a refreshed
+iterate from the columns whose flag flipped, so a refreshed iterate's
 solve costs what W and the front cost, not what the mesh does.
 So the dry soil stays dry at every beta of the paper's sweep: a short
 20x20 run at beta = 16 factors about as many columns per correction as at
@@ -95,9 +79,25 @@ term, 4e-12 relative on a box mesh (four edges per cell), lies far below
 any stopping tolerance, so the local quadratic convergence is kept.  A
 dry cell's diffusive coupling relative to its diagonal grows like dt/h^2,
 so at a fixed dt a fine enough mesh makes every column wet again; the
-threshold sets how fine.  With every column wet, W is all cells and the
-Schur complement above is factored; with none, nothing is.  A callback's
-J keeps the undropped values.
+threshold sets how fine.  A callback's J keeps the undropped values.
+
+When every column is wet (every correction of the closed-box test2), the
+whole matrix is not factored where the couplings two-colour.  The
+two-point scheme couples neighbours only, so on a box mesh, in any
+numbering, no coupling joins two cells of one checkerboard colour.
+Eliminating one colour I exactly (red-black elimination; George & Liu
+1981; Saad, Iterative Methods for Sparse Linear Systems, 2003, sec. 3.3),
+with A_II diagonal, leaves the Schur complement
+S = A_SS - A_SI A_II^-1 A_IS on the other colour, n/2 cells of a box mesh
+with about the same bandwidth, so its band factor takes about half the
+flops of the whole one.  S needs no pivoting either: the Schur complement
+of a column diagonally dominant M-matrix is again one, and that of the
+symmetric positive definite B, diag(m_S) S diag(u'_S)^-1, is again
+symmetric positive definite.  The colouring and the places of S's
+entries are worked out once per run (``scheme.SolvePlan.schur``), and
+kept only where S's band costs less than the whole one.  A mesh with an
+odd cycle (a triangulation, or its Voronoi dual) has no two-colouring,
+so there the whole band is factored.
 """
 
 from __future__ import annotations
@@ -132,11 +132,6 @@ class SingularJacobianError(RuntimeError):
     """Raised when the direct factorization fails."""
 
 
-# the messages of a failed band factorization, naming the cell
-_CHOLESKY_FAILED = "band Cholesky factorization failed: the pivot of cell {} is not positive"
-_LU_FAILED = "band LU factorization failed: the pivot of cell {} is exactly zero"
-
-
 @dataclass
 class NewtonReport:
     residual_history: list  # ||F||_1 at tau_init and after each iteration
@@ -146,78 +141,36 @@ class NewtonReport:
     def iterations(self) -> int:
         return len(self.residual_history) - 1
 
-    @property
-    def final_residual(self) -> float:
-        return self.residual_history[-1]
-
 
 def linear_solve(plan: SolvePlan, jac: Jacobian, b) -> np.ndarray:
     """Direct solve of A x = b, A given as a ``scheme.Jacobian`` jac: its
     diagonal jac.diag, its couplings jac.off on the rows and columns of plan
-    (``plan.rows``, ``plan.cols``), and its wet set.
+    (``plan.rows``, ``plan.cols``), and its wet set W (see the module
+    docstring): W in the plan's order (jac.wet_cells), the edges whose two
+    cells are wet (jac.inside) and the couplings from a wet column into a
+    dry row (jac.wet_to_dry), both ascending.
 
-    jac.wet holds one flag per column: column K of A is dry when every
-    off-diagonal entry is at most DROP times the diagonal A_KK, and wet
-    otherwise (a non-finite entry makes it wet; ``scheme.wet_columns``).  The
-    wet columns form the set W, which jac gives as the solve reads it
-    (``plan.wet_split``): W in the plan's order (jac.wet_cells), the edges
-    whose two cells are wet (jac.inside) and the couplings from a wet column
-    into a dry row (jac.wet_to_dry), both ascending.  With the dry columns'
-    couplings taken as zero, A is block lower triangular in the order
-    [W, dry].  So only the W x W block is factored, W in the plan's order:
-    the wet diagonal and the wet couplings go straight into LAPACK band
-    storage of |W| columns with that block's own bandwidth.  Then each dry
-    cell gets
-    x_K = (b_K - sum_L A_KL x_L) / A_KK, the sum over the wet L.  With every
-    column wet the block is A; with none, nothing is factored.
-
-    With every column wet and a Schur layout in the plan (``plan.schur``,
-    kept where its band costs less: n_S kd_S^2 < n kd^2), A itself is not
-    factored either.  No coupling joins two cells of the layout's
-    independent set I, so A_II is diagonal, and eliminating I leaves the
-    Schur complement S = A_SS - A_SI A_II^-1 A_IS on the other cells, n/2
-    of them on a box mesh, with about the same bandwidth.  S is formed by
-    one gather, product and ``np.bincount`` into band storage in the
-    layout's order and factored as the plan says; then each cell of I gets
-    x_i = (b_i - sum_a A_ia x_a) / A_ii, one division.  S needs no pivot:
-    the Schur complement of a column diagonally dominant M-matrix is again
-    one, so LU makes no row swap, and on the Cholesky route
-    diag(m_S) S diag(u'_S)^-1 is the Schur complement of B, so symmetric
-    positive definite.  The result agrees with the band solve of A to
-    rounding, not bit for bit.
-
-    The set-up reads the wet set that jac carries, so it costs what the wet
-    block and the cells next to it cost: the block takes the couplings of
-    the edges inside W, placed by ``plan.positions``, and the dry pass sums,
-    for each dry row next to W, its couplings from wet columns, in their
+    With every column wet and a Schur layout in the plan (``plan.schur``),
+    the Schur complement S is factored and each cell of I then costs one
+    division; the result agrees with the band solve of A to rounding, not
+    bit for bit.  Otherwise the W x W block is factored: the wet diagonal
+    and the couplings of the edges inside W go straight into band storage
+    of |W| columns with that block's own bandwidth (``plan.band``).  Then
+    each dry row next to W sums its couplings from wet columns, in their
     order in off (as a sum over every coupling would, so it rounds the
-    same).  Every other dry cell takes x_K = b_K / A_KK, from one division
-    over every cell.
+    same), and each dry cell takes x_K = (b_K - sum_L A_KL x_L) / A_KK, the
+    others x_K = b_K / A_KK from one division over every cell.  When
+    ``plan.symmetric``, the band Cholesky of B = diag(m) A diag(u')^-1,
+    m = ``plan.m`` and u' = jac.u_p, factors in place of the band LU of A.
 
-    The plan says how the block is factored.  By default, ``dgbsv`` (band
-    LU) factors A's block; partial pivoting makes no row swap, since the
-    scheme's Jacobian is diagonally dominant by columns.  When
-    ``plan.symmetric``, A is a gravity-free Jacobian
-    diag(s') + diag(dt/m) Lambda diag(u'), with Lambda the symmetric
-    transmissibility matrix (Dirichlet edges on its diagonal), m the cell
-    volumes, which the plan holds (``plan.m``), and u' = u'(tau) at the
-    iterate, which jac carries (jac.u_p).  So
-    B = diag(m) A diag(u')^-1 = diag(m s'/u') + dt Lambda is symmetric, and
-    ``dpbsv`` (band Cholesky) solves B y = m b on W from its lower
-    triangle; x_W = y / u'_W.  u' > 0 on W: a wet column K holds a coupling
-    (dt/m_L) A_sigma u'_K > DROP A_KK >= 0.  B's block is positive
-    semidefinite, as s' >= 0, and nonsingular when A's is, so positive
-    definite.  Its factor has kd + 1 band rows where LU's has 2 kl + ku + 1,
-    and it takes about half the flops.
-
-    An exactly zero LU pivot or a nonpositive Cholesky pivot in the
-    factored block or in S, or an exactly zero diagonal of a dry cell or of
-    a cell of I, raises SingularJacobianError naming the cell.  No array of
-    jac is modified.  Deterministic for fixed input.
+    An exactly zero LU pivot or a nonpositive Cholesky pivot, or an exactly
+    zero diagonal of a dry cell or of a cell of I, raises
+    SingularJacobianError naming the cell.  No array of jac is modified.
+    Deterministic for fixed input.
     """
     b = np.asarray(b, dtype=float)
     diag, off, w, u_p = jac.diag, jac.off, jac.wet_cells, jac.u_p
-    n, m, rows, cols = plan.n, plan.m, plan.rows, plan.cols
+    n, rows, cols, symmetric = plan.n, plan.rows, plan.cols, plan.symmetric
     if w.size == n and plan.schur is not None:
         return _schur_solve(plan, diag, off, b, u_p)
     x = np.empty(n)
@@ -230,29 +183,18 @@ def linear_solve(plan: SolvePlan, jac: Jacobian, b) -> np.ndarray:
         q = plan.pair.take(jac.inside, axis=1)  # the edges inside W
         p = place.take(cols.take(q))  # the places in W of each edge's earlier and later cell
         k = int((p[1] - p[0]).max(initial=0))
-        band = plan.positions(p, k)
-        if plan.symmetric:  # B y = m b with B = diag(m) A diag(u')^-1, y = u' x
-            m_w, u_w = m.take(w), u_p.take(w)
-            # lower storage: with two OpenBLAS threads, dpbsv of the upper
-            # triangle took about 4 times as long as with one; the lower one did not
-            ab = np.zeros((k + 1) * w.size)
-            ab[::k + 1] = diag.take(w) * m_w / u_w  # B[i, i] in row 0
-            q = q[0]  # A[i, j] with i > j: B[i, j] = m_i A[i, j] / u'_j
-            ab[band] = off.take(q) * m.take(rows.take(q)) / u_p.take(cols.take(q))
-            _, y, info = dpbsv(ab.reshape((k + 1, w.size), order="F"), m_w * b.take(w),
-                               lower=1, overwrite_ab=True)
-            x[w] = y / u_w
-            failure = _CHOLESKY_FAILED
-        else:
-            ldab = 3 * k + 1
-            ab = np.zeros(ldab * w.size)
-            ab[2 * k::ldab] = diag.take(w)  # A[i, i] in row 2k
-            ab[band] = off.take(q)
-            _, _, x[w], info = dgbsv(k, k, ab.reshape((ldab, w.size), order="F"), b.take(w),
-                                     overwrite_ab=True)
-            failure = _LU_FAILED
-        if info > 0:
-            raise SingularJacobianError(failure.format(w[info - 1]))
+        i, j = p[::-1], p  # each coupling's row and column in W
+        if symmetric:  # the coupling below the diagonal alone
+            q, i, j = q[0], i[0], j[0]
+        d, c, b_w = diag.take(w), off.take(q), b.take(w)
+        if symmetric:
+            d, b_w, c = _scaled(plan, u_p, w, d, b_w, q, c)
+        ldab = plan.ldab(k)
+        ab = np.zeros(ldab * w.size)
+        ab[plan.band(0, 0, k)::ldab] = d
+        ab[plan.band(i, j, k)] = c
+        y = _band_solve(plan, k, ab, b_w, w)
+        x[w] = y / u_p.take(w) if symmetric else y
     if w.size < n:  # x_K = (b_K - sum_L A_KL x_L) / A_KK over the wet L
         if not diag.all():
             zero = np.flatnonzero(diag == 0.0)
@@ -270,38 +212,58 @@ def linear_solve(plan: SolvePlan, jac: Jacobian, b) -> np.ndarray:
     return x
 
 
+def _scaled(plan: SolvePlan, u_p, cells, d, b, q=None, off=None):
+    """What the band Cholesky factors in place of A: (B's diagonal d m / u' on
+    cells, the right side m b of B y = m b, and, when q is given, B's
+    couplings off m[rows] / u'[cols] on the couplings q), from A's diagonal d
+    and the right side b on cells and A's couplings off on q."""
+    m, u = plan.m.take(cells), u_p.take(cells)
+    if q is not None:
+        off = off * plan.m.take(plan.rows.take(q)) / u_p.take(plan.cols.take(q))
+    return d * m / u, m * b, off
+
+
+def _band_solve(plan: SolvePlan, k: int, ab, c, cells) -> np.ndarray:
+    """The solution of the block of bandwidth k in band storage ab (flat,
+    column-major, ``plan.ldab(k)`` rows) with right side c, by band Cholesky
+    when the plan is symmetric and band LU otherwise; cells names the
+    block's columns in the message of a failed factorization."""
+    ab = ab.reshape((plan.ldab(k), -1), order="F")
+    if plan.symmetric:
+        # lower storage: with two OpenBLAS threads, dpbsv of the upper
+        # triangle took about 4 times as long as with one; the lower one did not
+        _, y, info = dpbsv(ab, c, lower=1, overwrite_ab=True)
+        failure = "band Cholesky factorization failed: the pivot of cell {} is not positive"
+    else:
+        _, _, y, info = dgbsv(k, k, ab, c, overwrite_ab=True)
+        failure = "band LU factorization failed: the pivot of cell {} is exactly zero"
+    if info > 0:
+        raise SingularJacobianError(failure.format(cells[info - 1]))
+    return y
+
+
 def _schur_solve(plan: SolvePlan, diag, off, b, u_p) -> np.ndarray:
     """x = A^-1 b by the Schur complement S = A_SS - A_SI A_II^-1 A_IS on the
-    cells outside the independent set I of ``plan.schur`` (see ``linear_solve``)."""
-    sc, m = plan.schur, plan.m
+    cells outside the set I of ``plan.schur`` (see ``linear_solve``)."""
+    sc = plan.schur
     d_i = diag.take(sc.I)
     if not d_i.all():
         raise SingularJacobianError(f"eliminated cell {sc.I[np.flatnonzero(d_i == 0.0)[0]]} "
                                     "has a zero diagonal")
     g = off.take(sc.into) / d_i.take(sc.cross_i)  # A_ai / A_ii per cross edge i|a
     h = off.take(sc.out)  # A_ia
-    d_s, b_s, direct = diag.take(sc.cells), b.take(sc.cells), off.take(sc.direct)
-    if plan.symmetric:  # the same for B = diag(m) A diag(u')^-1, y = u' x
-        m_s, u_s = m.take(sc.cells), u_p.take(sc.cells)
-        d_s, b_s = d_s * m_s / u_s, m_s * b_s
-        direct = direct * m.take(plan.rows.take(sc.direct)) / u_p.take(plan.cols.take(sc.direct))
-        g *= m.take(sc.cross_cell)  # g h = B_ai B_ic / B_ii
+    d_s, b_s = diag.take(sc.cells), b.take(sc.cells)
+    if plan.symmetric:  # the same for B, y = u' x
+        d_s, b_s, _ = _scaled(plan, u_p, sc.cells, d_s, b_s)
+        g *= plan.m.take(sc.cross_cell)  # g h = B_ai B_ic / B_ii
         h /= u_p.take(sc.cross_cell)  # h y = A_ia x_a
-    terms = np.concatenate([d_s, direct, -(g.take(sc.left) * h.take(sc.right))])
-    ab = np.bincount(sc.band, weights=terms, minlength=sc.ldab * sc.cells.size)
-    ab = ab.reshape((sc.ldab, -1), order="F")
+    terms = np.concatenate([d_s, -(g.take(sc.left) * h.take(sc.right))])
+    ab = np.bincount(sc.band, weights=terms, minlength=plan.ldab(sc.kd) * sc.cells.size)
     b_i = b.take(sc.I)  # the right side b_S - A_SI A_II^-1 b_I, scaled as S
     c = b_s - np.bincount(sc.cross_s, weights=g * b_i.take(sc.cross_i), minlength=sc.cells.size)
-    if plan.symmetric:
-        _, y, info = dpbsv(ab, c, lower=1, overwrite_ab=True)
-        failure = _CHOLESKY_FAILED
-    else:
-        _, _, y, info = dgbsv(sc.kd, sc.kd, ab, c, overwrite_ab=True)
-        failure = _LU_FAILED
-    if info > 0:
-        raise SingularJacobianError(failure.format(sc.cells[info - 1]))
+    y = _band_solve(plan, sc.kd, ab, c, sc.cells)
     x = np.empty(diag.size)
-    x[sc.cells] = y / u_s if plan.symmetric else y
+    x[sc.cells] = y / u_p.take(sc.cells) if plan.symmetric else y
     x[sc.I] = (b_i - np.bincount(sc.cross_i, weights=h * y.take(sc.cross_s),
                                  minlength=sc.I.size)) / d_i
     return x

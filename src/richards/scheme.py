@@ -75,7 +75,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import breadth_first_order, connected_components, reverse_cuthill_mckee
+from scipy.sparse.csgraph import connected_components, dijkstra, reverse_cuthill_mckee
 
 from .hydromodel import SPRIME_CAP, Parametrization, mobility, mobility_derivative
 from .mesh import Mesh
@@ -172,9 +172,9 @@ class SolvePlan:
     The couplings are given per edge K|L (``K``, ``L``; no pair twice), one
     per side: rows [K, L] and columns [L, K] (``rows``, ``cols``).  The plan
     is worked out once from them and from ``m``: the cell volumes when the
-    matrices solved on it are gravity-free Jacobians, which a diagonal
-    scaling by m and u' makes symmetric positive definite, or None
-    (``symmetric``, ``newton.linear_solve``).
+    matrices solved on it are gravity-free Jacobians, solved by the band
+    Cholesky of diag(m) A diag(u')^-1 (``symmetric``; see ``newton``), or
+    None, for band LU.
     ``order`` lists the cells in reverse Cuthill-McKee order (Cuthill &
     McKee 1969; George & Liu, Computer Solution of Large Sparse Positive
     Definite Systems, 1981): level by level of a breadth-first search, so
@@ -187,23 +187,17 @@ class SolvePlan:
     column the earlier one), then the one above.  A block of cells factored
     in that order reads, per edge inside it, both couplings for LU and the
     one below for Cholesky.  ``kd`` is the bandwidth of the whole matrix in
-    that order.
-
-    ``schur`` is the Schur layout (``_SchurLayout``), made at the first solve
-    in which every cell is factored: an independent set I of cells, the order
-    of the others and the places of the entries of the Schur complement S
-    on them.  It is kept only where S's band costs less than the whole one,
-    n_S kd_S^2 < n kd^2 (n/2 cells and kd_S = kd on a square box); then
-    such a solve factors S alone (``newton.linear_solve``).
+    that order.  ``ldab`` and ``band`` give the LAPACK band storage of a
+    block, and ``schur`` the Schur layout of a solve that factors every cell.
     """
 
     def __init__(self, n: int, K, L, m=None):
         K, L = np.asarray(K, dtype=np.intp), np.asarray(L, dtype=np.intp)
-        self.n, self.m = n, m
+        self.n, self.m, self.symmetric = n, m, m is not None
         self.rows, self.cols = np.concatenate([K, L]), np.concatenate([L, K])
-        pattern = sp.csr_matrix((np.ones(self.rows.size, dtype=np.int8), (self.rows, self.cols)),
-                                shape=(n, n))
-        self.order = reverse_cuthill_mckee(pattern, symmetric_mode=True).astype(np.intp)
+        self._pattern = sp.csr_matrix((np.ones(self.rows.size, dtype=np.int8),
+                                       (self.rows, self.cols)), shape=(n, n))
+        self.order = reverse_cuthill_mckee(self._pattern, symmetric_mode=True).astype(np.intp)
         self.rank = rank = np.empty(n, dtype=np.intp)  # each cell's place in order
         rank[self.order] = np.arange(n)
         e = np.arange(K.size)
@@ -212,10 +206,17 @@ class SolvePlan:
         p = rank.take(self.cols.take(self.pair))  # each edge's earlier cell, then its later one
         self.kd = int((p[1] - p[0]).max(initial=0))
 
-    @property
-    def symmetric(self) -> bool:
-        """Whether the band Cholesky of diag(m) A diag(u')^-1 solves, not band LU."""
-        return self.m is not None
+    def ldab(self, k: int) -> int:
+        """The rows of the column-major band storage of a block of bandwidth k:
+        3k + 1 for LU (``dgbsv``), k + 1 for Cholesky (``dpbsv``, lower)."""
+        return k + 1 if self.symmetric else 3 * k + 1
+
+    def band(self, i, j, k: int):
+        """The place of entry (i, j) of a block of bandwidth k in its band
+        storage: row 2k + i - j of column j for LU, row i - j for Cholesky,
+        which stores the diagonal and the entries below it alone."""
+        place = (self.ldab(k) - 1) * j + i
+        return place if self.symmetric else place + 2 * k
 
     def wet_split(self, wet):
         """What a solve reads of the wet mask wet, one flag per column, worked
@@ -230,97 +231,51 @@ class SolvePlan:
         return (w, np.flatnonzero(wet_c[0] & wet_c[1]),
                 np.flatnonzero(wet_c > wet_c[::-1]))
 
-    def positions(self, p, k: int) -> np.ndarray:
-        """The places of the couplings ``pair[:, e]`` of the edges e of a block in
-        its column-major band storage, given p = the places in the block of
-        each edge's earlier cell (p[0]) and later cell (p[1]), and the block's
-        bandwidth k.  LU (``dgbsv``, 3k + 1 rows): A[i, j] in row 2k + i - j, for
-        both couplings.  Cholesky (``dpbsv``, lower, k + 1 rows): B[i, j] in
-        row i - j, for the coupling below the diagonal alone."""
-        if self.symmetric:
-            return k * p[0] + p[1]
-        return 3 * k * p + p[::-1] + 2 * k
-
     @cached_property
     def schur(self) -> "_SchurLayout | None":
-        """The Schur layout, or None where S's band would not cost less than
-        the whole one; made at the first solve that factors every cell, so
-        runs that never do hold none."""
+        """The Schur layout on one colour of a two-colouring of the couplings,
+        made at the first solve that factors every cell, so runs that never do
+        hold none.  Each cell is coloured by the parity of its distance from
+        the first cell of its component; I is the even colour (one colour of a
+        box mesh's checkerboard, in any numbering).  None where some coupling
+        joins two cells of one colour (an odd cycle), or where S's band would
+        not cost less than the whole one: n_S kd_S^2 < n kd^2 is kept."""
         if self.kd == 0:
             return None
-        layout = _SchurLayout(self)
+        _, label = connected_components(self._pattern, directed=False)
+        _, first = np.unique(label, return_index=True)
+        even = dijkstra(self._pattern, indices=first, unweighted=True, min_only=True) % 2 == 0
+        if (even.take(self.rows) == even.take(self.cols)).any():
+            return None
+        layout = _SchurLayout(self, even)
         return layout if layout.cells.size * layout.kd**2 < self.n * self.kd**2 else None
 
 
 class _SchurLayout:
-    """The red-black split of a ``SolvePlan``'s cells, worked out once from its
-    couplings, and the places that turn A's diagonal and couplings into the
-    band storage of the Schur complement S = A_SS - A_SI A_II^-1 A_IS.
+    """The places that turn A's diagonal and couplings into the band storage of
+    the Schur complement S = A_SS - A_SI A_II^-1 A_IS (see ``newton``), worked
+    out once from a ``SolvePlan``'s couplings and the set in_i of I.
 
-    ``I`` is an independent set: no coupling joins two of its cells, so A_II is
-    diagonal.  Its cells are those at an even breadth-first distance from the
-    first cell of their component (one colour of a box mesh's checkerboard,
-    n/2 cells); where a coupling still joins two of them (an odd cycle), the
-    one the search reached later is left out.  Then each cell with no
-    neighbour in I joins it, in cell order, so I is a maximal independent
-    set (25 of 100 cells on a grid with one diagonal coupling per square,
-    where the parity alone keeps 9; none joins on a box mesh).  ``cells``
-    lists the other cells in reverse Cuthill-McKee order of S's pattern,
-    ``kd`` is S's bandwidth in that order, and ``ldab`` its number of band
-    rows.
-
-    Per cross edge, an edge i|a with i in I and a outside: ``into`` and
+    No coupling joins two cells of I, nor two cells outside it.  ``I`` lists
+    I's cells; ``cells`` the others in reverse Cuthill-McKee order of S's
+    pattern, and ``kd`` is S's bandwidth in that order.  Each edge is a
+    cross edge i|a, i in I and a outside; sorted by i, each has ``into`` and
     ``out``, the couplings A_ai and A_ia; ``cross_cell``, a; ``cross_i`` and
-    ``cross_s``, i's place in I and a's in ``cells``.  The cross edges are
-    sorted by i.  S is the sum of terms, each at its place ``band`` in the
-    band storage of ``newton.linear_solve`` (below the diagonal alone when
-    the plan is symmetric, both sides otherwise): first the diagonal of each
-    cell of ``cells``, then each coupling ``direct`` inside S, then, per
-    pair of cross edges i|a, i|c of one i, the product -(A_ai / A_ii) A_ic,
-    as the cross edges ``left`` and ``right``.  One ``np.bincount`` over
-    them gives S in band storage.
+    ``cross_s``, i's place in I and a's in ``cells``.  S is the sum of terms,
+    each at its place ``band`` in the plan's band storage (below the
+    diagonal alone when the plan is symmetric): first the diagonal of each
+    cell of ``cells``, then, per pair of cross edges i|a, i|c of one i, the
+    product -(A_ai / A_ii) A_ic, as the cross edges ``left`` and ``right``.
+    One ``np.bincount`` over them gives S in band storage.
     """
 
-    def __init__(self, plan: SolvePlan):
-        n, rows, cols = plan.n, plan.rows, plan.cols
-        ne = rows.size // 2
-        K, L = rows[:ne], cols[:ne]
-        graph = sp.csr_matrix((np.ones(ne), (K, L)), shape=(n, n))
-        _, label = connected_components(graph, directed=False)
-        _, first = np.unique(label, return_index=True)
-        # one breadth-first search from a node n joined to each component's first cell
-        rooted = sp.csr_matrix((np.ones(ne + first.size),
-                                (np.concatenate([K, np.full(first.size, n)]),
-                                 np.concatenate([L, first]))), shape=(n + 1, n + 1))
-        reached, pred = breadth_first_order(rooted, n, directed=False)
-        pred[n] = n
-        odd = np.ones(n + 1, dtype=bool)  # the parity of the path to pred
-        odd[n] = False
-        while (pred != n).any():  # pointer jumping: odd becomes the depth's parity
-            odd, pred = odd ^ odd[pred], pred[pred]
-        in_i = odd[:n]  # the first cells are at depth 1
-        rank = np.empty(n + 1, dtype=np.intp)
-        rank[reached] = np.arange(n + 1)
-        both = np.flatnonzero(in_i[K] & in_i[L])
-        in_i[np.where(rank[K[both]] > rank[L[both]], K[both], L[both])] = False
-        # then, in cell order, each cell with no neighbour in I joins it, so I
-        # is a maximal independent set (on a box mesh none joins)
-        taken = np.zeros(n, dtype=bool)
-        taken[rows[in_i[cols]]] = True
-        free = np.flatnonzero(~in_i & ~taken)
-        if free.size:
-            adjacent = sp.csr_matrix((np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(n, n))
-            start, neighbour = adjacent.indptr, adjacent.indices
-            for c in free.tolist():
-                if not taken[c]:
-                    in_i[c] = True
-                    taken[neighbour[start[c]:start[c + 1]]] = True
+    def __init__(self, plan: SolvePlan, in_i):
+        ne = plan.rows.size // 2
+        K, L = plan.rows[:ne], plan.cols[:ne]
         self.I = np.flatnonzero(in_i)
-        place = np.empty(n, dtype=np.intp)
+        place = np.empty(plan.n, dtype=np.intp)
         place[self.I] = np.arange(self.I.size)
-
-        e = np.flatnonzero(in_i[K] != in_i[L])
-        e = e[np.argsort(np.where(in_i[K[e]], K[e], L[e]), kind="stable")]
+        e = np.argsort(np.where(in_i[K], K, L), kind="stable")
         i_is_k = in_i[K[e]]
         self.cross_cell = a = np.where(i_is_k, L[e], K[e])
         self.into = np.where(i_is_k, e + ne, e)  # row a, column i
@@ -333,33 +288,27 @@ class _SchurLayout:
         left = np.repeat(np.arange(e.size), count)
         right = start[self.cross_i][left] + np.arange(left.size) - np.repeat(
             np.cumsum(count) - count, count)
-        direct = np.flatnonzero(~in_i[rows] & ~in_i[cols])
 
         s_cells = np.flatnonzero(~in_i)
         n_s = s_cells.size
         place[s_cells] = np.arange(n_s)
-        r = np.concatenate([rows[direct], a[left]])
-        c = np.concatenate([cols[direct], a[right]])
+        r, c = a[left], a[right]
         coupled = r != c
         pattern = sp.csr_matrix((np.ones(np.count_nonzero(coupled)),
                                  (place[r[coupled]], place[c[coupled]])), shape=(n_s, n_s))
         self.cells = s_cells[reverse_cuthill_mckee(pattern, symmetric_mode=True)]
         place[self.cells] = np.arange(n_s)
         self.cross_s = place[a]
-        # each term's place in S, row and column: the diagonal, direct, products
+        # each term's place in S, row and column: the diagonal, then the products
         i = np.concatenate([np.arange(n_s), place[r]])
         j = np.concatenate([np.arange(n_s), place[c]])
         self.kd = k = int((i - j).max(initial=0))
         if plan.symmetric:  # Cholesky reads the diagonal and below it
             lower = i >= j
             i, j = i[lower], j[lower]
-            d = n_s + direct.size
-            direct, left, right = direct[lower[n_s:d]], left[lower[d:]], right[lower[d:]]
-        self.direct, self.left, self.right = direct, left, right
-        # LU (dgbsv, 3k + 1 rows): S[i, j] in row 2k + i - j; Cholesky (dpbsv,
-        # lower, k + 1 rows): in row i - j
-        self.ldab = k + 1 if plan.symmetric else 3 * k + 1
-        self.band = self.ldab * j + i - j + (0 if plan.symmetric else 2 * k)
+            left, right = left[lower[n_s:]], right[lower[n_s:]]
+        self.left, self.right = left, right
+        self.band = plan.band(i, j, k)
 
 
 class Assembly:

@@ -869,6 +869,20 @@ def test_cli_refuses_snapshot_times_outside_the_run(tmp_path, monkeypatch, capsy
     assert "Traceback" not in err
 
 
+def test_cli_writes_no_snapshot_for_a_time_the_run_never_reached(tmp_path):
+    # the run fails at its first step (exit 3), so of t = 0 and t = t_end only
+    # t = 0 has a state: no snapshot borrows it for t_end
+    from richards.cli import EXIT_NEWTON, main
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("case = test1\nmesh = 4x4\nt_end = 0.05\neps = 1e-300\n"
+                   "snapshot_times = 0 0.05\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_NEWTON
+    assert sorted(p.name for p in out.iterdir()) == ["residuals.csv", "snapshot_t0.vtk",
+                                                      "summary.csv"]
+
+
 def test_sweep_echo_reruns_the_sweep(tmp_path):
     from richards.cli import main
 

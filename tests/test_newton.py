@@ -88,7 +88,7 @@ def test_report_invariants():
     assert len(report.residual_history) == report.iterations + 1
     np.testing.assert_array_equal(ev.s, TAU.eval(tau)[0])  # s of the returned tau
     if report.converged:
-        assert report.final_residual <= eps * 10.0
+        assert report.residual_history[-1] <= eps * 10.0
 
 
 def test_nonconvergence_is_reported_not_raised(monkeypatch):
@@ -208,7 +208,7 @@ def test_matches_dense_reference():
     np.testing.assert_allclose(x, np.linalg.solve(A, b), rtol=1e-10)
 
 
-def graph_system(n, seed, dry_share, symmetric):
+def graph_system(n, seed, dry_share, symmetric, two_colour=False):
     """(diag, K, L, off, m, u', J) of a random connected graph of n cells.
 
     J = diag(s') + diag(dt/m) Lambda diag(u'), with Lambda the Laplacian of
@@ -218,11 +218,16 @@ def graph_system(n, seed, dry_share, symmetric):
     value for all cells and every edge carries an upwind term
     (dt/m) g u'_K from its upwind cell K, which keeps J diagonally dominant
     by columns.  The couplings are given per edge side, rows [K, L] and
-    columns [L, K], as the scheme gives them.
+    columns [L, K], as the scheme gives them.  With two_colour, the extra
+    edges beyond a spanning tree are drawn as without it, and those that
+    join two cells of one colour of the tree (``tree_colour``) are left out.
     """
     rng = np.random.default_rng(seed)
     tree = np.stack([np.arange(1, n), rng.integers(0, np.arange(1, n))])  # a spanning tree
     extra = rng.integers(0, n, (2, rng.integers(0, 2 * n + 1)))
+    if two_colour:
+        colour = tree_colour(n, seed)
+        extra = extra[:, colour[extra[0]] != colour[extra[1]]]
     pairs = np.unique(np.sort(np.concatenate([tree, extra], axis=1), axis=0), axis=1)
     K, L = pairs[:, pairs[0] != pairs[1]]
     A = rng.uniform(0.5, 2.0, K.size)
@@ -265,28 +270,44 @@ def test_random_graph_solve_matches_dense(n, seed, dry_share, symmetric):
         assert np.array_equal(x, solve_over_every_coupling(plan, diag, off, b, u_p)[0])
 
 
+def tree_colour(n, seed):
+    """Each cell's colour, the parity of its depth, in the spanning tree of
+    graph_system(n, seed, ...): cell c hangs from an earlier cell."""
+    parent = np.random.default_rng(seed).integers(0, np.arange(1, n))
+    colour = np.zeros(n, dtype=bool)
+    for c in range(1, n):
+        colour[c] = not colour[parent[c - 1]]
+    return colour
+
+
 @given(st.integers(2, 60), st.integers(0, 2**32 - 1), st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_all_wet_schur_solve_matches_dense(n, seed, symmetric):
-    # every column wet on a random connected pattern, most of them with odd
-    # cycles (couplings inside S): I is independent, and the Schur path (or,
-    # where the plan keeps no layout, the whole band) agrees with the dense
-    # solve at the bound of the partial-wet solves
-    diag, K, L, off, m, u_p, J = graph_system(n, seed, 0.0, symmetric)
+    # every column wet on a random connected pattern whose couplings
+    # two-colour: I is exactly the colour of cell 0, and the Schur path
+    # agrees with the dense solve at the bound of the partial-wet solves.
+    # Where S's band costs no less than the whole one (about 1 draw in 70,
+    # a tree close to a star about cell 0) the plan keeps no layout and the
+    # whole band is factored
+    diag, K, L, off, m, u_p, J = graph_system(n, seed, 0.0, symmetric, two_colour=True)
     plan = SolvePlan(n, K, L, m if symmetric else None)
     wet = S.wet_columns(plan.cols, diag, off)
     assert wet.all()
-    if plan.schur is not None:
-        in_i = np.isin(np.arange(n), plan.schur.I)
-        assert not (in_i[K] & in_i[L]).any()
-        # maximal: every cell outside I has a neighbour in it
-        next_to_i = np.zeros(n, dtype=bool)
-        next_to_i[K[in_i[L]]] = next_to_i[L[in_i[K]]] = True
-        assert (in_i | next_to_i).all()
-        assert np.array_equal(np.sort(np.concatenate([plan.schur.I, plan.schur.cells])),
-                              np.arange(n))
+    even = tree_colour(n, seed) == tree_colour(n, seed)[0]
+    layout = S._SchurLayout(plan, even)
+    assert np.array_equal(layout.I, np.flatnonzero(even))
+    assert np.array_equal(np.sort(layout.cells), np.flatnonzero(~even))
+    kept = layout.cells.size * layout.kd**2 < n * plan.kd**2
+    assert (plan.schur is not None) == kept
+    if kept:
+        assert np.array_equal(plan.schur.I, layout.I)
+        assert np.array_equal(plan.schur.cells, layout.cells)
     b = np.random.default_rng(seed).standard_normal(n)
-    x = linear_solve(plan, jacobian_on(plan, diag, off, u_p), b)
+    with pytest.MonkeyPatch.context() as patch:
+        lapack = lapack_inputs(patch)
+        x = linear_solve(plan, jacobian_on(plan, diag, off, u_p), b)
+    factored = layout.cells.size if kept else n
+    assert [args[-1].size for _, args, _ in lapack] == [factored]
     ref = np.linalg.solve(J, b)
     assert np.linalg.norm(x - ref, np.inf) <= 1e-12 * np.linalg.norm(ref, np.inf)
 
@@ -301,32 +322,39 @@ def triangulated_grid(nx, ny):
 
 
 def test_schur_layout_is_kept_only_where_its_band_costs_less(monkeypatch):
-    # a random pattern with odd cycles: couplings inside S, and S's band costs
-    # less than the whole one, so the layout is kept
+    # with an odd cycle no two-colouring exists, so no layout is kept and a
+    # solve with every column wet factors the whole band: a random pattern
+    # of 60 cells (Cholesky) and a triangulated grid, odd cycles everywhere
+    # (LU, band 10)
     diag, K, L, off, m, u_p, J = graph_system(60, 3, 0.0, True)
-    plan = SolvePlan(60, K, L, m)
-    sc = plan.schur
-    assert sc.direct.size > 0
-    assert sc.cells.size * sc.kd**2 < plan.n * plan.kd**2
-    # a triangulated grid has odd cycles everywhere: of the cells at an even
-    # breadth-first distance, leaving out the later cell of each coupled pair
-    # keeps 9 of 100 in I, and the cells that then have no neighbour in I,
-    # taken in cell order, bring it to 25.  S (75 cells, band 16) still costs
-    # more than the whole band (10), so the whole band is factored, also
-    # where every column is wet
-    n, K, L = triangulated_grid(10, 10)
-    A = sp.coo_matrix((-np.ones(2 * K.size), (np.concatenate([K, L]), np.concatenate([L, K]))),
+    n, K_t, L_t = triangulated_grid(10, 10)
+    A = sp.coo_matrix((-np.ones(2 * K_t.size), (np.concatenate([K_t, L_t]),
+                                                  np.concatenate([L_t, K_t]))),
                       shape=(n, n)).tolil()
     A.setdiag(7.0)
-    plan = plan_of(A)
-    layout = S._SchurLayout(plan)
-    assert layout.I.size == 25 and (layout.cells.size, layout.kd, plan.kd) == (75, 16, 10)
+    assert plan_of(A).kd == 10
+    for A, m, u_p, route in [(J, m, u_p, "dpbsv"), (A.toarray(), None, None, "dgbsv")]:
+        plan = plan_of(A, m)
+        assert plan.schur is None
+        b = np.arange(1.0, A.shape[0] + 1)
+        with monkeypatch.context() as patch:
+            lapack = lapack_inputs(patch)
+            x = solve_on(plan, sp.csr_matrix(A), b, u_p)
+        assert [(name.split()[-1], args[-1].size) for name, args, _ in lapack] == [
+            (route, A.shape[0])]
+        ref = np.linalg.solve(A, b)
+        assert np.linalg.norm(x - ref, np.inf) <= 1e-12 * np.linalg.norm(ref, np.inf)
+    # two-coloured, the layout on the colour of cell 0 is kept only where S's
+    # band costs less: not on a tree of 10 cells where S, 6 cells of band 4,
+    # costs more than the whole band 3, but on a star about cell 8, where I
+    # is every leaf and S is cell 8 alone
+    _, K, L, *_ = graph_system(10, 3, 0.0, False, two_colour=True)
+    plan = SolvePlan(10, K, L)
+    layout = S._SchurLayout(plan, tree_colour(10, 3) == tree_colour(10, 3)[0])
+    assert (K.size, layout.cells.size, layout.kd, plan.kd) == (9, 6, 4, 3)
     assert plan.schur is None
-    b = np.arange(1.0, n + 1)
-    calls = count_lu(monkeypatch)
-    x = solve_on(plan, A, b)
-    assert calls == {"dgbsv": 1, "dpbsv": 0}
-    np.testing.assert_allclose(x, np.linalg.solve(A.toarray(), b), rtol=1e-13)
+    plan = SolvePlan(9, np.arange(8), np.full(8, 8))
+    assert plan.schur.I.tolist() == list(range(8)) and plan.schur.cells.tolist() == [8]
 
 
 @pytest.mark.parametrize("kind", ["natural", "shuffled"])
