@@ -184,11 +184,12 @@ def linear_solve(plan: SolvePlan, jac: Jacobian, b) -> np.ndarray:
         p = place.take(cols.take(q))  # the places in W of each edge's earlier and later cell
         k = int((p[1] - p[0]).max(initial=0))
         i, j = p[::-1], p  # each coupling's row and column in W
-        if symmetric:  # the coupling below the diagonal alone
+        if symmetric:  # the coupling below the diagonal alone, of B in place of A
             q, i, j = q[0], i[0], j[0]
-        d, c, b_w = diag.take(w), off.take(q), b.take(w)
-        if symmetric:
-            d, b_w, c = _scaled(plan, u_p, w, d, b_w, q, c)
+            c = off.take(q) * plan.m.take(rows.take(q)) / u_p.take(cols.take(q))
+            d, b_w = _scaled(plan, u_p, w, diag.take(w), b.take(w))
+        else:
+            c, d, b_w = off.take(q), diag.take(w), b.take(w)
         ldab = plan.ldab(k)
         ab = np.zeros(ldab * w.size)
         ab[plan.band(0, 0, k)::ldab] = d
@@ -212,15 +213,12 @@ def linear_solve(plan: SolvePlan, jac: Jacobian, b) -> np.ndarray:
     return x
 
 
-def _scaled(plan: SolvePlan, u_p, cells, d, b, q=None, off=None):
-    """What the band Cholesky factors in place of A: (B's diagonal d m / u' on
-    cells, the right side m b of B y = m b, and, when q is given, B's
-    couplings off m[rows] / u'[cols] on the couplings q), from A's diagonal d
-    and the right side b on cells and A's couplings off on q."""
-    m, u = plan.m.take(cells), u_p.take(cells)
-    if q is not None:
-        off = off * plan.m.take(plan.rows.take(q)) / u_p.take(plan.cols.take(q))
-    return d * m / u, m * b, off
+def _scaled(plan: SolvePlan, u_p, cells, d, b):
+    """B's diagonal d m / u' and the right side m b of B y = m b on cells,
+    from A's diagonal d and the right side b there; the band Cholesky
+    factors B in place of A."""
+    m = plan.m.take(cells)
+    return d * m / u_p.take(cells), m * b
 
 
 def _band_solve(plan: SolvePlan, k: int, ab, c, cells) -> np.ndarray:
@@ -254,7 +252,7 @@ def _schur_solve(plan: SolvePlan, diag, off, b, u_p) -> np.ndarray:
     h = off.take(sc.out)  # A_ia
     d_s, b_s = diag.take(sc.cells), b.take(sc.cells)
     if plan.symmetric:  # the same for B, y = u' x
-        d_s, b_s, _ = _scaled(plan, u_p, sc.cells, d_s, b_s)
+        d_s, b_s = _scaled(plan, u_p, sc.cells, d_s, b_s)
         g *= plan.m.take(sc.cross_cell)  # g h = B_ai B_ic / B_ii
         h /= u_p.take(sc.cross_cell)  # h y = A_ia x_a
     terms = np.concatenate([d_s, -(g.take(sc.left) * h.take(sc.right))])
